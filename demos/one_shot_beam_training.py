@@ -13,7 +13,12 @@ import numpy as np
 
 import nearris as nr
 from nearris import benchmarks as bm
-from nearris.beam_mgmt import bs_precoder_focus_ris, hierarchical_search, mu_combiners
+from nearris.beam_mgmt import (
+    bs_precoder_focus_ris,
+    effective_cascade,
+    hierarchical_search,
+    mu_combiners,
+)
 from nearris.codebook import unit_cell_factor
 
 
@@ -33,8 +38,9 @@ def main():
     v = bs_precoder_focus_ris(s.bs_geometry().element_positions(), s.ris_center, lam,
                               s.p_bs_watts)
     combiners = mu_combiners(s.n_mu)
+    d, a = effective_cascade(channels, v, g)
 
-    _, trace = hierarchical_search(channels, codebook, v, combiners, s.sigma2, g)
+    trace = hierarchical_search(d, a, codebook, combiners, s.sigma2)
     for depth, rec in enumerate(trace.levels):
         lev = codebook.levels[depth]
         print(f"level {depth + 1} ({lev.big_w_x}x{lev.big_w_y} cells): "
@@ -46,11 +52,10 @@ def main():
     print(f"\ntotal pilots: {trace.pilot_count} "
           f"(per level {trace.pilots_per_level()})")
 
-    r1 = bm.benchmark1_full_search(channels, codebook.levels[-1], v, combiners, s.sigma2, g)
-    r2 = bm.benchmark2_full_focusing(channels, p_mu, s.ris_geometry(), s.bs_center, v,
-                                     combiners, s.sigma2, g, lam)
-    h1v = channels.h1 @ v
-    r3, _, _ = bm.benchmark3_full_csi(h1v, channels.h2[0], (channels.h @ v)[0], g, s.sigma2)
+    r1 = bm.benchmark1_full_search(d, a, codebook.levels[-1], combiners, s.sigma2)
+    r2 = bm.benchmark2_full_focusing(d, a, p_mu, s.ris_geometry(), s.bs_center,
+                                     combiners, s.sigma2, lam)
+    r3, _, _ = bm.benchmark3_full_csi(d, a, s.sigma2)
 
     print(f"\n{'scheme':>28s} {'SNR (dB)':>9s}   cost")
     print(f"{'hierarchical search':>28s} {10 * np.log10(prop):9.2f}   "

@@ -44,10 +44,10 @@ from .beam_mgmt import (
     SearchTrace,
     best_index,
     bs_precoder_focus_ris,
+    effective_cascade,
     hierarchical_search,
     mu_combiners,
     received_snr,
-    ris_profile,
 )
 from .benchmarks import (
     SchemeResult,

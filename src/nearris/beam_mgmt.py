@@ -1,8 +1,11 @@
 """Transceiver side: precoder, combiner set, SNR measurement, hierarchical search.
 
 The BS applies one fixed power-carrying precoder focused on the RIS
-center; the MU maximizes over a small unit-norm combiner set. One "pilot"
-is one SNR measurement under one RIS codeword. The hierarchical search
+center; the MU maximizes over a small unit-norm combiner set. Because the
+precoder is fixed, a channel realization reduces once to the direct term
+d = H v and the effective cascade A = g * H2 (.) (H1 v), and the receive
+vector under RIS phases omega is y = d + A exp(j*omega). One "pilot" is
+one SNR measurement under one RIS codeword. The hierarchical search
 sounds the full first codebook level, then only the children of each
 level's winner.
 """
@@ -12,12 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import children
-
-
-def ris_profile(omega, g):
-    """Diagonal of the RIS reflection operator: entries g*exp(j*omega_q)."""
-    omega = np.asarray(omega, dtype=float)
-    return g * np.exp(1j * omega)
 
 
 def bs_precoder_focus_ris(bs_positions, p_ris, lambda_m, p_bs_watts):
@@ -41,15 +38,18 @@ def mu_combiners(n_mu):
     return [f[:, i].copy() for i in range(n_mu)]
 
 
-def end_to_end_channel(channels, omega, v, g):
-    """Effective receive vector (H + H2 Omega H1) v, shape (N_mu,)."""
-    h1v = channels.h1 @ v
-    casc = channels.h2 @ (ris_profile(omega, g) * h1v)
-    return channels.h @ v + casc
+def effective_cascade(channels, v, g):
+    """Reduce one realization under precoder v to (d, A).
+
+    d = H v has shape (N_mu,); A = g * H2 (.) (H1 v), row-wise, has shape
+    (N_mu, Q). For any RIS phase vector omega the receive vector
+    (H + H2 diag(g*exp(j*omega)) H1) v equals d + A exp(j*omega).
+    """
+    return channels.h @ v, g * channels.h2 * (channels.h1 @ v)
 
 
-def received_snr(channels, omega, v, combiners, sigma2, g, rng=None, meas_noise_reps=0):
-    """Eq.-style linear SNR: max over combiners of |u^H (H + H2 Omega H1) v|^2 / sigma2.
+def received_snr(d, a, omega, combiners, sigma2, rng=None, meas_noise_reps=0):
+    """Eq.-style linear SNR: max over combiners of |u^H (d + A exp(j*omega))|^2 / sigma2.
 
     With meas_noise_reps > 0 the measurement is emulated from that many
     AWGN-corrupted pilot repetitions (requires rng); default is the exact
@@ -59,7 +59,7 @@ def received_snr(channels, omega, v, combiners, sigma2, g, rng=None, meas_noise_
         raise ValueError("combiner set is empty")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    y = end_to_end_channel(channels, omega, v, g)
+    y = d + a @ np.exp(1j * np.asarray(omega, dtype=float))
     best = 0.0
     for u in combiners:
         z = np.vdot(u, y)
@@ -105,30 +105,13 @@ class SearchTrace:
     def pilots_per_level(self):
         return [len(rec.candidates) for rec in self.levels]
 
-    def to_dict(self):
-        """JSON-ready form; SNRs reported in dB."""
-        return {
-            "pilot_count": self.pilot_count,
-            "levels": [
-                {
-                    "candidates": [list(c) for c in rec.candidates],
-                    "snr_db": {
-                        f"{c[0]},{c[1]}": 10.0 * np.log10(rec.snrs[c]) for c in rec.candidates
-                    },
-                    "winner": list(rec.winner),
-                }
-                for rec in self.levels
-            ],
-        }
 
-
-def hierarchical_search(channels, codebook, v, combiners, sigma2, g,
-                        rng=None, meas_noise_reps=0):
+def hierarchical_search(d, a, codebook, combiners, sigma2, rng=None, meas_noise_reps=0):
     """Coarse-to-fine codeword selection over the hierarchy.
 
     Sounds every cell of level 1, then per level only the children of the
-    previous winner; returns the final winner's phase vector and the full
-    trace. Total pilots = |level 1| + sum of refinement-ratio products.
+    previous winner; returns the trace, whose last level holds the final
+    winner. Total pilots = |level 1| + sum of refinement-ratio products.
     """
     trace = SearchTrace()
     winner = None
@@ -141,11 +124,10 @@ def hierarchical_search(channels, codebook, v, combiners, sigma2, g,
                 children((prev.big_w_x, prev.big_w_y), (level.big_w_x, level.big_w_y), winner)
             )
         snrs = {
-            c: received_snr(channels, level.codewords[c], v, combiners, sigma2, g,
+            c: received_snr(d, a, level.codewords[c], combiners, sigma2,
                             rng=rng, meas_noise_reps=meas_noise_reps)
             for c in cands
         }
         winner = best_index(snrs, cands)
         trace.levels.append(LevelRecord(candidates=list(cands), snrs=snrs, winner=winner))
-    final = codebook.levels[-1].codewords[winner]
-    return final, trace
+    return trace

@@ -2,8 +2,9 @@
 
 B1 exhaustively sounds the finest codebook level; B2 focuses on the exact
 MU position; B3 phase-conjugates the cascaded per-element channel from
-full CSI. All report the same SNR metric as the proposed scheme, direct
-link included.
+full CSI. All read the trial's direct term d and effective cascade A (see
+`beam_mgmt.effective_cascade`) and report the same SNR metric as the
+proposed scheme, direct link included.
 """
 
 from dataclasses import dataclass
@@ -30,37 +31,37 @@ class SchemeResult:
         return 10.0 * np.log10(self.snr_linear)
 
 
-def benchmark1_full_search(channels, level, v, combiners, sigma2, g):
+def benchmark1_full_search(d, a, level, combiners, sigma2):
     """Exhaustive search over one codebook level; pilot cost = level size."""
     snrs = {
-        c: received_snr(channels, level.codewords[c], v, combiners, sigma2, g)
+        c: received_snr(d, a, level.codewords[c], combiners, sigma2)
         for c in level.indices()
     }
     win = best_index(snrs, level.indices())
     return SchemeResult(B1_FULL_CODEBOOK, snrs[win], cost=f"{level.size} pilots")
 
 
-def benchmark2_full_focusing(channels, p_mu, geom, p_i, v, combiners, sigma2, g, lambda_m):
+def benchmark2_full_focusing(d, a, p_mu, geom, p_i, combiners, sigma2, lambda_m):
     """Genie-aided focusing on the exact MU position."""
     omega = focusing_phases(p_i, p_mu, geom, lambda_m)
-    snr = received_snr(channels, omega, v, combiners, sigma2, g)
+    snr = received_snr(d, a, omega, combiners, sigma2)
     return SchemeResult(B2_FULL_FOCUSING, snr, cost="exact MU position")
 
 
-def benchmark3_full_csi(h1, h2, h_direct, g, sigma2):
+def benchmark3_full_csi(d, a, sigma2):
     """Per-element phase conjugation from full CSI, single-antenna MU only.
 
-    omega_q = -angle(h1_q) - angle(h2_q) aligns every cascaded term, so the
-    RIS path contributes g * sum_q |h1_q h2_q| exactly; the direct channel
-    is added as-is (the phase profile optimizes the cascade alone).
+    omega_q = -angle(A_q) aligns every cascaded term, so the RIS path
+    contributes sum_q |A_q| = g * sum_q |(H1 v)_q h2_q| exactly; the direct
+    term d is added as-is (the phase profile optimizes the cascade alone).
     """
-    h1 = np.asarray(h1)
-    h2 = np.asarray(h2)
-    if h1.ndim != 1 or h2.ndim != 1 or h1.shape != h2.shape:
-        raise ValueError("benchmark3 expects matching per-element vectors (N_mu = 1)")
-    omega = -np.angle(h1) - np.angle(h2)
-    cascade = g * np.sum(np.abs(h1 * h2))
-    snr = np.abs(h_direct + cascade) ** 2 / sigma2
-    q = h1.shape[0]
+    d = np.asarray(d)
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != 1 or d.shape != (1,):
+        raise ValueError("benchmark3 expects d of shape (1,) and A of shape (1, Q) (N_mu = 1)")
+    omega = -np.angle(a[0])
+    cascade = np.sum(np.abs(a[0]))
+    snr = np.abs(d[0] + cascade) ** 2 / sigma2
+    q = a.shape[1]
     res = SchemeResult(B3_FULL_CSI, float(snr), cost=f"{2 * q} channel coefficients")
     return res, omega, cascade

@@ -20,8 +20,8 @@ _FOUR_PI = 4.0 * np.pi
 
 
 def free_space_amplitude(d_m, lambda_m):
-    """Amplitude-domain Friis factor lambda/(4*pi*d)."""
-    if d_m <= 0:
+    """Amplitude-domain Friis factor lambda/(4*pi*d), elementwise for arrays."""
+    if np.any(np.asarray(d_m) <= 0):
         raise ValueError(f"distance must be positive, got {d_m}")
     return lambda_m / (_FOUR_PI * d_m)
 

@@ -7,6 +7,7 @@ output files (CSV) are byte-identical when re-run with the same inputs.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -240,19 +241,6 @@ def write_codebook_json(path, codebook, level_indices=None):
         fh.write("\n")
 
 
-def write_traces_json(path, results, traces):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "traces": [
-            {"trial": r.trial, "beta_db": r.beta_db, **t.to_dict()}
-            for r, t in zip(results, traces)
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
 def write_channel_set(path, channels):
     """Binary ChannelSet container: named complex arrays, row-major."""
     np.savez(path, format_version=np.int64(FORMAT_VERSION),
@@ -276,15 +264,17 @@ def write_farfield_csv(path, rows):
 
 
 def _load(args):
+    """The scenario file with the command-line overrides applied and validated."""
     path = args.config or default_scenario_path()
     scenario = load_scenario(path, strict=not args.lax)
-    if args.seed is not None:
-        scenario.master_seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        scenario.trials = args.trials
-    if getattr(args, "workers", None) is not None:
-        scenario.workers = args.workers
-    return scenario
+    overrides = {
+        "master_seed": args.seed,
+        "trials": getattr(args, "trials", None),
+        "workers": getattr(args, "workers", None),
+    }
+    return dataclasses.replace(
+        scenario, **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def _out_dir(args):

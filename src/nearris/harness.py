@@ -4,10 +4,13 @@ Two SNR pipelines coexist and are kept separate on purpose:
 
 * illumination maps (focusing cuts, codebook heatmaps) treat the BS as a
   point source at p_i and score P_ref * (PL1 * PL2 * |g_ris|)^2 / sigma2
-  on the LOS geometry only, with a configurable reference power;
-* link-level trials build the full multipath channel matrices and score
-  every scheme with the matrix SNR metric (precoder, RIS profile,
-  combiner, direct link included).
+  on the LOS geometry only, with a configurable reference power; both
+  reduce to one field kernel, (points, phase profiles) -> SNR dB;
+* link-level trials build the full multipath channel matrices, reduce
+  them once under the fixed precoder to the direct term d = H v and the
+  effective cascade A = g * H2 (.) (H1 v), and score every scheme from
+  that pair as max_u |u^H (d + A exp(j*omega))|^2 / sigma2 (combiner and
+  direct link included).
 
 Trials are pure functions of (scenario, beta, trial index); every random
 draw comes from a seed sequence labeled with those coordinates, so
@@ -20,7 +23,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import benchmarks as bm
-from .beam_mgmt import bs_precoder_focus_ris, hierarchical_search, mu_combiners
+from .beam_mgmt import bs_precoder_focus_ris, effective_cascade, hierarchical_search, mu_combiners
 from .channel import (
     ChannelSet,
     LinkPaths,
@@ -123,6 +126,7 @@ class Scenario:
             (len(self.codebook_levels) >= 1, "codebook_levels must be non-empty"),
             (0 < self.codebook_alpha <= 1.5, "codebook_alpha must be in (0, 1.5]"),
             (self.trials >= 1, "trials must be >= 1"),
+            (self.master_seed >= 0, "master_seed must be >= 0"),
             (self.workers >= 1, "workers must be >= 1"),
             (self.average in (DB_MEAN, LINEAR_MEAN),
              f"average must be '{DB_MEAN}' or '{LINEAR_MEAN}'"),
@@ -312,20 +316,20 @@ def run_trial(scenario, beta_db, trial, codebook=None):
     v = bs_precoder_focus_ris(scenario.bs_geometry().element_positions(),
                               scenario.ris_center, lam, scenario.p_bs_watts)
     combiners = mu_combiners(scenario.n_mu)
+    d, a = effective_cascade(channels, v, g)
 
-    _, trace = hierarchical_search(channels, codebook, v, combiners, sigma2, g)
+    trace = hierarchical_search(d, a, codebook, combiners, sigma2)
     prop_snr = trace.levels[-1].snrs[trace.levels[-1].winner]
-    r1 = bm.benchmark1_full_search(channels, codebook.levels[-1], v, combiners, sigma2, g)
-    r2 = bm.benchmark2_full_focusing(channels, p_mu, geom, scenario.bs_center,
-                                     v, combiners, sigma2, g, lam)
+    r1 = bm.benchmark1_full_search(d, a, codebook.levels[-1], combiners, sigma2)
+    r2 = bm.benchmark2_full_focusing(d, a, p_mu, geom, scenario.bs_center,
+                                     combiners, sigma2, lam)
     snr_db = {
         bm.PROPOSED: 10.0 * np.log10(prop_snr),
         bm.B1_FULL_CODEBOOK: r1.snr_db,
         bm.B2_FULL_FOCUSING: r2.snr_db,
     }
     if scenario.n_mu == 1:
-        h1v = channels.h1 @ v
-        r3, _, _ = bm.benchmark3_full_csi(h1v, channels.h2[0], (channels.h @ v)[0], g, sigma2)
+        r3, _, _ = bm.benchmark3_full_csi(d, a, sigma2)
         snr_db[bm.B3_FULL_CSI] = r3.snr_db
     return TrialResult(
         trial=trial,
@@ -399,9 +403,43 @@ def sweep_beta(scenario, workers=None):
 
 # --- illumination pipeline (point-source GRCS maps) ----------------------
 
-def _illum_snr_db(scenario, gr_mag, pl_product):
-    p = scenario.illum_reference_power_w
-    return 10.0 * np.log10(p * (pl_product * gr_mag) ** 2 / scenario.sigma2)
+# Points per block of the field kernel. It bounds the (points, Q)
+# temporaries: on the reference RIS a level-4 heatmap peaks near 165 MB
+# at 64 and 205 MB at 128, at the same speed within noise; 32 is slower.
+_FIELD_CHUNK = 64
+
+
+def _field_snr_db(scenario, points, profiles):
+    """Point-source illumination SNR in dB of each profile at each point, shape (P, K).
+
+    points is (P, 3); profiles is (K, Q), one RIS phase vector per row. The
+    BS is a point source at p_i, and each entry is
+    10*log10(P_ref * (PL1 * PL2 * |grcs(p_i, p, omega)|)^2 / sigma2), with
+    PL1 and PL2 the Friis amplitudes over the BS-RIS and RIS-point center
+    distances. Points are evaluated _FIELD_CHUNK at a time.
+    """
+    geom = scenario.ris_geometry()
+    lam = scenario.lambda_m
+    k = 2.0 * np.pi / lam
+    g = unit_cell_factor(geom, lam)
+    p_i = np.asarray(scenario.bs_center, dtype=float)
+    p_ris = np.asarray(scenario.ris_center, dtype=float)
+    pn = geom.element_positions()
+    pl1 = free_space_amplitude(float(np.linalg.norm(p_i - p_ris)), lam)
+
+    phase_in = k * np.linalg.norm(p_i - pn, axis=1)
+    emat = 1j * (phase_in[:, None] + np.asarray(profiles, dtype=float).T)
+    np.exp(emat, out=emat)  # in place: the (Q, K) matrix is the largest array here
+    out = np.empty((len(points), emat.shape[1]))
+    for s in range(0, len(points), _FIELD_CHUNK):
+        p_r = points[s:s + _FIELD_CHUNK]
+        d = np.linalg.norm(p_r[:, None, :] - pn[None, :, :], axis=2)
+        mags = np.abs(np.exp(1j * k * d) @ emat) * g
+        pl2 = free_space_amplitude(np.linalg.norm(p_r - p_ris, axis=1), lam)
+        out[s:s + _FIELD_CHUNK] = 10.0 * np.log10(
+            scenario.illum_reference_power_w * (pl1 * pl2[:, None] * mags) ** 2 / scenario.sigma2
+        )
+    return out
 
 
 def focusing_cut(scenario, axis, half_range_m=8.0, steps=801):
@@ -412,34 +450,12 @@ def focusing_cut(scenario, axis, half_range_m=8.0, steps=801):
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
-    geom = scenario.ris_geometry()
-    lam = scenario.lambda_m
-    p_i = np.asarray(scenario.bs_center, dtype=float)
     p_b = np.asarray(scenario.blockage_center, dtype=float)
-    pn = geom.element_positions()
-    k = 2.0 * np.pi / lam
-    g = unit_cell_factor(geom, lam)
-    pl1 = free_space_amplitude(float(np.linalg.norm(p_i - np.asarray(scenario.ris_center))), lam)
-
-    omega = focusing_phases(p_i, p_b, geom, lam)
-    phase_in = k * np.linalg.norm(p_i - pn, axis=1) + omega
+    omega = focusing_phases(scenario.bs_center, p_b, scenario.ris_geometry(), scenario.lambda_m)
     deltas = np.linspace(-half_range_m, half_range_m, steps)
     unit = np.array([1.0, 0, 0]) if axis == "x" else np.array([0, 1.0, 0])
-    out = np.empty(steps)
-    for i, dl in enumerate(deltas):
-        p_r = p_b + dl * unit
-        mag = np.abs(np.sum(np.exp(1j * (phase_in + k * np.linalg.norm(p_r - pn, axis=1))))) * g
-        pl2 = free_space_amplitude(float(np.linalg.norm(p_r - np.asarray(scenario.ris_center))), lam)
-        out[i] = _illum_snr_db(scenario, mag, pl1 * pl2)
-    return deltas, out
-
-
-def free_space_amplitude_vec(d, lambda_m):
-    """Vectorized Friis amplitude for positive distance arrays."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distances must be positive")
-    return lambda_m / (4.0 * np.pi * d)
+    points = p_b + deltas[:, None] * unit
+    return deltas, _field_snr_db(scenario, points, omega[None, :])[:, 0]
 
 
 @dataclass
@@ -466,35 +482,13 @@ def heatmap(scenario, level_index, cells=None, grid_n=None, codebook=None):
     cells = level.indices() if cells is None else list(cells)
     n = scenario.illum_grid if grid_n is None else grid_n
 
-    geom = scenario.ris_geometry()
-    lam = scenario.lambda_m
-    k = 2.0 * np.pi / lam
-    g = unit_cell_factor(geom, lam)
-    p_i = np.asarray(scenario.bs_center, dtype=float)
     p_b = np.asarray(scenario.blockage_center, dtype=float)
-    pn = geom.element_positions()
-    pl1 = free_space_amplitude(float(np.linalg.norm(p_i - np.asarray(scenario.ris_center))), lam)
-
     xs = p_b[0] + np.linspace(-scenario.blockage_r_x / 2, scenario.blockage_r_x / 2, n)
     ys = p_b[1] + np.linspace(-scenario.blockage_r_y / 2, scenario.blockage_r_y / 2, n)
-    phase_in = k * np.linalg.norm(p_i - pn, axis=1)
-    emat = np.stack([np.exp(1j * (phase_in + level.codewords[c])) for c in cells], axis=1)
-
-    grids = np.empty((len(cells), n, n))
-    chunk = 256
-    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    flat = np.empty((n * n, len(cells)))
-    for s in range(0, n * n, chunk):
-        block = pts[s:s + chunk]
-        p_r = np.column_stack([block, np.full(block.shape[0], p_b[2])])
-        d = np.linalg.norm(p_r[:, None, :] - pn[None, :, :], axis=2)
-        mags = np.abs(np.exp(1j * k * d) @ emat) * g
-        pl2 = free_space_amplitude_vec(np.linalg.norm(p_r - np.asarray(scenario.ris_center), axis=1), lam)
-        flat[s:s + chunk] = 10.0 * np.log10(
-            scenario.illum_reference_power_w * (pl1 * pl2[:, None] * mags) ** 2 / scenario.sigma2
-        )
-    for i in range(len(cells)):
-        grids[i] = flat[:, i].reshape(n, n)
+    grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
+    points = np.column_stack([grid_x.ravel(), grid_y.ravel(), np.full(n * n, p_b[2])])
+    flat = _field_snr_db(scenario, points, np.stack([level.codewords[c] for c in cells]))
+    grids = flat.T.reshape(len(cells), n, n)
     per_cell = {c: grids[i] for i, c in enumerate(cells)}
     composite = grids.max(axis=0)
     return HeatmapResult(level=level_index + 1, xs=xs, ys=ys,

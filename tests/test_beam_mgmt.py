@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +7,12 @@ from conftest import los_only_scenario, small_scenario
 from nearris.beam_mgmt import (
     best_index,
     bs_precoder_focus_ris,
-    end_to_end_channel,
+    effective_cascade,
     hierarchical_search,
     mu_combiners,
     received_snr,
-    ris_profile,
 )
-from nearris.benchmarks import benchmark1_full_search
+from nearris.benchmarks import benchmark1_full_search, benchmark3_full_csi
 from nearris.channel import ChannelSet, LOS, LinkPaths, Path, assemble_channel, free_space_amplitude
 from nearris.codebook import mapping, unit_cell_factor
 from nearris.harness import build_trial_channels
@@ -31,12 +28,7 @@ def scalar_channels(h=0.0, h1=1.0, h2=1.0):
     )
 
 
-# --- profile, precoder, combiners ------------------------------------------
-
-
-def test_ris_profile_values():
-    np.testing.assert_allclose(ris_profile(np.zeros(4), G_PI), G_PI * np.ones(4))
-    np.testing.assert_allclose(ris_profile(np.array([np.pi]), 2.0), [-2.0 + 0j], atol=1e-12)
+# --- precoder, combiners -----------------------------------------------------
 
 
 def test_precoder_single_antenna_carries_power():
@@ -76,16 +68,41 @@ def test_mu_combiners_are_unit_norm_orthogonal():
 
 def test_received_snr_scalar_oracle():
     # y = g*sqrt(P) through unit cascade: SNR = g^2 * P / sigma2
-    ch = scalar_channels()
-    v = np.array([np.sqrt(2.0)])
-    snr = received_snr(ch, np.zeros(1), v, [np.array([1.0 + 0j])], 0.5, G_PI)
+    d, a = effective_cascade(scalar_channels(), np.array([np.sqrt(2.0)]), G_PI)
+    snr = received_snr(d, a, np.zeros(1), [np.array([1.0 + 0j])], 0.5)
     assert snr == pytest.approx(4 * np.pi**2, rel=1e-12)
 
 
-def test_end_to_end_channel_includes_direct_term():
-    ch = scalar_channels(h=0.5)
-    y = end_to_end_channel(ch, np.zeros(1), np.array([1.0]), G_PI)
-    assert y[0] == pytest.approx(0.5 + G_PI, rel=1e-12)
+def matrix_oracle_snr(ch, omega, v, combiners, sigma2, g):
+    """max_u |u^H (H + H2 diag(g e^{j omega}) H1) v|^2 / sigma2 from the full matrices."""
+    y = (ch.h + ch.h2 @ np.diag(g * np.exp(1j * omega)) @ ch.h1) @ v
+    return max(abs(np.vdot(u, y)) ** 2 for u in combiners) / sigma2
+
+
+@pytest.mark.parametrize("n_mu", [1, 4])
+def test_received_snr_matches_full_matrix_oracle(n_mu):
+    # multipath channels from assemble_channel, direct link on, random and
+    # codebook profiles: the (d, A) reduction must not change the SNR
+    s = small_scenario(n_mu=n_mu, codebook_levels=((2, 2),))
+    cb, v, g = search_setup(s)
+    combiners = mu_combiners(n_mu)
+    rng = np.random.default_rng(5)
+    for trial in range(3):
+        ch, _ = build_trial_channels(s, 10.0, trial)
+        assert np.any(ch.h != 0)
+        d, a = effective_cascade(ch, v, g)
+        assert d.shape == (n_mu,) and a.shape == (n_mu, s.ris_geometry().q)
+        profiles = [rng.uniform(0, 2 * np.pi, a.shape[1])] + list(cb.levels[0].codewords.values())
+        for omega in profiles:
+            expect = matrix_oracle_snr(ch, omega, v, combiners, s.sigma2, g)
+            assert received_snr(d, a, omega, combiners, s.sigma2) == pytest.approx(
+                expect, rel=1e-9
+            )
+        if n_mu == 1:
+            # B3's own profile, put through the full matrices, gives its SNR
+            r3, omega, _ = benchmark3_full_csi(d, a, s.sigma2)
+            expect = matrix_oracle_snr(ch, omega, v, combiners, s.sigma2, g)
+            assert r3.snr_linear == pytest.approx(expect, rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,11 +116,11 @@ def test_received_snr_invariant_to_global_codeword_phase(c):
         h1=(rng.normal(size=(q, 2)) + 1j * rng.normal(size=(q, 2))),
         h2=(rng.normal(size=(1, q)) + 1j * rng.normal(size=(1, q))),
     )
-    v = np.array([0.3, 0.4 - 0.2j])
+    d, a = effective_cascade(ch, np.array([0.3, 0.4 - 0.2j]), G_PI)
     omega = rng.uniform(0, 2 * np.pi, q)
     u = [np.array([1.0 + 0j])]
-    s1 = received_snr(ch, omega, v, u, 1e-3, G_PI)
-    s2 = received_snr(ch, omega + c, v, u, 1e-3, G_PI)
+    s1 = received_snr(d, a, omega, u, 1e-3)
+    s2 = received_snr(d, a, omega + c, u, 1e-3)
     assert s2 == pytest.approx(s1, rel=1e-9)
 
 
@@ -115,36 +132,35 @@ def test_received_snr_invariant_to_combiner_phase():
         h1=rng.normal(size=(q, 2)) + 1j * rng.normal(size=(q, 2)),
         h2=rng.normal(size=(n, q)) + 1j * rng.normal(size=(n, q)),
     )
-    v = np.array([0.1, 0.2j])
+    d, a = effective_cascade(ch, np.array([0.1, 0.2j]), G_PI)
     omega = rng.uniform(0, 2 * np.pi, q)
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
     u /= np.linalg.norm(u)
-    s1 = received_snr(ch, omega, v, [u], 1e-3, G_PI)
-    s2 = received_snr(ch, omega, v, [u * np.exp(1j * 0.7)], 1e-3, G_PI)
+    s1 = received_snr(d, a, omega, [u], 1e-3)
+    s2 = received_snr(d, a, omega, [u * np.exp(1j * 0.7)], 1e-3)
     assert s2 == pytest.approx(s1, rel=1e-12)
 
 
 def test_received_snr_measurement_noise_controls():
-    ch = scalar_channels()
-    v = np.array([1.0])
+    d, c = effective_cascade(scalar_channels(), np.array([1.0]), G_PI)
     u = [np.array([1.0 + 0j])]
-    exact = received_snr(ch, np.zeros(1), v, u, 1e-4, G_PI)
-    a = received_snr(ch, np.zeros(1), v, u, 1e-4, G_PI,
+    exact = received_snr(d, c, np.zeros(1), u, 1e-4)
+    a = received_snr(d, c, np.zeros(1), u, 1e-4,
                      rng=np.random.default_rng(1), meas_noise_reps=64)
-    b = received_snr(ch, np.zeros(1), v, u, 1e-4, G_PI,
+    b = received_snr(d, c, np.zeros(1), u, 1e-4,
                      rng=np.random.default_rng(1), meas_noise_reps=64)
     assert a == b  # same rng state, bit-identical
     assert a == pytest.approx(exact, rel=0.2)  # averaged pilots stay close
     with pytest.raises(ValueError):
-        received_snr(ch, np.zeros(1), v, u, 1e-4, G_PI, meas_noise_reps=4)
+        received_snr(d, c, np.zeros(1), u, 1e-4, meas_noise_reps=4)
 
 
 def test_received_snr_validation():
-    ch = scalar_channels()
+    d, a = effective_cascade(scalar_channels(), np.array([1.0]), G_PI)
     with pytest.raises(ValueError):
-        received_snr(ch, np.zeros(1), np.array([1.0]), [], 1.0, G_PI)
+        received_snr(d, a, np.zeros(1), [], 1.0)
     with pytest.raises(ValueError):
-        received_snr(ch, np.zeros(1), np.array([1.0]), [np.array([1.0])], 0.0, G_PI)
+        received_snr(d, a, np.zeros(1), [np.array([1.0])], 0.0)
 
 
 # --- selection ---------------------------------------------------------------
@@ -184,7 +200,7 @@ def test_search_pilot_budget_small_hierarchy():
     s = los_only_scenario()
     cb, v, g = search_setup(s)
     ch, _ = build_trial_channels(s, 10.0, 0)
-    _, trace = hierarchical_search(ch, cb, v, mu_combiners(1), s.sigma2, g)
+    trace = hierarchical_search(*effective_cascade(ch, v, g), cb, mu_combiners(1), s.sigma2)
     assert trace.pilots_per_level() == [4, 4, 2]
     assert trace.pilot_count == 10
 
@@ -192,9 +208,9 @@ def test_search_pilot_budget_small_hierarchy():
 def test_search_single_level_equals_exhaustive():
     s = small_scenario(codebook_levels=((4, 8),))
     cb, v, g = search_setup(s)
-    ch, _ = build_trial_channels(s, 10.0, 3)
-    _, trace = hierarchical_search(ch, cb, v, mu_combiners(1), s.sigma2, g)
-    r1 = benchmark1_full_search(ch, cb.levels[0], v, mu_combiners(1), s.sigma2, g)
+    d, a = effective_cascade(build_trial_channels(s, 10.0, 3)[0], v, g)
+    trace = hierarchical_search(d, a, cb, mu_combiners(1), s.sigma2)
+    r1 = benchmark1_full_search(d, a, cb.levels[0], mu_combiners(1), s.sigma2)
     assert trace.levels[-1].snrs[trace.levels[-1].winner] == pytest.approx(
         r1.snr_linear, rel=1e-12
     )
@@ -204,10 +220,10 @@ def test_search_never_beats_exhaustive():
     s = small_scenario()
     cb, v, g = search_setup(s)
     for trial in range(6):
-        ch, _ = build_trial_channels(s, 10.0, trial)
-        _, trace = hierarchical_search(ch, cb, v, mu_combiners(1), s.sigma2, g)
+        d, a = effective_cascade(build_trial_channels(s, 10.0, trial)[0], v, g)
+        trace = hierarchical_search(d, a, cb, mu_combiners(1), s.sigma2)
         prop = trace.levels[-1].snrs[trace.levels[-1].winner]
-        r1 = benchmark1_full_search(ch, cb.levels[-1], v, mu_combiners(1), s.sigma2, g)
+        r1 = benchmark1_full_search(d, a, cb.levels[-1], mu_combiners(1), s.sigma2)
         assert prop <= r1.snr_linear * (1 + 1e-12)
 
 
@@ -237,7 +253,7 @@ def test_search_finds_cell_center_users_exactly():
             h1=assemble_channel(los(s.bs_center, s.ris_center), bs_pos, ris_pos, lam, +1),
             h2=assemble_channel(los(s.ris_center, p_mu), ris_pos, mu_pos, lam, +1),
         )
-        _, trace = hierarchical_search(ch, cb, v, mu_combiners(1), s.sigma2, g)
+        trace = hierarchical_search(*effective_cascade(ch, v, g), cb, mu_combiners(1), s.sigma2)
         assert trace.levels[-1].winner == cell
 
 
@@ -251,21 +267,9 @@ def test_search_descent_rarely_degrades():
     trials = 40
     for trial in range(trials):
         ch, _ = build_trial_channels(s, 10.0, trial)
-        _, trace = hierarchical_search(ch, cb, v, mu_combiners(1), s.sigma2, g)
+        trace = hierarchical_search(*effective_cascade(ch, v, g), cb, mu_combiners(1), s.sigma2)
         ws = [rec.snrs[rec.winner] for rec in trace.levels]
         if all(b >= a * (1 - 1e-12) for a, b in zip(ws, ws[1:])):
             monotone += 1
     assert monotone / trials >= 0.70
 
-
-def test_search_trace_serializes_to_json():
-    s = los_only_scenario()
-    cb, v, g = search_setup(s)
-    ch, _ = build_trial_channels(s, 10.0, 1)
-    _, trace = hierarchical_search(ch, cb, v, mu_combiners(1), s.sigma2, g)
-    doc = trace.to_dict()
-    text = json.dumps(doc)
-    back = json.loads(text)
-    assert back["pilot_count"] == 10
-    assert len(back["levels"]) == 3
-    assert all("winner" in lev and "snr_db" in lev for lev in back["levels"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nearris.beam_mgmt import mu_combiners, received_snr
+from nearris.beam_mgmt import effective_cascade, mu_combiners, received_snr
 from nearris.benchmarks import (
     B1_FULL_CODEBOOK,
     B2_FULL_FOCUSING,
@@ -34,10 +34,9 @@ def test_benchmark1_equals_measurement_on_single_codeword():
         h1=rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)),
         h2=rng.normal(size=(1, 9)) + 1j * rng.normal(size=(1, 9)),
     )
-    v = np.array([0.2, 0.1j])
-    g = unit_cell_factor(geom, LAM)
-    res = benchmark1_full_search(ch, cb.levels[0], v, mu_combiners(1), 1e-6, g)
-    direct = received_snr(ch, cb.levels[0].codewords[(0, 0)], v, mu_combiners(1), 1e-6, g)
+    d, a = effective_cascade(ch, np.array([0.2, 0.1j]), unit_cell_factor(geom, LAM))
+    res = benchmark1_full_search(d, a, cb.levels[0], mu_combiners(1), 1e-6)
+    direct = received_snr(d, a, cb.levels[0].codewords[(0, 0)], mu_combiners(1), 1e-6)
     assert res.scheme == B1_FULL_CODEBOOK
     assert res.snr_linear == pytest.approx(direct, rel=1e-12)
     assert res.cost == "1 pilots"
@@ -51,8 +50,8 @@ def test_benchmark1_cost_names_level_size():
         h1=np.ones((4, 1), dtype=complex),
         h2=np.ones((1, 4), dtype=complex),
     )
-    res = benchmark1_full_search(ch, cb.levels[0], np.array([1.0]), mu_combiners(1), 1.0,
-                                 unit_cell_factor(geom, LAM))
+    d, a = effective_cascade(ch, np.array([1.0]), unit_cell_factor(geom, LAM))
+    res = benchmark1_full_search(d, a, cb.levels[0], mu_combiners(1), 1.0)
     assert res.cost == "32 pilots"
 
 
@@ -74,8 +73,8 @@ def test_benchmark2_scalar_closed_form():
     h1 = assemble_channel(los(P_I, geom.center), P_I[None, :], geom.element_positions(), LAM, +1)
     h2 = assemble_channel(los(geom.center, p_mu), geom.element_positions(), p_mu[None, :], LAM, +1)
     ch = ChannelSet(h=np.zeros((1, 1), dtype=complex), h1=h1, h2=h2)
-    v = np.array([np.sqrt(p)], dtype=complex)
-    res = benchmark2_full_focusing(ch, p_mu, geom, P_I, v, mu_combiners(1), sigma2, g, LAM)
+    d, a = effective_cascade(ch, np.array([np.sqrt(p)], dtype=complex), g)
+    res = benchmark2_full_focusing(d, a, p_mu, geom, P_I, mu_combiners(1), sigma2, LAM)
     pl1 = free_space_amplitude(float(np.linalg.norm(P_I - geom.center)), LAM)
     pl2 = free_space_amplitude(float(np.linalg.norm(p_mu - geom.center)), LAM)
     expect = p * (g * pl1 * pl2) ** 2 / sigma2
@@ -83,10 +82,15 @@ def test_benchmark2_scalar_closed_form():
     assert res.snr_linear == pytest.approx(expect, rel=1e-9)
 
 
+def cascade_pair(h1, h2, h_direct, g):
+    """(d, A) of a single-antenna MU whose BS-RIS channel is already precoded to h1."""
+    return np.array([h_direct], dtype=complex), (g * h1 * h2)[None, :]
+
+
 def test_benchmark3_all_ones_cascade():
     h1 = np.ones(4, dtype=complex)
     h2 = np.ones(4, dtype=complex)
-    res, omega, cascade = benchmark3_full_csi(h1, h2, 0.0, np.pi, 1.0)
+    res, omega, cascade = benchmark3_full_csi(*cascade_pair(h1, h2, 0.0, np.pi), 1.0)
     assert cascade == pytest.approx(4 * np.pi, rel=1e-12)
     assert res.snr_linear == pytest.approx((4 * np.pi) ** 2, rel=1e-12)
     assert res.scheme == B3_FULL_CSI
@@ -100,7 +104,7 @@ def test_benchmark3_aligns_every_term():
     h1 = rng.normal(size=q) + 1j * rng.normal(size=q)
     h2 = rng.normal(size=q) + 1j * rng.normal(size=q)
     g = np.pi
-    res, omega, cascade = benchmark3_full_csi(h1, h2, 0.0, g, 1e-6)
+    res, omega, cascade = benchmark3_full_csi(*cascade_pair(h1, h2, 0.0, g), 1e-6)
     assert cascade == pytest.approx(g * np.sum(np.abs(h1 * h2)), rel=1e-12)
     # the aligned profile beats any random profile
     rand = rng.uniform(0, 2 * np.pi, size=(1000, q))
@@ -115,12 +119,13 @@ def test_benchmark3_adds_direct_channel_as_is():
     h1 = np.ones(2, dtype=complex)
     h2 = np.ones(2, dtype=complex)
     h_d = 0.5 + 0.0j
-    res, _, cascade = benchmark3_full_csi(h1, h2, h_d, 1.0, 2.0)
+    res, _, cascade = benchmark3_full_csi(*cascade_pair(h1, h2, h_d, 1.0), 2.0)
     assert res.snr_linear == pytest.approx(abs(h_d + cascade) ** 2 / 2.0, rel=1e-12)
 
 
 def test_benchmark3_rejects_matrices():
+    # a two-antenna MU, and a cascade that is not one row per MU antenna
     with pytest.raises(ValueError):
-        benchmark3_full_csi(np.ones((2, 2)), np.ones(2), 0.0, 1.0, 1.0)
+        benchmark3_full_csi(np.zeros(2), np.ones((2, 2)), 1.0)
     with pytest.raises(ValueError):
-        benchmark3_full_csi(np.ones(3), np.ones(2), 0.0, 1.0, 1.0)
+        benchmark3_full_csi(np.zeros(1), np.ones(3), 1.0)

@@ -48,6 +48,8 @@ def test_free_space_amplitude_rejects_nonpositive():
         free_space_amplitude(0.0, LAM28)
     with pytest.raises(ValueError):
         free_space_amplitude(-3.0, LAM28)
+    with pytest.raises(ValueError):
+        free_space_amplitude(np.array([5.0, 0.0]), LAM28)
 
 
 # --- paths ----------------------------------------------------------------

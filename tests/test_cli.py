@@ -229,6 +229,19 @@ def test_farfield_command(tmp_path):
     assert float(row["dF"]) == pytest.approx(93.4, abs=0.1)
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--trials", "0", "trials"), ("--trials", "-3", "trials"),
+     ("--workers", "0", "workers"), ("--seed", "-1", "master_seed")],
+)
+def test_cli_overrides_are_validated(tmp_path, capsys, flag, value, field):
+    cfg, _ = tiny_file(tmp_path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out), flag, value]) == 2
+    assert f"scenario: {field} must be" in capsys.readouterr().err
+    assert not (out / "trials.csv").exists()
+
+
 def test_cli_error_paths_return_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.scn")]) == 2
     bad = tmp_path / "bad.scn"

@@ -4,14 +4,16 @@ import pytest
 import nearris as nr
 from conftest import los_only_scenario, point_source_losses, small_scenario
 from nearris import benchmarks as bm
-from nearris.beam_mgmt import bs_precoder_focus_ris, mu_combiners
+from nearris.beam_mgmt import bs_precoder_focus_ris, effective_cascade, mu_combiners
 from nearris.channel import LOS, LinkPaths, Path, assemble_channel, free_space_amplitude
-from nearris.codebook import unit_cell_factor
+from nearris.codebook import grcs, unit_cell_factor
 from nearris.harness import (
+    _FIELD_CHUNK,
     Aggregate,
     Scenario,
     TrialResult,
     _beta_total_db,
+    _field_snr_db,
     aggregate,
     build_trial_channels,
     draw_mu_position,
@@ -45,6 +47,7 @@ def test_reference_scenario_derived_quantities(reference_scenario):
 def test_scenario_validation_messages():
     cases = [
         (dict(trials=0), "trials"),
+        (dict(master_seed=-1), "master_seed"),
         (dict(codebook_alpha=0.0), "alpha"),
         (dict(beta_semantics="weird"), "beta_semantics"),
         (dict(average="median"), "average"),
@@ -224,8 +227,9 @@ def test_full_scale_focusing_matches_closed_form():
                               s.p_bs_watts)
     for trial in range(2):
         ch, p_mu = build_trial_channels(s, 10.0, trial)
-        res = bm.benchmark2_full_focusing(ch, p_mu, geom, s.bs_center, v, mu_combiners(1),
-                                          s.sigma2, g, lam)
+        d, a = effective_cascade(ch, v, g)
+        res = bm.benchmark2_full_focusing(d, a, p_mu, geom, s.bs_center, mu_combiners(1),
+                                          s.sigma2, lam)
         pl1 = free_space_amplitude(float(np.linalg.norm(np.asarray(s.bs_center) -
                                                         np.asarray(s.ris_center))), lam)
         pl2 = free_space_amplitude(float(np.linalg.norm(p_mu - np.asarray(s.ris_center))), lam)
@@ -248,6 +252,29 @@ def test_codebook_gaps_match_point_source_losses():
 
 
 # --- illumination pipeline -----------------------------------------------------------
+
+
+def test_field_kernel_matches_grcs_oracle():
+    # random points around the area and random profiles, more points than
+    # one chunk: every entry equals the direct-summation GRCS in the
+    # point-source budget
+    s = small_scenario()
+    geom = s.ris_geometry()
+    lam = s.lambda_m
+    rng = np.random.default_rng(9)
+    points = np.asarray(s.blockage_center) + rng.uniform(-8.0, 8.0, (_FIELD_CHUNK + 5, 3))
+    profiles = rng.uniform(0, 2 * np.pi, (3, geom.q))
+    got = _field_snr_db(s, points, profiles)
+    assert got.shape == (len(points), len(profiles))
+    pl1 = free_space_amplitude(
+        float(np.linalg.norm(np.asarray(s.bs_center) - np.asarray(s.ris_center))), lam
+    )
+    for i, p in enumerate(points):
+        pl2 = free_space_amplitude(float(np.linalg.norm(p - np.asarray(s.ris_center))), lam)
+        for j, omega in enumerate(profiles):
+            mag = abs(grcs(s.bs_center, p, omega, geom, lam))
+            expect = 10 * np.log10(s.illum_reference_power_w * (pl1 * pl2 * mag) ** 2 / s.sigma2)
+            assert got[i, j] == pytest.approx(expect, rel=1e-9)
 
 
 def test_focusing_cut_center_equals_analytic_peak():
