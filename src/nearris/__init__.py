@@ -42,7 +42,6 @@ from .codebook import (
 )
 from .beam_mgmt import (
     SearchTrace,
-    best_index,
     bs_precoder_focus_ris,
     effective_cascade,
     hierarchical_search,

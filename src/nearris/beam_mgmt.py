@@ -5,9 +5,11 @@ center; the MU maximizes over a small unit-norm combiner set. Because the
 precoder is fixed, a channel realization reduces once to the direct term
 d = H v and the effective cascade A = g * H2 (.) (H1 v), and the receive
 vector under RIS phases omega is y = d + A exp(j*omega). One "pilot" is
-one SNR measurement under one RIS codeword. The hierarchical search
-sounds the full first codebook level, then only the children of each
-level's winner.
+one SNR measurement under one RIS codeword. Every scheme that sounds
+codewords scores a block of them, one profile per row, in one call, and
+takes the first maximum in row-major cell order, so ties go to the lowest
+cell index. The hierarchical search sounds the full first codebook level,
+then only the children of each level's winner.
 """
 
 from dataclasses import dataclass, field
@@ -49,42 +51,28 @@ def effective_cascade(channels, v, g):
 
 
 def received_snr(d, a, omega, combiners, sigma2, rng=None, meas_noise_reps=0):
-    """Eq.-style linear SNR: max over combiners of |u^H (d + A exp(j*omega))|^2 / sigma2.
+    """Eq.-style linear SNR: max over combiners u of |u^H (d + A exp(j*omega))|^2 / sigma2.
 
-    With meas_noise_reps > 0 the measurement is emulated from that many
-    AWGN-corrupted pilot repetitions (requires rng); default is the exact
-    noiseless evaluation.
+    omega holds one profile per row, shape (..., Q), and the result has
+    shape (...): a 1-D profile gives a scalar. combiners is a sequence of
+    unit vectors, stacked as the rows of U. With meas_noise_reps > 0 each
+    measurement is emulated from that many AWGN-corrupted pilot
+    repetitions (requires rng); default is the exact noiseless evaluation.
     """
-    if not combiners:
+    u = np.asarray(combiners)
+    if u.size == 0:
         raise ValueError("combiner set is empty")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    y = d + a @ np.exp(1j * np.asarray(omega, dtype=float))
-    best = 0.0
-    for u in combiners:
-        z = np.vdot(u, y)
-        if meas_noise_reps > 0:
-            if rng is None:
-                raise ValueError("measurement noise requires an rng")
-            n = rng.normal(size=meas_noise_reps) + 1j * rng.normal(size=meas_noise_reps)
-            z = np.mean(z + np.sqrt(sigma2 / 2.0) * n)
-        best = max(best, abs(z) ** 2 / sigma2)
-    return best
-
-
-def best_index(snrs, candidates):
-    """Argmax over the candidate set; ties broken by the smallest index."""
-    candidates = sorted(candidates)
-    if not candidates:
-        raise ValueError("candidate set is empty")
-    missing = [c for c in candidates if c not in snrs]
-    if missing:
-        raise ValueError(f"no measurement for candidates {missing}")
-    best = candidates[0]
-    for c in candidates[1:]:
-        if snrs[c] > snrs[best]:
-            best = c
-    return best
+    y = np.exp(1j * np.asarray(omega, dtype=float)) @ a.T + d
+    z = y @ u.conj().T
+    if meas_noise_reps > 0:
+        if rng is None:
+            raise ValueError("measurement noise requires an rng")
+        shape = z.shape + (meas_noise_reps,)
+        n = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        z = np.mean(z[..., None] + np.sqrt(sigma2 / 2.0) * n, axis=-1)
+    return np.max(np.abs(z) ** 2, axis=-1) / sigma2
 
 
 @dataclass
@@ -110,8 +98,10 @@ def hierarchical_search(d, a, codebook, combiners, sigma2, rng=None, meas_noise_
     """Coarse-to-fine codeword selection over the hierarchy.
 
     Sounds every cell of level 1, then per level only the children of the
-    previous winner; returns the trace, whose last level holds the final
-    winner. Total pilots = |level 1| + sum of refinement-ratio products.
+    previous winner, all candidates of a level in one `received_snr` call;
+    the winner is the first maximum in row-major order. Returns the trace,
+    whose last level holds the final winner. Total pilots = |level 1| +
+    sum of refinement-ratio products.
     """
     trace = SearchTrace()
     winner = None
@@ -120,14 +110,9 @@ def hierarchical_search(d, a, codebook, combiners, sigma2, rng=None, meas_noise_
             cands = level.indices()
         else:
             prev = codebook.levels[depth - 1]
-            cands = sorted(
-                children((prev.big_w_x, prev.big_w_y), (level.big_w_x, level.big_w_y), winner)
-            )
-        snrs = {
-            c: received_snr(d, a, level.codewords[c], combiners, sigma2,
+            cands = children((prev.big_w_x, prev.big_w_y), (level.big_w_x, level.big_w_y), winner)
+        snrs = received_snr(d, a, level.codewords[tuple(zip(*cands))], combiners, sigma2,
                             rng=rng, meas_noise_reps=meas_noise_reps)
-            for c in cands
-        }
-        winner = best_index(snrs, cands)
-        trace.levels.append(LevelRecord(candidates=list(cands), snrs=snrs, winner=winner))
+        winner = cands[int(np.argmax(snrs))]
+        trace.levels.append(LevelRecord(cands, dict(zip(cands, snrs)), winner))
     return trace

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam_mgmt import best_index, received_snr
+from .beam_mgmt import received_snr
 from .codebook import focusing_phases
 
 B1_FULL_CODEBOOK = "B1_full_codebook"
@@ -32,13 +32,9 @@ class SchemeResult:
 
 
 def benchmark1_full_search(d, a, level, combiners, sigma2):
-    """Exhaustive search over one codebook level; pilot cost = level size."""
-    snrs = {
-        c: received_snr(d, a, level.codewords[c], combiners, sigma2)
-        for c in level.indices()
-    }
-    win = best_index(snrs, level.indices())
-    return SchemeResult(B1_FULL_CODEBOOK, snrs[win], cost=f"{level.size} pilots")
+    """Exhaustive search over one level, scored one grid row per call; pilot cost = level size."""
+    snrs = np.stack([received_snr(d, a, row, combiners, sigma2) for row in level.codewords])
+    return SchemeResult(B1_FULL_CODEBOOK, snrs.max(), cost=f"{level.size} pilots")
 
 
 def benchmark2_full_focusing(d, a, p_mu, geom, p_i, combiners, sigma2, lambda_m):

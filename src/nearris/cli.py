@@ -314,22 +314,23 @@ def cmd_sweep_beta(args, argv):
 
 def cmd_heatmap(args, argv):
     scenario = _load(args)
-    out = _out_dir(args)
-    codebook = scenario.build_codebook()
     level = args.level - 1
-    if not 0 <= level < len(codebook.levels):
-        raise ValueError(f"level {args.level} out of range 1..{len(codebook.levels)}")
-    hm = harness.heatmap(scenario, level, grid_n=args.grid, codebook=codebook)
+    if not 0 <= level < len(scenario.codebook_levels):
+        raise ValueError(f"level {args.level} out of range 1..{len(scenario.codebook_levels)}")
+    shape = scenario.codebook_levels[level]
+    if args.cells in ("all", "composite"):
+        cells = list(np.ndindex(*shape)) if args.cells == "all" else []
+    else:
+        cells = [tuple(int(t) for t in token.split(",")) for token in args.cells.split(";")]
+    for cell in cells:  # checked before the level is rasterized
+        if len(cell) != 2 or not (0 <= cell[0] < shape[0] and 0 <= cell[1] < shape[1]):
+            raise ValueError(f"--cells: {cell} is outside the level's {shape[0]}x{shape[1]} grid")
+    out = _out_dir(args)
+    hm = harness.heatmap(scenario, level, grid_n=args.grid, codebook=scenario.build_codebook())
     write_raster_csv(out / f"heatmap_level{args.level}_composite.csv", hm.xs, hm.ys, hm.composite)
-    if args.cells == "all":
-        for (wx, wy), grid in sorted(hm.per_cell.items()):
-            write_raster_csv(out / f"heatmap_level{args.level}_cell_{wx}_{wy}.csv",
-                             hm.xs, hm.ys, grid)
-    elif args.cells not in (None, "composite"):
-        for token in args.cells.split(";"):
-            wx, wy = (int(t) for t in token.split(","))
-            write_raster_csv(out / f"heatmap_level{args.level}_cell_{wx}_{wy}.csv",
-                             hm.xs, hm.ys, hm.per_cell[(wx, wy)])
+    for wx, wy in cells:
+        write_raster_csv(out / f"heatmap_level{args.level}_cell_{wx}_{wy}.csv",
+                         hm.xs, hm.ys, hm.per_cell[wx, wy])
     write_manifest(out, scenario, argv, extra={"subcommand": "heatmap", "level": args.level})
     print(f"heatmap: level {args.level} peak {hm.composite.max():.2f} dB -> {out}")
     return 0

@@ -6,6 +6,10 @@ the per-element contributions between a source point and an observation
 point; focusing codewords make every summand real-positive at the target,
 wide-illumination codewords spread the reflected energy over one cell of
 a rectangular blockage area.
+
+A hierarchy level is one array of shape (big_w_x, big_w_y, Q) holding the
+codeword of cell (w_x, w_y) at [w_x, w_y]; `check_levels` checks the
+level shapes and alpha for both the build and the scenario.
 """
 
 import warnings
@@ -76,9 +80,11 @@ def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
     the cell center; the single cell of a 1x1 partition maps onto the area
     center itself.
 
-    Accepts a single (3,) position or an (n, 3) batch.
+    Accepts a single (3,) position or an (n, 3) batch, and integer-array
+    cell indices broadcasting to a shape S: the result is S + (3,) or S + (n, 3).
     """
-    if not (0 <= w_x < big_w_x and 0 <= w_y < big_w_y):
+    w_x, w_y = np.broadcast_arrays(w_x, w_y)
+    if not (np.all((0 <= w_x) & (w_x < big_w_x)) and np.all((0 <= w_y) & (w_y < big_w_y))):
         raise ValueError(f"cell index ({w_x}, {w_y}) out of range for ({big_w_x}, {big_w_y})")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -87,17 +93,17 @@ def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
     p = np.atleast_2d(p)
 
     l_y, l_z = geom.aperture
-    t_x = (w_x + 0.5) * area.r_x / big_w_x - area.r_x / 2.0
-    t_y = (w_y + 0.5) * area.r_y / big_w_y - area.r_y / 2.0
+    t_x = (w_x[..., None] + 0.5) * area.r_x / big_w_x - area.r_x / 2.0
+    t_y = (w_y[..., None] + 0.5) * area.r_y / big_w_y - area.r_y / 2.0
     delta_x = alpha * area.r_x / big_w_x
     delta_y = alpha * area.r_y / big_w_y
 
     rel_y = p[:, 1] - geom.center[1]
     rel_z = p[:, 2] - geom.center[2]
-    out = np.tile(area.center, (p.shape[0], 1))
-    out[:, 0] += delta_x / l_z * rel_z + t_x
-    out[:, 1] += delta_y / l_y * rel_y + t_y
-    return out[0] if single else out
+    out = np.broadcast_to(area.center, w_x.shape + p.shape).copy()
+    out[..., 0] += delta_x / l_z * rel_z + t_x
+    out[..., 1] += delta_y / l_y * rel_y + t_y
+    return out[..., 0, :] if single else out
 
 
 def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w_y, alpha):
@@ -106,25 +112,31 @@ def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w
     omega_n = -k*(|M(p_n) - p_n| - |M(p_n) - p_ris| + |p_i - p_n|), with M
     the per-element mapping above. Each element focuses on its own image
     point; the -|M - p_ris| term keeps the profile phase-continuous across
-    the aperture.
+    the aperture. Array cell indices broadcast as in `mapping`, to S + (Q,).
     """
     pn = geom.element_positions()
     m = mapping(pn, area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
     k = _TWO_PI / lambda_m
-    d = np.linalg.norm(m - pn, axis=1)
-    d -= np.linalg.norm(m - geom.center[None, :], axis=1)
+    d = np.linalg.norm(m - pn, axis=-1)
+    d -= np.linalg.norm(m - geom.center, axis=-1)
     d += np.linalg.norm(np.asarray(p_i, dtype=float) - pn, axis=1)
     return -k * d
 
 
 @dataclass(frozen=True)
 class CodebookLevel:
-    """One resolution level: big_w_x*big_w_y codewords indexed by cell."""
+    """One resolution level; codewords[w_x, w_y] is the phase vector of cell (w_x, w_y)."""
 
-    big_w_x: int
-    big_w_y: int
+    codewords: np.ndarray
     alpha: float
-    codewords: dict  # (w_x, w_y) -> phase vector, canonical element order
+
+    @property
+    def big_w_x(self):
+        return self.codewords.shape[0]
+
+    @property
+    def big_w_y(self):
+        return self.codewords.shape[1]
 
     @property
     def size(self):
@@ -149,11 +161,11 @@ class HierarchicalCodebook:
 
 
 def children(parent_shape, child_shape, parent_index):
-    """Child-level cell indices geometrically tiling one parent cell.
+    """Child-level cell indices geometrically tiling one parent cell, sorted.
 
     Requires integer refinement ratios r_t = child_W_t / parent_W_t; the
-    returned set has r_x*r_y indices and, over all parents, partitions the
-    child grid.
+    returned r_x*r_y indices are in row-major order and, over all parents,
+    partition the child grid.
     """
     pwx, pwy = parent_shape
     cwx, cwy = child_shape
@@ -163,39 +175,46 @@ def children(parent_shape, child_shape, parent_index):
     wx, wy = parent_index
     if not (0 <= wx < pwx and 0 <= wy < pwy):
         raise ValueError(f"parent index {parent_index} out of range for {parent_shape}")
-    return {(wx * r_x + a, wy * r_y + b) for a in range(r_x) for b in range(r_y)}
+    return [(wx * r_x + a, wy * r_y + b) for a in range(r_x) for b in range(r_y)]
+
+
+def check_levels(level_shapes, alpha):
+    """Reject level shapes or a codeword width alpha that cannot form a hierarchy.
+
+    Shapes are pairs of positive integers, each refining the one before by
+    integer ratios (not both 1); alpha lies in (0, 1.5].
+    """
+    if not level_shapes:
+        raise ValueError("codebook levels must be non-empty")
+    if not 0 < alpha <= 1.5:
+        raise ValueError(f"codebook alpha must be in (0, 1.5], got {alpha}")
+    for shape in level_shapes:
+        if len(shape) != 2 or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape):
+            raise ValueError(f"codebook levels must be pairs of positive integers, got {shape}")
+    for (ax, ay), (bx, by) in zip(level_shapes, level_shapes[1:]):
+        if bx % ax or by % ay or (bx, by) == (ax, ay):
+            raise ValueError(f"codebook level ({bx},{by}) does not refine ({ax},{ay})")
 
 
 def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
-    """Materialize all codewords for a list of (big_w_x, big_w_y) level shapes.
+    """Materialize all codewords for (big_w_x, big_w_y) level shapes that pass `check_levels`.
 
-    Shapes must be componentwise non-decreasing with strictly increasing
-    products, so every level refines the previous one by integer ratios.
+    Each level is filled one row of cells (fixed w_x) per call, holding
+    big_w_y * Q image points at a time.
     """
-    if not level_shapes:
-        raise ValueError("need at least one level")
-    if not 0 < alpha <= 1.5:
-        raise ValueError(f"alpha must be in (0, 1.5], got {alpha}")
+    check_levels(level_shapes, alpha)
     if alpha > 1.0:
         warnings.warn(f"alpha={alpha} > 1 overlaps neighboring cells beyond their edges")
-    for (ax, ay), (bx, by) in zip(level_shapes, level_shapes[1:]):
-        if bx < ax or by < ay or bx * by <= ax * ay:
-            raise ValueError(f"level shapes must refine monotonically, got {level_shapes}")
-        if bx % ax or by % ay:
-            raise ValueError(f"level ({bx},{by}) does not refine ({ax},{ay}) by integer ratios")
 
     p_i = np.asarray(p_i, dtype=float)
     levels = []
     for wx_count, wy_count in level_shapes:
-        words = {}
+        words = np.empty((wx_count, wy_count, geom.q))
         for wx in range(wx_count):
-            for wy in range(wy_count):
-                words[(wx, wy)] = wide_illumination_phases(
-                    p_i, area, geom, lambda_m, wx, wy, wx_count, wy_count, alpha
-                )
-        levels.append(
-            CodebookLevel(big_w_x=wx_count, big_w_y=wy_count, alpha=alpha, codewords=words)
-        )
+            words[wx] = wide_illumination_phases(
+                p_i, area, geom, lambda_m, wx, np.arange(wy_count), wx_count, wy_count, alpha
+            )
+        levels.append(CodebookLevel(codewords=words, alpha=alpha))
     return HierarchicalCodebook(
         levels=tuple(levels), area=area, geom=geom, p_i=p_i, lambda_m=lambda_m
     )

@@ -41,6 +41,7 @@ from .channel import (
 from .codebook import (
     BlockageArea,
     build_hierarchy,
+    check_levels,
     focusing_phases,
     unit_cell_factor,
 )
@@ -123,8 +124,6 @@ class Scenario:
              f"beta_semantics must be '{PER_PATH}' or '{TOTAL}'"),
             (self.bandwidth_hz > 0, "bandwidth_hz must be positive"),
             (self.noise_figure_db >= 0, "noise_figure_db must be >= 0"),
-            (len(self.codebook_levels) >= 1, "codebook_levels must be non-empty"),
-            (0 < self.codebook_alpha <= 1.5, "codebook_alpha must be in (0, 1.5]"),
             (self.trials >= 1, "trials must be >= 1"),
             (self.master_seed >= 0, "master_seed must be >= 0"),
             (self.workers >= 1, "workers must be >= 1"),
@@ -138,6 +137,10 @@ class Scenario:
         for ok, msg in checks:
             if not ok:
                 raise ValueError(f"scenario: {msg}")
+        try:
+            check_levels(self.codebook_levels, self.codebook_alpha)
+        except ValueError as exc:
+            raise ValueError(f"scenario: {exc}") from None
 
     # --- derived pieces -------------------------------------------------
 
@@ -356,21 +359,20 @@ def _worker_run(job):
     return run_trial(_WORKER_CTX["scenario"], beta_db, trial, _WORKER_CTX["codebook"])
 
 
-def run_campaign(scenario, beta_list_db=None, trials=None, workers=None):
+def run_campaign(scenario, beta_list_db=None):
     """Monte Carlo over (beta, trial); results sorted by (beta order, trial).
 
+    Runs scenario.trials trials per beta on scenario.workers processes.
     Output is bit-identical for any worker count: each trial is a pure
     function of its coordinates and aggregation order is fixed.
     """
     betas = list(scenario.beta_list_db if beta_list_db is None else beta_list_db)
-    n = scenario.trials if trials is None else trials
-    w = scenario.workers if workers is None else workers
-    jobs = [(float(b), t) for b in betas for t in range(n)]
-    if w == 1:
+    jobs = [(float(b), t) for b in betas for t in range(scenario.trials)]
+    if scenario.workers == 1:
         codebook = scenario.build_codebook()
         results = [run_trial(scenario, b, t, codebook) for b, t in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=w, initializer=_worker_init,
+        with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_worker_init,
                                  initargs=(scenario,)) as ex:
             results = list(ex.map(_worker_run, jobs, chunksize=8))
     results.sort(key=lambda r: (betas.index(r.beta_db), r.trial))
@@ -395,9 +397,9 @@ def aggregate(results, average=DB_MEAN):
     return rows
 
 
-def sweep_beta(scenario, workers=None):
+def sweep_beta(scenario):
     """Full campaign over the scenario's beta grid plus its aggregate table."""
-    results = run_campaign(scenario, workers=workers)
+    results = run_campaign(scenario)
     return results, aggregate(results, scenario.average)
 
 
@@ -463,23 +465,19 @@ class HeatmapResult:
     level: int          # 1-based level number
     xs: np.ndarray
     ys: np.ndarray
-    per_cell: dict      # (w_x, w_y) -> (len(xs), len(ys)) SNR dB grid
+    per_cell: np.ndarray  # (W_x, W_y, len(xs), len(ys)): SNR dB grid of each cell
     composite: np.ndarray
 
-    def cell_grid(self, index):
-        return self.per_cell[index]
 
-
-def heatmap(scenario, level_index, cells=None, grid_n=None, codebook=None):
+def heatmap(scenario, level_index, grid_n=None, codebook=None):
     """Rasterized illumination SNR over the blockage area for one level.
 
-    level_index is 0-based into the codebook levels. Returns per-codeword
-    grids and their pointwise-max composite.
+    level_index is 0-based into the codebook levels. Returns the grid of
+    every codeword of the level and their pointwise-max composite.
     """
     if codebook is None:
         codebook = scenario.build_codebook()
     level = codebook.levels[level_index]
-    cells = level.indices() if cells is None else list(cells)
     n = scenario.illum_grid if grid_n is None else grid_n
 
     p_b = np.asarray(scenario.blockage_center, dtype=float)
@@ -487,12 +485,10 @@ def heatmap(scenario, level_index, cells=None, grid_n=None, codebook=None):
     ys = p_b[1] + np.linspace(-scenario.blockage_r_y / 2, scenario.blockage_r_y / 2, n)
     grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([grid_x.ravel(), grid_y.ravel(), np.full(n * n, p_b[2])])
-    flat = _field_snr_db(scenario, points, np.stack([level.codewords[c] for c in cells]))
-    grids = flat.T.reshape(len(cells), n, n)
-    per_cell = {c: grids[i] for i, c in enumerate(cells)}
-    composite = grids.max(axis=0)
+    flat = _field_snr_db(scenario, points, level.codewords.reshape(level.size, -1))
+    per_cell = flat.T.reshape(level.big_w_x, level.big_w_y, n, n)
     return HeatmapResult(level=level_index + 1, xs=xs, ys=ys,
-                         per_cell=per_cell, composite=composite)
+                         per_cell=per_cell, composite=per_cell.max(axis=(0, 1)))
 
 
 def farfield_table(f_hz, sizes_m):

@@ -11,6 +11,7 @@ comparison, split into a common level term and one gap term per scheme,
 and is not asserted until the paper's link budget is in the repository.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -41,7 +42,8 @@ TRIALS = 100
 
 @pytest.fixture(scope="module")
 def campaign(reference_scenario):
-    return run_campaign(reference_scenario, beta_list_db=list(BETAS), trials=TRIALS, workers=1)
+    s = dataclasses.replace(reference_scenario, trials=TRIALS, workers=1)
+    return run_campaign(s, beta_list_db=list(BETAS))
 
 
 def test_criterion_1_focusing_reaches_max_gain(reference_scenario, record_criterion):
@@ -259,8 +261,8 @@ def test_criterion_7_beta_fidelity_and_worker_identity(record_criterion):
         worst = max(worst, abs(ratio / 10 ** (beta / 10) - 1))
 
     s = small_scenario(trials=6, beta_list_db=(0.0, 10.0), codebook_levels=((2, 2), (4, 4)))
-    r1 = run_campaign(s, workers=1)
-    r3 = run_campaign(s, workers=3)
+    r1 = run_campaign(dataclasses.replace(s, workers=1))
+    r3 = run_campaign(dataclasses.replace(s, workers=3))
     same = len(r1) == len(r3) and all(
         a.snr_db == b.snr_db and a.mu_position == b.mu_position and a.winners == b.winners
         for a, b in zip(r1, r3)

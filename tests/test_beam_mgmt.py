@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import los_only_scenario, small_scenario
 from nearris.beam_mgmt import (
-    best_index,
     bs_precoder_focus_ris,
     effective_cascade,
     hierarchical_search,
@@ -14,7 +13,7 @@ from nearris.beam_mgmt import (
 )
 from nearris.benchmarks import benchmark1_full_search, benchmark3_full_csi
 from nearris.channel import ChannelSet, LOS, LinkPaths, Path, assemble_channel, free_space_amplitude
-from nearris.codebook import mapping, unit_cell_factor
+from nearris.codebook import CodebookLevel, HierarchicalCodebook, mapping, unit_cell_factor
 from nearris.harness import build_trial_channels
 
 G_PI = np.pi
@@ -92,12 +91,20 @@ def test_received_snr_matches_full_matrix_oracle(n_mu):
         assert np.any(ch.h != 0)
         d, a = effective_cascade(ch, v, g)
         assert d.shape == (n_mu,) and a.shape == (n_mu, s.ris_geometry().q)
-        profiles = [rng.uniform(0, 2 * np.pi, a.shape[1])] + list(cb.levels[0].codewords.values())
+        q = a.shape[1]
+        profiles = np.vstack(
+            [rng.uniform(0, 2 * np.pi, (1, q)), cb.levels[0].codewords.reshape(-1, q)]
+        )
+        singles = []
         for omega in profiles:
             expect = matrix_oracle_snr(ch, omega, v, combiners, s.sigma2, g)
-            assert received_snr(d, a, omega, combiners, s.sigma2) == pytest.approx(
-                expect, rel=1e-9
-            )
+            singles.append(received_snr(d, a, omega, combiners, s.sigma2))
+            assert np.ndim(singles[-1]) == 0
+            assert singles[-1] == pytest.approx(expect, rel=1e-9)
+        # one stacked (K, Q) call scores every profile as the single calls do
+        stacked = received_snr(d, a, profiles, combiners, s.sigma2)
+        assert stacked.shape == (len(profiles),)
+        np.testing.assert_allclose(stacked, singles, rtol=1e-12)
         if n_mu == 1:
             # B3's own profile, put through the full matrices, gives its SNR
             r3, omega, _ = benchmark3_full_csi(d, a, s.sigma2)
@@ -166,21 +173,37 @@ def test_received_snr_validation():
 # --- selection ---------------------------------------------------------------
 
 
-def test_best_index_picks_argmax():
-    snrs = {(0, 0): 1.0, (0, 1): 3.0, (1, 0): 2.0}
-    assert best_index(snrs, [(0, 0), (0, 1), (1, 0)]) == (0, 1)
+def duplicate_row_level(best_cells, q=6):
+    """A 2x2 level on a unit cascade: the cells in best_cells hold the
+    all-zero profile, which attains |Q|^2, and the others random phases."""
+    rng = np.random.default_rng(3)
+    words = rng.uniform(0, 2 * np.pi, (2, 2, q))
+    for c in best_cells:
+        words[c] = 0.0
+    return CodebookLevel(codewords=words, alpha=0.8), np.zeros(1), np.ones((1, q), dtype=complex)
 
 
-def test_best_index_breaks_ties_toward_lowest_index():
-    snrs = {(1, 0): 2.0, (0, 1): 2.0, (0, 0): 1.0}
-    assert best_index(snrs, [(1, 0), (0, 1), (0, 0)]) == (0, 1)
+def test_block_winner_is_argmax():
+    level, d, a = duplicate_row_level([(1, 0)])
+    u = mu_combiners(1)
+    cb = HierarchicalCodebook(levels=(level,), area=None, geom=None, p_i=None, lambda_m=None)
+    trace = hierarchical_search(d, a, cb, u, 1.0)
+    assert trace.levels[0].winner == (1, 0)
+    assert trace.levels[0].snrs[(1, 0)] == pytest.approx(36.0, rel=1e-12)
+    assert max(trace.levels[0].snrs.values()) == trace.levels[0].snrs[(1, 0)]
+    r1 = benchmark1_full_search(d, a, level, u, 1.0)
+    assert r1.snr_linear == trace.levels[0].snrs[(1, 0)]
 
 
-def test_best_index_errors():
-    with pytest.raises(ValueError):
-        best_index({}, [])
-    with pytest.raises(ValueError):
-        best_index({(0, 0): 1.0}, [(0, 0), (0, 1)])
+def test_block_winner_ties_go_to_lowest_index():
+    level, d, a = duplicate_row_level([(1, 0), (0, 1)])
+    u = mu_combiners(1)
+    cb = HierarchicalCodebook(levels=(level,), area=None, geom=None, p_i=None, lambda_m=None)
+    trace = hierarchical_search(d, a, cb, u, 1.0)
+    assert trace.levels[0].snrs[(1, 0)] == trace.levels[0].snrs[(0, 1)]
+    assert trace.levels[0].winner == (0, 1)
+    r1 = benchmark1_full_search(d, a, level, u, 1.0)
+    assert r1.snr_linear == trace.levels[0].snrs[(0, 1)]
 
 
 # --- hierarchical search ------------------------------------------------------

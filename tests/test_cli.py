@@ -192,6 +192,16 @@ def test_heatmap_command_writes_rasters(tmp_path):
                  "--level", "9"]) == 2  # out of range
 
 
+@pytest.mark.parametrize("cells", ["9,9", "-1,0", "0,0;2,0"])
+def test_heatmap_rejects_cells_outside_level(tmp_path, capsys, cells):
+    cfg, _ = tiny_file(tmp_path)
+    out = tmp_path / "hm"
+    assert main(["heatmap", "--config", str(cfg), "--out-dir", str(out),
+                 "--level", "1", "--grid", "2", f"--cells={cells}"]) == 2
+    assert "outside the level's 2x2 grid" in capsys.readouterr().err
+    assert not list(tmp_path.glob("hm/*cell_*.csv"))
+
+
 def test_focus_cut_command(tmp_path):
     cfg, _ = tiny_file(tmp_path)
     out = tmp_path / "cut"
@@ -239,6 +249,19 @@ def test_cli_overrides_are_validated(tmp_path, capsys, flag, value, field):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(out), flag, value]) == 2
     assert f"scenario: {field} must be" in capsys.readouterr().err
+    assert not (out / "trials.csv").exists()
+
+
+def test_codebook_levels_are_checked_at_load(tmp_path, capsys):
+    # a level that does not refine its parent fails before any pool starts
+    cfg, _ = tiny_file(tmp_path)
+    doc = yaml.safe_load(cfg.read_text())
+    doc["codebook"]["levels"] = [[4, 4], [6, 8]]
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out),
+                 "--trials", "1", "--workers", "2"]) == 2
+    assert "scenario: codebook level (6,8) does not refine (4,4)" in capsys.readouterr().err
     assert not (out / "trials.csv").exists()
 
 

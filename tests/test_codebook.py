@@ -139,6 +139,8 @@ def test_mapping_stays_in_plane_and_validates():
         mapping(geom.center, AREA, geom, 4, 0, 4, 4, 0.8)
     with pytest.raises(ValueError):
         mapping(geom.center, AREA, geom, 0, 0, 4, 4, -0.1)
+    with pytest.raises(ValueError):
+        mapping(geom.center, AREA, geom, np.array([0, 4]), 0, 4, 4, 0.8)
 
 
 def test_blockage_area_validation():
@@ -169,8 +171,8 @@ def test_wide_illumination_codeword_shape():
 
 
 def test_children_reference_sets():
-    assert children((4, 4), (8, 8), (2, 1)) == {(4, 2), (4, 3), (5, 2), (5, 3)}
-    assert children((8, 16), (8, 32), (4, 3)) == {(4, 6), (4, 7)}
+    assert children((4, 4), (8, 8), (2, 1)) == [(4, 2), (4, 3), (5, 2), (5, 3)]
+    assert children((8, 16), (8, 32), (4, 3)) == [(4, 6), (4, 7)]
 
 
 def test_children_counts_along_reference_level_list():
@@ -193,6 +195,8 @@ def test_children_partition_child_grid(pwx, pwy, rx, ry):
     for wx in range(pwx):
         for wy in range(pwy):
             kids = children(parent, child, (wx, wy))
+            assert kids == sorted(kids)
+            kids = set(kids)
             assert len(kids) == rx * ry
             assert not seen & kids
             seen |= kids
@@ -213,15 +217,32 @@ def test_build_hierarchy_reference_sizes():
     )
     assert [lev.size for lev in cb.levels] == [16, 64, 128, 256]
     assert cb.depth == 4
+    assert [lev.codewords.shape for lev in cb.levels] == [
+        (4, 4, geom.q), (8, 8, geom.q), (8, 16, geom.q), (8, 32, geom.q)
+    ]
     lev = cb.levels[0]
-    assert set(lev.codewords) == set(lev.indices())
-    assert all(w.shape == (geom.q,) for w in lev.codewords.values())
+    assert (lev.big_w_x, lev.big_w_y) == (4, 4)
+    assert lev.codewords[1, 2].shape == (geom.q,)
+
+
+def test_build_hierarchy_matches_single_cell_codewords():
+    # every row-at-a-time level equals the single-cell formula, bit for bit,
+    # on a non-square surface and non-square level shapes
+    d = LAM / 2
+    geom = RisGeometry(center=(0.0, 40.0, 5.0), q_y=4, q_z=6, d_y=d, d_z=d)
+    shapes = [(1, 2), (2, 4), (2, 8), (6, 8)]
+    cb = build_hierarchy(shapes, 0.8, AREA, geom, P_I, LAM)
+    for (wx_count, wy_count), lev in zip(shapes, cb.levels):
+        assert lev.codewords.shape == (wx_count, wy_count, geom.q)
+        for wx, wy in lev.indices():
+            one = wide_illumination_phases(P_I, AREA, geom, LAM, wx, wy, wx_count, wy_count, 0.8)
+            np.testing.assert_array_equal(lev.codewords[wx, wy], one)
 
 
 def test_build_hierarchy_single_cell():
     geom = small_geom(q=2)
     cb = build_hierarchy([(1, 1)], 0.8, AREA, geom, P_I, LAM)
-    assert cb.levels[0].size == 1 and (0, 0) in cb.levels[0].codewords
+    assert cb.levels[0].size == 1 and cb.levels[0].codewords.shape == (1, 1, geom.q)
 
 
 def test_build_hierarchy_level_indices_row_major():
@@ -244,6 +265,10 @@ def test_build_hierarchy_validation():
         build_hierarchy([(2, 2)], 0.0, AREA, geom, P_I, LAM)
     with pytest.raises(ValueError):
         build_hierarchy([(2, 2)], 1.6, AREA, geom, P_I, LAM)
+    with pytest.raises(ValueError, match="positive integers"):
+        build_hierarchy([(0, 2)], 0.8, AREA, geom, P_I, LAM)
+    with pytest.raises(ValueError, match="positive integers"):
+        build_hierarchy([(2, 2.5)], 0.8, AREA, geom, P_I, LAM)
     with pytest.warns(UserWarning):
         build_hierarchy([(2, 2)], 1.2, AREA, geom, P_I, LAM)
 
@@ -257,7 +282,7 @@ def test_level_one_covers_whole_area():
     xs = P_B[0] + np.linspace(-8, 8, 9)
     ys = P_B[1] + np.linspace(-8, 8, 9)
     comp = np.full((9, 9), -np.inf)
-    for w in cb.levels[0].codewords.values():
+    for w in cb.levels[0].codewords.reshape(-1, geom.q):
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 m = abs(grcs(P_I, np.array([x, y, P_B[2]]), w, geom, LAM))
