@@ -19,14 +19,12 @@ from .channel import (
     ChannelSet,
     LinkPaths,
     NoiseModel,
-    Path,
     apply_beta,
     assemble_channel,
     blockage_attenuation,
     free_space_amplitude,
     generate_scatterers,
     noise_power,
-    path_length,
 )
 from .codebook import (
     BlockageArea,

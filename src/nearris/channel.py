@@ -1,7 +1,7 @@
 """Ray-based near-field channel synthesis.
 
-Each link (BS-RIS, RIS-MU, BS-MU) is an explicit list of propagation
-paths: one LOS path plus zero or more single-bounce scattered paths.
+Each link (BS-RIS, RIS-MU, BS-MU) is a `LinkPaths`: three arrays over
+one LOS path plus zero or more single-bounce scattered paths.
 A channel matrix entry is the coherent sum over paths of
 pathloss * fading * exp(sign * j * k * distance), where the distance is
 the exact per-antenna-pair path length (spherical wavefront, no planar
@@ -12,9 +12,6 @@ computed from array-center distances.
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-LOS = "LOS"
-NLOS = "NLOS"
 
 _FOUR_PI = 4.0 * np.pi
 
@@ -27,45 +24,41 @@ def free_space_amplitude(d_m, lambda_m):
 
 
 @dataclass(frozen=True)
-class Path:
-    """One propagation path. LOS paths have no scatterer and unit fading."""
-
-    kind: str
-    amplitude_pathloss: float
-    fading: complex = 1.0 + 0.0j
-    scatterer: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in (LOS, NLOS):
-            raise ValueError(f"unknown path kind {self.kind!r}")
-        if self.kind == NLOS and self.scatterer is None:
-            raise ValueError("NLOS path requires a scatterer position")
-        if self.kind == LOS and self.scatterer is not None:
-            raise ValueError("LOS path must not carry a scatterer")
-        if self.amplitude_pathloss < 0:
-            raise ValueError("amplitude pathloss must be >= 0")
-        if self.scatterer is not None:
-            object.__setattr__(self, "scatterer", np.asarray(self.scatterer, dtype=float))
-
-
-@dataclass(frozen=True)
 class LinkPaths:
-    """Ordered path list for one link; index 0 is the LOS path."""
+    """One link's n paths as arrays; row 0 is the LOS path.
 
-    link: str
-    paths: tuple
+    amplitude (n,) holds the real pathloss amplitudes (>= 0), fading (n,)
+    the complex gains, and scatterers (n-1, 3) the bounce point of each
+    scattered path: row i-1 belongs to path i.
+    """
+
+    amplitude: np.ndarray
+    fading: np.ndarray
+    scatterers: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
-        if not self.paths:
+        amp = np.asarray(self.amplitude, dtype=float)
+        fad = np.asarray(self.fading, dtype=complex)
+        scat = np.asarray(self.scatterers, dtype=float)
+        if scat.size == 0:
+            scat = scat.reshape(0, 3)
+        if amp.ndim != 1 or amp.size < 1:
             raise ValueError("a link needs at least the LOS path")
-        if self.paths[0].kind != LOS:
-            raise ValueError("path index 0 is reserved for the LOS path")
-        if any(p.kind == LOS for p in self.paths[1:]):
-            raise ValueError("only one LOS path allowed, at index 0")
+        if fad.shape != amp.shape:
+            raise ValueError(f"fading must have shape {amp.shape}, got {fad.shape}")
+        if scat.shape != (amp.size - 1, 3):
+            raise ValueError(
+                f"scatterers must have shape {(amp.size - 1, 3)} (none for the LOS path at "
+                f"index 0), got {scat.shape}"
+            )
+        if np.any(amp < 0):
+            raise ValueError("amplitude pathloss must be >= 0")
+        object.__setattr__(self, "amplitude", amp)
+        object.__setattr__(self, "fading", fad)
+        object.__setattr__(self, "scatterers", scat)
 
     def __len__(self):
-        return len(self.paths)
+        return self.amplitude.size
 
 
 @dataclass(frozen=True)
@@ -96,16 +89,6 @@ def noise_power(model):
     return 10.0 ** ((total_dbm - 30.0) / 10.0)
 
 
-def path_length(a, path, b):
-    """Geometric length a->b (LOS) or a->scatterer->b (NLOS) in meters."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if path.kind == LOS:
-        return float(np.linalg.norm(a - b))
-    s = path.scatterer
-    return float(np.linalg.norm(a - s) + np.linalg.norm(s - b))
-
-
 def generate_scatterers(box_min, box_max, count, rng):
     """count i.i.d. uniform positions inside the axis-aligned box, shape (count, 3)."""
     if count < 0:
@@ -122,7 +105,9 @@ def assemble_channel(link, tx_positions, rx_positions, lambda_m, sign):
 
     Entry (r, t) = sum_i PL_i * gamma_i * exp(sign * 1j * k * d_i(t, r))
     with d_i the exact per-pair path length. `sign` is +1 or -1 and fixes
-    the propagation phase convention for this link.
+    the propagation phase convention for this link. A bounce length splits
+    into a tx and an rx leg, so the scattered paths sum as one product of
+    the (n_rx, n-1) and (n-1, n_tx) leg phasors.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -131,19 +116,14 @@ def assemble_channel(link, tx_positions, rx_positions, lambda_m, sign):
     if tx.ndim != 2 or rx.ndim != 2 or tx.shape[1] != 3 or rx.shape[1] != 3:
         raise ValueError("positions must be (n, 3) arrays")
     k = 2.0 * np.pi / lambda_m
-    out = np.zeros((rx.shape[0], tx.shape[0]), dtype=np.complex128)
-    for p in link.paths:
-        w = p.amplitude_pathloss * p.fading
-        if w == 0:
-            continue
-        if p.kind == LOS:
-            d = np.linalg.norm(rx[:, None, :] - tx[None, :, :], axis=2)
-            out += w * np.exp(sign * 1j * k * d)
-        else:
-            # bounce length separates per endpoint: rank-1 contribution
-            d_tx = np.linalg.norm(tx - p.scatterer[None, :], axis=1)
-            d_rx = np.linalg.norm(rx - p.scatterer[None, :], axis=1)
-            out += w * np.outer(np.exp(sign * 1j * k * d_rx), np.exp(sign * 1j * k * d_tx))
+
+    def phasors(a, b):  # exp(sign*j*k*|a_m - b_n|), shape (len(a), len(b))
+        return np.exp(sign * 1j * k * np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
+
+    w = link.amplitude * link.fading
+    s = link.scatterers
+    out = w[0] * phasors(rx, tx)
+    out += (phasors(rx, s) * w[1:]) @ phasors(tx, s).T
     return out
 
 
@@ -153,25 +133,17 @@ def apply_beta(link, beta_db):
     The common factor preserves the relative NLOS profile; the LOS path is
     untouched. Power-domain ratio, exact.
     """
-    nlos = [p for p in link.paths[1:]]
-    if not nlos:
+    if len(link) < 2:
         raise ValueError("apply_beta needs at least one NLOS path")
-    p_los = link.paths[0].amplitude_pathloss ** 2
-    p_nlos = sum(p.amplitude_pathloss**2 for p in nlos)
+    p_nlos = np.sum(link.amplitude[1:] ** 2)
     if p_nlos == 0:
         raise ValueError("all NLOS pathlosses are zero, ratio undefined")
-    target = p_los / 10.0 ** (beta_db / 10.0)
-    scale = float(np.sqrt(target / p_nlos))
-    new_paths = [link.paths[0]] + [
-        replace(p, amplitude_pathloss=p.amplitude_pathloss * scale) for p in nlos
-    ]
-    return LinkPaths(link=link.link, paths=tuple(new_paths))
+    target = link.amplitude[0] ** 2 / 10.0 ** (beta_db / 10.0)
+    amplitude = link.amplitude.copy()
+    amplitude[1:] *= np.sqrt(target / p_nlos)
+    return replace(link, amplitude=amplitude)
 
 
 def blockage_attenuation(link, loss_db):
     """Multiply every path amplitude by 10^(-loss_db/20) (power loss of loss_db)."""
-    f = 10.0 ** (-loss_db / 20.0)
-    return LinkPaths(
-        link=link.link,
-        paths=tuple(replace(p, amplitude_pathloss=p.amplitude_pathloss * f) for p in link.paths),
-    )
+    return replace(link, amplitude=link.amplitude * 10.0 ** (-loss_db / 20.0))

@@ -24,28 +24,35 @@ from .harness import Scenario, farfield_table
 
 FORMAT_VERSION = 1
 
-# YAML section/key -> Scenario field, with a unit conversion where needed
+
+def _tuples(v):
+    """Lists, nested ones too, as tuples; other values go to Scenario.validate as they are."""
+    return tuple(_tuples(x) for x in v) if isinstance(v, list) else v
+
+
+# YAML section/key -> Scenario field, with a unit conversion where needed; integer
+# fields are not converted, so Scenario.validate sees a non-integer as written
 _SCHEMA = {
     "carrier_ghz": ("carrier_hz", lambda v: float(v) * 1e9, lambda s: s.carrier_hz / 1e9),
     "bs": {
-        "center": ("bs_center", tuple, lambda s: list(s.bs_center)),
+        "center": ("bs_center", _tuples, lambda s: list(s.bs_center)),
         "array": (("bs_n_x", "bs_n_z"), None, lambda s: [s.bs_n_x, s.bs_n_z]),
         "spacing_wavelengths": ("bs_spacing_wl", float, lambda s: s.bs_spacing_wl),
     },
     "ris": {
-        "center": ("ris_center", tuple, lambda s: list(s.ris_center)),
+        "center": ("ris_center", _tuples, lambda s: list(s.ris_center)),
         "size_m": (("ris_size_y_m", "ris_size_z_m"), None,
                    lambda s: [s.ris_size_y_m, s.ris_size_z_m]),
         "spacing_wavelengths": ("ris_spacing_wl", float, lambda s: s.ris_spacing_wl),
     },
     "blockage": {
-        "center": ("blockage_center", tuple, lambda s: list(s.blockage_center)),
+        "center": ("blockage_center", _tuples, lambda s: list(s.blockage_center)),
         "extent_m": (("blockage_r_x", "blockage_r_y"), None,
                      lambda s: [s.blockage_r_x, s.blockage_r_y]),
         "loss_db": ("blockage_loss_db", float, lambda s: s.blockage_loss_db),
     },
     "mu": {
-        "antennas": ("n_mu", int, lambda s: s.n_mu),
+        "antennas": ("n_mu", None, lambda s: s.n_mu),
         "spacing_wavelengths": ("mu_spacing_wl", float, lambda s: s.mu_spacing_wl),
     },
     "paths": {
@@ -62,22 +69,21 @@ _SCHEMA = {
         "noise_figure_db": ("noise_figure_db", float, lambda s: s.noise_figure_db),
     },
     "codebook": {
-        "levels": ("codebook_levels", lambda v: tuple(tuple(x) for x in v),
-                   lambda s: [list(x) for x in s.codebook_levels]),
+        "levels": ("codebook_levels", _tuples, lambda s: [list(x) for x in s.codebook_levels]),
         "alpha": ("codebook_alpha", float, lambda s: s.codebook_alpha),
     },
     "campaign": {
         "beta_list_db": ("beta_list_db", lambda v: tuple(float(x) for x in v),
                          lambda s: list(s.beta_list_db)),
-        "trials": ("trials", int, lambda s: s.trials),
-        "master_seed": ("master_seed", int, lambda s: s.master_seed),
-        "workers": ("workers", int, lambda s: s.workers),
+        "trials": ("trials", None, lambda s: s.trials),
+        "master_seed": ("master_seed", None, lambda s: s.master_seed),
+        "workers": ("workers", None, lambda s: s.workers),
         "average": ("average", str, lambda s: s.average),
     },
     "illumination": {
         "reference_power_w": ("illum_reference_power_w", float,
                               lambda s: s.illum_reference_power_w),
-        "grid": ("illum_grid", int, lambda s: s.illum_grid),
+        "grid": ("illum_grid", None, lambda s: s.illum_grid),
     },
 }
 
@@ -90,9 +96,12 @@ def _apply_entry(kwargs, spec, value, where):
         if not isinstance(value, (list, tuple)) or len(value) != len(target):
             raise ValueError(f"scenario key {where}: expected {len(target)} values")
         for name, v in zip(target, value):
-            kwargs[name] = tuple(v) if isinstance(v, list) else v
+            kwargs[name] = _tuples(v)
     else:
-        kwargs[target] = conv(value) if conv else value
+        try:
+            kwargs[target] = conv(value) if conv else value
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"scenario key {where}: {exc}") from None
 
 
 def load_scenario(path, strict=True):

@@ -184,12 +184,13 @@ def check_levels(level_shapes, alpha):
     Shapes are pairs of positive integers, each refining the one before by
     integer ratios (not both 1); alpha lies in (0, 1.5].
     """
-    if not level_shapes:
-        raise ValueError("codebook levels must be non-empty")
+    if not isinstance(level_shapes, (list, tuple)) or not level_shapes:
+        raise ValueError(f"codebook levels must be a non-empty list of pairs, got {level_shapes!r}")
     if not 0 < alpha <= 1.5:
         raise ValueError(f"codebook alpha must be in (0, 1.5], got {alpha}")
     for shape in level_shapes:
-        if len(shape) != 2 or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape):
+        if not (isinstance(shape, (list, tuple)) and len(shape) == 2
+                and all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape)):
             raise ValueError(f"codebook levels must be pairs of positive integers, got {shape}")
     for (ax, ay), (bx, by) in zip(level_shapes, level_shapes[1:]):
         if bx % ax or by % ay or (bx, by) == (ax, ay):

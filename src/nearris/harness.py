@@ -28,9 +28,6 @@ from .channel import (
     ChannelSet,
     LinkPaths,
     NoiseModel,
-    Path,
-    LOS,
-    NLOS,
     apply_beta,
     assemble_channel,
     blockage_attenuation,
@@ -51,6 +48,12 @@ PER_PATH = "per_path"
 TOTAL = "total"
 DB_MEAN = "db_mean"
 LINEAR_MEAN = "linear_mean"
+
+# fields that hold counts or seeds, and fields that hold one 3-D point each
+_INT_FIELDS = ("bs_n_x", "bs_n_z", "n_mu", "paths_direct", "paths_bs_ris", "paths_ris_mu",
+               "trials", "master_seed", "workers", "illum_grid")
+_POINT_FIELDS = ("bs_center", "ris_center", "blockage_center",
+                 "scatterer_box_min", "scatterer_box_max")
 
 # seed-stream labels: one sub-stream per random component of a trial
 _SEED_MU = 0
@@ -110,6 +113,14 @@ class Scenario:
         self.validate()
 
     def validate(self):
+        for name in _INT_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"scenario: {name} must be an integer, got {v!r}")
+        for name in _POINT_FIELDS:
+            v = getattr(self, name)
+            if np.shape(v) != (3,):
+                raise ValueError(f"scenario: {name} needs 3 values (x, y, z), got {v!r}")
         checks = [
             (self.carrier_hz > 0, "carrier_hz must be positive"),
             (self.bs_n_x >= 1 and self.bs_n_z >= 1, "bs array counts must be >= 1"),
@@ -131,9 +142,9 @@ class Scenario:
              f"average must be '{DB_MEAN}' or '{LINEAR_MEAN}'"),
             (self.illum_reference_power_w > 0, "illum_reference_power_w must be positive"),
             (self.illum_grid >= 2, "illum_grid must be >= 2"),
+            (all(lo <= hi for lo, hi in zip(self.scatterer_box_min, self.scatterer_box_max)),
+             "scatterer box min must not exceed max"),
         ]
-        box_ok = all(lo <= hi for lo, hi in zip(self.scatterer_box_min, self.scatterer_box_max))
-        checks.append((box_ok, "scatterer box min must not exceed max"))
         for ok, msg in checks:
             if not ok:
                 raise ValueError(f"scenario: {msg}")
@@ -219,27 +230,22 @@ def _trial_rng(master_seed, trial, label):
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial, label)))
 
 
-def _draw_link(name, tx_center, rx_center, count, box_min, box_max, lambda_m,
-               rng_scatter, rng_fading):
-    """One link's path list: LOS plus count-1 scattered paths.
+def _draw_link(tx_center, rx_center, count, box_min, box_max, lambda_m, rng_scatter, rng_fading):
+    """One link: LOS plus count-1 scattered paths.
 
     Per-path pathloss is the Friis amplitude of the center-to-center bounce
-    length; fading is CN(0,1) on NLOS paths and 1 on the LOS path.
+    length; fading is CN(0,1) on NLOS paths and 1 on the LOS path. The LOS
+    path enters the length expression as a bounce at the transmitter.
     """
     tx = np.asarray(tx_center, dtype=float)
     rx = np.asarray(rx_center, dtype=float)
-    los = Path(kind=LOS,
-               amplitude_pathloss=free_space_amplitude(float(np.linalg.norm(tx - rx)), lambda_m))
-    paths = [los]
     n_nlos = count - 1
     scat = generate_scatterers(box_min, box_max, n_nlos, rng_scatter)
     fad = (rng_fading.standard_normal(n_nlos) + 1j * rng_fading.standard_normal(n_nlos)) / np.sqrt(2.0)
-    for s, gamma in zip(scat, fad):
-        d = float(np.linalg.norm(tx - s) + np.linalg.norm(s - rx))
-        paths.append(Path(kind=NLOS, scatterer=s,
-                          amplitude_pathloss=free_space_amplitude(d, lambda_m),
-                          fading=complex(gamma)))
-    return LinkPaths(link=name, paths=tuple(paths))
+    via = np.vstack([tx, scat])
+    lengths = np.linalg.norm(tx - via, axis=1) + np.linalg.norm(via - rx, axis=1)
+    return LinkPaths(amplitude=free_space_amplitude(lengths, lambda_m),
+                     fading=np.concatenate([[1.0], fad]), scatterers=scat)
 
 
 def _beta_total_db(scenario, link, beta_db):
@@ -285,25 +291,23 @@ def build_trial_channels(scenario, beta_db, trial):
 
     rng_s = _trial_rng(scenario.master_seed, trial, _SEED_SCATTER)
     rng_f = _trial_rng(scenario.master_seed, trial, _SEED_FADING)
-    # fixed draw order keeps every link's randomness reproducible
-    link_h = _draw_link("bs-mu", scenario.bs_center, p_mu, scenario.paths_direct,
-                        scenario.scatterer_box_min, scenario.scatterer_box_max, lam, rng_s, rng_f)
-    link_1 = _draw_link("bs-ris", scenario.bs_center, scenario.ris_center, scenario.paths_bs_ris,
-                        scenario.scatterer_box_min, scenario.scatterer_box_max, lam, rng_s, rng_f)
-    link_2 = _draw_link("ris-mu", scenario.ris_center, p_mu, scenario.paths_ris_mu,
-                        scenario.scatterer_box_min, scenario.scatterer_box_max, lam, rng_s, rng_f)
-
-    if len(link_h) > 1:
-        link_h = apply_beta(link_h, _beta_total_db(scenario, link_h, beta_db))
-    if len(link_1) > 1:
-        link_1 = apply_beta(link_1, _beta_total_db(scenario, link_1, beta_db))
-    if len(link_2) > 1:
-        link_2 = apply_beta(link_2, _beta_total_db(scenario, link_2, beta_db))
-    link_h = blockage_attenuation(link_h, scenario.blockage_loss_db)
-
-    h = assemble_channel(link_h, bs_pos, mu_pos, lam, sign=-1)
-    h1 = assemble_channel(link_1, bs_pos, ris_pos, lam, sign=+1)
-    h2 = assemble_channel(link_2, ris_pos, mu_pos, lam, sign=+1)
+    # (tx center, rx center, path count, tx antennas, rx antennas, sign, loss dB)
+    # per link; this fixed draw order keeps every link's randomness reproducible
+    specs = (
+        (scenario.bs_center, p_mu, scenario.paths_direct, bs_pos, mu_pos, -1,
+         scenario.blockage_loss_db),
+        (scenario.bs_center, scenario.ris_center, scenario.paths_bs_ris, bs_pos, ris_pos, +1, 0.0),
+        (scenario.ris_center, p_mu, scenario.paths_ris_mu, ris_pos, mu_pos, +1, 0.0),
+    )
+    mats = []
+    for tx_c, rx_c, count, tx_pos, rx_pos, sign, loss_db in specs:
+        link = _draw_link(tx_c, rx_c, count, scenario.scatterer_box_min,
+                          scenario.scatterer_box_max, lam, rng_s, rng_f)
+        if count > 1:
+            link = apply_beta(link, _beta_total_db(scenario, link, beta_db))
+        link = blockage_attenuation(link, loss_db)
+        mats.append(assemble_channel(link, tx_pos, rx_pos, lam, sign))
+    h, h1, h2 = mats
     return ChannelSet(h=h, h1=h1, h2=h2), p_mu
 
 

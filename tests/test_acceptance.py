@@ -25,7 +25,7 @@ from nearris.beam_mgmt import (
     hierarchical_search,
     mu_combiners,
 )
-from nearris.channel import LinkPaths, LOS, NLOS, Path, apply_beta, free_space_amplitude
+from nearris.channel import LinkPaths, apply_beta, free_space_amplitude
 from nearris.codebook import focusing_phases, grcs, unit_cell_factor
 from nearris.harness import (
     aggregate,
@@ -247,17 +247,12 @@ def test_criterion_6_full_csi_oracle(record_criterion):
 
 def test_criterion_7_beta_fidelity_and_worker_identity(record_criterion):
     rng = np.random.default_rng(7)
-    paths = [Path(kind=LOS, amplitude_pathloss=1.0)] + [
-        Path(kind=NLOS, amplitude_pathloss=float(p), scatterer=(i, 0.0, 1.0))
-        for i, p in enumerate(rng.uniform(0.01, 2.0, 20))
-    ]
-    link = LinkPaths(link="t", paths=tuple(paths))
+    link = LinkPaths(amplitude=np.concatenate([[1.0], rng.uniform(0.01, 2.0, 20)]),
+                     fading=np.ones(21), scatterers=[(i, 0.0, 1.0) for i in range(20)])
     worst = 0.0
     for beta in (-10.0, 0.0, 10.0, 17.3):
         out = apply_beta(link, beta)
-        ratio = out.paths[0].amplitude_pathloss ** 2 / sum(
-            p.amplitude_pathloss**2 for p in out.paths[1:]
-        )
+        ratio = out.amplitude[0] ** 2 / np.sum(out.amplitude[1:] ** 2)
         worst = max(worst, abs(ratio / 10 ** (beta / 10) - 1))
 
     s = small_scenario(trials=6, beta_list_db=(0.0, 10.0), codebook_levels=((2, 2), (4, 4)))

@@ -12,7 +12,7 @@ from nearris.beam_mgmt import (
     received_snr,
 )
 from nearris.benchmarks import benchmark1_full_search, benchmark3_full_csi
-from nearris.channel import ChannelSet, LOS, LinkPaths, Path, assemble_channel, free_space_amplitude
+from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
 from nearris.codebook import CodebookLevel, HierarchicalCodebook, mapping, unit_cell_factor
 from nearris.harness import build_trial_channels
 
@@ -264,9 +264,7 @@ def test_search_finds_cell_center_users_exactly():
 
     def los(a, b):
         d = float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-        return LinkPaths(
-            link="t", paths=(Path(kind=LOS, amplitude_pathloss=free_space_amplitude(d, lam)),)
-        )
+        return LinkPaths(amplitude=[free_space_amplitude(d, lam)], fading=[1.0], scatterers=())
 
     for cell in [(0, 0), (1, 2), (2, 5), (3, 7)]:
         p_mu = mapping(np.asarray(s.ris_center), area, geom, *cell, lev.big_w_x, lev.big_w_y, 0.0)

@@ -11,7 +11,7 @@ from nearris.benchmarks import (
     benchmark2_full_focusing,
     benchmark3_full_csi,
 )
-from nearris.channel import ChannelSet, LOS, LinkPaths, Path, assemble_channel, free_space_amplitude
+from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
 from nearris.codebook import build_hierarchy, BlockageArea, unit_cell_factor
 from nearris.geometry import RisGeometry, wavelength
 
@@ -66,9 +66,7 @@ def test_benchmark2_scalar_closed_form():
 
     def los(a, b):
         d = float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-        return LinkPaths(
-            link="t", paths=(Path(kind=LOS, amplitude_pathloss=free_space_amplitude(d, LAM)),)
-        )
+        return LinkPaths(amplitude=[free_space_amplitude(d, LAM)], fading=[1.0], scatterers=())
 
     h1 = assemble_channel(los(P_I, geom.center), P_I[None, :], geom.element_positions(), LAM, +1)
     h2 = assemble_channel(los(geom.center, p_mu), geom.element_positions(), p_mu[None, :], LAM, +1)

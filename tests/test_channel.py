@@ -4,25 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearris.channel import (
-    LOS,
-    NLOS,
     LinkPaths,
     NoiseModel,
-    Path,
     apply_beta,
     assemble_channel,
     blockage_attenuation,
     free_space_amplitude,
     generate_scatterers,
     noise_power,
-    path_length,
 )
+from nearris.harness import _draw_link
 
 LAM28 = 0.0107068735
 
 
 def los_link(pl=1.0, fading=1.0 + 0j):
-    return LinkPaths(link="t", paths=(Path(kind=LOS, amplitude_pathloss=pl, fading=fading),))
+    return LinkPaths(amplitude=[pl], fading=[fading], scatterers=())
 
 
 # --- pathloss -------------------------------------------------------------
@@ -56,33 +53,39 @@ def test_free_space_amplitude_rejects_nonpositive():
 
 
 def test_path_length_los_and_bounce():
-    los = Path(kind=LOS, amplitude_pathloss=1.0)
-    assert path_length((0, 0, 0), los, (3, 4, 0)) == pytest.approx(5.0)
-    nlos = Path(kind=NLOS, amplitude_pathloss=1.0, scatterer=(3, 0, 0))
-    assert path_length((0, 0, 0), nlos, (3, 4, 0)) == pytest.approx(7.0)
+    # a zero-volume box pins the scatterer: the LOS length is 5, the bounce 3 + 4
+    link = _draw_link((0, 0, 0), (3, 4, 0), 2, (3, 0, 0), (3, 0, 0), LAM28,
+                      np.random.default_rng(0), np.random.default_rng(1))
+    np.testing.assert_array_equal(link.scatterers, [[3.0, 0.0, 0.0]])
+    lengths = LAM28 / (4 * np.pi * link.amplitude)
+    assert lengths[0] == pytest.approx(5.0, rel=1e-12)
+    assert lengths[1] == pytest.approx(7.0, rel=1e-12)
+    assert link.fading[0] == 1.0
 
 
-def test_path_validation():
+def test_link_paths_validation():
+    with pytest.raises(ValueError, match=">= 0"):
+        LinkPaths(amplitude=[-0.1], fading=[1.0], scatterers=())
+    with pytest.raises(ValueError, match="fading"):
+        LinkPaths(amplitude=[1.0, 0.5], fading=[1.0], scatterers=[(0, 0, 0)])
+    with pytest.raises(ValueError, match="scatterers"):
+        LinkPaths(amplitude=[1.0, 0.5], fading=[1.0, 1j], scatterers=[(0, 0)])
     with pytest.raises(ValueError):
-        Path(kind="bounce", amplitude_pathloss=1.0)
-    with pytest.raises(ValueError):
-        Path(kind=NLOS, amplitude_pathloss=1.0)  # scatterer missing
-    with pytest.raises(ValueError):
-        Path(kind=LOS, amplitude_pathloss=1.0, scatterer=(0, 0, 0))
-    with pytest.raises(ValueError):
-        Path(kind=LOS, amplitude_pathloss=-0.1)
+        LinkPaths(amplitude=[[1.0]], fading=[[1.0]], scatterers=())
+    link = LinkPaths(amplitude=[1, 2], fading=[1, 1j], scatterers=[(0, 1, 2)])
+    assert link.amplitude.dtype == float and link.fading.dtype == complex
+    assert link.scatterers.shape == (1, 3)
 
 
 def test_link_paths_reserve_index_zero_for_los():
-    nlos = Path(kind=NLOS, amplitude_pathloss=1.0, scatterer=(1, 1, 1))
+    # n paths carry n-1 scatterers: none for the LOS path, one per bounce
     with pytest.raises(ValueError):
-        LinkPaths(link="t", paths=(nlos,))
+        LinkPaths(amplitude=[1.0], fading=[1.0], scatterers=[(1, 1, 1)])
     with pytest.raises(ValueError):
-        LinkPaths(link="t", paths=())
-    los = Path(kind=LOS, amplitude_pathloss=1.0)
+        LinkPaths(amplitude=[], fading=[], scatterers=())
     with pytest.raises(ValueError):
-        LinkPaths(link="t", paths=(los, los))
-    assert len(LinkPaths(link="t", paths=(los, nlos))) == 2
+        LinkPaths(amplitude=[1.0, 1.0], fading=[1.0, 1.0], scatterers=())
+    assert len(LinkPaths(amplitude=[1.0, 1.0], fading=[1.0, 1.0], scatterers=[(1, 1, 1)])) == 2
 
 
 # --- scatterers -----------------------------------------------------------
@@ -132,13 +135,7 @@ def test_assemble_channel_two_path_cancellation():
     lam = LAM28
     y = lam * np.sqrt(0.3125)
     scat = (0.0, y, lam / 2)
-    link = LinkPaths(
-        link="t",
-        paths=(
-            Path(kind=LOS, amplitude_pathloss=1.0),
-            Path(kind=NLOS, amplitude_pathloss=1.0, scatterer=scat),
-        ),
-    )
+    link = LinkPaths(amplitude=[1.0, 1.0], fading=[1.0, 1.0], scatterers=[scat])
     h = assemble_channel(link, [[0, 0, 0]], [[0, 0, lam]], lam, sign=+1)
     assert abs(h[0, 0]) < 1e-9
 
@@ -160,16 +157,37 @@ def test_assemble_channel_sign_conjugates():
     tx = rng.random((4, 3)) * 10
     rx = rng.random((2, 3)) * 10 + 20
     scat = rng.random((1, 3)) * 5
-    link = LinkPaths(
-        link="t",
-        paths=(
-            Path(kind=LOS, amplitude_pathloss=1.0),
-            Path(kind=NLOS, amplitude_pathloss=0.3, scatterer=scat[0]),
-        ),
-    )
+    link = LinkPaths(amplitude=[1.0, 0.3], fading=[1.0, 1.0], scatterers=scat)
     hp = assemble_channel(link, tx, rx, LAM28, sign=+1)
     hm = assemble_channel(link, tx, rx, LAM28, sign=-1)
     np.testing.assert_allclose(hp, np.conj(hm), rtol=1e-12)
+
+
+def test_assemble_channel_matches_per_entry_sum():
+    # oracle: every entry is the explicit sum over paths of
+    # a_i * f_i * exp(sign * j * k * L_i(t, r)), L_0 the LOS length and
+    # L_i the bounce length through scatterer i-1; lengths stay under 2 m
+    # so the phases k*L (< 1200 rad) keep 1e-13 absolute precision
+    rng = np.random.default_rng(11)
+    tx = rng.uniform(-0.05, 0.05, (4, 3))
+    rx = rng.uniform(-0.05, 0.05, (3, 3)) + [0.6, 0.2, 0.0]
+    n_nlos = 5
+    scat = rng.uniform(0.0, 0.5, (n_nlos, 3))
+    amp = rng.uniform(0.1, 2.0, n_nlos + 1)
+    fad = rng.standard_normal(n_nlos + 1) + 1j * rng.standard_normal(n_nlos + 1)
+    link = LinkPaths(amplitude=amp, fading=fad, scatterers=scat)
+    k = 2 * np.pi / LAM28
+    for sign in (+1, -1):
+        h = assemble_channel(link, tx, rx, LAM28, sign)
+        assert h.shape == (3, 4)
+        for r in range(3):
+            for t in range(4):
+                lengths = [float(np.linalg.norm(tx[t] - rx[r]))] + [
+                    float(np.linalg.norm(tx[t] - s) + np.linalg.norm(s - rx[r])) for s in scat
+                ]
+                expect = sum(a * f * np.exp(sign * 1j * k * d)
+                             for a, f, d in zip(amp, fad, lengths))
+                assert abs(h[r, t] - expect) <= 1e-12 * abs(expect)
 
 
 def test_assemble_channel_matrix_shape_and_errors():
@@ -186,30 +204,28 @@ def test_assemble_channel_matrix_shape_and_errors():
 
 
 def _multi_link(nlos_pls):
-    paths = [Path(kind=LOS, amplitude_pathloss=1.0)]
-    for i, pl in enumerate(nlos_pls):
-        paths.append(Path(kind=NLOS, amplitude_pathloss=pl, scatterer=(i, 1.0, 2.0)))
-    return LinkPaths(link="t", paths=tuple(paths))
+    n = len(nlos_pls)
+    return LinkPaths(amplitude=[1.0, *nlos_pls], fading=np.ones(n + 1),
+                     scatterers=[(i, 1.0, 2.0) for i in range(n)])
 
 
 def test_apply_beta_hits_requested_total_ratio():
     link = _multi_link([0.1, 0.2, 0.3, 0.4])
     out = apply_beta(link, 10.0)
-    total = sum(p.amplitude_pathloss**2 for p in out.paths[1:])
+    total = np.sum(out.amplitude[1:] ** 2)
     assert total == pytest.approx(0.1, rel=1e-9)
-    assert out.paths[0].amplitude_pathloss == 1.0
+    assert out.amplitude[0] == 1.0
     out0 = apply_beta(link, 0.0)
-    assert sum(p.amplitude_pathloss**2 for p in out0.paths[1:]) == pytest.approx(1.0, rel=1e-9)
+    assert np.sum(out0.amplitude[1:] ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_apply_beta_preserves_relative_profile_and_is_idempotent():
     link = _multi_link([0.5, 1.0, 2.0])
     out = apply_beta(link, 7.0)
-    ratios = [p.amplitude_pathloss for p in out.paths[1:]]
+    ratios = out.amplitude[1:]
     assert ratios[1] / ratios[0] == pytest.approx(2.0, rel=1e-12)
     again = apply_beta(out, 7.0)
-    for a, b in zip(out.paths, again.paths):
-        assert a.amplitude_pathloss == pytest.approx(b.amplitude_pathloss, rel=1e-12)
+    np.testing.assert_allclose(again.amplitude, out.amplitude, rtol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -219,8 +235,8 @@ def test_apply_beta_preserves_relative_profile_and_is_idempotent():
 )
 def test_apply_beta_ratio_property(beta, pls):
     out = apply_beta(_multi_link(pls), beta)
-    p_los = out.paths[0].amplitude_pathloss ** 2
-    p_nlos = sum(p.amplitude_pathloss**2 for p in out.paths[1:])
+    p_los = out.amplitude[0] ** 2
+    p_nlos = np.sum(out.amplitude[1:] ** 2)
     assert 10 * np.log10(p_los / p_nlos) == pytest.approx(beta, abs=1e-9)
 
 
@@ -237,10 +253,10 @@ def test_apply_beta_errors():
 def test_blockage_attenuation_scales_amplitudes():
     link = _multi_link([0.5])
     out = blockage_attenuation(link, 20.0)
-    assert out.paths[0].amplitude_pathloss == pytest.approx(0.1, rel=1e-12)
-    assert out.paths[1].amplitude_pathloss == pytest.approx(0.05, rel=1e-12)
+    assert out.amplitude[0] == pytest.approx(0.1, rel=1e-12)
+    assert out.amplitude[1] == pytest.approx(0.05, rel=1e-12)
     same = blockage_attenuation(link, 0.0)
-    assert same.paths[0].amplitude_pathloss == 1.0
+    assert same.amplitude[0] == 1.0
 
 
 def test_noise_power_reference_values():

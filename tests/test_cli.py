@@ -86,6 +86,10 @@ def test_load_propagates_validation_errors(tmp_path):
     p.write_text("carrier_ghz: 28.0\nrf:\n  bandwidth_hz: -1.0\n")
     with pytest.raises(ValueError, match="bandwidth"):
         load_scenario(p)
+    # a value its converter cannot take is a scenario error too, not a TypeError
+    p.write_text("carrier_ghz: 28.0\ncampaign:\n  beta_list_db: 10.0\n")
+    with pytest.raises(ValueError, match="scenario key campaign.beta_list_db"):
+        load_scenario(p)
 
 
 def test_load_rejects_non_mapping(tmp_path):
@@ -252,16 +256,42 @@ def test_cli_overrides_are_validated(tmp_path, capsys, flag, value, field):
     assert not (out / "trials.csv").exists()
 
 
-def test_codebook_levels_are_checked_at_load(tmp_path, capsys):
-    # a level that does not refine its parent fails before any pool starts
+def _edited_file(tmp_path, section, key, value):
+    """The tiny scenario file with one key replaced."""
     cfg, _ = tiny_file(tmp_path)
     doc = yaml.safe_load(cfg.read_text())
-    doc["codebook"]["levels"] = [[4, 4], [6, 8]]
+    doc[section][key] = value
     cfg.write_text(yaml.safe_dump(doc))
+    return cfg
+
+
+def test_codebook_levels_are_checked_at_load(tmp_path, capsys):
+    # a bad level list fails before any pool starts
+    cases = [
+        ([[4, 4], [6, 8]], "scenario: codebook level (6,8) does not refine (4,4)"),
+        ([4, 4], "scenario: codebook levels must be pairs of positive integers, got 4"),
+    ]
+    for levels, message in cases:
+        cfg = _edited_file(tmp_path, "codebook", "levels", levels)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out),
+                     "--trials", "1", "--workers", "2"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "trials.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, field",
+    [("campaign", "trials", 1.5, "trials"), ("bs", "array", [8.5, 8], "bs_n_x"),
+     ("mu", "antennas", 2.0, "n_mu"), ("paths", "per_link", [5, 5, 4.5], "paths_ris_mu"),
+     ("campaign", "master_seed", 1.5, "master_seed"), ("campaign", "workers", 1.5, "workers"),
+     ("illumination", "grid", 6.5, "illum_grid")],
+)
+def test_integer_keys_are_not_truncated(tmp_path, capsys, section, key, value, field):
+    cfg = _edited_file(tmp_path, section, key, value)
     out = tmp_path / "o"
-    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out),
-                 "--trials", "1", "--workers", "2"]) == 2
-    assert "scenario: codebook level (6,8) does not refine (4,4)" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert f"scenario: {field} must be an integer" in capsys.readouterr().err
     assert not (out / "trials.csv").exists()
 
 

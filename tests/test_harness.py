@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +11,7 @@ import nearris as nr
 from conftest import los_only_scenario, point_source_losses, small_scenario
 from nearris import benchmarks as bm
 from nearris.beam_mgmt import bs_precoder_focus_ris, effective_cascade, mu_combiners
-from nearris.channel import LOS, LinkPaths, Path, assemble_channel, free_space_amplitude
+from nearris.channel import LinkPaths, assemble_channel, free_space_amplitude
 from nearris.codebook import grcs, unit_cell_factor
 from nearris.harness import (
     _FIELD_CHUNK,
@@ -54,6 +60,13 @@ def test_scenario_validation_messages():
         (dict(n_mu=0), "n_mu"),
         (dict(bandwidth_hz=-1.0), "bandwidth"),
         (dict(scatterer_box_min=(0, 0, 5), scatterer_box_max=(1, 1, 1)), "box"),
+        (dict(bs_center=(40.0, 0.0)), "bs_center needs 3 values"),
+        (dict(ris_center=(0.0, 40.0, 5.0, 1.0)), "ris_center needs 3 values"),
+        (dict(blockage_center=20.0), "blockage_center needs 3 values"),
+        (dict(scatterer_box_min=(0, 0)), "scatterer_box_min needs 3 values"),
+        (dict(scatterer_box_max=((60, 60, 10),)), "scatterer_box_max needs 3 values"),
+        (dict(trials=2.5), "trials must be an integer"),
+        (dict(bs_n_z=True), "bs_n_z must be an integer"),
     ]
     for overrides, word in cases:
         with pytest.raises(ValueError, match=word):
@@ -70,13 +83,8 @@ def test_scenario_round_trips_through_dict(reference_scenario):
 def test_beta_semantics_conversion():
     s_total = small_scenario(beta_semantics="total")
     s_per = small_scenario()  # per-path default
-    link = LinkPaths(
-        link="t",
-        paths=tuple(
-            [Path(kind=LOS, amplitude_pathloss=1.0)]
-            + [Path(kind="NLOS", amplitude_pathloss=0.1, scatterer=(i, 0, 0)) for i in range(20)]
-        ),
-    )
+    link = LinkPaths(amplitude=[1.0] + [0.1] * 20, fading=np.ones(21),
+                     scatterers=[(i, 0, 0) for i in range(20)])
     assert _beta_total_db(s_total, link, 10.0) == pytest.approx(10.0)
     assert _beta_total_db(s_per, link, 10.0) == pytest.approx(10.0 - 10 * np.log10(20), rel=1e-12)
 
@@ -131,9 +139,7 @@ def test_direct_link_carries_blockage_loss():
     ch, p_mu = build_trial_channels(s, 10.0, 0)
     lam = s.lambda_m
     d = float(np.linalg.norm(np.asarray(s.bs_center) - p_mu))
-    link = LinkPaths(
-        link="t", paths=(Path(kind=LOS, amplitude_pathloss=free_space_amplitude(d, lam)),)
-    )
+    link = LinkPaths(amplitude=[free_space_amplitude(d, lam)], fading=[1.0], scatterers=())
     bs_pos = s.bs_geometry().element_positions()
     unblocked = assemble_channel(link, bs_pos, p_mu[None, :], lam, -1)
     np.testing.assert_allclose(ch.h, 0.1 * unblocked, rtol=1e-12)
@@ -177,6 +183,30 @@ def test_campaign_dominance_and_sorting():
     for r in results:
         assert r.snr_db[bm.PROPOSED] <= r.snr_db[bm.B1_FULL_CODEBOOK] + 1e-9
         assert r.snr_db[bm.B3_FULL_CSI] >= r.snr_db[bm.B2_FULL_FOCUSING] - 1e-9
+
+
+_CAMPAIGN_SCRIPT = """
+import json
+import nearris as nr
+s = nr.Scenario(ris_size_y_m=0.15, ris_size_z_m=0.15, codebook_levels=((2, 2), (4, 4)),
+                trials=3, beta_list_db=(0.0, 10.0))
+print(json.dumps([[r.snr_db, r.mu_position, r.winners] for r in nr.run_campaign(s)]))
+"""
+
+
+def test_campaign_identical_across_blas_threads():
+    # the NLOS sums and the cascade products run in BLAS; a second BLAS
+    # thread must not change a single bit of the results
+    src = str(Path(nr.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _CAMPAIGN_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True, timeout=300)
+        runs.append(json.loads(proc.stdout))
+    assert len(runs[0]) == 6
+    assert runs[0] == runs[1]
 
 
 def test_aggregate_single_trial_passthrough():
