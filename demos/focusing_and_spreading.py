@@ -55,7 +55,7 @@ def main():
         )
 
     print("\nrasterizing the finest codebook level (256 spread beams)...")
-    hm = nr.heatmap(s, 3, grid_n=64)
+    hm = nr.heatmap(s, 3)  # the scenario's 64 x 64 raster
     comp = hm.composite
     print(f"  composite peak: {comp.max():6.2f} dB")
     print(f"  composite low:  {comp.min():6.2f} dB (worst-covered raster point)")

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 import time
 import warnings
@@ -20,133 +21,92 @@ import yaml
 
 from . import __version__
 from . import harness
-from .harness import Scenario, farfield_table
+from .harness import Scenario, farfield_table, is_finite_real
 
 FORMAT_VERSION = 1
 
 
-def _tuples(v):
-    """Lists, nested ones too, as tuples; other values go to Scenario.validate as they are."""
-    return tuple(_tuples(x) for x in v) if isinstance(v, list) else v
-
-
-# YAML section/key -> Scenario field, with a unit conversion where needed; integer
-# fields are not converted, so Scenario.validate sees a non-integer as written
+# YAML section/key -> Scenario field, or a tuple of fields for a key that holds a list;
+# Scenario checks every value, and carrier_ghz (x1e9) is the one unit conversion
 _SCHEMA = {
-    "carrier_ghz": ("carrier_hz", lambda v: float(v) * 1e9, lambda s: s.carrier_hz / 1e9),
-    "bs": {
-        "center": ("bs_center", _tuples, lambda s: list(s.bs_center)),
-        "array": (("bs_n_x", "bs_n_z"), None, lambda s: [s.bs_n_x, s.bs_n_z]),
-        "spacing_wavelengths": ("bs_spacing_wl", float, lambda s: s.bs_spacing_wl),
-    },
-    "ris": {
-        "center": ("ris_center", _tuples, lambda s: list(s.ris_center)),
-        "size_m": (("ris_size_y_m", "ris_size_z_m"), None,
-                   lambda s: [s.ris_size_y_m, s.ris_size_z_m]),
-        "spacing_wavelengths": ("ris_spacing_wl", float, lambda s: s.ris_spacing_wl),
-    },
-    "blockage": {
-        "center": ("blockage_center", _tuples, lambda s: list(s.blockage_center)),
-        "extent_m": (("blockage_r_x", "blockage_r_y"), None,
-                     lambda s: [s.blockage_r_x, s.blockage_r_y]),
-        "loss_db": ("blockage_loss_db", float, lambda s: s.blockage_loss_db),
-    },
-    "mu": {
-        "antennas": ("n_mu", None, lambda s: s.n_mu),
-        "spacing_wavelengths": ("mu_spacing_wl", float, lambda s: s.mu_spacing_wl),
-    },
-    "paths": {
-        "per_link": (("paths_direct", "paths_bs_ris", "paths_ris_mu"), None,
-                     lambda s: [s.paths_direct, s.paths_bs_ris, s.paths_ris_mu]),
-        "scatterer_box": (("scatterer_box_min", "scatterer_box_max"), None,
-                          lambda s: [list(s.scatterer_box_min), list(s.scatterer_box_max)]),
-        "beta_semantics": ("beta_semantics", str, lambda s: s.beta_semantics),
-    },
-    "rf": {
-        "transmit_power_dbm": ("p_bs_dbm", float, lambda s: s.p_bs_dbm),
-        "noise_psd_dbm_per_hz": ("noise_psd_dbm_hz", float, lambda s: s.noise_psd_dbm_hz),
-        "bandwidth_hz": ("bandwidth_hz", float, lambda s: s.bandwidth_hz),
-        "noise_figure_db": ("noise_figure_db", float, lambda s: s.noise_figure_db),
-    },
-    "codebook": {
-        "levels": ("codebook_levels", _tuples, lambda s: [list(x) for x in s.codebook_levels]),
-        "alpha": ("codebook_alpha", float, lambda s: s.codebook_alpha),
-    },
-    "campaign": {
-        "beta_list_db": ("beta_list_db", lambda v: tuple(float(x) for x in v),
-                         lambda s: list(s.beta_list_db)),
-        "trials": ("trials", None, lambda s: s.trials),
-        "master_seed": ("master_seed", None, lambda s: s.master_seed),
-        "workers": ("workers", None, lambda s: s.workers),
-        "average": ("average", str, lambda s: s.average),
-    },
-    "illumination": {
-        "reference_power_w": ("illum_reference_power_w", float,
-                              lambda s: s.illum_reference_power_w),
-        "grid": ("illum_grid", None, lambda s: s.illum_grid),
-    },
+    "carrier_ghz": "carrier_hz",
+    "bs": {"center": "bs_center", "array": ("bs_n_x", "bs_n_z"),
+           "spacing_wavelengths": "bs_spacing_wl"},
+    "ris": {"center": "ris_center", "size_m": ("ris_size_y_m", "ris_size_z_m"),
+            "spacing_wavelengths": "ris_spacing_wl"},
+    "blockage": {"center": "blockage_center", "extent_m": ("blockage_r_x", "blockage_r_y"),
+                 "loss_db": "blockage_loss_db"},
+    "mu": {"antennas": "n_mu", "spacing_wavelengths": "mu_spacing_wl"},
+    "paths": {"per_link": ("paths_direct", "paths_bs_ris", "paths_ris_mu"),
+              "scatterer_box": ("scatterer_box_min", "scatterer_box_max"),
+              "beta_semantics": "beta_semantics"},
+    "rf": {"transmit_power_dbm": "p_bs_dbm", "noise_psd_dbm_per_hz": "noise_psd_dbm_hz",
+           "bandwidth_hz": "bandwidth_hz", "noise_figure_db": "noise_figure_db"},
+    "codebook": {"levels": "codebook_levels", "alpha": "codebook_alpha"},
+    "campaign": {"beta_list_db": "beta_list_db", "trials": "trials",
+                 "master_seed": "master_seed", "workers": "workers", "average": "average"},
+    "illumination": {"reference_power_w": "illum_reference_power_w", "grid": "illum_grid"},
 }
 
-_REQUIRED = ["carrier_ghz"]
+
+class _Loader(yaml.SafeLoader):
+    """Safe YAML loading that also reads 1e8 and 1.0e8 as floats, as YAML 1.2 does."""
 
 
-def _apply_entry(kwargs, spec, value, where):
-    target, conv, _ = spec
-    if isinstance(target, tuple):
-        if not isinstance(value, (list, tuple)) or len(value) != len(target):
-            raise ValueError(f"scenario key {where}: expected {len(target)} values")
-        for name, v in zip(target, value):
-            kwargs[name] = _tuples(v)
-    else:
-        try:
-            kwargs[target] = conv(value) if conv else value
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"scenario key {where}: {exc}") from None
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 def load_scenario(path, strict=True):
-    """Parse and validate a scenario file; raises ValueError naming bad fields."""
+    """Parse a scenario file into a Scenario, whose checks raise ValueError naming bad fields."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=_Loader)
     if not isinstance(raw, dict):
         raise ValueError(f"scenario file {path} is not a mapping")
     raw = dict(raw)
     raw.pop("format_version", None)
-    for req in _REQUIRED:
-        if req not in raw:
-            raise ValueError(f"scenario file missing required key: {req}")
+    if "carrier_ghz" not in raw:
+        raise ValueError("scenario file missing required key: carrier_ghz")
     kwargs = {}
     for key, value in raw.items():
         spec = _SCHEMA.get(key)
-        if spec is None:
-            if strict:
-                raise ValueError(f"unknown scenario key: {key}")
-            warnings.warn(f"ignoring unknown scenario key: {key}")
-            continue
         if isinstance(spec, dict):
             if not isinstance(value, dict):
                 raise ValueError(f"scenario section {key} must be a mapping")
-            for sub, subval in value.items():
-                subspec = spec.get(sub)
-                if subspec is None:
-                    if strict:
-                        raise ValueError(f"unknown scenario key: {key}.{sub}")
-                    warnings.warn(f"ignoring unknown scenario key: {key}.{sub}")
-                    continue
-                _apply_entry(kwargs, subspec, subval, f"{key}.{sub}")
+            entries = [(f"{key}.{sub}", spec.get(sub), v) for sub, v in value.items()]
         else:
-            _apply_entry(kwargs, spec, value, key)
+            entries = [(key, spec, value)]
+        for where, target, v in entries:
+            if target is None:
+                if strict:
+                    raise ValueError(f"unknown scenario key: {where}")
+                warnings.warn(f"ignoring unknown scenario key: {where}")
+            elif isinstance(target, tuple):
+                if not isinstance(v, list) or len(v) != len(target):
+                    raise ValueError(f"scenario key {where}: expected {len(target)} values")
+                kwargs.update(zip(target, v))
+            else:
+                kwargs[target] = v
+    if is_finite_real(kwargs["carrier_hz"]):
+        kwargs["carrier_hz"] *= 1e9
     return Scenario(**kwargs)
 
 
 def save_scenario(scenario, path):
     """Write a scenario back to YAML; load(save(x)) is field-identical to x."""
+    values = scenario.to_dict()
+    values["carrier_hz"] /= 1e9
+
+    def entry(target):
+        return [values[name] for name in target] if isinstance(target, tuple) else values[target]
+
     doc = {"format_version": FORMAT_VERSION}
     for key, spec in _SCHEMA.items():
-        if isinstance(spec, dict):
-            doc[key] = {sub: subspec[2](scenario) for sub, subspec in spec.items()}
-        else:
-            doc[key] = spec[2](scenario)
+        doc[key] = ({sub: entry(t) for sub, t in spec.items()} if isinstance(spec, dict)
+                    else entry(spec))
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
 
@@ -256,12 +216,6 @@ def write_channel_set(path, channels):
              h=channels.h, h1=channels.h1, h2=channels.h2)
 
 
-def read_channel_set(path):
-    from .channel import ChannelSet
-    with np.load(path) as z:
-        return ChannelSet(h=z["h"], h1=z["h1"], h2=z["h2"])
-
-
 def write_farfield_csv(path, rows):
     lines = [f"# format_version={FORMAT_VERSION}", "size_L_m,aperture_D_m,far_field_distance_m"]
     for size, d_ap, d_f in rows:
@@ -273,13 +227,15 @@ def write_farfield_csv(path, rows):
 
 
 def _load(args):
-    """The scenario file with the command-line overrides applied and validated."""
+    """The scenario file with the command-line overrides applied; Scenario checks them."""
     path = args.config or default_scenario_path()
     scenario = load_scenario(path, strict=not args.lax)
     overrides = {
         "master_seed": args.seed,
         "trials": getattr(args, "trials", None),
         "workers": getattr(args, "workers", None),
+        "beta_list_db": [args.beta] if "beta" in args else None,
+        "illum_grid": getattr(args, "grid", None),
     }
     return dataclasses.replace(
         scenario, **{k: v for k, v in overrides.items() if v is not None}
@@ -295,9 +251,8 @@ def _out_dir(args):
 def cmd_simulate(args, argv):
     scenario = _load(args)
     out = _out_dir(args)
-    beta = args.beta if args.beta is not None else 10.0
-    results = harness.run_campaign(scenario, beta_list_db=[beta])
-    rows = harness.aggregate(results, scenario.average)
+    (beta,) = scenario.beta_list_db
+    results, rows = harness.sweep_beta(scenario)
     write_trials_csv(out / "trials.csv", results)
     write_aggregates_csv(out / "aggregates.csv", rows)
     if args.dump_channels:
@@ -335,7 +290,7 @@ def cmd_heatmap(args, argv):
         if len(cell) != 2 or not (0 <= cell[0] < shape[0] and 0 <= cell[1] < shape[1]):
             raise ValueError(f"--cells: {cell} is outside the level's {shape[0]}x{shape[1]} grid")
     out = _out_dir(args)
-    hm = harness.heatmap(scenario, level, grid_n=args.grid, codebook=scenario.build_codebook())
+    hm = harness.heatmap(scenario, level, codebook=scenario.build_codebook())
     write_raster_csv(out / f"heatmap_level{args.level}_composite.csv", hm.xs, hm.ys, hm.composite)
     for wx, wy in cells:
         write_raster_csv(out / f"heatmap_level{args.level}_cell_{wx}_{wy}.csv",
@@ -372,14 +327,10 @@ def cmd_codebook_dump(args, argv):
 
 
 def cmd_farfield(args, argv):
-    scenario = _load(args) if args.config else None
-    f_hz = scenario.carrier_hz if scenario else args.freq_ghz * 1e9
-    sizes = [float(s) for s in args.sizes.split(",")]
-    rows = farfield_table(f_hz, sizes)
+    scenario = _load(args) if args.config else Scenario(carrier_hz=args.freq_ghz * 1e9)
+    rows = farfield_table(scenario.carrier_hz, [float(s) for s in args.sizes.split(",")])
     out = _out_dir(args)
     write_farfield_csv(out / "farfield.csv", rows)
-    if scenario is None:
-        scenario = Scenario(carrier_hz=f_hz)
     write_manifest(out, scenario, argv, extra={"subcommand": "farfield"})
     print(f"{'L (m)':>8s} {'D (m)':>8s} {'d_F (m)':>10s}")
     for size, d_ap, d_f in rows:
@@ -407,7 +358,8 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="single-beta Monte Carlo campaign")
     common(p, trials=True)
-    p.add_argument("--beta", type=float, help="LOS/NLOS power ratio in dB (default 10)")
+    p.add_argument("--beta", type=float, default=10.0,
+                   help="LOS/NLOS power ratio in dB (default 10)")
     p.add_argument("--dump-channels", action="store_true",
                    help="also write trial 0's channel matrices (npz)")
     p.set_defaults(func=cmd_simulate)
@@ -419,7 +371,7 @@ def build_parser():
     p = sub.add_parser("heatmap", help="illumination SNR rasters for one codebook level")
     common(p)
     p.add_argument("--level", type=int, default=4, help="codebook level, 1-based (default 4)")
-    p.add_argument("--grid", type=int, default=None, help="raster points per axis")
+    p.add_argument("--grid", type=int, help="override the scenario's raster points per axis")
     p.add_argument("--cells", default="composite",
                    help="'composite' (default), 'all', or 'wx,wy[;wx,wy...]'")
     p.set_defaults(func=cmd_heatmap)

@@ -17,8 +17,10 @@ draw comes from a seed sequence labeled with those coordinates, so
 campaigns are bit-identical for any worker count.
 """
 
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -42,18 +44,17 @@ from .codebook import (
     focusing_phases,
     unit_cell_factor,
 )
-from .geometry import PlanarArrayGeometry, ris_from_aperture, wavelength
+from .geometry import PlanarArrayGeometry, far_field_distance, ris_from_aperture, wavelength
 
 PER_PATH = "per_path"
 TOTAL = "total"
 DB_MEAN = "db_mean"
 LINEAR_MEAN = "linear_mean"
 
-# fields that hold counts or seeds, and fields that hold one 3-D point each
-_INT_FIELDS = ("bs_n_x", "bs_n_z", "n_mu", "paths_direct", "paths_bs_ris", "paths_ris_mu",
-               "trials", "master_seed", "workers", "illum_grid")
-_POINT_FIELDS = ("bs_center", "ris_center", "blockage_center",
-                 "scatterer_box_min", "scatterer_box_max")
+# Scenario field annotations other than int, float and str; _checked reads all of them
+Point = tuple[float, float, float]
+BetaList = tuple[float, ...]
+LevelShapes = tuple[tuple[int, int], ...]
 
 # seed-stream labels: one sub-stream per random component of a trial
 _SEED_MU = 0
@@ -61,23 +62,55 @@ _SEED_SCATTER = 1
 _SEED_FADING = 2
 
 
-@dataclass
+def is_finite_real(v):
+    """True for a real number (not a bool) that is neither infinite nor NaN."""
+    return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _checked(name, kind, v):
+    """v stored as its field's annotation reads it; a ValueError names the field."""
+    if kind is int:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"scenario: {name} must be an integer, got {v!r}")
+        return int(v)
+    if kind is float:
+        if not is_finite_real(v):
+            raise ValueError(f"scenario: {name} must be a finite real number, got {v!r}")
+        return float(v)
+    if kind == Point:
+        if not isinstance(v, (list, tuple)) or len(v) != 3:
+            raise ValueError(f"scenario: {name} needs 3 values (x, y, z), got {v!r}")
+        return tuple(_checked(name, float, x) for x in v)
+    if kind == BetaList:
+        values = tuple(_checked(name, float, x) for x in v) if isinstance(v, (list, tuple)) else ()
+        if not values or len(set(values)) != len(values):
+            raise ValueError(f"scenario: {name} must be a non-empty list of distinct values, "
+                             f"got {v!r}")
+        return values
+    return v  # str fields and the level shapes are checked by value in __post_init__
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """Complete experiment description. Defaults reproduce the reference setup."""
+    """Complete experiment description. Defaults reproduce the reference setup.
+
+    Construction checks every field, by its annotation and then by value,
+    and raises a ValueError that starts with "scenario:".
+    """
 
     carrier_hz: float = 28e9
     # BS: square array on the x-z plane
-    bs_center: tuple = (40.0, 0.0, 10.0)
+    bs_center: Point = (40.0, 0.0, 10.0)
     bs_n_x: int = 8
     bs_n_z: int = 8
     bs_spacing_wl: float = 0.5
     # RIS: physical aperture on the y-z plane; grid counts = floor(size/spacing)
-    ris_center: tuple = (0.0, 40.0, 5.0)
+    ris_center: Point = (0.0, 40.0, 5.0)
     ris_size_y_m: float = 0.5
     ris_size_z_m: float = 0.5
     ris_spacing_wl: float = 0.5
     # blockage area (MU region, direct-link attenuation)
-    blockage_center: tuple = (20.0, 40.0, 1.0)
+    blockage_center: Point = (20.0, 40.0, 1.0)
     blockage_r_x: float = 16.0
     blockage_r_y: float = 16.0
     blockage_loss_db: float = 20.0
@@ -88,8 +121,8 @@ class Scenario:
     paths_direct: int = 21
     paths_bs_ris: int = 21
     paths_ris_mu: int = 21
-    scatterer_box_min: tuple = (0.0, 0.0, 0.0)
-    scatterer_box_max: tuple = (60.0, 60.0, 10.0)
+    scatterer_box_min: Point = (0.0, 0.0, 0.0)
+    scatterer_box_max: Point = (60.0, 60.0, 10.0)
     beta_semantics: str = PER_PATH
     # RF
     p_bs_dbm: float = 20.0
@@ -97,10 +130,10 @@ class Scenario:
     bandwidth_hz: float = 1e8
     noise_figure_db: float = 6.0
     # codebook
-    codebook_levels: tuple = ((4, 4), (8, 8), (8, 16), (8, 32))
+    codebook_levels: LevelShapes = ((4, 4), (8, 8), (8, 16), (8, 32))
     codebook_alpha: float = 0.8
     # campaign
-    beta_list_db: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+    beta_list_db: BetaList = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     trials: int = 100
     master_seed: int = 1
     workers: int = 1
@@ -110,17 +143,8 @@ class Scenario:
     illum_grid: int = 64
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        for name in _INT_FIELDS:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"scenario: {name} must be an integer, got {v!r}")
-        for name in _POINT_FIELDS:
-            v = getattr(self, name)
-            if np.shape(v) != (3,):
-                raise ValueError(f"scenario: {name} needs 3 values (x, y, z), got {v!r}")
+        for f in fields(self):
+            object.__setattr__(self, f.name, _checked(f.name, f.type, getattr(self, f.name)))
         checks = [
             (self.carrier_hz > 0, "carrier_hz must be positive"),
             (self.bs_n_x >= 1 and self.bs_n_z >= 1, "bs array counts must be >= 1"),
@@ -152,6 +176,13 @@ class Scenario:
             check_levels(self.codebook_levels, self.codebook_alpha)
         except ValueError as exc:
             raise ValueError(f"scenario: {exc}") from None
+        object.__setattr__(self, "codebook_levels",
+                           tuple((int(x), int(y)) for x, y in self.codebook_levels))
+        try:  # runs after the carrier and spacing checks, which the grid rule divides by
+            self.ris_geometry()
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"scenario: ris size over spacing must give a finite grid of "
+                             f">= 1 element per axis: {exc}") from None
 
     # --- derived pieces -------------------------------------------------
 
@@ -190,7 +221,7 @@ class Scenario:
 
     def build_codebook(self):
         return build_hierarchy(
-            [tuple(s) for s in self.codebook_levels],
+            self.codebook_levels,
             self.codebook_alpha,
             self.blockage_area(),
             self.ris_geometry(),
@@ -199,12 +230,11 @@ class Scenario:
         )
 
     def to_dict(self):
-        d = asdict(self)
-        d["codebook_levels"] = [list(s) for s in self.codebook_levels]
-        for key in ("bs_center", "ris_center", "blockage_center",
-                    "scatterer_box_min", "scatterer_box_max", "beta_list_db"):
-            d[key] = list(d[key])
-        return d
+        """Field name -> value, every tuple (nested ones too) as a list."""
+
+        def plain(v):
+            return [plain(x) for x in v] if isinstance(v, tuple) else v
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass
@@ -363,15 +393,16 @@ def _worker_run(job):
     return run_trial(_WORKER_CTX["scenario"], beta_db, trial, _WORKER_CTX["codebook"])
 
 
-def run_campaign(scenario, beta_list_db=None):
+def run_campaign(scenario):
     """Monte Carlo over (beta, trial); results sorted by (beta order, trial).
 
-    Runs scenario.trials trials per beta on scenario.workers processes.
+    Runs scenario.trials trials at each of scenario.beta_list_db on
+    scenario.workers processes.
     Output is bit-identical for any worker count: each trial is a pure
     function of its coordinates and aggregation order is fixed.
     """
-    betas = list(scenario.beta_list_db if beta_list_db is None else beta_list_db)
-    jobs = [(float(b), t) for b in betas for t in range(scenario.trials)]
+    betas = scenario.beta_list_db
+    jobs = [(b, t) for b in betas for t in range(scenario.trials)]
     if scenario.workers == 1:
         codebook = scenario.build_codebook()
         results = [run_trial(scenario, b, t, codebook) for b, t in jobs]
@@ -452,10 +483,13 @@ def focusing_cut(scenario, axis, half_range_m=8.0, steps=801):
     """SNR vs displacement from the blockage center under full focusing.
 
     The RIS focuses on p_b; the observation point moves along the chosen
-    axis. Returns (displacements, snr_db).
+    axis over steps >= 2 points. Returns (displacements, snr_db).
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
+    if steps < 2 or not 0 < half_range_m < np.inf:
+        raise ValueError(f"focus cut needs steps >= 2 and a finite half range > 0, "
+                         f"got steps={steps}, half range={half_range_m} m")
     p_b = np.asarray(scenario.blockage_center, dtype=float)
     omega = focusing_phases(scenario.bs_center, p_b, scenario.ris_geometry(), scenario.lambda_m)
     deltas = np.linspace(-half_range_m, half_range_m, steps)
@@ -473,16 +507,17 @@ class HeatmapResult:
     composite: np.ndarray
 
 
-def heatmap(scenario, level_index, grid_n=None, codebook=None):
+def heatmap(scenario, level_index, codebook=None):
     """Rasterized illumination SNR over the blockage area for one level.
 
-    level_index is 0-based into the codebook levels. Returns the grid of
-    every codeword of the level and their pointwise-max composite.
+    level_index is 0-based into the codebook levels; the raster has
+    scenario.illum_grid points per axis. Returns the grid of every
+    codeword of the level and their pointwise-max composite.
     """
     if codebook is None:
         codebook = scenario.build_codebook()
     level = codebook.levels[level_index]
-    n = scenario.illum_grid if grid_n is None else grid_n
+    n = scenario.illum_grid
 
     p_b = np.asarray(scenario.blockage_center, dtype=float)
     xs = p_b[0] + np.linspace(-scenario.blockage_r_x / 2, scenario.blockage_r_x / 2, n)
@@ -501,5 +536,5 @@ def farfield_table(f_hz, sizes_m):
     rows = []
     for size in sizes_m:
         d_ap = float(np.sqrt(2.0) * size)
-        rows.append((float(size), d_ap, 2.0 * d_ap**2 / lam))
+        rows.append((float(size), d_ap, far_field_distance(d_ap, lam)))
     return rows

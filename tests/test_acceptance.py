@@ -42,8 +42,8 @@ TRIALS = 100
 
 @pytest.fixture(scope="module")
 def campaign(reference_scenario):
-    s = dataclasses.replace(reference_scenario, trials=TRIALS, workers=1)
-    return run_campaign(s, beta_list_db=list(BETAS))
+    s = dataclasses.replace(reference_scenario, trials=TRIALS, workers=1, beta_list_db=BETAS)
+    return run_campaign(s)
 
 
 def test_criterion_1_focusing_reaches_max_gain(reference_scenario, record_criterion):
@@ -68,7 +68,7 @@ def test_criterion_2_codebook_peak_and_focusing_gap(
     reference_scenario, reference_codebook, record_criterion
 ):
     s = reference_scenario
-    hm = heatmap(s, 3, grid_n=64, codebook=reference_codebook)
+    hm = heatmap(dataclasses.replace(s, illum_grid=64), 3, codebook=reference_codebook)
     peak = float(hm.composite.max())
     geom = s.ris_geometry()
     g = unit_cell_factor(geom, s.lambda_m)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +9,17 @@ import yaml
 import nearris as nr
 from nearris.channel import ChannelSet
 from nearris.cli import (
+    _SCHEMA,
     default_scenario_path,
     load_scenario,
     main,
-    read_channel_set,
     save_scenario,
     scenario_hash,
     write_channel_set,
 )
+
+NAN = float("nan")
+INF = float("inf")
 
 
 def tiny_scenario(**overrides):
@@ -49,10 +54,59 @@ def test_bundled_scenario_matches_defaults():
 
 
 def test_save_load_round_trip(tmp_path):
-    s = tiny_scenario(trials=7, master_seed=123, blockage_loss_db=17.5)
+    s = nr.Scenario(
+        carrier_hz=30e9, bs_center=(41.0, 1.0, 11.0), bs_n_x=4, bs_n_z=2, bs_spacing_wl=0.6,
+        ris_center=(1.0, 41.0, 6.0), ris_size_y_m=0.09, ris_size_z_m=0.07,
+        ris_spacing_wl=0.55, blockage_center=(21.0, 41.0, 1.5), blockage_r_x=12.0,
+        blockage_r_y=10.0, blockage_loss_db=17.5, n_mu=2, mu_spacing_wl=0.4, paths_direct=3,
+        paths_bs_ris=4, paths_ris_mu=5, scatterer_box_min=(1.0, 2.0, 0.5),
+        scatterer_box_max=(50.0, 55.0, 9.0), beta_semantics="total", p_bs_dbm=23.0,
+        noise_psd_dbm_hz=-174.0, bandwidth_hz=2e8, noise_figure_db=7.0,
+        codebook_levels=((2, 2), (4, 4)), codebook_alpha=0.6, beta_list_db=(3.0, -1.5),
+        trials=7, master_seed=123, workers=2, average="linear_mean",
+        illum_reference_power_w=2.0, illum_grid=6,
+    )
+    default = nr.Scenario()
+    assert all(getattr(s, f.name) != getattr(default, f.name) for f in dataclasses.fields(s))
     p = tmp_path / "x.scn"
     save_scenario(s, p)
-    assert load_scenario(p).to_dict() == s.to_dict()
+    back = load_scenario(p)
+    assert back == s
+    assert back.to_dict() == s.to_dict()
+
+
+def test_schema_names_every_field_once():
+    targets = []
+    for spec in _SCHEMA.values():
+        for target in spec.values() if isinstance(spec, dict) else [spec]:
+            targets.extend(target if isinstance(target, tuple) else [target])
+    assert sorted(targets) == sorted(f.name for f in dataclasses.fields(nr.Scenario))
+
+
+SMALL_POOL = Path(__file__).parents[1] / "perfbench" / "scenarios" / "small_pool.scn"
+
+
+@pytest.mark.parametrize("path", [default_scenario_path(), SMALL_POOL])
+def test_bundled_scenario_files_load(path):
+    s = load_scenario(path)
+    assert s.carrier_hz == 28e9
+    assert s.bandwidth_hz == 1e8
+
+
+@pytest.mark.parametrize("text", ["1.0e8", "1e8", "1E+8", "100_000_000.0"])
+def test_exponent_floats_load_as_floats(tmp_path, text):
+    p = tmp_path / "e.scn"
+    p.write_text(f"carrier_ghz: 28.0\nris:\n  size_m: [{text}, 0.5]\n"
+                 f"rf:\n  bandwidth_hz: {text}\n")
+    s = load_scenario(p)
+    assert s.bandwidth_hz == 1e8
+    assert s.ris_size_y_m == 1e8
+
+
+def test_scenario_is_frozen():
+    s = tiny_scenario()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.trials = 3
 
 
 def test_load_rejects_missing_required_key(tmp_path):
@@ -88,7 +142,7 @@ def test_load_propagates_validation_errors(tmp_path):
         load_scenario(p)
     # a value its converter cannot take is a scenario error too, not a TypeError
     p.write_text("carrier_ghz: 28.0\ncampaign:\n  beta_list_db: 10.0\n")
-    with pytest.raises(ValueError, match="scenario key campaign.beta_list_db"):
+    with pytest.raises(ValueError, match="beta_list_db"):
         load_scenario(p)
 
 
@@ -127,10 +181,10 @@ def test_channel_set_npz_round_trip(tmp_path):
     )
     p = tmp_path / "ch.npz"
     write_channel_set(p, ch)
-    back = read_channel_set(p)
-    np.testing.assert_array_equal(back.h, ch.h)
-    np.testing.assert_array_equal(back.h1, ch.h1)
-    np.testing.assert_array_equal(back.h2, ch.h2)
+    with np.load(p) as back:
+        np.testing.assert_array_equal(back["h"], ch.h)
+        np.testing.assert_array_equal(back["h1"], ch.h1)
+        np.testing.assert_array_equal(back["h2"], ch.h2)
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -217,6 +271,16 @@ def test_focus_cut_command(tmp_path):
     assert not (out / "focus_cut_y.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--steps", "0"], ["--steps", "1"], ["--range", "0"],
+                                   ["--range", "-2"], ["--range", "nan"]])
+def test_focus_cut_rejects_degenerate_cuts(tmp_path, capsys, flags):
+    cfg, _ = tiny_file(tmp_path)
+    assert main(["focus-cut", "--config", str(cfg), "--out-dir", str(tmp_path / "cut"),
+                 *flags]) == 2
+    assert "focus cut needs steps >= 2 and a finite half range > 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("cut/focus_cut_*.csv"))
+
+
 def test_codebook_dump_command(tmp_path):
     cfg, s = tiny_file(tmp_path)
     out = tmp_path / "cb"
@@ -257,10 +321,10 @@ def test_cli_overrides_are_validated(tmp_path, capsys, flag, value, field):
 
 
 def _edited_file(tmp_path, section, key, value):
-    """The tiny scenario file with one key replaced."""
+    """The tiny scenario file with one key (a top-level one for section None) replaced."""
     cfg, _ = tiny_file(tmp_path)
     doc = yaml.safe_load(cfg.read_text())
-    doc[section][key] = value
+    (doc if section is None else doc[section])[key] = value
     cfg.write_text(yaml.safe_dump(doc))
     return cfg
 
@@ -293,6 +357,38 @@ def test_integer_keys_are_not_truncated(tmp_path, capsys, section, key, value, f
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert f"scenario: {field} must be an integer" in capsys.readouterr().err
     assert not (out / "trials.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, command, message",
+    [
+        (("rf", "transmit_power_dbm", "20.0"), ["sweep-beta"], "p_bs_dbm must be a finite real"),
+        (("rf", "transmit_power_dbm", True), ["sweep-beta"], "p_bs_dbm must be a finite real"),
+        ((None, "carrier_ghz", True), ["sweep-beta"], "carrier_hz must be a finite real"),
+        ((None, "carrier_ghz", 0.0), ["sweep-beta"], "carrier_hz must be positive"),
+        (("rf", "transmit_power_dbm", NAN), ["sweep-beta"], "p_bs_dbm must be a finite real"),
+        (("ris", "spacing_wavelengths", INF), ["sweep-beta"], "ris_spacing_wl must be a finite"),
+        (("rf", "noise_figure_db", INF), ["sweep-beta"], "noise_figure_db must be a finite"),
+        (("ris", "size_m", [INF, 0.5]), ["sweep-beta"], "ris_size_y_m must be a finite real"),
+        (("campaign", "beta_list_db", []), ["sweep-beta"],
+         "beta_list_db must be a non-empty list of distinct values"),
+        (("campaign", "beta_list_db", [10.0, 10.0]), ["sweep-beta"],
+         "beta_list_db must be a non-empty list of distinct values"),
+        (("campaign", "beta_list_db", [0.0, NAN]), ["sweep-beta"],
+         "beta_list_db must be a finite real"),
+        (("ris", "size_m", [0.001, 0.5]), ["sweep-beta"],
+         "ris size over spacing must give a finite grid"),
+        (("ris", "size_m", ["a", 0.5]), ["sweep-beta"], "ris_size_y_m must be a finite real"),
+        (("bs", "center", [40.0, "a", 10.0]), ["sweep-beta"], "bs_center must be a finite real"),
+        (None, ["simulate", "--beta", "nan"], "beta_list_db must be a finite real"),
+        (None, ["heatmap", "--level", "1", "--grid", "1"], "illum_grid must be >= 2"),
+    ],
+)
+def test_bad_input_exits_2_before_any_output(tmp_path, capsys, edit, command, message):
+    cfg = _edited_file(tmp_path, *edit) if edit else tiny_file(tmp_path)[0]
+    assert main([*command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"scenario: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/*.csv"))
 
 
 def test_cli_error_paths_return_2(tmp_path):

@@ -67,6 +67,13 @@ def test_scenario_validation_messages():
         (dict(scatterer_box_max=((60, 60, 10),)), "scatterer_box_max needs 3 values"),
         (dict(trials=2.5), "trials must be an integer"),
         (dict(bs_n_z=True), "bs_n_z must be an integer"),
+        (dict(carrier_hz=True), "carrier_hz must be a finite real number"),
+        (dict(p_bs_dbm=float("nan")), "p_bs_dbm must be a finite real number"),
+        (dict(blockage_center=(20.0, 40.0, float("inf"))), "blockage_center must be a finite"),
+        (dict(beta_list_db=()), "beta_list_db must be a non-empty list of distinct values"),
+        (dict(beta_list_db=(1.0, 1.0)), "beta_list_db must be a non-empty list of distinct"),
+        (dict(ris_size_z_m=0.001), "ris size over spacing must give a finite grid"),
+        (dict(ris_size_y_m=1e300, ris_spacing_wl=1e-10), "ris size over spacing must give"),
     ]
     for overrides, word in cases:
         with pytest.raises(ValueError, match=word):
@@ -338,8 +345,8 @@ def test_focusing_cut_rejects_bad_axis():
 
 
 def test_heatmap_composite_is_pointwise_max():
-    s = small_scenario()
-    hm = heatmap(s, 0, grid_n=8)
+    s = small_scenario(illum_grid=8)
+    hm = heatmap(s, 0)
     assert hm.level == 1
     assert hm.xs.shape == hm.ys.shape == (8,)
     assert hm.per_cell.shape == (2, 2, 8, 8)
