@@ -42,26 +42,28 @@ def main():
 
     trace = hierarchical_search(d, a, codebook, combiners, s.sigma2)
     for depth, rec in enumerate(trace.levels):
-        lev = codebook.levels[depth]
-        print(f"level {depth + 1} ({lev.big_w_x}x{lev.big_w_y} cells): "
-              f"sounded {len(rec.candidates)} pilots")
-        for c in rec.candidates:
+        w_x, w_y = codebook[depth].shape[:2]
+        print(f"level {depth + 1} ({w_x}x{w_y} cells): sounded {len(rec.candidates)} pilots")
+        for c, snr in zip(rec.candidates, rec.snrs):
             tag = "  <- winner" if c == rec.winner else ""
-            print(f"    cell {c}: {10 * np.log10(rec.snrs[c]):7.2f} dB{tag}")
-    prop = trace.levels[-1].snrs[trace.levels[-1].winner]
+            print(f"    cell {c}: {10 * np.log10(snr):7.2f} dB{tag}")
     print(f"\ntotal pilots: {trace.pilot_count} "
           f"(per level {trace.pilots_per_level()})")
 
-    r1 = bm.benchmark1_full_search(d, a, codebook.levels[-1], combiners, s.sigma2)
-    r2 = bm.benchmark2_full_focusing(d, a, p_mu, s.ris_geometry(), s.bs_center,
-                                     combiners, s.sigma2, lam)
-    r3, _, _ = bm.benchmark3_full_csi(d, a, s.sigma2)
-
+    finest = codebook[-1]
+    rows = [
+        ("hierarchical search", trace.levels[-1].snrs.max(), f"{trace.pilot_count} pilots"),
+        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, finest, combiners, s.sigma2),
+         f"{finest.shape[0] * finest.shape[1]} pilots"),
+        (bm.B2_FULL_FOCUSING, bm.benchmark2_full_focusing(d, a, p_mu, s.ris_geometry(),
+                                                          s.bs_center, combiners, s.sigma2, lam),
+         "exact MU position"),
+        (bm.B3_FULL_CSI, bm.benchmark3_full_csi(d, a, s.sigma2),
+         f"{2 * a.shape[1]} channel coefficients"),
+    ]
     print(f"\n{'scheme':>28s} {'SNR (dB)':>9s}   cost")
-    print(f"{'hierarchical search':>28s} {10 * np.log10(prop):9.2f}   "
-          f"{trace.pilot_count} pilots")
-    for r in (r1, r2, r3):
-        print(f"{r.scheme:>28s} {r.snr_db:9.2f}   {r.cost}")
+    for name, snr, cost in rows:
+        print(f"{name:>28s} {10 * np.log10(snr):9.2f}   {cost}")
 
 
 if __name__ == "__main__":

@@ -28,8 +28,6 @@ from .channel import (
 )
 from .codebook import (
     BlockageArea,
-    CodebookLevel,
-    HierarchicalCodebook,
     build_hierarchy,
     children,
     focusing_phases,
@@ -47,7 +45,6 @@ from .beam_mgmt import (
     received_snr,
 )
 from .benchmarks import (
-    SchemeResult,
     benchmark1_full_search,
     benchmark2_full_focusing,
     benchmark3_full_csi,

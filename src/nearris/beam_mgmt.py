@@ -33,11 +33,14 @@ def bs_precoder_focus_ris(bs_positions, p_ris, lambda_m, p_bs_watts):
 
 
 def mu_combiners(n_mu):
-    """Unit-norm combiner set: DFT beams over the MU array; {[1]} when n_mu = 1."""
+    """Unit-norm combiner set, one per row of an (n_mu, n_mu) array.
+
+    Row i is DFT beam i over the MU array; [[1]] when n_mu = 1.
+    """
     if n_mu < 1:
         raise ValueError("n_mu must be >= 1")
     f = np.fft.fft(np.eye(n_mu)) / np.sqrt(n_mu)
-    return [f[:, i].copy() for i in range(n_mu)]
+    return np.ascontiguousarray(f.T)
 
 
 def effective_cascade(channels, v, g):
@@ -50,14 +53,12 @@ def effective_cascade(channels, v, g):
     return channels.h @ v, g * channels.h2 * (channels.h1 @ v)
 
 
-def received_snr(d, a, omega, combiners, sigma2, rng=None, meas_noise_reps=0):
+def received_snr(d, a, omega, combiners, sigma2):
     """Eq.-style linear SNR: max over combiners u of |u^H (d + A exp(j*omega))|^2 / sigma2.
 
     omega holds one profile per row, shape (..., Q), and the result has
-    shape (...): a 1-D profile gives a scalar. combiners is a sequence of
-    unit vectors, stacked as the rows of U. With meas_noise_reps > 0 each
-    measurement is emulated from that many AWGN-corrupted pilot
-    repetitions (requires rng); default is the exact noiseless evaluation.
+    shape (...): a 1-D profile gives a scalar. combiners holds one unit
+    vector per row, as an array or a sequence of vectors.
     """
     u = np.asarray(combiners)
     if u.size == 0:
@@ -66,19 +67,13 @@ def received_snr(d, a, omega, combiners, sigma2, rng=None, meas_noise_reps=0):
         raise ValueError("sigma2 must be positive")
     y = np.exp(1j * np.asarray(omega, dtype=float)) @ a.T + d
     z = y @ u.conj().T
-    if meas_noise_reps > 0:
-        if rng is None:
-            raise ValueError("measurement noise requires an rng")
-        shape = z.shape + (meas_noise_reps,)
-        n = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        z = np.mean(z[..., None] + np.sqrt(sigma2 / 2.0) * n, axis=-1)
     return np.max(np.abs(z) ** 2, axis=-1) / sigma2
 
 
 @dataclass
 class LevelRecord:
-    candidates: list
-    snrs: dict          # index -> linear SNR
+    candidates: list    # sounded cells (w_x, w_y)
+    snrs: np.ndarray    # linear SNR of each candidate, in the same order
     winner: tuple
 
 
@@ -94,8 +89,8 @@ class SearchTrace:
         return [len(rec.candidates) for rec in self.levels]
 
 
-def hierarchical_search(d, a, codebook, combiners, sigma2, rng=None, meas_noise_reps=0):
-    """Coarse-to-fine codeword selection over the hierarchy.
+def hierarchical_search(d, a, codebook, combiners, sigma2):
+    """Coarse-to-fine codeword selection over the hierarchy's level arrays.
 
     Sounds every cell of level 1, then per level only the children of the
     previous winner, all candidates of a level in one `received_snr` call;
@@ -104,15 +99,12 @@ def hierarchical_search(d, a, codebook, combiners, sigma2, rng=None, meas_noise_
     sum of refinement-ratio products.
     """
     trace = SearchTrace()
-    winner = None
-    for depth, level in enumerate(codebook.levels):
+    for depth, level in enumerate(codebook):
         if depth == 0:
-            cands = level.indices()
+            cands = list(np.ndindex(level.shape[:2]))
         else:
-            prev = codebook.levels[depth - 1]
-            cands = children((prev.big_w_x, prev.big_w_y), (level.big_w_x, level.big_w_y), winner)
-        snrs = received_snr(d, a, level.codewords[tuple(zip(*cands))], combiners, sigma2,
-                            rng=rng, meas_noise_reps=meas_noise_reps)
+            cands = children(codebook[depth - 1].shape[:2], level.shape[:2], winner)
+        snrs = received_snr(d, a, level[tuple(zip(*cands))], combiners, sigma2)
         winner = cands[int(np.argmax(snrs))]
-        trace.levels.append(LevelRecord(cands, dict(zip(cands, snrs)), winner))
+        trace.levels.append(LevelRecord(cands, snrs, winner))
     return trace

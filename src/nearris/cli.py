@@ -182,27 +182,27 @@ def write_cut_csv(path, deltas, snr_db):
     FsPath(path).write_text("\n".join(lines) + "\n")
 
 
-def write_codebook_json(path, codebook, level_indices=None):
-    sel = range(len(codebook.levels)) if level_indices is None else level_indices
+def write_codebook_json(path, scenario, codebook, level_indices):
+    """The codewords of the 0-based levels in level_indices, phases wrapped to [0, 2*pi)."""
     doc = {
         "format_version": FORMAT_VERSION,
-        "alpha": codebook.levels[0].alpha,
+        "alpha": scenario.codebook_alpha,
         "area": {
-            "center": [float(v) for v in codebook.area.center],
-            "extent_m": [codebook.area.r_x, codebook.area.r_y],
+            "center": list(scenario.blockage_center),
+            "extent_m": [scenario.blockage_r_x, scenario.blockage_r_y],
         },
         "element_order": "row-major in (q_y, q_z)",
         "phase_unit": "radians in [0, 2*pi)",
         "levels": [],
     }
-    for li in sel:
-        lev = codebook.levels[li]
+    for li in level_indices:
+        lev = codebook[li]
         doc["levels"].append({
             "level": li + 1,
-            "shape": [lev.big_w_x, lev.big_w_y],
+            "shape": list(lev.shape[:2]),
             "codewords": {
-                f"{wx},{wy}": [round(float(p), 9) for p in np.mod(lev.codewords[(wx, wy)], 2 * np.pi)]
-                for wx, wy in lev.indices()
+                f"{wx},{wy}": [round(float(p), 9) for p in np.mod(lev[wx, wy], 2 * np.pi)]
+                for wx, wy in np.ndindex(lev.shape[:2])
             },
         })
     with open(path, "w") as fh:
@@ -242,6 +242,14 @@ def _load(args):
     )
 
 
+def _level_index(scenario, level):
+    """0-based index of a 1-based --level, checked against the scenario's codebook depth."""
+    depth = len(scenario.codebook_levels)
+    if not 1 <= level <= depth:
+        raise ValueError(f"level {level} out of range 1..{depth}")
+    return level - 1
+
+
 def _out_dir(args):
     d = FsPath(args.out_dir)
     d.mkdir(parents=True, exist_ok=True)
@@ -278,9 +286,7 @@ def cmd_sweep_beta(args, argv):
 
 def cmd_heatmap(args, argv):
     scenario = _load(args)
-    level = args.level - 1
-    if not 0 <= level < len(scenario.codebook_levels):
-        raise ValueError(f"level {args.level} out of range 1..{len(scenario.codebook_levels)}")
+    level = _level_index(scenario, args.level)
     shape = scenario.codebook_levels[level]
     if args.cells in ("all", "composite"):
         cells = list(np.ndindex(*shape)) if args.cells == "all" else []
@@ -315,13 +321,13 @@ def cmd_focus_cut(args, argv):
 
 def cmd_codebook_dump(args, argv):
     scenario = _load(args)
+    sel = (range(len(scenario.codebook_levels)) if args.level is None
+           else [_level_index(scenario, args.level)])
     out = _out_dir(args)
     codebook = scenario.build_codebook()
-    sel = None if args.level is None else [args.level - 1]
-    write_codebook_json(out / "codebook.json", codebook, sel)
+    write_codebook_json(out / "codebook.json", scenario, codebook, sel)
     write_manifest(out, scenario, argv, extra={"subcommand": "codebook dump"})
-    total = sum(codebook.levels[i].size
-                for i in (sel if sel is not None else range(len(codebook.levels))))
+    total = sum(wx * wy for wx, wy in (scenario.codebook_levels[i] for i in sel))
     print(f"codebook dump: {total} codewords -> {out / 'codebook.json'}")
     return 0
 

@@ -7,9 +7,10 @@ point; focusing codewords make every summand real-positive at the target,
 wide-illumination codewords spread the reflected energy over one cell of
 a rectangular blockage area.
 
-A hierarchy level is one array of shape (big_w_x, big_w_y, Q) holding the
-codeword of cell (w_x, w_y) at [w_x, w_y]; `check_levels` checks the
-level shapes and alpha for both the build and the scenario.
+A hierarchy is a tuple of levels, coarsest first, and a level is one
+array of shape (big_w_x, big_w_y, Q) holding the codeword of cell
+(w_x, w_y) at [w_x, w_y]; `check_levels` checks the level shapes and
+alpha for both the build and the scenario.
 """
 
 import warnings
@@ -123,43 +124,6 @@ def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w
     return -k * d
 
 
-@dataclass(frozen=True)
-class CodebookLevel:
-    """One resolution level; codewords[w_x, w_y] is the phase vector of cell (w_x, w_y)."""
-
-    codewords: np.ndarray
-    alpha: float
-
-    @property
-    def big_w_x(self):
-        return self.codewords.shape[0]
-
-    @property
-    def big_w_y(self):
-        return self.codewords.shape[1]
-
-    @property
-    def size(self):
-        return self.big_w_x * self.big_w_y
-
-    def indices(self):
-        """All cell indices in deterministic (row-major) order."""
-        return [(wx, wy) for wx in range(self.big_w_x) for wy in range(self.big_w_y)]
-
-
-@dataclass(frozen=True)
-class HierarchicalCodebook:
-    levels: tuple
-    area: BlockageArea
-    geom: object
-    p_i: np.ndarray
-    lambda_m: float
-
-    @property
-    def depth(self):
-        return len(self.levels)
-
-
 def children(parent_shape, child_shape, parent_index):
     """Child-level cell indices geometrically tiling one parent cell, sorted.
 
@@ -198,8 +162,9 @@ def check_levels(level_shapes, alpha):
 
 
 def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
-    """Materialize all codewords for (big_w_x, big_w_y) level shapes that pass `check_levels`.
+    """All codewords for (big_w_x, big_w_y) level shapes that pass `check_levels`.
 
+    Returns one (big_w_x, big_w_y, Q) array per level, coarsest first.
     Each level is filled one row of cells (fixed w_x) per call, holding
     big_w_y * Q image points at a time.
     """
@@ -207,7 +172,6 @@ def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
     if alpha > 1.0:
         warnings.warn(f"alpha={alpha} > 1 overlaps neighboring cells beyond their edges")
 
-    p_i = np.asarray(p_i, dtype=float)
     levels = []
     for wx_count, wy_count in level_shapes:
         words = np.empty((wx_count, wy_count, geom.q))
@@ -215,7 +179,5 @@ def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
             words[wx] = wide_illumination_phases(
                 p_i, area, geom, lambda_m, wx, np.arange(wy_count), wx_count, wy_count, alpha
             )
-        levels.append(CodebookLevel(codewords=words, alpha=alpha))
-    return HierarchicalCodebook(
-        levels=tuple(levels), area=area, geom=geom, p_i=p_i, lambda_m=lambda_m
-    )
+        levels.append(words)
+    return tuple(levels)

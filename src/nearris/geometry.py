@@ -22,10 +22,10 @@ def wavelength(f_hz):
 
 def far_field_distance(aperture_m, lambda_m):
     """Fraunhofer distance 2*D^2/lambda separating near and far field."""
-    if aperture_m <= 0:
-        raise ValueError(f"aperture must be positive, got {aperture_m}")
-    if lambda_m <= 0:
-        raise ValueError(f"wavelength must be positive, got {lambda_m}")
+    if not 0 < aperture_m < np.inf:
+        raise ValueError(f"aperture must be finite and positive, got {aperture_m}")
+    if not 0 < lambda_m < np.inf:
+        raise ValueError(f"wavelength must be finite and positive, got {lambda_m}")
     return 2.0 * aperture_m**2 / lambda_m
 
 

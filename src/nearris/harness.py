@@ -220,6 +220,7 @@ class Scenario:
         )
 
     def build_codebook(self):
+        """The hierarchy: one (W_x, W_y, Q) codeword array per level, coarsest first."""
         return build_hierarchy(
             self.codebook_levels,
             self.codebook_alpha,
@@ -346,7 +347,7 @@ def run_trial(scenario, beta_db, trial, codebook=None):
     if codebook is None:
         codebook = scenario.build_codebook()
     channels, p_mu = build_trial_channels(scenario, beta_db, trial)
-    geom = codebook.geom
+    geom = scenario.ris_geometry()
     lam = scenario.lambda_m
     g = unit_cell_factor(geom, lam)
     sigma2 = scenario.sigma2
@@ -356,23 +357,19 @@ def run_trial(scenario, beta_db, trial, codebook=None):
     d, a = effective_cascade(channels, v, g)
 
     trace = hierarchical_search(d, a, codebook, combiners, sigma2)
-    prop_snr = trace.levels[-1].snrs[trace.levels[-1].winner]
-    r1 = bm.benchmark1_full_search(d, a, codebook.levels[-1], combiners, sigma2)
-    r2 = bm.benchmark2_full_focusing(d, a, p_mu, geom, scenario.bs_center,
-                                     combiners, sigma2, lam)
-    snr_db = {
-        bm.PROPOSED: 10.0 * np.log10(prop_snr),
-        bm.B1_FULL_CODEBOOK: r1.snr_db,
-        bm.B2_FULL_FOCUSING: r2.snr_db,
+    snr = {
+        bm.PROPOSED: trace.levels[-1].snrs.max(),
+        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, codebook[-1], combiners, sigma2),
+        bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, p_mu, geom, scenario.bs_center,
+                                                         combiners, sigma2, lam),
     }
     if scenario.n_mu == 1:
-        r3, _, _ = bm.benchmark3_full_csi(d, a, sigma2)
-        snr_db[bm.B3_FULL_CSI] = r3.snr_db
+        snr[bm.B3_FULL_CSI] = bm.benchmark3_full_csi(d, a, sigma2)
     return TrialResult(
         trial=trial,
         beta_db=beta_db,
         mu_position=tuple(float(x) for x in p_mu),
-        snr_db=snr_db,
+        snr_db={scheme: 10.0 * np.log10(x) for scheme, x in snr.items()},
         pilots=trace.pilot_count,
         winners=[tuple(rec.winner) for rec in trace.levels],
     )
@@ -516,7 +513,7 @@ def heatmap(scenario, level_index, codebook=None):
     """
     if codebook is None:
         codebook = scenario.build_codebook()
-    level = codebook.levels[level_index]
+    level = codebook[level_index]
     n = scenario.illum_grid
 
     p_b = np.asarray(scenario.blockage_center, dtype=float)
@@ -524,8 +521,8 @@ def heatmap(scenario, level_index, codebook=None):
     ys = p_b[1] + np.linspace(-scenario.blockage_r_y / 2, scenario.blockage_r_y / 2, n)
     grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([grid_x.ravel(), grid_y.ravel(), np.full(n * n, p_b[2])])
-    flat = _field_snr_db(scenario, points, level.codewords.reshape(level.size, -1))
-    per_cell = flat.T.reshape(level.big_w_x, level.big_w_y, n, n)
+    flat = _field_snr_db(scenario, points, level.reshape(-1, level.shape[2]))
+    per_cell = flat.T.reshape(*level.shape[:2], n, n)
     return HeatmapResult(level=level_index + 1, xs=xs, ys=ys,
                          per_cell=per_cell, composite=per_cell.max(axis=(0, 1)))
 

@@ -73,27 +73,24 @@ def point_source_losses(scenario, codebook, mu_positions):
     codeword on which a noise-free hierarchical search ends, using the same
     `children` rule and smallest-index tie break as the trial search.
     """
-    geom = codebook.geom
+    geom = scenario.ris_geometry()
     pn = geom.element_positions()
     k = 2.0 * np.pi / scenario.lambda_m
     mus = np.atleast_2d(np.asarray(mu_positions, dtype=float))
     to_mu = np.exp(1j * k * np.linalg.norm(mus[:, None, :] - pn[None, :, :], axis=2))
     phase_in = k * np.linalg.norm(np.asarray(scenario.bs_center, dtype=float) - pn, axis=1)
     amps = []  # per level: cell -> amplitude ratio at each position
-    for level in codebook.levels:
-        cells = level.indices()
-        w = np.exp(1j * (phase_in + np.stack([level.codewords[c] for c in cells])))
+    for level in codebook:
+        cells = list(np.ndindex(level.shape[:2]))
+        w = np.exp(1j * (phase_in + level.reshape(len(cells), -1)))
         amps.append(dict(zip(cells, (np.abs(to_mu @ w.T) / geom.q).T)))
     finest = np.max(np.stack(list(amps[-1].values())), axis=0)
     searched = np.empty(len(mus))
     for t in range(len(mus)):
-        cands = codebook.levels[0].indices()
+        cands = list(amps[0])
         for depth, amp in enumerate(amps):
             if depth:
-                prev, level = codebook.levels[depth - 1], codebook.levels[depth]
-                cands = children(
-                    (prev.big_w_x, prev.big_w_y), (level.big_w_x, level.big_w_y), winner
-                )
+                cands = children(codebook[depth - 1].shape[:2], codebook[depth].shape[:2], winner)
             winner = max(sorted(cands), key=lambda c: amp[c][t])
         searched[t] = amps[-1][winner][t]
     return -20.0 * np.log10(finest), -20.0 * np.log10(searched)

@@ -13,7 +13,7 @@ from nearris.beam_mgmt import (
 )
 from nearris.benchmarks import benchmark1_full_search, benchmark3_full_csi
 from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
-from nearris.codebook import CodebookLevel, HierarchicalCodebook, mapping, unit_cell_factor
+from nearris.codebook import mapping, unit_cell_factor
 from nearris.harness import build_trial_channels
 
 G_PI = np.pi
@@ -51,7 +51,7 @@ def test_precoder_norm_and_coherent_gain():
 
 
 def test_mu_combiners_are_unit_norm_orthogonal():
-    assert len(mu_combiners(1)) == 1
+    assert mu_combiners(1).shape == (1, 1) and mu_combiners(4).shape == (4, 4)
     np.testing.assert_allclose(mu_combiners(1)[0], [1.0], atol=1e-12)
     combs = mu_combiners(4)
     for i, u in enumerate(combs):
@@ -93,7 +93,7 @@ def test_received_snr_matches_full_matrix_oracle(n_mu):
         assert d.shape == (n_mu,) and a.shape == (n_mu, s.ris_geometry().q)
         q = a.shape[1]
         profiles = np.vstack(
-            [rng.uniform(0, 2 * np.pi, (1, q)), cb.levels[0].codewords.reshape(-1, q)]
+            [rng.uniform(0, 2 * np.pi, (1, q)), cb[0].reshape(-1, q)]
         )
         singles = []
         for omega in profiles:
@@ -105,11 +105,14 @@ def test_received_snr_matches_full_matrix_oracle(n_mu):
         stacked = received_snr(d, a, profiles, combiners, s.sigma2)
         assert stacked.shape == (len(profiles),)
         np.testing.assert_allclose(stacked, singles, rtol=1e-12)
+        # combiners passed as a list of vectors score as the (n_mu, n_mu) array does
+        np.testing.assert_array_equal(
+            received_snr(d, a, profiles, list(combiners), s.sigma2), stacked
+        )
         if n_mu == 1:
-            # B3's own profile, put through the full matrices, gives its SNR
-            r3, omega, _ = benchmark3_full_csi(d, a, s.sigma2)
-            expect = matrix_oracle_snr(ch, omega, v, combiners, s.sigma2, g)
-            assert r3.snr_linear == pytest.approx(expect, rel=1e-9)
+            # B3's profile -angle(A), put through the full matrices, gives its SNR
+            expect = matrix_oracle_snr(ch, -np.angle(a[0]), v, combiners, s.sigma2, g)
+            assert benchmark3_full_csi(d, a, s.sigma2) == pytest.approx(expect, rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,20 +151,6 @@ def test_received_snr_invariant_to_combiner_phase():
     assert s2 == pytest.approx(s1, rel=1e-12)
 
 
-def test_received_snr_measurement_noise_controls():
-    d, c = effective_cascade(scalar_channels(), np.array([1.0]), G_PI)
-    u = [np.array([1.0 + 0j])]
-    exact = received_snr(d, c, np.zeros(1), u, 1e-4)
-    a = received_snr(d, c, np.zeros(1), u, 1e-4,
-                     rng=np.random.default_rng(1), meas_noise_reps=64)
-    b = received_snr(d, c, np.zeros(1), u, 1e-4,
-                     rng=np.random.default_rng(1), meas_noise_reps=64)
-    assert a == b  # same rng state, bit-identical
-    assert a == pytest.approx(exact, rel=0.2)  # averaged pilots stay close
-    with pytest.raises(ValueError):
-        received_snr(d, c, np.zeros(1), u, 1e-4, meas_noise_reps=4)
-
-
 def test_received_snr_validation():
     d, a = effective_cascade(scalar_channels(), np.array([1.0]), G_PI)
     with pytest.raises(ValueError):
@@ -180,30 +169,32 @@ def duplicate_row_level(best_cells, q=6):
     words = rng.uniform(0, 2 * np.pi, (2, 2, q))
     for c in best_cells:
         words[c] = 0.0
-    return CodebookLevel(codewords=words, alpha=0.8), np.zeros(1), np.ones((1, q), dtype=complex)
+    return words, np.zeros(1), np.ones((1, q), dtype=complex)
+
+
+def sounded(level, d, a, u):
+    """The one-level search's record on level, and its SNRs keyed by cell."""
+    rec = hierarchical_search(d, a, (level,), u, 1.0).levels[0]
+    return rec, dict(zip(rec.candidates, rec.snrs))
 
 
 def test_block_winner_is_argmax():
     level, d, a = duplicate_row_level([(1, 0)])
     u = mu_combiners(1)
-    cb = HierarchicalCodebook(levels=(level,), area=None, geom=None, p_i=None, lambda_m=None)
-    trace = hierarchical_search(d, a, cb, u, 1.0)
-    assert trace.levels[0].winner == (1, 0)
-    assert trace.levels[0].snrs[(1, 0)] == pytest.approx(36.0, rel=1e-12)
-    assert max(trace.levels[0].snrs.values()) == trace.levels[0].snrs[(1, 0)]
-    r1 = benchmark1_full_search(d, a, level, u, 1.0)
-    assert r1.snr_linear == trace.levels[0].snrs[(1, 0)]
+    rec, snr = sounded(level, d, a, u)
+    assert rec.winner == (1, 0)
+    assert snr[(1, 0)] == pytest.approx(36.0, rel=1e-12)
+    assert rec.snrs.max() == snr[(1, 0)]
+    assert benchmark1_full_search(d, a, level, u, 1.0) == snr[(1, 0)]
 
 
 def test_block_winner_ties_go_to_lowest_index():
     level, d, a = duplicate_row_level([(1, 0), (0, 1)])
     u = mu_combiners(1)
-    cb = HierarchicalCodebook(levels=(level,), area=None, geom=None, p_i=None, lambda_m=None)
-    trace = hierarchical_search(d, a, cb, u, 1.0)
-    assert trace.levels[0].snrs[(1, 0)] == trace.levels[0].snrs[(0, 1)]
-    assert trace.levels[0].winner == (0, 1)
-    r1 = benchmark1_full_search(d, a, level, u, 1.0)
-    assert r1.snr_linear == trace.levels[0].snrs[(0, 1)]
+    rec, snr = sounded(level, d, a, u)
+    assert snr[(1, 0)] == snr[(0, 1)]
+    assert rec.winner == (0, 1)
+    assert benchmark1_full_search(d, a, level, u, 1.0) == snr[(0, 1)]
 
 
 # --- hierarchical search ------------------------------------------------------
@@ -233,10 +224,8 @@ def test_search_single_level_equals_exhaustive():
     cb, v, g = search_setup(s)
     d, a = effective_cascade(build_trial_channels(s, 10.0, 3)[0], v, g)
     trace = hierarchical_search(d, a, cb, mu_combiners(1), s.sigma2)
-    r1 = benchmark1_full_search(d, a, cb.levels[0], mu_combiners(1), s.sigma2)
-    assert trace.levels[-1].snrs[trace.levels[-1].winner] == pytest.approx(
-        r1.snr_linear, rel=1e-12
-    )
+    r1 = benchmark1_full_search(d, a, cb[0], mu_combiners(1), s.sigma2)
+    assert trace.levels[-1].snrs.max() == pytest.approx(r1, rel=1e-12)
 
 
 def test_search_never_beats_exhaustive():
@@ -245,9 +234,9 @@ def test_search_never_beats_exhaustive():
     for trial in range(6):
         d, a = effective_cascade(build_trial_channels(s, 10.0, trial)[0], v, g)
         trace = hierarchical_search(d, a, cb, mu_combiners(1), s.sigma2)
-        prop = trace.levels[-1].snrs[trace.levels[-1].winner]
-        r1 = benchmark1_full_search(d, a, cb.levels[-1], mu_combiners(1), s.sigma2)
-        assert prop <= r1.snr_linear * (1 + 1e-12)
+        prop = trace.levels[-1].snrs.max()
+        r1 = benchmark1_full_search(d, a, cb[-1], mu_combiners(1), s.sigma2)
+        assert prop <= r1 * (1 + 1e-12)
 
 
 def test_search_finds_cell_center_users_exactly():
@@ -258,7 +247,7 @@ def test_search_finds_cell_center_users_exactly():
     lam = s.lambda_m
     geom = s.ris_geometry()
     area = s.blockage_area()
-    lev = cb.levels[-1]
+    finest = cb[-1].shape[:2]
     bs_pos = s.bs_geometry().element_positions()
     ris_pos = geom.element_positions()
 
@@ -267,7 +256,7 @@ def test_search_finds_cell_center_users_exactly():
         return LinkPaths(amplitude=[free_space_amplitude(d, lam)], fading=[1.0], scatterers=())
 
     for cell in [(0, 0), (1, 2), (2, 5), (3, 7)]:
-        p_mu = mapping(np.asarray(s.ris_center), area, geom, *cell, lev.big_w_x, lev.big_w_y, 0.0)
+        p_mu = mapping(np.asarray(s.ris_center), area, geom, *cell, *finest, 0.0)
         mu_pos = p_mu[None, :]
         ch = ChannelSet(
             h=assemble_channel(los(s.bs_center, p_mu), bs_pos, mu_pos, lam, -1) * 0.1,
@@ -289,7 +278,7 @@ def test_search_descent_rarely_degrades():
     for trial in range(trials):
         ch, _ = build_trial_channels(s, 10.0, trial)
         trace = hierarchical_search(*effective_cascade(ch, v, g), cb, mu_combiners(1), s.sigma2)
-        ws = [rec.snrs[rec.winner] for rec in trace.levels]
+        ws = [rec.snrs.max() for rec in trace.levels]
         if all(b >= a * (1 - 1e-12) for a, b in zip(ws, ws[1:])):
             monotone += 1
     assert monotone / trials >= 0.70

@@ -297,6 +297,18 @@ def test_codebook_dump_command(tmp_path):
         assert all(0 <= p < 2 * np.pi for p in phases)
 
 
+@pytest.mark.parametrize("command", [["codebook", "dump"], ["heatmap"]])
+@pytest.mark.parametrize("level", ["0", "-1", "9"])
+def test_level_outside_the_hierarchy_exits_2_before_any_output(tmp_path, capsys, command, level):
+    cfg, _ = tiny_file(tmp_path)
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(cfg), "--out-dir", str(out),
+                 f"--level={level}"]) == 2
+    assert f"level {level} out of range 1..2" in capsys.readouterr().err
+    assert not (out / "codebook.json").exists()
+    assert not out.exists()
+
+
 def test_farfield_command(tmp_path):
     out = tmp_path / "ff"
     assert main(["farfield", "--out-dir", str(out), "--sizes", "0.1,0.5"]) == 0
@@ -357,6 +369,14 @@ def test_integer_keys_are_not_truncated(tmp_path, capsys, section, key, value, f
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert f"scenario: {field} must be an integer" in capsys.readouterr().err
     assert not (out / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("sizes", ["nan,0.5", "0.5,inf", "0"])
+def test_farfield_rejects_sizes_that_are_not_finite_and_positive(tmp_path, capsys, sizes):
+    out = tmp_path / "ff"
+    assert main(["farfield", "--out-dir", str(out), "--sizes", sizes]) == 2
+    assert "aperture must be finite and positive" in capsys.readouterr().err
+    assert not (out / "farfield.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearris.beam_mgmt import hierarchical_search
 from nearris.codebook import (
     BlockageArea,
     build_hierarchy,
@@ -215,14 +216,11 @@ def test_build_hierarchy_reference_sizes():
     cb = build_hierarchy(
         [(4, 4), (8, 8), (8, 16), (8, 32)], 0.8, AREA, geom, P_I, LAM
     )
-    assert [lev.size for lev in cb.levels] == [16, 64, 128, 256]
-    assert cb.depth == 4
-    assert [lev.codewords.shape for lev in cb.levels] == [
+    assert len(cb) == 4
+    assert [lev.shape for lev in cb] == [
         (4, 4, geom.q), (8, 8, geom.q), (8, 16, geom.q), (8, 32, geom.q)
     ]
-    lev = cb.levels[0]
-    assert (lev.big_w_x, lev.big_w_y) == (4, 4)
-    assert lev.codewords[1, 2].shape == (geom.q,)
+    assert cb[0][1, 2].shape == (geom.q,)
 
 
 def test_build_hierarchy_matches_single_cell_codewords():
@@ -232,23 +230,25 @@ def test_build_hierarchy_matches_single_cell_codewords():
     geom = RisGeometry(center=(0.0, 40.0, 5.0), q_y=4, q_z=6, d_y=d, d_z=d)
     shapes = [(1, 2), (2, 4), (2, 8), (6, 8)]
     cb = build_hierarchy(shapes, 0.8, AREA, geom, P_I, LAM)
-    for (wx_count, wy_count), lev in zip(shapes, cb.levels):
-        assert lev.codewords.shape == (wx_count, wy_count, geom.q)
-        for wx, wy in lev.indices():
+    for (wx_count, wy_count), lev in zip(shapes, cb):
+        assert lev.shape == (wx_count, wy_count, geom.q)
+        for wx, wy in np.ndindex(wx_count, wy_count):
             one = wide_illumination_phases(P_I, AREA, geom, LAM, wx, wy, wx_count, wy_count, 0.8)
-            np.testing.assert_array_equal(lev.codewords[wx, wy], one)
+            np.testing.assert_array_equal(lev[wx, wy], one)
 
 
 def test_build_hierarchy_single_cell():
     geom = small_geom(q=2)
     cb = build_hierarchy([(1, 1)], 0.8, AREA, geom, P_I, LAM)
-    assert cb.levels[0].size == 1 and cb.levels[0].codewords.shape == (1, 1, geom.q)
+    assert cb[0].shape == (1, 1, geom.q)
 
 
 def test_build_hierarchy_level_indices_row_major():
     geom = small_geom(q=2)
     cb = build_hierarchy([(2, 3)], 0.8, AREA, geom, P_I, LAM)
-    assert cb.levels[0].indices() == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    d, a = np.zeros(1), np.ones((1, geom.q), dtype=complex)
+    trace = hierarchical_search(d, a, cb, np.ones((1, 1)), 1.0)
+    assert trace.levels[0].candidates == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
 def test_build_hierarchy_validation():
@@ -284,7 +284,7 @@ def test_level_one_covers_whole_area():
     xs = P_B[0] + np.linspace(-8, 8, 9)
     ys = P_B[1] + np.linspace(-8, 8, 9)
     comp = np.full((9, 9), -np.inf)
-    for w in cb.levels[0].codewords.reshape(-1, geom.q):
+    for w in cb[0].reshape(-1, geom.q):
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 m = abs(grcs(P_I, np.array([x, y, P_B[2]]), w, geom, LAM))

@@ -36,10 +36,11 @@ def test_far_field_distance_values():
 
 
 def test_far_field_distance_rejects_bad_args():
-    with pytest.raises(ValueError):
-        far_field_distance(0.0, 1.0)
-    with pytest.raises(ValueError):
-        far_field_distance(1.0, -0.5)
+    nan, inf = float("nan"), float("inf")
+    for aperture, lam in [(0.0, 1.0), (1.0, -0.5), (nan, 1.0), (inf, 1.0), (1.0, nan),
+                          (1.0, inf)]:
+        with pytest.raises(ValueError, match="finite and positive"):
+            far_field_distance(aperture, lam)
 
 
 def test_ris_from_aperture_reference_grid():
