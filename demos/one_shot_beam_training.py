@@ -13,13 +13,7 @@ import numpy as np
 
 import nearris as nr
 from nearris import benchmarks as bm
-from nearris.beam_mgmt import (
-    bs_precoder_focus_ris,
-    effective_cascade,
-    hierarchical_search,
-    mu_combiners,
-)
-from nearris.codebook import unit_cell_factor
+from nearris.beam_mgmt import hierarchical_search
 
 
 def main():
@@ -33,14 +27,9 @@ def main():
     print(f"user drawn at ({p_mu[0]:.2f}, {p_mu[1]:.2f}, {p_mu[2]:.2f}) m, "
           f"beta = {beta_db:g} dB\n")
 
-    lam = s.lambda_m
-    g = unit_cell_factor(s.ris_geometry(), lam)
-    v = bs_precoder_focus_ris(s.bs_geometry().element_positions(), s.ris_center, lam,
-                              s.p_bs_watts)
-    combiners = mu_combiners(s.n_mu)
-    d, a = effective_cascade(channels, v, g)
+    d, a = s.cascade(channels)
 
-    trace = hierarchical_search(d, a, codebook, combiners, s.sigma2)
+    trace = hierarchical_search(d, a, codebook)
     for depth, rec in enumerate(trace.levels):
         w_x, w_y = codebook[depth].shape[:2]
         print(f"level {depth + 1} ({w_x}x{w_y} cells): sounded {len(rec.candidates)} pilots")
@@ -53,12 +42,12 @@ def main():
     finest = codebook[-1]
     rows = [
         ("hierarchical search", trace.levels[-1].snrs.max(), f"{trace.pilot_count} pilots"),
-        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, finest, combiners, s.sigma2),
+        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, finest),
          f"{finest.shape[0] * finest.shape[1]} pilots"),
         (bm.B2_FULL_FOCUSING, bm.benchmark2_full_focusing(d, a, p_mu, s.ris_geometry(),
-                                                          s.bs_center, combiners, s.sigma2, lam),
+                                                          s.bs_center, s.lambda_m),
          "exact MU position"),
-        (bm.B3_FULL_CSI, bm.benchmark3_full_csi(d, a, s.sigma2),
+        (bm.B3_FULL_CSI, bm.benchmark3_full_csi(d, a),
          f"{2 * a.shape[1]} channel coefficients"),
     ]
     print(f"\n{'scheme':>28s} {'SNR (dB)':>9s}   cost")

@@ -1,11 +1,11 @@
 """Transceiver side: precoder, combiner set, SNR measurement, hierarchical search.
 
 The BS applies one fixed power-carrying precoder focused on the RIS
-center; the MU maximizes over a small unit-norm combiner set. Because the
-precoder is fixed, a channel realization reduces once to the direct term
-d = H v and the effective cascade A = g * H2 (.) (H1 v), and the receive
-vector under RIS phases omega is y = d + A exp(j*omega). One "pilot" is
-one SNR measurement under one RIS codeword. Every scheme that sounds
+center; the MU maximizes over a small unit-norm combiner set. Both are
+fixed, so a realization reduces once to a direct term d and an effective
+cascade A, one row per combiner, in noise-amplitude units: the SNR under
+RIS phases omega is max_i |d_i + A_i exp(j*omega)|^2. One "pilot" is one
+SNR measurement under one RIS codeword. Every scheme that sounds
 codewords scores a block of them, one profile per row, in one call, and
 takes the first maximum in row-major cell order, so ties go to the lowest
 cell index. The hierarchical search sounds the full first codebook level,
@@ -43,31 +43,30 @@ def mu_combiners(n_mu):
     return np.ascontiguousarray(f.T)
 
 
-def effective_cascade(channels, v, g):
-    """Reduce one realization under precoder v to (d, A).
+def effective_cascade(channels, v, g, combiners, sigma2):
+    """Reduce one realization under precoder v to (d, A) in noise-amplitude units.
 
-    d = H v has shape (N_mu,); A = g * H2 (.) (H1 v), row-wise, has shape
-    (N_mu, Q). For any RIS phase vector omega the receive vector
-    (H + H2 diag(g*exp(j*omega)) H1) v equals d + A exp(j*omega).
-    """
-    return channels.h @ v, g * channels.h2 * (channels.h1 @ v)
-
-
-def received_snr(d, a, omega, combiners, sigma2):
-    """Eq.-style linear SNR: max over combiners u of |u^H (d + A exp(j*omega))|^2 / sigma2.
-
-    omega holds one profile per row, shape (..., Q), and the result has
-    shape (...): a 1-D profile gives a scalar. combiners holds one unit
-    vector per row, as an array or a sequence of vectors.
+    With combiner rows U (N_u, N_mu) and sigma = sqrt(sigma2), d = conj(U) H v / sigma
+    is (N_u,) and A = conj(U) (g * H2 (.) (H1 v)) / sigma is (N_u, Q), so row i
+    of d + A exp(j*omega) is u_i^H (H + H2 diag(g*exp(j*omega)) H1) v / sigma.
     """
     u = np.asarray(combiners)
     if u.size == 0:
         raise ValueError("combiner set is empty")
-    if sigma2 <= 0:
+    if not sigma2 > 0:  # also rejects NaN
         raise ValueError("sigma2 must be positive")
+    uh, sigma = u.conj(), np.sqrt(sigma2)
+    return uh @ (channels.h @ v) / sigma, uh @ (g * channels.h2 * (channels.h1 @ v)) / sigma
+
+
+def received_snr(d, a, omega):
+    """Linear SNR max_i |d_i + A_i exp(j*omega)|^2 of a (d, A) pair in noise units.
+
+    omega holds one profile per row, shape (..., Q), and the result has
+    shape (...): a 1-D profile gives a scalar.
+    """
     y = np.exp(1j * np.asarray(omega, dtype=float)) @ a.T + d
-    z = y @ u.conj().T
-    return np.max(np.abs(z) ** 2, axis=-1) / sigma2
+    return np.max(np.abs(y) ** 2, axis=-1)
 
 
 @dataclass
@@ -89,7 +88,7 @@ class SearchTrace:
         return [len(rec.candidates) for rec in self.levels]
 
 
-def hierarchical_search(d, a, codebook, combiners, sigma2):
+def hierarchical_search(d, a, codebook):
     """Coarse-to-fine codeword selection over the hierarchy's level arrays.
 
     Sounds every cell of level 1, then per level only the children of the
@@ -104,7 +103,7 @@ def hierarchical_search(d, a, codebook, combiners, sigma2):
             cands = list(np.ndindex(level.shape[:2]))
         else:
             cands = children(codebook[depth - 1].shape[:2], level.shape[:2], winner)
-        snrs = received_snr(d, a, level[tuple(zip(*cands))], combiners, sigma2)
+        snrs = received_snr(d, a, level[tuple(zip(*cands))])
         winner = cands[int(np.argmax(snrs))]
         trace.levels.append(LevelRecord(cands, snrs, winner))
     return trace

@@ -6,11 +6,11 @@ Two SNR pipelines coexist and are kept separate on purpose:
   point source at p_i and score P_ref * (PL1 * PL2 * |g_ris|)^2 / sigma2
   on the LOS geometry only, with a configurable reference power; both
   reduce to one field kernel, (points, phase profiles) -> SNR dB;
-* link-level trials build the full multipath channel matrices, reduce
-  them once under the fixed precoder to the direct term d = H v and the
-  effective cascade A = g * H2 (.) (H1 v), and score every scheme from
-  that pair as max_u |u^H (d + A exp(j*omega))|^2 / sigma2 (combiner and
-  direct link included).
+* link-level trials build the full multipath channel matrices and reduce
+  them once, in `Scenario.cascade`, to a direct term d and an effective
+  cascade A in noise-amplitude units, one row per MU combiner; every
+  scheme reads that pair alone and scores max_u |d_u + A_u exp(j*omega)|^2
+  (combiner and direct link included).
 
 Trials are pure functions of (scenario, beta, trial index); every random
 draw comes from a seed sequence labeled with those coordinates, so
@@ -213,6 +213,14 @@ class Scenario:
             n_x=self.bs_n_x, n_z=self.bs_n_z, d_x=d, d_z=d,
         )
 
+    def cascade(self, channels):
+        """A trial's (d, A) under this scenario's fixed link terms; see `effective_cascade`."""
+        lam = self.lambda_m
+        v = bs_precoder_focus_ris(self.bs_geometry().element_positions(), self.ris_center,
+                                  lam, self.p_bs_watts)
+        return effective_cascade(channels, v, unit_cell_factor(self.ris_geometry(), lam),
+                                 mu_combiners(self.n_mu), self.sigma2)
+
     def blockage_area(self):
         return BlockageArea(
             center=np.asarray(self.blockage_center, dtype=float),
@@ -288,9 +296,7 @@ def _beta_total_db(scenario, link, beta_db):
 
 
 def mu_antenna_positions(scenario, p_mu):
-    """MU antenna positions: single point, or a small y-axis line array."""
-    if scenario.n_mu == 1:
-        return np.asarray(p_mu, dtype=float)[None, :]
+    """MU antenna positions: a y-axis line array centred on p_mu (p_mu itself if n_mu = 1)."""
     d = scenario.mu_spacing_wl * scenario.lambda_m
     offs = (np.arange(scenario.n_mu) - (scenario.n_mu - 1) / 2.0) * d
     out = np.tile(np.asarray(p_mu, dtype=float), (scenario.n_mu, 1))
@@ -347,24 +353,17 @@ def run_trial(scenario, beta_db, trial, codebook=None):
     if codebook is None:
         codebook = scenario.build_codebook()
     channels, p_mu = build_trial_channels(scenario, beta_db, trial)
-    geom = scenario.ris_geometry()
-    lam = scenario.lambda_m
-    g = unit_cell_factor(geom, lam)
-    sigma2 = scenario.sigma2
-    v = bs_precoder_focus_ris(scenario.bs_geometry().element_positions(),
-                              scenario.ris_center, lam, scenario.p_bs_watts)
-    combiners = mu_combiners(scenario.n_mu)
-    d, a = effective_cascade(channels, v, g)
+    d, a = scenario.cascade(channels)
 
-    trace = hierarchical_search(d, a, codebook, combiners, sigma2)
+    trace = hierarchical_search(d, a, codebook)
     snr = {
         bm.PROPOSED: trace.levels[-1].snrs.max(),
-        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, codebook[-1], combiners, sigma2),
-        bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, p_mu, geom, scenario.bs_center,
-                                                         combiners, sigma2, lam),
+        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, codebook[-1]),
+        bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, p_mu, scenario.ris_geometry(),
+                                                         scenario.bs_center, scenario.lambda_m),
     }
     if scenario.n_mu == 1:
-        snr[bm.B3_FULL_CSI] = bm.benchmark3_full_csi(d, a, sigma2)
+        snr[bm.B3_FULL_CSI] = bm.benchmark3_full_csi(d, a)
     return TrialResult(
         trial=trial,
         beta_db=beta_db,
@@ -391,24 +390,20 @@ def _worker_run(job):
 
 
 def run_campaign(scenario):
-    """Monte Carlo over (beta, trial); results sorted by (beta order, trial).
+    """Monte Carlo over (beta, trial); results in (beta order, trial) order.
 
     Runs scenario.trials trials at each of scenario.beta_list_db on
     scenario.workers processes.
     Output is bit-identical for any worker count: each trial is a pure
-    function of its coordinates and aggregation order is fixed.
+    function of its coordinates, and the pool returns results in job order.
     """
-    betas = scenario.beta_list_db
-    jobs = [(b, t) for b in betas for t in range(scenario.trials)]
+    jobs = [(b, t) for b in scenario.beta_list_db for t in range(scenario.trials)]
     if scenario.workers == 1:
         codebook = scenario.build_codebook()
-        results = [run_trial(scenario, b, t, codebook) for b, t in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_worker_init,
-                                 initargs=(scenario,)) as ex:
-            results = list(ex.map(_worker_run, jobs, chunksize=8))
-    results.sort(key=lambda r: (betas.index(r.beta_db), r.trial))
-    return results
+        return [run_trial(scenario, b, t, codebook) for b, t in jobs]
+    with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_worker_init,
+                             initargs=(scenario,)) as ex:
+        return list(ex.map(_worker_run, jobs, chunksize=8))
 
 
 def aggregate(results, average=DB_MEAN):
@@ -507,10 +502,14 @@ class HeatmapResult:
 def heatmap(scenario, level_index, codebook=None):
     """Rasterized illumination SNR over the blockage area for one level.
 
-    level_index is 0-based into the codebook levels; the raster has
-    scenario.illum_grid points per axis. Returns the grid of every
-    codeword of the level and their pointwise-max composite.
+    level_index is 0-based into the codebook levels, and a ValueError
+    names the valid range; the raster has scenario.illum_grid points per
+    axis. Returns the grid of every codeword of the level and their
+    pointwise-max composite.
     """
+    if not 0 <= level_index < len(scenario.codebook_levels):
+        raise ValueError(f"level_index {level_index} out of range "
+                         f"0..{len(scenario.codebook_levels) - 1}")
     if codebook is None:
         codebook = scenario.build_codebook()
     level = codebook[level_index]

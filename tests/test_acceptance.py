@@ -19,12 +19,7 @@ import pytest
 
 from conftest import point_source_losses, small_scenario
 from nearris import benchmarks as bm
-from nearris.beam_mgmt import (
-    bs_precoder_focus_ris,
-    effective_cascade,
-    hierarchical_search,
-    mu_combiners,
-)
+from nearris.beam_mgmt import hierarchical_search
 from nearris.channel import LinkPaths, apply_beta, free_space_amplitude
 from nearris.codebook import focusing_phases, grcs, unit_cell_factor
 from nearris.harness import (
@@ -95,12 +90,7 @@ def test_criterion_2_codebook_peak_and_focusing_gap(
 def test_criterion_3_pilot_overhead(reference_scenario, reference_codebook, record_criterion):
     s = reference_scenario
     ch, _ = build_trial_channels(s, 10.0, 0)
-    v = bs_precoder_focus_ris(
-        s.bs_geometry().element_positions(), s.ris_center, s.lambda_m, s.p_bs_watts
-    )
-    g = unit_cell_factor(s.ris_geometry(), s.lambda_m)
-    d, a = effective_cascade(ch, v, g)
-    trace = hierarchical_search(d, a, reference_codebook, mu_combiners(1), s.sigma2)
+    trace = hierarchical_search(*s.cascade(ch), reference_codebook)
     per_level = trace.pilots_per_level()
     ok = trace.pilot_count == 24 and per_level == [16, 4, 2, 2]
     record_criterion(
@@ -227,7 +217,7 @@ def test_criterion_6_full_csi_oracle(record_criterion):
         q = int(rng.integers(2, 9))
         h1 = rng.normal(size=q) + 1j * rng.normal(size=q)
         h2 = rng.normal(size=q) + 1j * rng.normal(size=q)
-        snr = bm.benchmark3_full_csi(np.zeros(1), (g * h1 * h2)[None, :], sigma2)
+        snr = bm.benchmark3_full_csi(np.zeros(1), (g * h1 * h2)[None, :] / np.sqrt(sigma2))
         rand = rng.uniform(0, 2 * np.pi, size=(10000, q))
         vals = (
             np.abs(g * (np.exp(1j * rand) * (h1 * h2)[None, :]).sum(axis=1)) ** 2 / sigma2

@@ -67,8 +67,9 @@ def test_mu_combiners_are_unit_norm_orthogonal():
 
 def test_received_snr_scalar_oracle():
     # y = g*sqrt(P) through unit cascade: SNR = g^2 * P / sigma2
-    d, a = effective_cascade(scalar_channels(), np.array([np.sqrt(2.0)]), G_PI)
-    snr = received_snr(d, a, np.zeros(1), [np.array([1.0 + 0j])], 0.5)
+    d, a = effective_cascade(scalar_channels(), np.array([np.sqrt(2.0)]), G_PI,
+                             np.array([[1.0 + 0j]]), 0.5)
+    snr = received_snr(d, a, np.zeros(1))
     assert snr == pytest.approx(4 * np.pi**2, rel=1e-12)
 
 
@@ -83,13 +84,17 @@ def test_received_snr_matches_full_matrix_oracle(n_mu):
     # multipath channels from assemble_channel, direct link on, random and
     # codebook profiles: the (d, A) reduction must not change the SNR
     s = small_scenario(n_mu=n_mu, codebook_levels=((2, 2),))
-    cb, v, g = search_setup(s)
+    cb = s.build_codebook()
+    lam = s.lambda_m
+    v = bs_precoder_focus_ris(s.bs_geometry().element_positions(), s.ris_center, lam,
+                              s.p_bs_watts)
+    g = unit_cell_factor(s.ris_geometry(), lam)
     combiners = mu_combiners(n_mu)
     rng = np.random.default_rng(5)
     for trial in range(3):
         ch, _ = build_trial_channels(s, 10.0, trial)
         assert np.any(ch.h != 0)
-        d, a = effective_cascade(ch, v, g)
+        d, a = s.cascade(ch)
         assert d.shape == (n_mu,) and a.shape == (n_mu, s.ris_geometry().q)
         q = a.shape[1]
         profiles = np.vstack(
@@ -98,21 +103,17 @@ def test_received_snr_matches_full_matrix_oracle(n_mu):
         singles = []
         for omega in profiles:
             expect = matrix_oracle_snr(ch, omega, v, combiners, s.sigma2, g)
-            singles.append(received_snr(d, a, omega, combiners, s.sigma2))
+            singles.append(received_snr(d, a, omega))
             assert np.ndim(singles[-1]) == 0
             assert singles[-1] == pytest.approx(expect, rel=1e-9)
         # one stacked (K, Q) call scores every profile as the single calls do
-        stacked = received_snr(d, a, profiles, combiners, s.sigma2)
+        stacked = received_snr(d, a, profiles)
         assert stacked.shape == (len(profiles),)
         np.testing.assert_allclose(stacked, singles, rtol=1e-12)
-        # combiners passed as a list of vectors score as the (n_mu, n_mu) array does
-        np.testing.assert_array_equal(
-            received_snr(d, a, profiles, list(combiners), s.sigma2), stacked
-        )
         if n_mu == 1:
             # B3's profile -angle(A), put through the full matrices, gives its SNR
             expect = matrix_oracle_snr(ch, -np.angle(a[0]), v, combiners, s.sigma2, g)
-            assert benchmark3_full_csi(d, a, s.sigma2) == pytest.approx(expect, rel=1e-9)
+            assert benchmark3_full_csi(d, a) == pytest.approx(expect, rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,11 +127,11 @@ def test_received_snr_invariant_to_global_codeword_phase(c):
         h1=(rng.normal(size=(q, 2)) + 1j * rng.normal(size=(q, 2))),
         h2=(rng.normal(size=(1, q)) + 1j * rng.normal(size=(1, q))),
     )
-    d, a = effective_cascade(ch, np.array([0.3, 0.4 - 0.2j]), G_PI)
+    d, a = effective_cascade(ch, np.array([0.3, 0.4 - 0.2j]), G_PI, np.array([[1.0 + 0j]]),
+                             1e-3)
     omega = rng.uniform(0, 2 * np.pi, q)
-    u = [np.array([1.0 + 0j])]
-    s1 = received_snr(d, a, omega, u, 1e-3)
-    s2 = received_snr(d, a, omega + c, u, 1e-3)
+    s1 = received_snr(d, a, omega)
+    s2 = received_snr(d, a, omega + c)
     assert s2 == pytest.approx(s1, rel=1e-9)
 
 
@@ -142,21 +143,22 @@ def test_received_snr_invariant_to_combiner_phase():
         h1=rng.normal(size=(q, 2)) + 1j * rng.normal(size=(q, 2)),
         h2=rng.normal(size=(n, q)) + 1j * rng.normal(size=(n, q)),
     )
-    d, a = effective_cascade(ch, np.array([0.1, 0.2j]), G_PI)
     omega = rng.uniform(0, 2 * np.pi, q)
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
     u /= np.linalg.norm(u)
-    s1 = received_snr(d, a, omega, [u], 1e-3)
-    s2 = received_snr(d, a, omega, [u * np.exp(1j * 0.7)], 1e-3)
+    v = np.array([0.1, 0.2j])
+    s1 = received_snr(*effective_cascade(ch, v, G_PI, u[None, :], 1e-3), omega)
+    turned = u[None, :] * np.exp(1j * 0.7)
+    s2 = received_snr(*effective_cascade(ch, v, G_PI, turned, 1e-3), omega)
     assert s2 == pytest.approx(s1, rel=1e-12)
 
 
-def test_received_snr_validation():
-    d, a = effective_cascade(scalar_channels(), np.array([1.0]), G_PI)
+def test_effective_cascade_validation():
     with pytest.raises(ValueError):
-        received_snr(d, a, np.zeros(1), [], 1.0)
-    with pytest.raises(ValueError):
-        received_snr(d, a, np.zeros(1), [np.array([1.0])], 0.0)
+        effective_cascade(scalar_channels(), np.array([1.0]), G_PI, np.empty((0, 1)), 1.0)
+    for sigma2 in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            effective_cascade(scalar_channels(), np.array([1.0]), G_PI, np.ones((1, 1)), sigma2)
 
 
 # --- selection ---------------------------------------------------------------
@@ -172,70 +174,57 @@ def duplicate_row_level(best_cells, q=6):
     return words, np.zeros(1), np.ones((1, q), dtype=complex)
 
 
-def sounded(level, d, a, u):
+def sounded(level, d, a):
     """The one-level search's record on level, and its SNRs keyed by cell."""
-    rec = hierarchical_search(d, a, (level,), u, 1.0).levels[0]
+    rec = hierarchical_search(d, a, (level,)).levels[0]
     return rec, dict(zip(rec.candidates, rec.snrs))
 
 
 def test_block_winner_is_argmax():
     level, d, a = duplicate_row_level([(1, 0)])
-    u = mu_combiners(1)
-    rec, snr = sounded(level, d, a, u)
+    rec, snr = sounded(level, d, a)
     assert rec.winner == (1, 0)
     assert snr[(1, 0)] == pytest.approx(36.0, rel=1e-12)
     assert rec.snrs.max() == snr[(1, 0)]
-    assert benchmark1_full_search(d, a, level, u, 1.0) == snr[(1, 0)]
+    assert benchmark1_full_search(d, a, level) == snr[(1, 0)]
 
 
 def test_block_winner_ties_go_to_lowest_index():
     level, d, a = duplicate_row_level([(1, 0), (0, 1)])
-    u = mu_combiners(1)
-    rec, snr = sounded(level, d, a, u)
+    rec, snr = sounded(level, d, a)
     assert snr[(1, 0)] == snr[(0, 1)]
     assert rec.winner == (0, 1)
-    assert benchmark1_full_search(d, a, level, u, 1.0) == snr[(0, 1)]
+    assert benchmark1_full_search(d, a, level) == snr[(0, 1)]
 
 
 # --- hierarchical search ------------------------------------------------------
 
 
-def search_setup(scenario):
-    cb = scenario.build_codebook()
-    lam = scenario.lambda_m
-    v = bs_precoder_focus_ris(
-        scenario.bs_geometry().element_positions(), scenario.ris_center, lam, scenario.p_bs_watts
-    )
-    g = unit_cell_factor(scenario.ris_geometry(), lam)
-    return cb, v, g
-
-
 def test_search_pilot_budget_small_hierarchy():
     s = los_only_scenario()
-    cb, v, g = search_setup(s)
     ch, _ = build_trial_channels(s, 10.0, 0)
-    trace = hierarchical_search(*effective_cascade(ch, v, g), cb, mu_combiners(1), s.sigma2)
+    trace = hierarchical_search(*s.cascade(ch), s.build_codebook())
     assert trace.pilots_per_level() == [4, 4, 2]
     assert trace.pilot_count == 10
 
 
 def test_search_single_level_equals_exhaustive():
     s = small_scenario(codebook_levels=((4, 8),))
-    cb, v, g = search_setup(s)
-    d, a = effective_cascade(build_trial_channels(s, 10.0, 3)[0], v, g)
-    trace = hierarchical_search(d, a, cb, mu_combiners(1), s.sigma2)
-    r1 = benchmark1_full_search(d, a, cb[0], mu_combiners(1), s.sigma2)
+    cb = s.build_codebook()
+    d, a = s.cascade(build_trial_channels(s, 10.0, 3)[0])
+    trace = hierarchical_search(d, a, cb)
+    r1 = benchmark1_full_search(d, a, cb[0])
     assert trace.levels[-1].snrs.max() == pytest.approx(r1, rel=1e-12)
 
 
 def test_search_never_beats_exhaustive():
     s = small_scenario()
-    cb, v, g = search_setup(s)
+    cb = s.build_codebook()
     for trial in range(6):
-        d, a = effective_cascade(build_trial_channels(s, 10.0, trial)[0], v, g)
-        trace = hierarchical_search(d, a, cb, mu_combiners(1), s.sigma2)
+        d, a = s.cascade(build_trial_channels(s, 10.0, trial)[0])
+        trace = hierarchical_search(d, a, cb)
         prop = trace.levels[-1].snrs.max()
-        r1 = benchmark1_full_search(d, a, cb[-1], mu_combiners(1), s.sigma2)
+        r1 = benchmark1_full_search(d, a, cb[-1])
         assert prop <= r1 * (1 + 1e-12)
 
 
@@ -243,7 +232,7 @@ def test_search_finds_cell_center_users_exactly():
     # noiseless LOS channels with the MU parked on a finest-level cell
     # center: the descent must land on that exact cell
     s = los_only_scenario()
-    cb, v, g = search_setup(s)
+    cb = s.build_codebook()
     lam = s.lambda_m
     geom = s.ris_geometry()
     area = s.blockage_area()
@@ -263,7 +252,7 @@ def test_search_finds_cell_center_users_exactly():
             h1=assemble_channel(los(s.bs_center, s.ris_center), bs_pos, ris_pos, lam, +1),
             h2=assemble_channel(los(s.ris_center, p_mu), ris_pos, mu_pos, lam, +1),
         )
-        trace = hierarchical_search(*effective_cascade(ch, v, g), cb, mu_combiners(1), s.sigma2)
+        trace = hierarchical_search(*s.cascade(ch), cb)
         assert trace.levels[-1].winner == cell
 
 
@@ -272,12 +261,12 @@ def test_search_descent_rarely_degrades():
     # leaves small coverage gaps between sibling beams, so a bounded
     # fraction of descents may lose ground
     s = los_only_scenario()
-    cb, v, g = search_setup(s)
+    cb = s.build_codebook()
     monotone = 0
     trials = 40
     for trial in range(trials):
         ch, _ = build_trial_channels(s, 10.0, trial)
-        trace = hierarchical_search(*effective_cascade(ch, v, g), cb, mu_combiners(1), s.sigma2)
+        trace = hierarchical_search(*s.cascade(ch), cb)
         ws = [rec.snrs.max() for rec in trace.levels]
         if all(b >= a * (1 - 1e-12) for a, b in zip(ws, ws[1:])):
             monotone += 1

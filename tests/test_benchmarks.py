@@ -26,9 +26,10 @@ def test_benchmark1_equals_measurement_on_single_codeword():
         h1=rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)),
         h2=rng.normal(size=(1, 9)) + 1j * rng.normal(size=(1, 9)),
     )
-    d, a = effective_cascade(ch, np.array([0.2, 0.1j]), unit_cell_factor(geom, LAM))
-    res = benchmark1_full_search(d, a, cb[0], mu_combiners(1), 1e-6)
-    direct = received_snr(d, a, cb[0][0, 0], mu_combiners(1), 1e-6)
+    d, a = effective_cascade(ch, np.array([0.2, 0.1j]), unit_cell_factor(geom, LAM),
+                             mu_combiners(1), 1e-6)
+    res = benchmark1_full_search(d, a, cb[0])
+    direct = received_snr(d, a, cb[0][0, 0])
     assert res == pytest.approx(direct, rel=1e-12)
 
 
@@ -48,23 +49,25 @@ def test_benchmark2_scalar_closed_form():
     h1 = assemble_channel(los(P_I, geom.center), P_I[None, :], geom.element_positions(), LAM, +1)
     h2 = assemble_channel(los(geom.center, p_mu), geom.element_positions(), p_mu[None, :], LAM, +1)
     ch = ChannelSet(h=np.zeros((1, 1), dtype=complex), h1=h1, h2=h2)
-    d, a = effective_cascade(ch, np.array([np.sqrt(p)], dtype=complex), g)
-    res = benchmark2_full_focusing(d, a, p_mu, geom, P_I, mu_combiners(1), sigma2, LAM)
+    d, a = effective_cascade(ch, np.array([np.sqrt(p)], dtype=complex), g, mu_combiners(1),
+                             sigma2)
+    res = benchmark2_full_focusing(d, a, p_mu, geom, P_I, LAM)
     pl1 = free_space_amplitude(float(np.linalg.norm(P_I - geom.center)), LAM)
     pl2 = free_space_amplitude(float(np.linalg.norm(p_mu - geom.center)), LAM)
     expect = p * (g * pl1 * pl2) ** 2 / sigma2
     assert res == pytest.approx(expect, rel=1e-9)
 
 
-def cascade_pair(h1, h2, h_direct, g):
-    """(d, A) of a single-antenna MU whose BS-RIS channel is already precoded to h1."""
-    return np.array([h_direct], dtype=complex), (g * h1 * h2)[None, :]
+def cascade_pair(h1, h2, h_direct, g, sigma2):
+    """(d, A) in noise units of a single-antenna MU whose BS-RIS channel is precoded to h1."""
+    sigma = np.sqrt(sigma2)
+    return np.array([h_direct], dtype=complex) / sigma, (g * h1 * h2)[None, :] / sigma
 
 
 def test_benchmark3_all_ones_cascade():
     h1 = np.ones(4, dtype=complex)
     h2 = np.ones(4, dtype=complex)
-    res = benchmark3_full_csi(*cascade_pair(h1, h2, 0.0, np.pi), 1.0)
+    res = benchmark3_full_csi(*cascade_pair(h1, h2, 0.0, np.pi, 1.0))
     assert res == pytest.approx((4 * np.pi) ** 2, rel=1e-12)
 
 
@@ -74,8 +77,8 @@ def test_benchmark3_aligns_every_term():
     h1 = rng.normal(size=q) + 1j * rng.normal(size=q)
     h2 = rng.normal(size=q) + 1j * rng.normal(size=q)
     g = np.pi
-    d, a = cascade_pair(h1, h2, 0.0, g)
-    res = benchmark3_full_csi(d, a, 1e-6)
+    d, a = cascade_pair(h1, h2, 0.0, g, 1e-6)
+    res = benchmark3_full_csi(d, a)
     assert res == pytest.approx((g * np.sum(np.abs(h1 * h2))) ** 2 / 1e-6, rel=1e-12)
     # the aligned profile beats any random profile
     rand = rng.uniform(0, 2 * np.pi, size=(1000, q))
@@ -91,7 +94,7 @@ def test_benchmark3_adds_direct_channel_as_is():
     h1 = np.ones(2, dtype=complex)
     h2 = np.ones(2, dtype=complex)
     h_d = 0.5 + 0.0j
-    res = benchmark3_full_csi(*cascade_pair(h1, h2, h_d, 1.0), 2.0)
+    res = benchmark3_full_csi(*cascade_pair(h1, h2, h_d, 1.0, 2.0))
     cascade = np.sum(np.abs(h1 * h2))
     assert res == pytest.approx(abs(h_d + cascade) ** 2 / 2.0, rel=1e-12)
 
@@ -99,6 +102,6 @@ def test_benchmark3_adds_direct_channel_as_is():
 def test_benchmark3_rejects_matrices():
     # a two-antenna MU, and a cascade that is not one row per MU antenna
     with pytest.raises(ValueError):
-        benchmark3_full_csi(np.zeros(2), np.ones((2, 2)), 1.0)
+        benchmark3_full_csi(np.zeros(2), np.ones((2, 2)))
     with pytest.raises(ValueError):
-        benchmark3_full_csi(np.zeros(1), np.ones(3), 1.0)
+        benchmark3_full_csi(np.zeros(1), np.ones(3))

@@ -247,7 +247,7 @@ def test_build_hierarchy_level_indices_row_major():
     geom = small_geom(q=2)
     cb = build_hierarchy([(2, 3)], 0.8, AREA, geom, P_I, LAM)
     d, a = np.zeros(1), np.ones((1, geom.q), dtype=complex)
-    trace = hierarchical_search(d, a, cb, np.ones((1, 1)), 1.0)
+    trace = hierarchical_search(d, a, cb)
     assert trace.levels[0].candidates == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 

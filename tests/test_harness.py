@@ -10,7 +10,6 @@ import pytest
 import nearris as nr
 from conftest import los_only_scenario, point_source_losses, small_scenario
 from nearris import benchmarks as bm
-from nearris.beam_mgmt import bs_precoder_focus_ris, effective_cascade, mu_combiners
 from nearris.channel import LinkPaths, assemble_channel, free_space_amplitude
 from nearris.codebook import grcs, unit_cell_factor
 from nearris.harness import (
@@ -196,20 +195,23 @@ _CAMPAIGN_SCRIPT = """
 import json
 import nearris as nr
 s = nr.Scenario(ris_size_y_m=0.15, ris_size_z_m=0.15, codebook_levels=((2, 2), (4, 4)),
-                trials=3, beta_list_db=(0.0, 10.0))
+                trials=3, beta_list_db=(0.0, 10.0), n_mu={n_mu})
 print(json.dumps([[r.snr_db, r.mu_position, r.winners] for r in nr.run_campaign(s)]))
 """
 
 
-def test_campaign_identical_across_blas_threads():
-    # the NLOS sums and the cascade products run in BLAS; a second BLAS
-    # thread must not change a single bit of the results
+@pytest.mark.parametrize("n_mu", [1, 4])
+def test_campaign_identical_across_blas_threads(n_mu):
+    # the NLOS sums, the cascade products and (n_mu > 1) the combiner
+    # product run in BLAS; a second BLAS thread must not change a single
+    # bit of the results
     src = str(Path(nr.__file__).resolve().parents[1])
+    script = _CAMPAIGN_SCRIPT.format(n_mu=n_mu)
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _CAMPAIGN_SCRIPT], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True, timeout=300)
         runs.append(json.loads(proc.stdout))
     assert len(runs[0]) == 6
@@ -260,13 +262,9 @@ def test_full_scale_focusing_matches_closed_form():
     geom = s.ris_geometry()
     lam = s.lambda_m
     g = unit_cell_factor(geom, lam)
-    v = bs_precoder_focus_ris(s.bs_geometry().element_positions(), s.ris_center, lam,
-                              s.p_bs_watts)
     for trial in range(2):
         ch, p_mu = build_trial_channels(s, 10.0, trial)
-        d, a = effective_cascade(ch, v, g)
-        res = bm.benchmark2_full_focusing(d, a, p_mu, geom, s.bs_center, mu_combiners(1),
-                                          s.sigma2, lam)
+        res = bm.benchmark2_full_focusing(*s.cascade(ch), p_mu, geom, s.bs_center, lam)
         pl1 = free_space_amplitude(float(np.linalg.norm(np.asarray(s.bs_center) -
                                                         np.asarray(s.ris_center))), lam)
         pl2 = free_space_amplitude(float(np.linalg.norm(p_mu - np.asarray(s.ris_center))), lam)
@@ -353,6 +351,13 @@ def test_heatmap_composite_is_pointwise_max():
     stack = hm.per_cell.reshape(4, 8, 8)
     np.testing.assert_array_equal(hm.composite, stack.max(axis=0))
     assert hm.per_cell[0, 1].shape == (8, 8)
+
+
+@pytest.mark.parametrize("level_index", [-1, 3])
+def test_heatmap_rejects_level_outside_the_hierarchy(level_index):
+    # small_scenario has 3 levels: valid indices are 0..2
+    with pytest.raises(ValueError, match=r"out of range 0\.\.2"):
+        heatmap(small_scenario(illum_grid=2), level_index)
 
 
 def test_farfield_table_reference_row():
