@@ -23,11 +23,11 @@ def main():
 
     print("building codebook (16 + 64 + 128 + 256 codewords)...")
     codebook = s.build_codebook()
-    channels, p_mu = nr.build_trial_channels(s, beta_db, trial)
+    links, p_mu = nr.draw_trial_links(s, beta_db, trial)
     print(f"user drawn at ({p_mu[0]:.2f}, {p_mu[1]:.2f}, {p_mu[2]:.2f}) m, "
           f"beta = {beta_db:g} dB\n")
 
-    d, a = s.cascade(channels)
+    d, a = s.link_cascade(links, p_mu, s.los_projection())
 
     trace = hierarchical_search(d, a, codebook)
     for depth, rec in enumerate(trace.levels):

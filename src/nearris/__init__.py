@@ -11,6 +11,8 @@ from .geometry import (
     C,
     PlanarArrayGeometry,
     RisGeometry,
+    cis,
+    distance,
     far_field_distance,
     ris_from_aperture,
     wavelength,
@@ -25,6 +27,7 @@ from .channel import (
     free_space_amplitude,
     generate_scatterers,
     noise_power,
+    project_channel,
 )
 from .codebook import (
     BlockageArea,
@@ -55,6 +58,7 @@ from .harness import (
     TrialResult,
     aggregate,
     build_trial_channels,
+    draw_trial_links,
     farfield_table,
     focusing_cut,
     heatmap,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import children
+from .geometry import cis, distance
 
 
 def bs_precoder_focus_ris(bs_positions, p_ris, lambda_m, p_bs_watts):
@@ -25,10 +26,8 @@ def bs_precoder_focus_ris(bs_positions, p_ris, lambda_m, p_bs_watts):
     +k*|p_m - p_ris|, so the fields of all BS antennas add in phase at the
     RIS through the advance-convention channel. ||v||^2 = P exactly.
     """
-    bs_positions = np.asarray(bs_positions, dtype=float)
     k = 2.0 * np.pi / lambda_m
-    d = np.linalg.norm(bs_positions - np.asarray(p_ris, dtype=float)[None, :], axis=1)
-    a = np.exp(1j * k * d)
+    a = np.exp(1j * k * distance(bs_positions, p_ris))
     return np.sqrt(p_bs_watts) * a.conj() / np.linalg.norm(a)
 
 
@@ -43,12 +42,14 @@ def mu_combiners(n_mu):
     return np.ascontiguousarray(f.T)
 
 
-def effective_cascade(channels, v, g, combiners, sigma2):
+def effective_cascade(hv, h1v, h2, g, combiners, sigma2):
     """Reduce one realization under precoder v to (d, A) in noise-amplitude units.
 
-    With combiner rows U (N_u, N_mu) and sigma = sqrt(sigma2), d = conj(U) H v / sigma
-    is (N_u,) and A = conj(U) (g * H2 (.) (H1 v)) / sigma is (N_u, Q), so row i
-    of d + A exp(j*omega) is u_i^H (H + H2 diag(g*exp(j*omega)) H1) v / sigma.
+    hv = H v (N_mu,) and h1v = H1 v (Q,) are the direct and BS-RIS channels
+    times v, and h2 is the (N_mu, Q) RIS-MU matrix. With combiner rows
+    U (N_u, N_mu) and sigma = sqrt(sigma2), d = conj(U) H v / sigma is (N_u,)
+    and A = conj(U) (g * H2 (.) (H1 v)) / sigma is (N_u, Q), so row i of
+    d + A exp(j*omega) is u_i^H (H + H2 diag(g*exp(j*omega)) H1) v / sigma.
     """
     u = np.asarray(combiners)
     if u.size == 0:
@@ -56,7 +57,7 @@ def effective_cascade(channels, v, g, combiners, sigma2):
     if not sigma2 > 0:  # also rejects NaN
         raise ValueError("sigma2 must be positive")
     uh, sigma = u.conj(), np.sqrt(sigma2)
-    return uh @ (channels.h @ v) / sigma, uh @ (g * channels.h2 * (channels.h1 @ v)) / sigma
+    return uh @ hv / sigma, uh @ (g * h2 * h1v) / sigma
 
 
 def received_snr(d, a, omega):
@@ -65,7 +66,7 @@ def received_snr(d, a, omega):
     omega holds one profile per row, shape (..., Q), and the result has
     shape (...): a 1-D profile gives a scalar.
     """
-    y = np.exp(1j * np.asarray(omega, dtype=float)) @ a.T + d
+    y = cis(omega) @ a.T + d
     return np.max(np.abs(y) ** 2, axis=-1)
 
 

@@ -7,11 +7,16 @@ pathloss * fading * exp(sign * j * k * distance), where the distance is
 the exact per-antenna-pair path length (spherical wavefront, no planar
 approximation). The per-path pathloss is a single amplitude factor
 computed from array-center distances.
+
+`assemble_channel` builds a link's full matrix H and is the oracle of
+`project_channel`, which gives H v for one vector v without forming H.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .geometry import cis, distance
 
 _FOUR_PI = 4.0 * np.pi
 
@@ -100,6 +105,11 @@ def generate_scatterers(box_min, box_max, count, rng):
     return lo + (hi - lo) * rng.random((count, 3))
 
 
+def leg_phasors(a, b, lambda_m, sign):
+    """exp(sign*j*k*|a_m - b_n|) for (m, n), shape (len(a), len(b))."""
+    return cis(sign * (2.0 * np.pi / lambda_m) * distance(a[:, None, :], b[None, :, :]))
+
+
 def assemble_channel(link, tx_positions, rx_positions, lambda_m, sign):
     """Channel matrix of shape (n_rx, n_tx) for one link.
 
@@ -115,16 +125,26 @@ def assemble_channel(link, tx_positions, rx_positions, lambda_m, sign):
     rx = np.asarray(rx_positions, dtype=float)
     if tx.ndim != 2 or rx.ndim != 2 or tx.shape[1] != 3 or rx.shape[1] != 3:
         raise ValueError("positions must be (n, 3) arrays")
-    k = 2.0 * np.pi / lambda_m
-
-    def phasors(a, b):  # exp(sign*j*k*|a_m - b_n|), shape (len(a), len(b))
-        return np.exp(sign * 1j * k * np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
-
     w = link.amplitude * link.fading
     s = link.scatterers
-    out = w[0] * phasors(rx, tx)
-    out += (phasors(rx, s) * w[1:]) @ phasors(tx, s).T
+    out = w[0] * leg_phasors(rx, tx, lambda_m, sign)
+    out += (leg_phasors(rx, s, lambda_m, sign) * w[1:]) @ leg_phasors(tx, s, lambda_m, sign).T
     return out
+
+
+def project_channel(link, tx_positions, rx_positions, lambda_m, sign, v, los):
+    """H v, shape (n_rx,), for H = assemble_channel(link, ...) without forming H.
+
+    los is E v for the link's unit-amplitude LOS phasors E (n_rx, n_tx),
+    which depend on the antenna positions alone, so a caller that keeps
+    the positions and v builds it once. The scattered paths add
+    E_rx (w (.) (E_tx^T v)) with their (n_rx, n-1) and (n_tx, n-1) leg
+    phasors, and no (n_rx, n_tx) array is made.
+    """
+    w = link.amplitude * link.fading
+    s = link.scatterers
+    scattered = w[1:] * (leg_phasors(tx_positions, s, lambda_m, sign).T @ v)
+    return w[0] * los + leg_phasors(rx_positions, s, lambda_m, sign) @ scattered
 
 
 def apply_beta(link, beta_db):

@@ -257,17 +257,34 @@ def _out_dir(args):
     return d
 
 
+def _campaign(scenario):
+    """`harness.sweep_beta` plus the manifest's record of how the campaign ran.
+
+    The record holds the numpy version, the worker count, the number of
+    trials run (over every beta), the campaign's wall seconds and its trials
+    per second.
+    """
+    start = time.perf_counter()
+    results, rows = harness.sweep_beta(scenario)
+    wall_s = time.perf_counter() - start
+    run = {"numpy_version": np.__version__, "workers": scenario.workers,
+           "trials": len(results), "campaign_wall_s": wall_s,
+           "trials_per_s": len(results) / wall_s}
+    return results, rows, run
+
+
 def cmd_simulate(args, argv):
     scenario = _load(args)
     out = _out_dir(args)
     (beta,) = scenario.beta_list_db
-    results, rows = harness.sweep_beta(scenario)
+    results, rows, run = _campaign(scenario)
     write_trials_csv(out / "trials.csv", results)
     write_aggregates_csv(out / "aggregates.csv", rows)
     if args.dump_channels:
         channels, _ = harness.build_trial_channels(scenario, beta, 0)
         write_channel_set(out / "channels_trial0.npz", channels)
-    write_manifest(out, scenario, argv, extra={"subcommand": "simulate", "beta_db": beta})
+    write_manifest(out, scenario, argv,
+                   extra={"subcommand": "simulate", "beta_db": beta, **run})
     print(f"simulate: {len(results)} trials at beta={beta:g} dB -> {out}")
     for a in rows:
         print(f"  {a.scheme:>16s}: mean {a.mean_snr_db:7.2f} dB  (std {a.std_snr_db:.2f})")
@@ -277,10 +294,10 @@ def cmd_simulate(args, argv):
 def cmd_sweep_beta(args, argv):
     scenario = _load(args)
     out = _out_dir(args)
-    results, rows = harness.sweep_beta(scenario)
+    results, rows, run = _campaign(scenario)
     write_trials_csv(out / "trials.csv", results)
     write_aggregates_csv(out / "aggregates.csv", rows)
-    write_manifest(out, scenario, argv, extra={"subcommand": "sweep-beta"})
+    write_manifest(out, scenario, argv, extra={"subcommand": "sweep-beta", **run})
     print(f"sweep-beta: {len(results)} trials over beta={list(scenario.beta_list_db)} -> {out}")
     return 0
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import distance
+
 _TWO_PI = 2.0 * np.pi
 
 
@@ -51,8 +53,8 @@ def grcs(p_i, p_r, omega, geom, lambda_m):
         raise ValueError(f"omega must have length Q={geom.q}, got shape {omega.shape}")
     pn = geom.element_positions()
     k = _TWO_PI / lambda_m
-    d = np.linalg.norm(np.asarray(p_i, dtype=float) - pn, axis=1)
-    d += np.linalg.norm(np.asarray(p_r, dtype=float) - pn, axis=1)
+    d = distance(p_i, pn)
+    d += distance(p_r, pn)
     g = unit_cell_factor(geom, lambda_m)
     return g * np.sum(np.exp(1j * (k * d + omega)))
 
@@ -65,8 +67,8 @@ def focusing_phases(p_i, p_target, geom, lambda_m):
     """
     pn = geom.element_positions()
     k = _TWO_PI / lambda_m
-    d = np.linalg.norm(np.asarray(p_i, dtype=float) - pn, axis=1)
-    d += np.linalg.norm(np.asarray(p_target, dtype=float) - pn, axis=1)
+    d = distance(p_i, pn)
+    d += distance(p_target, pn)
     return -k * d
 
 
@@ -118,9 +120,9 @@ def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w
     pn = geom.element_positions()
     m = mapping(pn, area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
     k = _TWO_PI / lambda_m
-    d = np.linalg.norm(m - pn, axis=-1)
-    d -= np.linalg.norm(m - geom.center, axis=-1)
-    d += np.linalg.norm(np.asarray(p_i, dtype=float) - pn, axis=1)
+    d = distance(m, pn)
+    d -= distance(m, geom.center)
+    d += distance(p_i, pn)
     return -k * d
 
 

@@ -3,7 +3,9 @@
 All positions are length-3 float arrays (x, y, z) in meters in a shared
 right-handed Cartesian frame. The RIS lies in the y-z plane and the BS
 array in the x-z plane; element grids are uniformly spaced and centered
-on the declared array center.
+on the declared array center. `distance` is the package's one distance
+formula, and `cis` the phasor formula of the trial path (the channel
+phasors and the SNR of a block of RIS profiles).
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,28 @@ def wavelength(f_hz):
     if f_hz <= 0:
         raise ValueError(f"carrier frequency must be positive, got {f_hz}")
     return C / f_hz
+
+
+def distance(a, b):
+    """Euclidean distance over the last axis of a - b, broadcast.
+
+    sqrt(x0*x0 + x1*x1 + x2*x2) of the three components, each taken as a
+    difference of a component of a and b, so no (..., 3) temporary is made;
+    the result equals np.linalg.norm(a - b, axis=-1) bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    x0, x1, x2 = (a[..., i] - b[..., i] for i in range(3))
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+
+
+def cis(x):
+    """exp(j*x) for real x: cos and sin written into one complex array."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
 
 def far_field_distance(aperture_m, lambda_m):

@@ -6,11 +6,15 @@ Two SNR pipelines coexist and are kept separate on purpose:
   point source at p_i and score P_ref * (PL1 * PL2 * |g_ris|)^2 / sigma2
   on the LOS geometry only, with a configurable reference power; both
   reduce to one field kernel, (points, phase profiles) -> SNR dB;
-* link-level trials build the full multipath channel matrices and reduce
-  them once, in `Scenario.cascade`, to a direct term d and an effective
-  cascade A in noise-amplitude units, one row per MU combiner; every
-  scheme reads that pair alone and scores max_u |d_u + A_u exp(j*omega)|^2
-  (combiner and direct link included).
+* link-level trials draw each link as arrays of path amplitudes, fadings
+  and bounce points, and reduce them once, matrix-free, to a direct term d
+  and an effective cascade A in noise-amplitude units, one row per MU
+  combiner (`Scenario.link_cascade`): the BS-RIS channel enters only as
+  H1 v, its LOS part built once per campaign. Every scheme reads that pair
+  alone and scores max_u |d_u + A_u exp(j*omega)|^2 (combiner and direct
+  link included). `build_trial_channels` and `Scenario.cascade` form the
+  full matrices with `assemble_channel` and are the oracle of that
+  reduction.
 
 Trials are pure functions of (scenario, beta, trial index); every random
 draw comes from a seed sequence labeled with those coordinates, so
@@ -35,7 +39,9 @@ from .channel import (
     blockage_attenuation,
     free_space_amplitude,
     generate_scatterers,
+    leg_phasors,
     noise_power,
+    project_channel,
 )
 from .codebook import (
     BlockageArea,
@@ -44,7 +50,13 @@ from .codebook import (
     focusing_phases,
     unit_cell_factor,
 )
-from .geometry import PlanarArrayGeometry, far_field_distance, ris_from_aperture, wavelength
+from .geometry import (
+    PlanarArrayGeometry,
+    distance,
+    far_field_distance,
+    ris_from_aperture,
+    wavelength,
+)
 
 PER_PATH = "per_path"
 TOTAL = "total"
@@ -60,6 +72,10 @@ LevelShapes = tuple[tuple[int, int], ...]
 _SEED_MU = 0
 _SEED_SCATTER = 1
 _SEED_FADING = 2
+
+# RIS rows per block of the LOS projection: the (rows, N_bs) phasor block
+# stands in for the (Q, N_bs) matrix, which is never built whole
+_LOS_ROWS = 1024
 
 
 def is_finite_real(v):
@@ -213,12 +229,48 @@ class Scenario:
             n_x=self.bs_n_x, n_z=self.bs_n_z, d_x=d, d_z=d,
         )
 
+    def precoder(self):
+        """The fixed BS precoder v, focused on the RIS center, ||v||^2 = P."""
+        return bs_precoder_focus_ris(self.bs_geometry().element_positions(), self.ris_center,
+                                     self.lambda_m, self.p_bs_watts)
+
+    def los_projection(self):
+        """E v, shape (Q,): the unit-amplitude BS-RIS LOS phasors E (Q, N_bs) times v.
+
+        It depends on the geometry alone, so a campaign builds it once, next
+        to the codebook, and every trial scales it by its LOS path weight.
+        """
+        bs_pos = self.bs_geometry().element_positions()
+        ris_pos = self.ris_geometry().element_positions()
+        v = self.precoder()
+        return np.concatenate([leg_phasors(ris_pos[s:s + _LOS_ROWS], bs_pos, self.lambda_m, +1) @ v
+                               for s in range(0, len(ris_pos), _LOS_ROWS)])
+
     def cascade(self, channels):
-        """A trial's (d, A) under this scenario's fixed link terms; see `effective_cascade`."""
+        """(d, A) of a trial's full channel matrices: the oracle of `link_cascade`."""
+        v = self.precoder()
+        return self._reduce(channels.h @ v, channels.h1 @ v, channels.h2)
+
+    def link_cascade(self, links, p_mu, los):
+        """(d, A) of a trial's (direct, BS-RIS, RIS-MU) links, without the (Q, N_bs) H1.
+
+        los is `los_projection()`; H1 v comes from `project_channel`, and the
+        small direct and RIS-MU matrices from `assemble_channel`, with the
+        link conventions of `build_trial_channels`.
+        """
         lam = self.lambda_m
-        v = bs_precoder_focus_ris(self.bs_geometry().element_positions(), self.ris_center,
-                                  lam, self.p_bs_watts)
-        return effective_cascade(channels, v, unit_cell_factor(self.ris_geometry(), lam),
+        bs_pos = self.bs_geometry().element_positions()
+        ris_pos = self.ris_geometry().element_positions()
+        mu_pos = mu_antenna_positions(self, p_mu)
+        direct, bs_ris, ris_mu = links
+        v = self.precoder()
+        return self._reduce(assemble_channel(direct, bs_pos, mu_pos, lam, -1) @ v,
+                            project_channel(bs_ris, bs_pos, ris_pos, lam, +1, v, los),
+                            assemble_channel(ris_mu, ris_pos, mu_pos, lam, +1))
+
+    def _reduce(self, hv, h1v, h2):
+        """`effective_cascade` under this scenario's g, combiners and sigma^2."""
+        return effective_cascade(hv, h1v, h2, unit_cell_factor(self.ris_geometry(), self.lambda_m),
                                  mu_combiners(self.n_mu), self.sigma2)
 
     def blockage_area(self):
@@ -282,7 +334,7 @@ def _draw_link(tx_center, rx_center, count, box_min, box_max, lambda_m, rng_scat
     scat = generate_scatterers(box_min, box_max, n_nlos, rng_scatter)
     fad = (rng_fading.standard_normal(n_nlos) + 1j * rng_fading.standard_normal(n_nlos)) / np.sqrt(2.0)
     via = np.vstack([tx, scat])
-    lengths = np.linalg.norm(tx - via, axis=1) + np.linalg.norm(via - rx, axis=1)
+    lengths = distance(tx, via) + distance(via, rx)
     return LinkPaths(amplitude=free_space_amplitude(lengths, lambda_m),
                      fading=np.concatenate([[1.0], fad]), scatterers=scat)
 
@@ -312,48 +364,64 @@ def draw_mu_position(scenario, trial):
     return np.array([x, y, c[2]])
 
 
+def draw_trial_links(scenario, beta_db, trial):
+    """Draw one realization: the MU position and the (direct, BS-RIS, RIS-MU) links.
+
+    Each link is a `LinkPaths` whose NLOS amplitudes are scaled to beta;
+    blockage attenuation applies to the direct link only. Returns
+    ((direct, bs_ris, ris_mu), p_mu).
+    """
+    p_mu = draw_mu_position(scenario, trial)
+    rng_s = _trial_rng(scenario.master_seed, trial, _SEED_SCATTER)
+    rng_f = _trial_rng(scenario.master_seed, trial, _SEED_FADING)
+    # (tx center, rx center, path count, loss dB) per link; this fixed draw
+    # order keeps every link's randomness reproducible
+    specs = (
+        (scenario.bs_center, p_mu, scenario.paths_direct, scenario.blockage_loss_db),
+        (scenario.bs_center, scenario.ris_center, scenario.paths_bs_ris, 0.0),
+        (scenario.ris_center, p_mu, scenario.paths_ris_mu, 0.0),
+    )
+    links = []
+    for tx_c, rx_c, count, loss_db in specs:
+        link = _draw_link(tx_c, rx_c, count, scenario.scatterer_box_min,
+                          scenario.scatterer_box_max, scenario.lambda_m, rng_s, rng_f)
+        if count > 1:
+            link = apply_beta(link, _beta_total_db(scenario, link, beta_db))
+        links.append(blockage_attenuation(link, loss_db))
+    return tuple(links), p_mu
+
+
 def build_trial_channels(scenario, beta_db, trial):
-    """Draw one realization: MU position, scatterers, fading, channel matrices.
+    """One realization's full channel matrices and MU position.
 
     The BS-RIS and RIS-MU matrices use the phase-advance convention (+j)
     consistently with the reflection model behind the codebook; the direct
-    matrix uses the opposite sign. Blockage attenuation applies to the
-    direct link only.
+    matrix uses the opposite sign. Trials reduce the same links without
+    these matrices (`Scenario.link_cascade`); this form serves as their
+    oracle and for `simulate --dump-channels`.
     """
     lam = scenario.lambda_m
-    p_mu = draw_mu_position(scenario, trial)
+    (direct, bs_ris, ris_mu), p_mu = draw_trial_links(scenario, beta_db, trial)
     bs_pos = scenario.bs_geometry().element_positions()
     ris_pos = scenario.ris_geometry().element_positions()
     mu_pos = mu_antenna_positions(scenario, p_mu)
-
-    rng_s = _trial_rng(scenario.master_seed, trial, _SEED_SCATTER)
-    rng_f = _trial_rng(scenario.master_seed, trial, _SEED_FADING)
-    # (tx center, rx center, path count, tx antennas, rx antennas, sign, loss dB)
-    # per link; this fixed draw order keeps every link's randomness reproducible
-    specs = (
-        (scenario.bs_center, p_mu, scenario.paths_direct, bs_pos, mu_pos, -1,
-         scenario.blockage_loss_db),
-        (scenario.bs_center, scenario.ris_center, scenario.paths_bs_ris, bs_pos, ris_pos, +1, 0.0),
-        (scenario.ris_center, p_mu, scenario.paths_ris_mu, ris_pos, mu_pos, +1, 0.0),
-    )
-    mats = []
-    for tx_c, rx_c, count, tx_pos, rx_pos, sign, loss_db in specs:
-        link = _draw_link(tx_c, rx_c, count, scenario.scatterer_box_min,
-                          scenario.scatterer_box_max, lam, rng_s, rng_f)
-        if count > 1:
-            link = apply_beta(link, _beta_total_db(scenario, link, beta_db))
-        link = blockage_attenuation(link, loss_db)
-        mats.append(assemble_channel(link, tx_pos, rx_pos, lam, sign))
-    h, h1, h2 = mats
-    return ChannelSet(h=h, h1=h1, h2=h2), p_mu
+    return ChannelSet(h=assemble_channel(direct, bs_pos, mu_pos, lam, -1),
+                      h1=assemble_channel(bs_ris, bs_pos, ris_pos, lam, +1),
+                      h2=assemble_channel(ris_mu, ris_pos, mu_pos, lam, +1)), p_mu
 
 
-def run_trial(scenario, beta_db, trial, codebook=None):
-    """All schemes on one realization; deterministic in (scenario, beta, trial)."""
+def run_trial(scenario, beta_db, trial, codebook=None, los=None):
+    """All schemes on one realization; deterministic in (scenario, beta, trial).
+
+    codebook and los are the campaign-static `build_codebook()` and
+    `los_projection()`; either is built here when not given.
+    """
     if codebook is None:
         codebook = scenario.build_codebook()
-    channels, p_mu = build_trial_channels(scenario, beta_db, trial)
-    d, a = scenario.cascade(channels)
+    if los is None:
+        los = scenario.los_projection()
+    links, p_mu = draw_trial_links(scenario, beta_db, trial)
+    d, a = scenario.link_cascade(links, p_mu, los)
 
     trace = hierarchical_search(d, a, codebook)
     snr = {
@@ -382,11 +450,13 @@ _WORKER_CTX = {}
 def _worker_init(scenario):
     _WORKER_CTX["scenario"] = scenario
     _WORKER_CTX["codebook"] = scenario.build_codebook()
+    _WORKER_CTX["los"] = scenario.los_projection()
 
 
 def _worker_run(job):
     beta_db, trial = job
-    return run_trial(_WORKER_CTX["scenario"], beta_db, trial, _WORKER_CTX["codebook"])
+    return run_trial(_WORKER_CTX["scenario"], beta_db, trial, _WORKER_CTX["codebook"],
+                     _WORKER_CTX["los"])
 
 
 def run_campaign(scenario):
@@ -400,7 +470,8 @@ def run_campaign(scenario):
     jobs = [(b, t) for b in scenario.beta_list_db for t in range(scenario.trials)]
     if scenario.workers == 1:
         codebook = scenario.build_codebook()
-        return [run_trial(scenario, b, t, codebook) for b, t in jobs]
+        los = scenario.los_projection()
+        return [run_trial(scenario, b, t, codebook, los) for b, t in jobs]
     with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_worker_init,
                              initargs=(scenario,)) as ex:
         return list(ex.map(_worker_run, jobs, chunksize=8))
@@ -456,15 +527,15 @@ def _field_snr_db(scenario, points, profiles):
     pn = geom.element_positions()
     pl1 = free_space_amplitude(float(np.linalg.norm(p_i - p_ris)), lam)
 
-    phase_in = k * np.linalg.norm(p_i - pn, axis=1)
+    phase_in = k * distance(p_i, pn)
     emat = 1j * (phase_in[:, None] + np.asarray(profiles, dtype=float).T)
     np.exp(emat, out=emat)  # in place: the (Q, K) matrix is the largest array here
     out = np.empty((len(points), emat.shape[1]))
     for s in range(0, len(points), _FIELD_CHUNK):
         p_r = points[s:s + _FIELD_CHUNK]
-        d = np.linalg.norm(p_r[:, None, :] - pn[None, :, :], axis=2)
+        d = distance(p_r[:, None, :], pn[None, :, :])
         mags = np.abs(np.exp(1j * k * d) @ emat) * g
-        pl2 = free_space_amplitude(np.linalg.norm(p_r - p_ris, axis=1), lam)
+        pl2 = free_space_amplitude(distance(p_r, p_ris), lam)
         out[s:s + _FIELD_CHUNK] = 10.0 * np.log10(
             scenario.illum_reference_power_w * (pl1 * pl2[:, None] * mags) ** 2 / scenario.sigma2
         )

@@ -51,6 +51,11 @@ def los_only_scenario(**overrides):
     return small_scenario(paths_direct=1, paths_bs_ris=1, paths_ris_mu=1, **overrides)
 
 
+def projected(channels, v):
+    """(H v, H1 v, H2) of full matrices: the channel arguments of `effective_cascade`."""
+    return channels.h @ v, channels.h1 @ v, channels.h2
+
+
 @pytest.fixture(scope="session")
 def reference_scenario():
     return nr.Scenario()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import los_only_scenario, small_scenario
+from conftest import los_only_scenario, projected, small_scenario
 from nearris.beam_mgmt import (
     bs_precoder_focus_ris,
     effective_cascade,
@@ -67,7 +67,7 @@ def test_mu_combiners_are_unit_norm_orthogonal():
 
 def test_received_snr_scalar_oracle():
     # y = g*sqrt(P) through unit cascade: SNR = g^2 * P / sigma2
-    d, a = effective_cascade(scalar_channels(), np.array([np.sqrt(2.0)]), G_PI,
+    d, a = effective_cascade(*projected(scalar_channels(), np.array([np.sqrt(2.0)])), G_PI,
                              np.array([[1.0 + 0j]]), 0.5)
     snr = received_snr(d, a, np.zeros(1))
     assert snr == pytest.approx(4 * np.pi**2, rel=1e-12)
@@ -127,8 +127,8 @@ def test_received_snr_invariant_to_global_codeword_phase(c):
         h1=(rng.normal(size=(q, 2)) + 1j * rng.normal(size=(q, 2))),
         h2=(rng.normal(size=(1, q)) + 1j * rng.normal(size=(1, q))),
     )
-    d, a = effective_cascade(ch, np.array([0.3, 0.4 - 0.2j]), G_PI, np.array([[1.0 + 0j]]),
-                             1e-3)
+    d, a = effective_cascade(*projected(ch, np.array([0.3, 0.4 - 0.2j])), G_PI,
+                             np.array([[1.0 + 0j]]), 1e-3)
     omega = rng.uniform(0, 2 * np.pi, q)
     s1 = received_snr(d, a, omega)
     s2 = received_snr(d, a, omega + c)
@@ -147,18 +147,19 @@ def test_received_snr_invariant_to_combiner_phase():
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
     u /= np.linalg.norm(u)
     v = np.array([0.1, 0.2j])
-    s1 = received_snr(*effective_cascade(ch, v, G_PI, u[None, :], 1e-3), omega)
+    s1 = received_snr(*effective_cascade(*projected(ch, v), G_PI, u[None, :], 1e-3), omega)
     turned = u[None, :] * np.exp(1j * 0.7)
-    s2 = received_snr(*effective_cascade(ch, v, G_PI, turned, 1e-3), omega)
+    s2 = received_snr(*effective_cascade(*projected(ch, v), G_PI, turned, 1e-3), omega)
     assert s2 == pytest.approx(s1, rel=1e-12)
 
 
 def test_effective_cascade_validation():
+    unit = projected(scalar_channels(), np.array([1.0]))
     with pytest.raises(ValueError):
-        effective_cascade(scalar_channels(), np.array([1.0]), G_PI, np.empty((0, 1)), 1.0)
+        effective_cascade(*unit, G_PI, np.empty((0, 1)), 1.0)
     for sigma2 in (0.0, np.nan):
         with pytest.raises(ValueError):
-            effective_cascade(scalar_channels(), np.array([1.0]), G_PI, np.ones((1, 1)), sigma2)
+            effective_cascade(*unit, G_PI, np.ones((1, 1)), sigma2)
 
 
 # --- selection ---------------------------------------------------------------

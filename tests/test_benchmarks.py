@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import projected
 from nearris.beam_mgmt import effective_cascade, mu_combiners, received_snr
 from nearris.benchmarks import (
     benchmark1_full_search,
@@ -26,7 +27,7 @@ def test_benchmark1_equals_measurement_on_single_codeword():
         h1=rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)),
         h2=rng.normal(size=(1, 9)) + 1j * rng.normal(size=(1, 9)),
     )
-    d, a = effective_cascade(ch, np.array([0.2, 0.1j]), unit_cell_factor(geom, LAM),
+    d, a = effective_cascade(*projected(ch, np.array([0.2, 0.1j])), unit_cell_factor(geom, LAM),
                              mu_combiners(1), 1e-6)
     res = benchmark1_full_search(d, a, cb[0])
     direct = received_snr(d, a, cb[0][0, 0])
@@ -49,8 +50,8 @@ def test_benchmark2_scalar_closed_form():
     h1 = assemble_channel(los(P_I, geom.center), P_I[None, :], geom.element_positions(), LAM, +1)
     h2 = assemble_channel(los(geom.center, p_mu), geom.element_positions(), p_mu[None, :], LAM, +1)
     ch = ChannelSet(h=np.zeros((1, 1), dtype=complex), h1=h1, h2=h2)
-    d, a = effective_cascade(ch, np.array([np.sqrt(p)], dtype=complex), g, mu_combiners(1),
-                             sigma2)
+    d, a = effective_cascade(*projected(ch, np.array([np.sqrt(p)], dtype=complex)), g,
+                             mu_combiners(1), sigma2)
     res = benchmark2_full_focusing(d, a, p_mu, geom, P_I, LAM)
     pl1 = free_space_amplitude(float(np.linalg.norm(P_I - geom.center)), LAM)
     pl2 = free_space_amplitude(float(np.linalg.norm(p_mu - geom.center)), LAM)

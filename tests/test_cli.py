@@ -224,6 +224,12 @@ def test_simulate_manifest_contents(tmp_path):
     assert man["command_line"][0] == "nearris"
     # the seed override is part of the hashed scenario
     assert man["scenario_sha256"] != scenario_hash(s)
+    # how the campaign ran
+    assert man["numpy_version"] == np.__version__
+    assert man["workers"] == s.workers
+    assert man["trials"] == s.trials
+    assert man["campaign_wall_s"] > 0
+    assert man["trials_per_s"] == pytest.approx(man["trials"] / man["campaign_wall_s"])
 
 
 def test_sweep_beta_outputs_all_schemes(tmp_path):
@@ -234,6 +240,9 @@ def test_sweep_beta_outputs_all_schemes(tmp_path):
     assert len(rows) == 4 * len(s.beta_list_db)
     schemes = {line.split(",")[0] for line in rows}
     assert schemes == {"proposed", "B1_full_codebook", "B2_full_focusing", "B3_full_csi"}
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["trials"] == s.trials * len(s.beta_list_db)
+    assert {"numpy_version", "workers", "campaign_wall_s", "trials_per_s"} <= set(man)
 
 
 def test_heatmap_command_writes_rasters(tmp_path):

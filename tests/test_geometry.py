@@ -5,6 +5,8 @@ from nearris.geometry import (
     C,
     PlanarArrayGeometry,
     RisGeometry,
+    cis,
+    distance,
     far_field_distance,
     ris_from_aperture,
     wavelength,
@@ -24,6 +26,29 @@ def test_wavelength_rejects_nonpositive():
         wavelength(0.0)
     with pytest.raises(ValueError):
         wavelength(-1e9)
+
+
+def test_distance_equals_norm_under_broadcasting():
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-60.0, 60.0, (7, 3))
+    grid = rng.uniform(-0.3, 0.3, (1, 40, 3)) + [0.0, 40.0, 5.0]
+    for a, b in [(pts[:, None, :], grid), (pts, pts[0]), (pts[0], pts), (pts[2], pts[5])]:
+        got = distance(a, b)
+        expect = np.linalg.norm(np.asarray(a) - np.asarray(b), axis=-1)
+        assert got.shape == expect.shape
+        np.testing.assert_array_equal(got, expect)
+    assert distance([0, 0, 0], (3, 4, 12)) == 13.0
+
+
+def test_cis_matches_complex_exponential():
+    # the phases a trial meets reach k * (tens of meters), |x| ~ 4e4 rad
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(-4e4, 4e4, 20000), rng.uniform(-10.0, 10.0, 1000),
+                        [0.0, -0.0, np.pi, -4e4, 4e4]])
+    got = cis(x)
+    assert got.dtype == complex and got.shape == x.shape
+    np.testing.assert_allclose(got, np.exp(1j * x), rtol=1e-15, atol=0)
+    assert cis(x.reshape(5, -1)).shape == (5, len(x) // 5)
 
 
 def test_far_field_distance_values():

@@ -22,6 +22,7 @@ from nearris.harness import (
     aggregate,
     build_trial_channels,
     draw_mu_position,
+    draw_trial_links,
     farfield_table,
     focusing_cut,
     heatmap,
@@ -151,6 +152,29 @@ def test_direct_link_carries_blockage_loss():
     np.testing.assert_allclose(ch.h, 0.1 * unblocked, rtol=1e-12)
 
 
+@pytest.mark.parametrize("overrides, beta_db, trial", [
+    (dict(), 10.0, 0),
+    (dict(n_mu=4), -10.0, 1),
+    (dict(paths_bs_ris=1), 20.0, 2),
+    (dict(n_mu=4, paths_bs_ris=1, beta_semantics="total"), 0.0, 3),
+    (None, 10.0, 5),
+])
+def test_link_cascade_matches_full_matrix_oracle(overrides, beta_db, trial):
+    # trials reduce the links without H1: (d, A) must be Scenario.cascade of
+    # the full assemble_channel matrices; None is the reference scenario,
+    # whose Q = 8649 RIS rows span several LOS-projection blocks
+    s = Scenario() if overrides is None else small_scenario(**overrides)
+    links, p_mu = draw_trial_links(s, beta_db, trial)
+    d, a = s.link_cascade(links, p_mu, s.los_projection())
+    ch, p_mu_oracle = build_trial_channels(s, beta_db, trial)
+    d0, a0 = s.cascade(ch)
+    np.testing.assert_array_equal(p_mu, p_mu_oracle)
+    assert d.shape == d0.shape == (s.n_mu,)
+    assert a.shape == a0.shape == (s.n_mu, s.ris_geometry().q)
+    assert np.linalg.norm(d - d0) <= 1e-12 * np.linalg.norm(d0)
+    assert np.linalg.norm(a - a0) <= 1e-12 * np.linalg.norm(a0)
+
+
 # --- trials and campaigns -----------------------------------------------------------
 
 
@@ -171,6 +195,15 @@ def test_run_trial_deterministic():
     assert a.snr_db == b.snr_db
     assert a.mu_position == b.mu_position
     assert a.winners == b.winners
+
+
+def test_run_trial_same_with_campaign_static_terms_given_or_built():
+    s = small_scenario(n_mu=2)
+    codebook, los = s.build_codebook(), s.los_projection()
+    for beta_db, trial in [(0.0, 1), (20.0, 4)]:
+        built = run_trial(s, beta_db, trial)
+        given = run_trial(s, beta_db, trial, codebook, los)
+        assert built == given
 
 
 def test_run_trial_multi_antenna_mu_drops_b3():
