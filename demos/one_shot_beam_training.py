@@ -13,7 +13,6 @@ import numpy as np
 
 import nearris as nr
 from nearris import benchmarks as bm
-from nearris.beam_mgmt import hierarchical_search
 
 
 def main():
@@ -22,16 +21,16 @@ def main():
     trial = 7
 
     print("building codebook (16 + 64 + 128 + 256 codewords)...")
-    codebook = s.build_codebook()
+    table = s.finest_table()
     links, p_mu = nr.draw_trial_links(s, beta_db, trial)
     print(f"user drawn at ({p_mu[0]:.2f}, {p_mu[1]:.2f}, {p_mu[2]:.2f}) m, "
           f"beta = {beta_db:g} dB\n")
 
     d, a = s.link_cascade(links, p_mu, s.los_projection())
 
-    trace = hierarchical_search(d, a, codebook)
+    trace = s.search(d, a, table)
     for depth, rec in enumerate(trace.levels):
-        w_x, w_y = codebook[depth].shape[:2]
+        w_x, w_y = s.codebook_levels[depth]
         print(f"level {depth + 1} ({w_x}x{w_y} cells): sounded {len(rec.candidates)} pilots")
         for c, snr in zip(rec.candidates, rec.snrs):
             tag = "  <- winner" if c == rec.winner else ""
@@ -39,11 +38,10 @@ def main():
     print(f"\ntotal pilots: {trace.pilot_count} "
           f"(per level {trace.pilots_per_level()})")
 
-    finest = codebook[-1]
     rows = [
         ("hierarchical search", trace.levels[-1].snrs.max(), f"{trace.pilot_count} pilots"),
-        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, finest),
-         f"{finest.shape[0] * finest.shape[1]} pilots"),
+        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, table),
+         f"{len(table)} pilots"),
         (bm.B2_FULL_FOCUSING, bm.benchmark2_full_focusing(d, a, p_mu, s.ris_geometry(),
                                                           s.bs_center, s.lambda_m),
          "exact MU position"),

@@ -33,6 +33,7 @@ from .codebook import (
     BlockageArea,
     build_hierarchy,
     children,
+    finest_level_phasors,
     focusing_phases,
     grcs,
     mapping,

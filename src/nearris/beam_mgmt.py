@@ -4,12 +4,14 @@ The BS applies one fixed power-carrying precoder focused on the RIS
 center; the MU maximizes over a small unit-norm combiner set. Both are
 fixed, so a realization reduces once to a direct term d and an effective
 cascade A, one row per combiner, in noise-amplitude units: the SNR under
-RIS phases omega is max_i |d_i + A_i exp(j*omega)|^2. One "pilot" is one
-SNR measurement under one RIS codeword. Every scheme that sounds
-codewords scores a block of them, one profile per row, in one call, and
-takes the first maximum in row-major cell order, so ties go to the lowest
-cell index. The hierarchical search sounds the full first codebook level,
-then only the children of each level's winner.
+RIS phases omega is max_i |d_i + A_i exp(j*omega)|^2. Scoring reads the
+phasors exp(j*omega), not the phases, so a campaign can exponentiate its
+static codewords once. One "pilot" is one SNR measurement under one RIS
+codeword. Every scheme that sounds codewords scores a block of them, one
+profile per row, in one call, and takes the first maximum in row-major
+cell order, so ties go to the lowest cell index. The hierarchical search
+sounds the full first codebook level, then only the children of each
+level's winner, asking its caller for just those codewords.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import children
-from .geometry import cis, distance
+from .geometry import distance
 
 
 def bs_precoder_focus_ris(bs_positions, p_ris, lambda_m, p_bs_watts):
@@ -60,13 +62,13 @@ def effective_cascade(hv, h1v, h2, g, combiners, sigma2):
     return uh @ hv / sigma, uh @ (g * h2 * h1v) / sigma
 
 
-def received_snr(d, a, omega):
-    """Linear SNR max_i |d_i + A_i exp(j*omega)|^2 of a (d, A) pair in noise units.
+def received_snr(d, a, e):
+    """Linear SNR max_i |d_i + A_i e|^2 of a (d, A) pair in noise units.
 
-    omega holds one profile per row, shape (..., Q), and the result has
-    shape (...): a 1-D profile gives a scalar.
+    e holds the RIS phasors exp(j*omega), one profile per row, shape
+    (..., Q), and the result has shape (...): a 1-D profile gives a scalar.
     """
-    y = cis(omega) @ a.T + d
+    y = e @ a.T + d
     return np.max(np.abs(y) ** 2, axis=-1)
 
 
@@ -89,22 +91,24 @@ class SearchTrace:
         return [len(rec.candidates) for rec in self.levels]
 
 
-def hierarchical_search(d, a, codebook):
-    """Coarse-to-fine codeword selection over the hierarchy's level arrays.
+def hierarchical_search(d, a, level_shapes, codewords):
+    """Coarse-to-fine codeword selection over a hierarchy of (W_x, W_y) level shapes.
 
-    Sounds every cell of level 1, then per level only the children of the
-    previous winner, all candidates of a level in one `received_snr` call;
-    the winner is the first maximum in row-major order. Returns the trace,
+    codewords(depth, cells) returns the phasors of the listed cells of
+    level `depth` (0-based), one (Q,) row per cell. The search sounds every
+    cell of level 1, then per level only the children of the previous
+    winner, all candidates of a level in one `received_snr` call; the
+    winner is the first maximum in row-major order. Returns the trace,
     whose last level holds the final winner. Total pilots = |level 1| +
     sum of refinement-ratio products.
     """
     trace = SearchTrace()
-    for depth, level in enumerate(codebook):
+    for depth, shape in enumerate(level_shapes):
         if depth == 0:
-            cands = list(np.ndindex(level.shape[:2]))
+            cands = list(np.ndindex(*shape))
         else:
-            cands = children(codebook[depth - 1].shape[:2], level.shape[:2], winner)
-        snrs = received_snr(d, a, level[tuple(zip(*cands))])
+            cands = children(level_shapes[depth - 1], shape, winner)
+        snrs = received_snr(d, a, codewords(depth, cands))
         winner = cands[int(np.argmax(snrs))]
         trace.levels.append(LevelRecord(cands, snrs, winner))
     return trace

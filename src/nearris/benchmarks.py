@@ -1,15 +1,18 @@
 """Reference schemes the hierarchical search is compared against.
 
-B1 exhaustively sounds the finest codebook level; B2 focuses on the exact
-MU position; B3 phase-conjugates the cascaded per-element channel from
-full CSI. All read only the trial's (d, A) from `beam_mgmt.effective_cascade`
-and return the same linear SNR as the proposed scheme, direct link included.
+B1 exhaustively sounds the finest codebook level, read from the campaign's
+phasor table; B2 focuses on the exact MU position; B3 phase-conjugates the
+cascaded per-element channel from full CSI. All read only the trial's
+(d, A) from `beam_mgmt.effective_cascade` and their own codewords or
+geometry, and return the same linear SNR as the proposed scheme, direct
+link included.
 """
 
 import numpy as np
 
 from .beam_mgmt import received_snr
 from .codebook import focusing_phases
+from .geometry import cis
 
 B1_FULL_CODEBOOK = "B1_full_codebook"
 B2_FULL_FOCUSING = "B2_full_focusing"
@@ -17,18 +20,18 @@ B3_FULL_CSI = "B3_full_csi"
 PROPOSED = "proposed"
 
 
-def benchmark1_full_search(d, a, level):
-    """Exhaustive search over one (W_x, W_y, Q) level, scored one grid row per call.
+def benchmark1_full_search(d, a, table):
+    """Exhaustive search over the finest level, scored as one block.
 
-    Costs W_x * W_y pilots.
+    table is the level's (W_x * W_y, Q) phasors (`finest_level_phasors`),
+    and the result max |table A^T + d|^2; costs W_x * W_y pilots.
     """
-    return np.stack([received_snr(d, a, row) for row in level]).max()
+    return received_snr(d, a, table).max()
 
 
 def benchmark2_full_focusing(d, a, p_mu, geom, p_i, lambda_m):
     """Genie-aided focusing on the exact MU position."""
-    omega = focusing_phases(p_i, p_mu, geom, lambda_m)
-    return received_snr(d, a, omega)
+    return received_snr(d, a, cis(focusing_phases(p_i, p_mu, geom, lambda_m)))
 
 
 def benchmark3_full_csi(d, a):

@@ -169,10 +169,11 @@ def write_aggregates_csv(path, rows):
 
 
 def write_raster_csv(path, xs, ys, grid):
+    """One x,y,snr line per grid point, x-major; each coordinate is formatted once."""
+    ys_fmt = [_fmt(y) for y in ys]
+    prefixes = [f"{x},{y}," for x in map(_fmt, xs) for y in ys_fmt]
     lines = [f"# format_version={FORMAT_VERSION}", "x_m,y_m,snr_db"]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(grid[i, j])}")
+    lines += [p + _fmt(v) for p, v in zip(prefixes, grid.ravel().tolist())]
     FsPath(path).write_text("\n".join(lines) + "\n")
 
 

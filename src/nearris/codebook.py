@@ -10,7 +10,10 @@ a rectangular blockage area.
 A hierarchy is a tuple of levels, coarsest first, and a level is one
 array of shape (big_w_x, big_w_y, Q) holding the codeword of cell
 (w_x, w_y) at [w_x, w_y]; `check_levels` checks the level shapes and
-alpha for both the build and the scenario.
+alpha for both the build and the scenario. The rasters and the codebook
+dump read these phase arrays. Trials read phasors instead: the finest
+level as one table (`finest_level_phasors`), and the few coarser
+codewords a search sounds computed on demand from the same formula.
 """
 
 import warnings
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import distance
+from .geometry import cis, distance, hypot3
 
 _TWO_PI = 2.0 * np.pi
 
@@ -72,6 +75,30 @@ def focusing_phases(p_i, p_target, geom, lambda_m):
     return -k * d
 
 
+def _image_planes(p, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
+    """x and y of the image points of `mapping` for (n, 3) positions p, each S + (n,).
+
+    Every image point lies at the area's height area.center[2].
+    """
+    w_x, w_y = np.broadcast_arrays(w_x, w_y)
+    if not (np.all((0 <= w_x) & (w_x < big_w_x)) and np.all((0 <= w_y) & (w_y < big_w_y))):
+        raise ValueError(f"cell index ({w_x}, {w_y}) out of range for ({big_w_x}, {big_w_y})")
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    l_y, l_z = geom.aperture
+    t_x = (w_x[..., None] + 0.5) * area.r_x / big_w_x - area.r_x / 2.0
+    t_y = (w_y[..., None] + 0.5) * area.r_y / big_w_y - area.r_y / 2.0
+    delta_x = alpha * area.r_x / big_w_x
+    delta_y = alpha * area.r_y / big_w_y
+    rel_y = p[:, 1] - geom.center[1]
+    rel_z = p[:, 2] - geom.center[2]
+    x = delta_x / l_z * rel_z + t_x
+    x += area.center[0]
+    y = delta_y / l_y * rel_y + t_y
+    y += area.center[1]
+    return x, y
+
+
 def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
     """Map RIS element position(s) to target point(s) in the blockage plane.
 
@@ -86,26 +113,14 @@ def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
     Accepts a single (3,) position or an (n, 3) batch, and integer-array
     cell indices broadcasting to a shape S: the result is S + (3,) or S + (n, 3).
     """
-    w_x, w_y = np.broadcast_arrays(w_x, w_y)
-    if not (np.all((0 <= w_x) & (w_x < big_w_x)) and np.all((0 <= w_y) & (w_y < big_w_y))):
-        raise ValueError(f"cell index ({w_x}, {w_y}) out of range for ({big_w_x}, {big_w_y})")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     p = np.asarray(p_n, dtype=float)
     single = p.ndim == 1
     p = np.atleast_2d(p)
-
-    l_y, l_z = geom.aperture
-    t_x = (w_x[..., None] + 0.5) * area.r_x / big_w_x - area.r_x / 2.0
-    t_y = (w_y[..., None] + 0.5) * area.r_y / big_w_y - area.r_y / 2.0
-    delta_x = alpha * area.r_x / big_w_x
-    delta_y = alpha * area.r_y / big_w_y
-
-    rel_y = p[:, 1] - geom.center[1]
-    rel_z = p[:, 2] - geom.center[2]
-    out = np.broadcast_to(area.center, w_x.shape + p.shape).copy()
-    out[..., 0] += delta_x / l_z * rel_z + t_x
-    out[..., 1] += delta_y / l_y * rel_y + t_y
+    x, y = _image_planes(p, area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
+    out = np.empty(x.shape + (3,))
+    out[..., 0] = x
+    out[..., 1] = y
+    out[..., 2] = area.center[2]
     return out[..., 0, :] if single else out
 
 
@@ -116,14 +131,19 @@ def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w
     the per-element mapping above. Each element focuses on its own image
     point; the -|M - p_ris| term keeps the profile phase-continuous across
     the aperture. Array cell indices broadcast as in `mapping`, to S + (Q,).
+    The image points enter as their x and y planes, and their common
+    height as a scalar, so no S + (Q, 3) array is made.
     """
     pn = geom.element_positions()
-    m = mapping(pn, area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
+    m_x, m_y = _image_planes(pn, area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
+    m_z = area.center[2]
+    c = geom.center
     k = _TWO_PI / lambda_m
-    d = distance(m, pn)
-    d -= distance(m, geom.center)
+    d = hypot3(m_x - pn[:, 0], m_y - pn[:, 1], m_z - pn[:, 2])
+    d -= hypot3(m_x - c[0], m_y - c[1], m_z - c[2])
     d += distance(p_i, pn)
-    return -k * d
+    d *= -k
+    return d
 
 
 def children(parent_shape, child_shape, parent_index):
@@ -163,23 +183,49 @@ def check_levels(level_shapes, alpha):
             raise ValueError(f"codebook level ({bx},{by}) does not refine ({ax},{ay})")
 
 
-def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
-    """All codewords for (big_w_x, big_w_y) level shapes that pass `check_levels`.
+def _level_rows(shape, alpha, area, geom, p_i, lambda_m):
+    """A level's phases one row of cells (fixed w_x) at a time, (W_y, Q) per row."""
+    wx_count, wy_count = shape
+    for wx in range(wx_count):
+        yield wide_illumination_phases(
+            p_i, area, geom, lambda_m, wx, np.arange(wy_count), wx_count, wy_count, alpha
+        )
 
-    Returns one (big_w_x, big_w_y, Q) array per level, coarsest first.
-    Each level is filled one row of cells (fixed w_x) per call, holding
-    big_w_y * Q image points at a time.
-    """
+
+def _check_hierarchy(level_shapes, alpha):
     check_levels(level_shapes, alpha)
     if alpha > 1.0:
         warnings.warn(f"alpha={alpha} > 1 overlaps neighboring cells beyond their edges")
 
+
+def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
+    """All codewords for (big_w_x, big_w_y) level shapes that pass `check_levels`.
+
+    Returns one (big_w_x, big_w_y, Q) array per level, coarsest first.
+    Each level is filled one row of cells per call, holding big_w_y * Q
+    image points at a time.
+    """
+    _check_hierarchy(level_shapes, alpha)
     levels = []
-    for wx_count, wy_count in level_shapes:
-        words = np.empty((wx_count, wy_count, geom.q))
-        for wx in range(wx_count):
-            words[wx] = wide_illumination_phases(
-                p_i, area, geom, lambda_m, wx, np.arange(wy_count), wx_count, wy_count, alpha
-            )
+    for shape in level_shapes:
+        words = np.empty((*shape, geom.q))
+        for wx, row in enumerate(_level_rows(shape, alpha, area, geom, p_i, lambda_m)):
+            words[wx] = row
         levels.append(words)
     return tuple(levels)
+
+
+def finest_level_phasors(level_shapes, alpha, area, geom, p_i, lambda_m):
+    """exp(j*omega) of every finest-level codeword: a (W_x * W_y, Q) complex table.
+
+    Row w_x * W_y + w_y holds cell (w_x, w_y), so the rows run in the
+    row-major cell order of `build_hierarchy(...)[-1]`, whose phases they
+    exponentiate. Built one row of cells at a time, so the level's phases
+    are never held whole.
+    """
+    _check_hierarchy(level_shapes, alpha)
+    shape = level_shapes[-1]
+    table = np.empty((*shape, geom.q), dtype=complex)
+    for wx, row in enumerate(_level_rows(shape, alpha, area, geom, p_i, lambda_m)):
+        table[wx] = cis(row)
+    return table.reshape(-1, geom.q)

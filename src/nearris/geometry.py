@@ -4,8 +4,10 @@ All positions are length-3 float arrays (x, y, z) in meters in a shared
 right-handed Cartesian frame. The RIS lies in the y-z plane and the BS
 array in the x-z plane; element grids are uniformly spaced and centered
 on the declared array center. `distance` is the package's one distance
-formula, and `cis` the phasor formula of the trial path (the channel
-phasors and the SNR of a block of RIS profiles).
+formula: `hypot3` of the component differences, which the codeword
+formula calls directly on its image-point planes. `cis` is the phasor
+formula of the trial path: the channel phasors and the codewords that
+trials score.
 """
 
 from dataclasses import dataclass
@@ -31,8 +33,18 @@ def distance(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    x0, x1, x2 = (a[..., i] - b[..., i] for i in range(3))
-    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    return hypot3(*(a[..., i] - b[..., i] for i in range(3)))
+
+
+def hypot3(x0, x1, x2):
+    """sqrt(x0*x0 + x1*x1 + x2*x2), summed in that order, of three component differences.
+
+    x0 and x1 set the result's shape, and x2 broadcasts to it; the third
+    term is added in place, which saves one temporary of that shape.
+    """
+    s = x0 * x0 + x1 * x1
+    s += x2 * x2
+    return np.sqrt(s)
 
 
 def cis(x):

@@ -12,9 +12,14 @@ Two SNR pipelines coexist and are kept separate on purpose:
   combiner (`Scenario.link_cascade`): the BS-RIS channel enters only as
   H1 v, its LOS part built once per campaign. Every scheme reads that pair
   alone and scores max_u |d_u + A_u exp(j*omega)|^2 (combiner and direct
-  link included). `build_trial_channels` and `Scenario.cascade` form the
-  full matrices with `assemble_channel` and are the oracle of that
-  reduction.
+  link included) from the phasors exp(j*omega): B1 and the search's last
+  level from the finest level's phasor table, built once per campaign next
+  to the LOS part (`Scenario.finest_table`), and the search's few coarser
+  codewords computed on demand (`Scenario.codewords`). The phase arrays of
+  `Scenario.build_codebook` serve the rasters and the codebook dump, and
+  are the tests' oracle of both. `build_trial_channels` and
+  `Scenario.cascade` form the full matrices with `assemble_channel` and
+  are the oracle of the channel reduction.
 
 Trials are pure functions of (scenario, beta, trial index); every random
 draw comes from a seed sequence labeled with those coordinates, so
@@ -24,6 +29,7 @@ campaigns are bit-identical for any worker count.
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from numbers import Real
 
 import numpy as np
@@ -47,11 +53,14 @@ from .codebook import (
     BlockageArea,
     build_hierarchy,
     check_levels,
+    finest_level_phasors,
     focusing_phases,
     unit_cell_factor,
+    wide_illumination_phases,
 )
 from .geometry import (
     PlanarArrayGeometry,
+    cis,
     distance,
     far_field_distance,
     ris_from_aperture,
@@ -279,16 +288,44 @@ class Scenario:
             r_x=self.blockage_r_x, r_y=self.blockage_r_y,
         )
 
+    def _codebook_args(self):
+        return (self.codebook_levels, self.codebook_alpha, self.blockage_area(),
+                self.ris_geometry(), np.asarray(self.bs_center, dtype=float), self.lambda_m)
+
     def build_codebook(self):
-        """The hierarchy: one (W_x, W_y, Q) codeword array per level, coarsest first."""
-        return build_hierarchy(
-            self.codebook_levels,
-            self.codebook_alpha,
-            self.blockage_area(),
-            self.ris_geometry(),
-            np.asarray(self.bs_center, dtype=float),
-            self.lambda_m,
-        )
+        """The hierarchy: one (W_x, W_y, Q) codeword array per level, coarsest first.
+
+        The rasters and `codebook dump` read it; trials read `finest_table()`
+        and `codewords` instead.
+        """
+        return build_hierarchy(*self._codebook_args())
+
+    def finest_table(self):
+        """The finest level's phasors, (W_x * W_y, Q), row w_x * W_y + w_y.
+
+        It depends on the geometry alone, so a campaign builds it once, next
+        to the LOS projection; B1 scores it whole and the search reads its
+        last level's children from it.
+        """
+        return finest_level_phasors(*self._codebook_args())
+
+    def codewords(self, table, depth, cells):
+        """Phasors of cells [(w_x, w_y), ...] of level depth (0-based), one row each.
+
+        The finest level's rows come from table (`finest_table()`); a coarser
+        level's are computed here, from the formula that builds the codebook.
+        """
+        w_x, w_y = np.array(cells).T
+        big_w_x, big_w_y = self.codebook_levels[depth]
+        if depth == len(self.codebook_levels) - 1:
+            return table[w_x * big_w_y + w_y]
+        _, alpha, area, geom, p_i, lam = self._codebook_args()
+        return cis(wide_illumination_phases(p_i, area, geom, lam, w_x, w_y, big_w_x, big_w_y,
+                                            alpha))
+
+    def search(self, d, a, table):
+        """`hierarchical_search` of (d, A) over this scenario's hierarchy."""
+        return hierarchical_search(d, a, self.codebook_levels, partial(self.codewords, table))
 
     def to_dict(self):
         """Field name -> value, every tuple (nested ones too) as a list."""
@@ -410,23 +447,23 @@ def build_trial_channels(scenario, beta_db, trial):
                       h2=assemble_channel(ris_mu, ris_pos, mu_pos, lam, +1)), p_mu
 
 
-def run_trial(scenario, beta_db, trial, codebook=None, los=None):
+def run_trial(scenario, beta_db, trial, table=None, los=None):
     """All schemes on one realization; deterministic in (scenario, beta, trial).
 
-    codebook and los are the campaign-static `build_codebook()` and
+    table and los are the campaign-static `finest_table()` and
     `los_projection()`; either is built here when not given.
     """
-    if codebook is None:
-        codebook = scenario.build_codebook()
+    if table is None:
+        table = scenario.finest_table()
     if los is None:
         los = scenario.los_projection()
     links, p_mu = draw_trial_links(scenario, beta_db, trial)
     d, a = scenario.link_cascade(links, p_mu, los)
 
-    trace = hierarchical_search(d, a, codebook)
+    trace = scenario.search(d, a, table)
     snr = {
         bm.PROPOSED: trace.levels[-1].snrs.max(),
-        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, codebook[-1]),
+        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, table),
         bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, p_mu, scenario.ris_geometry(),
                                                          scenario.bs_center, scenario.lambda_m),
     }
@@ -449,13 +486,13 @@ _WORKER_CTX = {}
 
 def _worker_init(scenario):
     _WORKER_CTX["scenario"] = scenario
-    _WORKER_CTX["codebook"] = scenario.build_codebook()
+    _WORKER_CTX["table"] = scenario.finest_table()
     _WORKER_CTX["los"] = scenario.los_projection()
 
 
 def _worker_run(job):
     beta_db, trial = job
-    return run_trial(_WORKER_CTX["scenario"], beta_db, trial, _WORKER_CTX["codebook"],
+    return run_trial(_WORKER_CTX["scenario"], beta_db, trial, _WORKER_CTX["table"],
                      _WORKER_CTX["los"])
 
 
@@ -469,9 +506,9 @@ def run_campaign(scenario):
     """
     jobs = [(b, t) for b in scenario.beta_list_db for t in range(scenario.trials)]
     if scenario.workers == 1:
-        codebook = scenario.build_codebook()
+        table = scenario.finest_table()
         los = scenario.los_projection()
-        return [run_trial(scenario, b, t, codebook, los) for b, t in jobs]
+        return [run_trial(scenario, b, t, table, los) for b, t in jobs]
     with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_worker_init,
                              initargs=(scenario,)) as ex:
         return list(ex.map(_worker_run, jobs, chunksize=8))

@@ -56,6 +56,16 @@ def projected(channels, v):
     return channels.h @ v, channels.h1 @ v, channels.h2
 
 
+def phase_levels(codebook):
+    """`hierarchical_search`'s level shapes and codewords over phase arrays.
+
+    The codewords callable exponentiates each asked cell of its level array.
+    """
+    def codewords(depth, cells):
+        return nr.cis(codebook[depth][tuple(zip(*cells))])
+    return [level.shape[:2] for level in codebook], codewords
+
+
 @pytest.fixture(scope="session")
 def reference_scenario():
     return nr.Scenario()
@@ -64,6 +74,11 @@ def reference_scenario():
 @pytest.fixture(scope="session")
 def reference_codebook(reference_scenario):
     return reference_scenario.build_codebook()
+
+
+@pytest.fixture(scope="session")
+def reference_table(reference_scenario):
+    return reference_scenario.finest_table()
 
 
 def point_source_losses(scenario, codebook, mu_positions):

@@ -19,7 +19,6 @@ import pytest
 
 from conftest import point_source_losses, small_scenario
 from nearris import benchmarks as bm
-from nearris.beam_mgmt import hierarchical_search
 from nearris.channel import LinkPaths, apply_beta, free_space_amplitude
 from nearris.codebook import focusing_phases, grcs, unit_cell_factor
 from nearris.harness import (
@@ -87,10 +86,10 @@ def test_criterion_2_codebook_peak_and_focusing_gap(
     )
 
 
-def test_criterion_3_pilot_overhead(reference_scenario, reference_codebook, record_criterion):
+def test_criterion_3_pilot_overhead(reference_scenario, reference_table, record_criterion):
     s = reference_scenario
     ch, _ = build_trial_channels(s, 10.0, 0)
-    trace = hierarchical_search(*s.cascade(ch), reference_codebook)
+    trace = s.search(*s.cascade(ch), reference_table)
     per_level = trace.pilots_per_level()
     ok = trace.pilot_count == 24 and per_level == [16, 4, 2, 2]
     record_criterion(

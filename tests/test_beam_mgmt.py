@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import los_only_scenario, projected, small_scenario
+from conftest import los_only_scenario, phase_levels, projected, small_scenario
 from nearris.beam_mgmt import (
     bs_precoder_focus_ris,
     effective_cascade,
@@ -14,6 +14,7 @@ from nearris.beam_mgmt import (
 from nearris.benchmarks import benchmark1_full_search, benchmark3_full_csi
 from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
 from nearris.codebook import mapping, unit_cell_factor
+from nearris.geometry import cis
 from nearris.harness import build_trial_channels
 
 G_PI = np.pi
@@ -69,7 +70,7 @@ def test_received_snr_scalar_oracle():
     # y = g*sqrt(P) through unit cascade: SNR = g^2 * P / sigma2
     d, a = effective_cascade(*projected(scalar_channels(), np.array([np.sqrt(2.0)])), G_PI,
                              np.array([[1.0 + 0j]]), 0.5)
-    snr = received_snr(d, a, np.zeros(1))
+    snr = received_snr(d, a, cis(np.zeros(1)))
     assert snr == pytest.approx(4 * np.pi**2, rel=1e-12)
 
 
@@ -103,11 +104,11 @@ def test_received_snr_matches_full_matrix_oracle(n_mu):
         singles = []
         for omega in profiles:
             expect = matrix_oracle_snr(ch, omega, v, combiners, s.sigma2, g)
-            singles.append(received_snr(d, a, omega))
+            singles.append(received_snr(d, a, cis(omega)))
             assert np.ndim(singles[-1]) == 0
             assert singles[-1] == pytest.approx(expect, rel=1e-9)
         # one stacked (K, Q) call scores every profile as the single calls do
-        stacked = received_snr(d, a, profiles)
+        stacked = received_snr(d, a, cis(profiles))
         assert stacked.shape == (len(profiles),)
         np.testing.assert_allclose(stacked, singles, rtol=1e-12)
         if n_mu == 1:
@@ -130,8 +131,8 @@ def test_received_snr_invariant_to_global_codeword_phase(c):
     d, a = effective_cascade(*projected(ch, np.array([0.3, 0.4 - 0.2j])), G_PI,
                              np.array([[1.0 + 0j]]), 1e-3)
     omega = rng.uniform(0, 2 * np.pi, q)
-    s1 = received_snr(d, a, omega)
-    s2 = received_snr(d, a, omega + c)
+    s1 = received_snr(d, a, cis(omega))
+    s2 = received_snr(d, a, cis(omega + c))
     assert s2 == pytest.approx(s1, rel=1e-9)
 
 
@@ -147,9 +148,9 @@ def test_received_snr_invariant_to_combiner_phase():
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
     u /= np.linalg.norm(u)
     v = np.array([0.1, 0.2j])
-    s1 = received_snr(*effective_cascade(*projected(ch, v), G_PI, u[None, :], 1e-3), omega)
+    s1 = received_snr(*effective_cascade(*projected(ch, v), G_PI, u[None, :], 1e-3), cis(omega))
     turned = u[None, :] * np.exp(1j * 0.7)
-    s2 = received_snr(*effective_cascade(*projected(ch, v), G_PI, turned, 1e-3), omega)
+    s2 = received_snr(*effective_cascade(*projected(ch, v), G_PI, turned, 1e-3), cis(omega))
     assert s2 == pytest.approx(s1, rel=1e-12)
 
 
@@ -177,7 +178,7 @@ def duplicate_row_level(best_cells, q=6):
 
 def sounded(level, d, a):
     """The one-level search's record on level, and its SNRs keyed by cell."""
-    rec = hierarchical_search(d, a, (level,)).levels[0]
+    rec = hierarchical_search(d, a, *phase_levels((level,))).levels[0]
     return rec, dict(zip(rec.candidates, rec.snrs))
 
 
@@ -187,7 +188,7 @@ def test_block_winner_is_argmax():
     assert rec.winner == (1, 0)
     assert snr[(1, 0)] == pytest.approx(36.0, rel=1e-12)
     assert rec.snrs.max() == snr[(1, 0)]
-    assert benchmark1_full_search(d, a, level) == snr[(1, 0)]
+    assert benchmark1_full_search(d, a, cis(level.reshape(4, -1))) == snr[(1, 0)]
 
 
 def test_block_winner_ties_go_to_lowest_index():
@@ -195,7 +196,7 @@ def test_block_winner_ties_go_to_lowest_index():
     rec, snr = sounded(level, d, a)
     assert snr[(1, 0)] == snr[(0, 1)]
     assert rec.winner == (0, 1)
-    assert benchmark1_full_search(d, a, level) == snr[(0, 1)]
+    assert benchmark1_full_search(d, a, cis(level.reshape(4, -1))) == snr[(0, 1)]
 
 
 # --- hierarchical search ------------------------------------------------------
@@ -204,28 +205,28 @@ def test_block_winner_ties_go_to_lowest_index():
 def test_search_pilot_budget_small_hierarchy():
     s = los_only_scenario()
     ch, _ = build_trial_channels(s, 10.0, 0)
-    trace = hierarchical_search(*s.cascade(ch), s.build_codebook())
+    trace = s.search(*s.cascade(ch), s.finest_table())
     assert trace.pilots_per_level() == [4, 4, 2]
     assert trace.pilot_count == 10
 
 
 def test_search_single_level_equals_exhaustive():
     s = small_scenario(codebook_levels=((4, 8),))
-    cb = s.build_codebook()
+    table = s.finest_table()
     d, a = s.cascade(build_trial_channels(s, 10.0, 3)[0])
-    trace = hierarchical_search(d, a, cb)
-    r1 = benchmark1_full_search(d, a, cb[0])
+    trace = s.search(d, a, table)
+    r1 = benchmark1_full_search(d, a, table)
     assert trace.levels[-1].snrs.max() == pytest.approx(r1, rel=1e-12)
 
 
 def test_search_never_beats_exhaustive():
     s = small_scenario()
-    cb = s.build_codebook()
+    table = s.finest_table()
     for trial in range(6):
         d, a = s.cascade(build_trial_channels(s, 10.0, trial)[0])
-        trace = hierarchical_search(d, a, cb)
+        trace = s.search(d, a, table)
         prop = trace.levels[-1].snrs.max()
-        r1 = benchmark1_full_search(d, a, cb[-1])
+        r1 = benchmark1_full_search(d, a, table)
         assert prop <= r1 * (1 + 1e-12)
 
 
@@ -233,11 +234,11 @@ def test_search_finds_cell_center_users_exactly():
     # noiseless LOS channels with the MU parked on a finest-level cell
     # center: the descent must land on that exact cell
     s = los_only_scenario()
-    cb = s.build_codebook()
+    table = s.finest_table()
     lam = s.lambda_m
     geom = s.ris_geometry()
     area = s.blockage_area()
-    finest = cb[-1].shape[:2]
+    finest = s.codebook_levels[-1]
     bs_pos = s.bs_geometry().element_positions()
     ris_pos = geom.element_positions()
 
@@ -253,7 +254,7 @@ def test_search_finds_cell_center_users_exactly():
             h1=assemble_channel(los(s.bs_center, s.ris_center), bs_pos, ris_pos, lam, +1),
             h2=assemble_channel(los(s.ris_center, p_mu), ris_pos, mu_pos, lam, +1),
         )
-        trace = hierarchical_search(*s.cascade(ch), cb)
+        trace = s.search(*s.cascade(ch), table)
         assert trace.levels[-1].winner == cell
 
 
@@ -262,12 +263,12 @@ def test_search_descent_rarely_degrades():
     # leaves small coverage gaps between sibling beams, so a bounded
     # fraction of descents may lose ground
     s = los_only_scenario()
-    cb = s.build_codebook()
+    table = s.finest_table()
     monotone = 0
     trials = 40
     for trial in range(trials):
         ch, _ = build_trial_channels(s, 10.0, trial)
-        trace = hierarchical_search(*s.cascade(ch), cb)
+        trace = s.search(*s.cascade(ch), table)
         ws = [rec.snrs.max() for rec in trace.levels]
         if all(b >= a * (1 - 1e-12) for a, b in zip(ws, ws[1:])):
             monotone += 1

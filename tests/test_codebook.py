@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import phase_levels
 from nearris.beam_mgmt import hierarchical_search
 from nearris.codebook import (
     BlockageArea,
@@ -237,6 +238,47 @@ def test_build_hierarchy_matches_single_cell_codewords():
             np.testing.assert_array_equal(lev[wx, wy], one)
 
 
+def _image_point_array_phases(p_i, area, geom, lam, w_x, w_y, big_w_x, big_w_y, alpha):
+    """The codeword formula over an S + (Q, 3) array of image points, each
+    floating-point operation in the order `wide_illumination_phases` keeps."""
+    pn = geom.element_positions()
+    w_x, w_y = np.broadcast_arrays(w_x, w_y)
+    l_y, l_z = geom.aperture
+    t_x = (w_x[..., None] + 0.5) * area.r_x / big_w_x - area.r_x / 2.0
+    t_y = (w_y[..., None] + 0.5) * area.r_y / big_w_y - area.r_y / 2.0
+    m = np.broadcast_to(area.center, w_x.shape + pn.shape).copy()
+    m[..., 0] += alpha * area.r_x / big_w_x / l_z * (pn[:, 2] - geom.center[2]) + t_x
+    m[..., 1] += alpha * area.r_y / big_w_y / l_y * (pn[:, 1] - geom.center[1]) + t_y
+
+    def dist(a, b):
+        x0, x1, x2 = (a[..., i] - b[..., i] for i in range(3))
+        return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+
+    d = dist(m, pn)
+    d -= dist(m, geom.center)
+    d += dist(np.asarray(p_i), pn)
+    return -(2 * np.pi / lam) * d
+
+
+@pytest.mark.parametrize("q_y, q_z", [(93, 93), (4, 6)])
+def test_codewords_equal_image_point_array_formula(q_y, q_z):
+    # the plane-wise formula equals the (Q, 3)-image-point one bit for bit,
+    # on the reference 93x93 RIS and a non-square one: every level of the
+    # reference hierarchy as built row by row, plus a 16-cell index array
+    d = LAM / 2
+    geom = RisGeometry(center=(0.0, 40.0, 5.0), q_y=q_y, q_z=q_z, d_y=d, d_z=d)
+    shapes = [(4, 4), (8, 8), (8, 16), (8, 32)]
+    for shape, lev in zip(shapes, build_hierarchy(shapes, 0.8, AREA, geom, P_I, LAM)):
+        for wx in range(shape[0]):
+            expect = _image_point_array_phases(P_I, AREA, geom, LAM, wx, np.arange(shape[1]),
+                                               *shape, 0.8)
+            np.testing.assert_array_equal(lev[wx], expect)
+    w_x, w_y = np.array(list(np.ndindex(4, 4))).T
+    np.testing.assert_array_equal(
+        wide_illumination_phases(P_I, AREA, geom, LAM, w_x, w_y, 4, 4, 0.8),
+        _image_point_array_phases(P_I, AREA, geom, LAM, w_x, w_y, 4, 4, 0.8))
+
+
 def test_build_hierarchy_single_cell():
     geom = small_geom(q=2)
     cb = build_hierarchy([(1, 1)], 0.8, AREA, geom, P_I, LAM)
@@ -247,7 +289,7 @@ def test_build_hierarchy_level_indices_row_major():
     geom = small_geom(q=2)
     cb = build_hierarchy([(2, 3)], 0.8, AREA, geom, P_I, LAM)
     d, a = np.zeros(1), np.ones((1, geom.q), dtype=complex)
-    trace = hierarchical_search(d, a, cb)
+    trace = hierarchical_search(d, a, *phase_levels(cb))
     assert trace.levels[0].candidates == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 

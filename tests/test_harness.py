@@ -199,10 +199,10 @@ def test_run_trial_deterministic():
 
 def test_run_trial_same_with_campaign_static_terms_given_or_built():
     s = small_scenario(n_mu=2)
-    codebook, los = s.build_codebook(), s.los_projection()
+    table, los = s.finest_table(), s.los_projection()
     for beta_db, trial in [(0.0, 1), (20.0, 4)]:
         built = run_trial(s, beta_db, trial)
-        given = run_trial(s, beta_db, trial, codebook, los)
+        given = run_trial(s, beta_db, trial, table, los)
         assert built == given
 
 
@@ -211,6 +211,78 @@ def test_run_trial_multi_antenna_mu_drops_b3():
     r = run_trial(s, 10.0, 0)
     assert bm.B3_FULL_CSI not in r.snr_db
     assert set(r.snr_db) == {bm.PROPOSED, bm.B1_FULL_CODEBOOK, bm.B2_FULL_FOCUSING}
+
+
+# --- campaign-static codewords: the finest-level table and on-demand levels ---------
+
+
+def _codeword_case(case, request):
+    """(scenario, phase codebook, finest table, [(beta, trial), ...]) of one oracle case."""
+    if case == "reference":
+        return (request.getfixturevalue("reference_scenario"),
+                request.getfixturevalue("reference_codebook"),
+                request.getfixturevalue("reference_table"), [(10.0, 0)])
+    s = small_scenario(n_mu=4)
+    return s, s.build_codebook(), s.finest_table(), [(0.0, 1), (10.0, 2), (20.0, 3)]
+
+
+def _trial_cascades(s, draws):
+    los = s.los_projection()
+    return [s.link_cascade(*draw_trial_links(s, beta_db, trial), los) for beta_db, trial in draws]
+
+
+def _phase_array_search(d, a, codebook):
+    """The coarse-to-fine search over phase arrays, one product per level:
+    [(candidates, SNRs, winner)] per level."""
+    records = []
+    for depth, level in enumerate(codebook):
+        if depth == 0:
+            cands = [(wx, wy) for wx in range(level.shape[0]) for wy in range(level.shape[1])]
+        else:
+            (px, py), parent = winner, codebook[depth - 1].shape
+            r_x, r_y = level.shape[0] // parent[0], level.shape[1] // parent[1]
+            cands = [(px * r_x + i, py * r_y + j) for i in range(r_x) for j in range(r_y)]
+        words = level[tuple(zip(*cands))]
+        snrs = np.max(np.abs(nr.cis(words) @ a.T + d) ** 2, axis=-1)
+        winner = cands[int(np.argmax(snrs))]
+        records.append((cands, snrs, winner))
+    return records
+
+
+@pytest.mark.parametrize("case", ["reference", "small_n_mu_4"])
+def test_b1_from_table_equals_row_by_row_phase_scoring(case, request):
+    s, codebook, table, draws = _codeword_case(case, request)
+    assert table.shape == (codebook[-1].shape[0] * codebook[-1].shape[1], s.ris_geometry().q)
+    for d, a in _trial_cascades(s, draws):
+        rows = [np.max(np.abs(nr.cis(row) @ a.T + d) ** 2, axis=-1) for row in codebook[-1]]
+        assert bm.benchmark1_full_search(d, a, table) == np.max(rows)
+
+
+@pytest.mark.parametrize("case", ["reference", "small_n_mu_4"])
+def test_trial_codewords_equal_codebook_cells(case, request):
+    # asked one grid row of cells at a time, every level: coarse levels are
+    # computed, the finest read from the table
+    s, codebook, table, _ = _codeword_case(case, request)
+    for depth, level in enumerate(codebook):
+        for wx in range(level.shape[0]):
+            cells = [(wx, wy) for wy in range(level.shape[1])]
+            words = s.codewords(table, depth, cells)
+            assert words.shape == (len(cells), level.shape[2])
+            for cell, word in zip(cells, words):
+                np.testing.assert_array_equal(word, nr.cis(level[cell]))
+
+
+@pytest.mark.parametrize("case", ["reference", "small_n_mu_4"])
+def test_search_equals_search_over_phase_arrays(case, request):
+    s, codebook, table, draws = _codeword_case(case, request)
+    for d, a in _trial_cascades(s, draws):
+        trace = s.search(d, a, table)
+        expect = _phase_array_search(d, a, codebook)
+        assert len(trace.levels) == len(expect)
+        for rec, (cands, snrs, winner) in zip(trace.levels, expect):
+            assert rec.candidates == cands
+            np.testing.assert_array_equal(rec.snrs, snrs)
+            assert rec.winner == winner
 
 
 def test_campaign_dominance_and_sorting():
@@ -310,9 +382,9 @@ def test_codebook_gaps_match_point_source_losses():
     # codewords' point-source losses; the direct link and the BS array's
     # gain ripple over the RIS leave a few tenths of a dB
     s = los_only_scenario()
-    codebook = s.build_codebook()
-    results = [run_trial(s, 10.0, trial, codebook) for trial in range(s.trials)]
-    loss_b1, loss_prop = point_source_losses(s, codebook, [r.mu_position for r in results])
+    table = s.finest_table()
+    results = [run_trial(s, 10.0, trial, table) for trial in range(s.trials)]
+    loss_b1, loss_prop = point_source_losses(s, s.build_codebook(), [r.mu_position for r in results])
     for r, l1, lp in zip(results, loss_b1, loss_prop):
         b2 = r.snr_db[bm.B2_FULL_FOCUSING]
         assert b2 - r.snr_db[bm.B1_FULL_CODEBOOK] == pytest.approx(l1, abs=0.5)
