@@ -20,15 +20,15 @@ def main():
     beta_db = 10.0
     trial = 7
 
-    print("building codebook (16 + 64 + 128 + 256 codewords)...")
-    table = s.finest_table()
+    print("building the campaign statics (level-1 and finest-level phasor tables)...")
+    statics = s.statics()
     links, p_mu = nr.draw_trial_links(s, beta_db, trial)
     print(f"user drawn at ({p_mu[0]:.2f}, {p_mu[1]:.2f}, {p_mu[2]:.2f}) m, "
           f"beta = {beta_db:g} dB\n")
 
-    d, a = s.link_cascade(links, p_mu, s.los_projection())
+    d, a = s.link_cascade(links, p_mu, statics)
 
-    trace = s.search(d, a, table)
+    trace = s.search(d, a, statics)
     for depth, rec in enumerate(trace.levels):
         w_x, w_y = s.codebook_levels[depth]
         print(f"level {depth + 1} ({w_x}x{w_y} cells): sounded {len(rec.candidates)} pilots")
@@ -40,8 +40,8 @@ def main():
 
     rows = [
         ("hierarchical search", trace.levels[-1].snrs.max(), f"{trace.pilot_count} pilots"),
-        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, table),
-         f"{len(table)} pilots"),
+        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, statics.table),
+         f"{len(statics.table)} pilots"),
         (bm.B2_FULL_FOCUSING, bm.benchmark2_full_focusing(d, a, p_mu, s.ris_geometry(),
                                                           s.bs_center, s.lambda_m),
          "exact MU position"),

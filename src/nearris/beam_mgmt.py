@@ -58,7 +58,11 @@ def effective_cascade(hv, h1v, h2, g, combiners, sigma2):
         raise ValueError("combiner set is empty")
     if not sigma2 > 0:  # also rejects NaN
         raise ValueError("sigma2 must be positive")
-    uh, sigma = u.conj(), np.sqrt(sigma2)
+    return reduce_cascade(hv, h1v, h2, g, u.conj(), np.sqrt(sigma2))
+
+
+def reduce_cascade(hv, h1v, h2, g, uh, sigma):
+    """`effective_cascade` with the combiners conj(U) and sigma = sqrt(sigma2) given as is."""
     return uh @ hv / sigma, uh @ (g * h2 * h1v) / sigma
 
 

@@ -117,7 +117,7 @@ def assemble_channel(link, tx_positions, rx_positions, lambda_m, sign):
     with d_i the exact per-pair path length. `sign` is +1 or -1 and fixes
     the propagation phase convention for this link. A bounce length splits
     into a tx and an rx leg, so the scattered paths sum as one product of
-    the (n_rx, n-1) and (n-1, n_tx) leg phasors.
+    the (n_rx, n-1) and (n-1, n_tx) leg phasors (`sum_paths`).
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -125,26 +125,28 @@ def assemble_channel(link, tx_positions, rx_positions, lambda_m, sign):
     rx = np.asarray(rx_positions, dtype=float)
     if tx.ndim != 2 or rx.ndim != 2 or tx.shape[1] != 3 or rx.shape[1] != 3:
         raise ValueError("positions must be (n, 3) arrays")
-    w = link.amplitude * link.fading
     s = link.scatterers
-    out = w[0] * leg_phasors(rx, tx, lambda_m, sign)
-    out += (leg_phasors(rx, s, lambda_m, sign) * w[1:]) @ leg_phasors(tx, s, lambda_m, sign).T
+    return sum_paths(link, leg_phasors(rx, tx, lambda_m, sign), leg_phasors(rx, s, lambda_m, sign),
+                     leg_phasors(tx, s, lambda_m, sign))
+
+
+def sum_paths(link, los, rx_legs, tx_legs):
+    """`assemble_channel` from its (n_rx, n_tx) LOS, (n_rx, n-1) and (n_tx, n-1) leg phasors."""
+    w = link.amplitude * link.fading
+    out = w[0] * los
+    out += (rx_legs * w[1:]) @ tx_legs.T
     return out
 
 
-def project_channel(link, tx_positions, rx_positions, lambda_m, sign, v, los):
+def project_channel(link, los, rx_legs, tx_v):
     """H v, shape (n_rx,), for H = assemble_channel(link, ...) without forming H.
 
     los is E v for the link's unit-amplitude LOS phasors E (n_rx, n_tx),
-    which depend on the antenna positions alone, so a caller that keeps
-    the positions and v builds it once. The scattered paths add
-    E_rx (w (.) (E_tx^T v)) with their (n_rx, n-1) and (n_tx, n-1) leg
-    phasors, and no (n_rx, n_tx) array is made.
+    rx_legs its (n_rx, n-1) scattered legs and tx_v = E_tx^T v of its
+    (n_tx, n-1) ones; no (n_rx, n_tx) array is made.
     """
     w = link.amplitude * link.fading
-    s = link.scatterers
-    scattered = w[1:] * (leg_phasors(tx_positions, s, lambda_m, sign).T @ v)
-    return w[0] * los + leg_phasors(rx_positions, s, lambda_m, sign) @ scattered
+    return w[0] * los + rx_legs @ (w[1:] * tx_v)
 
 
 def apply_beta(link, beta_db):

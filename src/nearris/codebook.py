@@ -12,8 +12,8 @@ array of shape (big_w_x, big_w_y, Q) holding the codeword of cell
 (w_x, w_y) at [w_x, w_y]; `check_levels` checks the level shapes and
 alpha for both the build and the scenario. The rasters and the codebook
 dump read these phase arrays. Trials read phasors instead: the finest
-level as one table (`finest_level_phasors`), and the few coarser
-codewords a search sounds computed on demand from the same formula.
+level and level 1 as tables, and the few codewords between that a search
+sounds computed on demand from the same formula.
 """
 
 import warnings
@@ -124,17 +124,18 @@ def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
     return out[..., 0, :] if single else out
 
 
-def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w_y, alpha):
+def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w_y, alpha,
+                             pn=None):
     """Codeword spreading the reflection over cell (w_x, w_y) of the area.
 
     omega_n = -k*(|M(p_n) - p_n| - |M(p_n) - p_ris| + |p_i - p_n|), with M
     the per-element mapping above. Each element focuses on its own image
     point; the -|M - p_ris| term keeps the profile phase-continuous across
     the aperture. Array cell indices broadcast as in `mapping`, to S + (Q,).
-    The image points enter as their x and y planes, and their common
-    height as a scalar, so no S + (Q, 3) array is made.
+    The image points enter as x and y planes and one height, so no S + (Q, 3)
+    array is made; pn defaults to geom.element_positions().
     """
-    pn = geom.element_positions()
+    pn = geom.element_positions() if pn is None else pn
     m_x, m_y = _image_planes(pn, area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
     m_z = area.center[2]
     c = geom.center

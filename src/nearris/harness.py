@@ -10,32 +10,33 @@ Two SNR pipelines coexist and are kept separate on purpose:
   and bounce points, and reduce them once, matrix-free, to a direct term d
   and an effective cascade A in noise-amplitude units, one row per MU
   combiner (`Scenario.link_cascade`): the BS-RIS channel enters only as
-  H1 v, its LOS part built once per campaign. Every scheme reads that pair
-  alone and scores max_u |d_u + A_u exp(j*omega)|^2 (combiner and direct
-  link included) from the phasors exp(j*omega): B1 and the search's last
-  level from the finest level's phasor table, built once per campaign next
-  to the LOS part (`Scenario.finest_table`), and the search's few coarser
-  codewords computed on demand (`Scenario.codewords`). The phase arrays of
-  `Scenario.build_codebook` serve the rasters and the codebook dump, and
-  are the tests' oracle of both. `build_trial_channels` and
+  H1 v. Every scheme reads that pair alone and scores
+  max_u |d_u + A_u exp(j*omega)|^2 (combiner and direct link included)
+  from the phasors exp(j*omega): level 1 and the finest level from tables,
+  the few codewords between on demand (`Scenario.codewords`). The phase
+  arrays of `Scenario.build_codebook` serve the rasters and the codebook
+  dump, and are the tests' oracle of both. `build_trial_channels` and
   `Scenario.cascade` form the full matrices with `assemble_channel` and
-  are the oracle of the channel reduction.
+  are the oracle of the channel reduction. What trials read of the
+  scenario alone is one record, `Scenario.statics()`, built once per
+  campaign or pool worker.
 
-Trials are pure functions of (scenario, beta, trial index); every random
-draw comes from a seed sequence labeled with those coordinates, so
-campaigns are bit-identical for any worker count.
+Trials are pure functions of (scenario, beta, trial index). Every random
+draw comes from a seed sequence labeled (master seed, trial, component),
+so all betas of a trial index share its links up to the NLOS amplitudes;
+a campaign runs index by index and builds each index's leg phasors once.
 """
 
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from numbers import Real
 
 import numpy as np
 
 from . import benchmarks as bm
-from .beam_mgmt import bs_precoder_focus_ris, effective_cascade, hierarchical_search, mu_combiners
+from .beam_mgmt import bs_precoder_focus_ris, hierarchical_search, mu_combiners, reduce_cascade
 from .channel import (
     ChannelSet,
     LinkPaths,
@@ -48,6 +49,7 @@ from .channel import (
     leg_phasors,
     noise_power,
     project_channel,
+    sum_paths,
 )
 from .codebook import (
     BlockageArea,
@@ -82,8 +84,8 @@ _SEED_MU = 0
 _SEED_SCATTER = 1
 _SEED_FADING = 2
 
-# RIS rows per block of the LOS projection: the (rows, N_bs) phasor block
-# stands in for the (Q, N_bs) matrix, which is never built whole
+# RIS rows per block of the LOS projection and of a trial's (Q, n-1) RIS legs:
+# the (Q, N_bs) LOS matrix is never built whole, nor a (Q, n-1) temporary
 _LOS_ROWS = 1024
 
 
@@ -238,49 +240,54 @@ class Scenario:
             n_x=self.bs_n_x, n_z=self.bs_n_z, d_x=d, d_z=d,
         )
 
-    def precoder(self):
-        """The fixed BS precoder v, focused on the RIS center, ||v||^2 = P."""
-        return bs_precoder_focus_ris(self.bs_geometry().element_positions(), self.ris_center,
-                                     self.lambda_m, self.p_bs_watts)
-
-    def los_projection(self):
-        """E v, shape (Q,): the unit-amplitude BS-RIS LOS phasors E (Q, N_bs) times v.
-
-        It depends on the geometry alone, so a campaign builds it once, next
-        to the codebook, and every trial scales it by its LOS path weight.
-        """
-        bs_pos = self.bs_geometry().element_positions()
-        ris_pos = self.ris_geometry().element_positions()
-        v = self.precoder()
-        return np.concatenate([leg_phasors(ris_pos[s:s + _LOS_ROWS], bs_pos, self.lambda_m, +1) @ v
-                               for s in range(0, len(ris_pos), _LOS_ROWS)])
-
-    def cascade(self, channels):
-        """(d, A) of a trial's full channel matrices: the oracle of `link_cascade`."""
-        v = self.precoder()
-        return self._reduce(channels.h @ v, channels.h1 @ v, channels.h2)
-
-    def link_cascade(self, links, p_mu, los):
-        """(d, A) of a trial's (direct, BS-RIS, RIS-MU) links, without the (Q, N_bs) H1.
-
-        los is `los_projection()`; H1 v comes from `project_channel`, and the
-        small direct and RIS-MU matrices from `assemble_channel`, with the
-        link conventions of `build_trial_channels`.
-        """
+    def statics(self):
+        """The record of what trials read of this scenario alone; a campaign builds it once."""
         lam = self.lambda_m
         bs_pos = self.bs_geometry().element_positions()
         ris_pos = self.ris_geometry().element_positions()
-        mu_pos = mu_antenna_positions(self, p_mu)
-        direct, bs_ris, ris_mu = links
-        v = self.precoder()
-        return self._reduce(assemble_channel(direct, bs_pos, mu_pos, lam, -1) @ v,
-                            project_channel(bs_ris, bs_pos, ris_pos, lam, +1, v, los),
-                            assemble_channel(ris_mu, ris_pos, mu_pos, lam, +1))
+        v = bs_precoder_focus_ris(bs_pos, self.ris_center, lam, self.p_bs_watts)
+        levels, *args = self._codebook_args()
+        table = finest_level_phasors(levels, *args)
+        # level 1's table is the finest level's of the one-level hierarchy levels[:1]
+        level1 = table if len(levels) == 1 else finest_level_phasors(levels[:1], *args)
+        return CampaignStatics(
+            bs_pos=bs_pos, ris_pos=ris_pos, v=v, g=unit_cell_factor(self.ris_geometry(), lam),
+            uh=mu_combiners(self.n_mu).conj(), sigma=np.sqrt(self.sigma2),
+            los=_ris_rows(ris_pos, (), lambda rows: leg_phasors(rows, bs_pos, lam, +1) @ v),
+            table=table, level1=level1)
 
-    def _reduce(self, hv, h1v, h2):
-        """`effective_cascade` under this scenario's g, combiners and sigma^2."""
-        return effective_cascade(hv, h1v, h2, unit_cell_factor(self.ris_geometry(), self.lambda_m),
-                                 mu_combiners(self.n_mu), self.sigma2)
+    def cascade(self, channels):
+        """(d, A) of a trial's full channel matrices: the oracle of `link_cascade`."""
+        v = bs_precoder_focus_ris(self.bs_geometry().element_positions(), self.ris_center,
+                                  self.lambda_m, self.p_bs_watts)
+        return reduce_cascade(channels.h @ v, channels.h1 @ v, channels.h2,
+                              unit_cell_factor(self.ris_geometry(), self.lambda_m),
+                              mu_combiners(self.n_mu).conj(), np.sqrt(self.sigma2))
+
+    def link_cascade(self, links, p_mu, statics, trial=None):
+        """(d, A) of a trial's (direct, BS-RIS, RIS-MU) links, without the (Q, N_bs) H1.
+
+        The links' leg phasors (conventions of `build_trial_channels`) are
+        kept in statics.legs under (self, trial), for the index's other betas
+        (trial None: not reused).
+        """
+        key = (self, trial)
+        if trial is None or key not in statics.legs:
+            lam, bs_pos, ris_pos = self.lambda_m, statics.bs_pos, statics.ris_pos
+            mu_pos = mu_antenna_positions(self, p_mu)
+            s_h, s_1, s_2 = (link.scatterers for link in links)
+            statics.legs.clear()  # one slot: the previous index's legs go first
+            statics.legs[key] = (  # per link (LOS, rx legs, tx legs); BS-RIS (rx legs, E_tx^T v)
+                (leg_phasors(mu_pos, bs_pos, lam, -1), leg_phasors(mu_pos, s_h, lam, -1),
+                 leg_phasors(bs_pos, s_h, lam, -1)),
+                (_ris_rows(ris_pos, (len(s_1),), lambda rows: leg_phasors(rows, s_1, lam, +1)),
+                 leg_phasors(bs_pos, s_1, lam, +1).T @ statics.v),
+                (leg_phasors(mu_pos, ris_pos, lam, +1), leg_phasors(mu_pos, s_2, lam, +1),
+                 _ris_rows(ris_pos, (len(s_2),), lambda rows: leg_phasors(rows, s_2, lam, +1))))
+        (l_h, l_1, l_2), (direct, bs_ris, ris_mu) = statics.legs[key], links
+        return reduce_cascade(sum_paths(direct, *l_h) @ statics.v,
+                              project_channel(bs_ris, statics.los, *l_1),
+                              sum_paths(ris_mu, *l_2), statics.g, statics.uh, statics.sigma)
 
     def blockage_area(self):
         return BlockageArea(
@@ -295,37 +302,29 @@ class Scenario:
     def build_codebook(self):
         """The hierarchy: one (W_x, W_y, Q) codeword array per level, coarsest first.
 
-        The rasters and `codebook dump` read it; trials read `finest_table()`
-        and `codewords` instead.
+        The rasters and `codebook dump` read it; trials read the phasors of
+        `statics()` and `codewords` instead.
         """
         return build_hierarchy(*self._codebook_args())
 
-    def finest_table(self):
-        """The finest level's phasors, (W_x * W_y, Q), row w_x * W_y + w_y.
-
-        It depends on the geometry alone, so a campaign builds it once, next
-        to the LOS projection; B1 scores it whole and the search reads its
-        last level's children from it.
-        """
-        return finest_level_phasors(*self._codebook_args())
-
-    def codewords(self, table, depth, cells):
+    def codewords(self, statics, depth, cells):
         """Phasors of cells [(w_x, w_y), ...] of level depth (0-based), one row each.
 
-        The finest level's rows come from table (`finest_table()`); a coarser
-        level's are computed here, from the formula that builds the codebook.
+        Level 1's and the finest level's rows come from the statics' tables;
+        a level between is computed here, from the recorded RIS positions
+        and the formula that builds the codebook.
         """
         w_x, w_y = np.array(cells).T
-        big_w_x, big_w_y = self.codebook_levels[depth]
-        if depth == len(self.codebook_levels) - 1:
-            return table[w_x * big_w_y + w_y]
+        if depth in (0, len(self.codebook_levels) - 1):
+            table = statics.level1 if depth == 0 else statics.table
+            return table[w_x * self.codebook_levels[depth][1] + w_y]
         _, alpha, area, geom, p_i, lam = self._codebook_args()
-        return cis(wide_illumination_phases(p_i, area, geom, lam, w_x, w_y, big_w_x, big_w_y,
-                                            alpha))
+        return cis(wide_illumination_phases(p_i, area, geom, lam, w_x, w_y,
+                                            *self.codebook_levels[depth], alpha, statics.ris_pos))
 
-    def search(self, d, a, table):
+    def search(self, d, a, statics):
         """`hierarchical_search` of (d, A) over this scenario's hierarchy."""
-        return hierarchical_search(d, a, self.codebook_levels, partial(self.codewords, table))
+        return hierarchical_search(d, a, self.codebook_levels, partial(self.codewords, statics))
 
     def to_dict(self):
         """Field name -> value, every tuple (nested ones too) as a list."""
@@ -333,6 +332,32 @@ class Scenario:
         def plain(v):
             return [plain(x) for x in v] if isinstance(v, tuple) else v
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+
+
+@dataclass(frozen=True, eq=False)
+class CampaignStatics:
+    """`Scenario.statics()`: positions, v, g, conj(U), sigma, the LOS projection E v,
+    the finest level's and level 1's (W_x * W_y, Q) phasor tables, and a one-slot
+    memo of one trial index's leg phasors (`Scenario.link_cascade`)."""
+
+    bs_pos: np.ndarray
+    ris_pos: np.ndarray
+    v: np.ndarray
+    g: float
+    uh: np.ndarray
+    sigma: float
+    los: np.ndarray
+    table: np.ndarray
+    level1: np.ndarray
+    legs: dict = field(default_factory=dict, repr=False)
+
+
+def _ris_rows(ris_pos, cols, fn):
+    """fn of each block of _LOS_ROWS RIS positions, written into one (Q, *cols) complex array."""
+    out = np.empty((len(ris_pos), *cols), dtype=complex)
+    for s in range(0, len(ris_pos), _LOS_ROWS):
+        out[s:s + _LOS_ROWS] = fn(ris_pos[s:s + _LOS_ROWS])
+    return out
 
 
 @dataclass
@@ -447,23 +472,21 @@ def build_trial_channels(scenario, beta_db, trial):
                       h2=assemble_channel(ris_mu, ris_pos, mu_pos, lam, +1)), p_mu
 
 
-def run_trial(scenario, beta_db, trial, table=None, los=None):
+def run_trial(scenario, beta_db, trial, statics=None):
     """All schemes on one realization; deterministic in (scenario, beta, trial).
 
-    table and los are the campaign-static `finest_table()` and
-    `los_projection()`; either is built here when not given.
+    statics is `scenario.statics()`, built here when not given; every beta
+    of a trial index reads the leg phasors that its first call keeps there.
     """
-    if table is None:
-        table = scenario.finest_table()
-    if los is None:
-        los = scenario.los_projection()
+    if statics is None:
+        statics = scenario.statics()
     links, p_mu = draw_trial_links(scenario, beta_db, trial)
-    d, a = scenario.link_cascade(links, p_mu, los)
+    d, a = scenario.link_cascade(links, p_mu, statics, trial)
 
-    trace = scenario.search(d, a, table)
+    trace = scenario.search(d, a, statics)
     snr = {
         bm.PROPOSED: trace.levels[-1].snrs.max(),
-        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, table),
+        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, statics.table),
         bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, p_mu, scenario.ris_geometry(),
                                                          scenario.bs_center, scenario.lambda_m),
     }
@@ -484,34 +507,34 @@ def run_trial(scenario, beta_db, trial, table=None, los=None):
 _WORKER_CTX = {}
 
 
+def _every_beta(scenario, statics, trial):
+    return [run_trial(scenario, b, trial, statics) for b in scenario.beta_list_db]
+
+
 def _worker_init(scenario):
-    _WORKER_CTX["scenario"] = scenario
-    _WORKER_CTX["table"] = scenario.finest_table()
-    _WORKER_CTX["los"] = scenario.los_projection()
+    _WORKER_CTX["run"] = partial(_every_beta, scenario, scenario.statics())
 
 
-def _worker_run(job):
-    beta_db, trial = job
-    return run_trial(_WORKER_CTX["scenario"], beta_db, trial, _WORKER_CTX["table"],
-                     _WORKER_CTX["los"])
+def _worker_run(trial):
+    return _WORKER_CTX["run"](trial)
 
 
 def run_campaign(scenario):
     """Monte Carlo over (beta, trial); results in (beta order, trial) order.
 
-    Runs scenario.trials trials at each of scenario.beta_list_db on
-    scenario.workers processes.
+    Runs scenario.trials trial indices on scenario.workers processes; a job
+    is one index at every beta of scenario.beta_list_db, sharing leg phasors.
     Output is bit-identical for any worker count: each trial is a pure
     function of its coordinates, and the pool returns results in job order.
     """
-    jobs = [(b, t) for b in scenario.beta_list_db for t in range(scenario.trials)]
+    trials = range(scenario.trials)
     if scenario.workers == 1:
-        table = scenario.finest_table()
-        los = scenario.los_projection()
-        return [run_trial(scenario, b, t, table, los) for b, t in jobs]
-    with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_worker_init,
-                             initargs=(scenario,)) as ex:
-        return list(ex.map(_worker_run, jobs, chunksize=8))
+        rows = list(map(partial(_every_beta, scenario, scenario.statics()), trials))
+    else:
+        with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_worker_init,
+                                 initargs=(scenario,)) as ex:
+            rows = list(ex.map(_worker_run, trials))
+    return [r for per_beta in zip(*rows) for r in per_beta]
 
 
 def aggregate(results, average=DB_MEAN):

@@ -77,8 +77,8 @@ def reference_codebook(reference_scenario):
 
 
 @pytest.fixture(scope="session")
-def reference_table(reference_scenario):
-    return reference_scenario.finest_table()
+def reference_statics(reference_scenario):
+    return reference_scenario.statics()
 
 
 def point_source_losses(scenario, codebook, mu_positions):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -160,12 +161,18 @@ def test_direct_link_carries_blockage_loss():
     (None, 10.0, 5),
 ])
 def test_link_cascade_matches_full_matrix_oracle(overrides, beta_db, trial):
-    # trials reduce the links without H1: (d, A) must be Scenario.cascade of
-    # the full assemble_channel matrices; None is the reference scenario,
-    # whose Q = 8649 RIS rows span several LOS-projection blocks
+    # trials reduce the links without H1: (d, A) from the statics must be
+    # Scenario.cascade of the full assemble_channel matrices, with the legs
+    # built here or kept from another beta of the trial index; None is the
+    # reference scenario, whose Q = 8649 RIS rows span several row blocks
     s = Scenario() if overrides is None else small_scenario(**overrides)
+    statics = s.statics()
     links, p_mu = draw_trial_links(s, beta_db, trial)
-    d, a = s.link_cascade(links, p_mu, s.los_projection())
+    d, a = s.link_cascade(links, p_mu, statics)
+    s.link_cascade(*draw_trial_links(s, beta_db + 7.0, trial), statics, trial)
+    d_kept, a_kept = s.link_cascade(links, p_mu, statics, trial)
+    np.testing.assert_array_equal(d_kept, d)
+    np.testing.assert_array_equal(a_kept, a)
     ch, p_mu_oracle = build_trial_channels(s, beta_db, trial)
     d0, a0 = s.cascade(ch)
     np.testing.assert_array_equal(p_mu, p_mu_oracle)
@@ -197,13 +204,49 @@ def test_run_trial_deterministic():
     assert a.winners == b.winners
 
 
-def test_run_trial_same_with_campaign_static_terms_given_or_built():
+def test_trial_draws_are_shared_by_every_beta():
+    # the leg memo rests on this: the seed streams are labeled (master seed,
+    # trial, component), so every beta of a trial index draws the same MU
+    # position, bounce points and fadings, and beta scales NLOS amplitudes only
+    s = small_scenario(beta_list_db=(-10.0, 0.0, 10.0, 20.0))
+    for trial in range(3):
+        first_links, first_p_mu = draw_trial_links(s, s.beta_list_db[0], trial)
+        for beta_db in s.beta_list_db[1:]:
+            links, p_mu = draw_trial_links(s, beta_db, trial)
+            np.testing.assert_array_equal(p_mu, first_p_mu)
+            for link, first in zip(links, first_links):
+                np.testing.assert_array_equal(link.scatterers, first.scatterers)
+                np.testing.assert_array_equal(link.fading, first.fading)
+                assert link.amplitude[0] == first.amplitude[0]
+    assert not np.array_equal(draw_trial_links(s, 0.0, 0)[1], draw_trial_links(s, 0.0, 1)[1])
+
+
+def test_run_trial_on_warmed_statics_equals_cold_run_trial():
+    # a record warmed by other (beta, trial) calls, the previous one of
+    # another trial index or another master seed, gives what a fresh record
+    # gives, field for field
     s = small_scenario(n_mu=2)
-    table, los = s.finest_table(), s.los_projection()
-    for beta_db, trial in [(0.0, 1), (20.0, 4)]:
-        built = run_trial(s, beta_db, trial)
-        given = run_trial(s, beta_db, trial, table, los)
-        assert built == given
+    other_seed = dataclasses.replace(s, master_seed=5)
+    statics = s.statics()
+    for scenario, beta_db, trial in [(s, 0.0, 1), (s, 20.0, 1), (s, 10.0, 4), (s, 0.0, 4),
+                                     (s, 20.0, 1), (other_seed, 20.0, 1), (s, 10.0, 1)]:
+        warmed = run_trial(scenario, beta_db, trial, statics)
+        cold = run_trial(scenario, beta_db, trial)
+        assert warmed == cold
+
+
+def test_run_trial_keeps_the_legs_of_one_trial_index():
+    # the first call of a trial index builds its legs in place of the
+    # previous index's; the calls at its other betas reuse them
+    s = small_scenario()
+    statics = s.statics()
+    for trial in (2, 3):
+        run_trial(s, s.beta_list_db[0], trial, statics)
+        kept = statics.legs[(s, trial)]
+        for beta_db in s.beta_list_db[1:]:
+            run_trial(s, beta_db, trial, statics)
+            assert statics.legs[(s, trial)] is kept
+        assert list(statics.legs) == [(s, trial)]
 
 
 def test_run_trial_multi_antenna_mu_drops_b3():
@@ -216,19 +259,23 @@ def test_run_trial_multi_antenna_mu_drops_b3():
 # --- campaign-static codewords: the finest-level table and on-demand levels ---------
 
 
+_CODEWORD_CASES = ["reference", "small_n_mu_4", "small_one_level"]
+
+
 def _codeword_case(case, request):
-    """(scenario, phase codebook, finest table, [(beta, trial), ...]) of one oracle case."""
+    """(scenario, phase codebook, statics, [(beta, trial), ...]) of one oracle case."""
     if case == "reference":
         return (request.getfixturevalue("reference_scenario"),
                 request.getfixturevalue("reference_codebook"),
-                request.getfixturevalue("reference_table"), [(10.0, 0)])
-    s = small_scenario(n_mu=4)
-    return s, s.build_codebook(), s.finest_table(), [(0.0, 1), (10.0, 2), (20.0, 3)]
+                request.getfixturevalue("reference_statics"), [(10.0, 0)])
+    one_level = {"codebook_levels": ((4, 8),)}
+    s = small_scenario(**({"n_mu": 4} if case == "small_n_mu_4" else one_level))
+    return s, s.build_codebook(), s.statics(), [(0.0, 1), (10.0, 2), (20.0, 3)]
 
 
-def _trial_cascades(s, draws):
-    los = s.los_projection()
-    return [s.link_cascade(*draw_trial_links(s, beta_db, trial), los) for beta_db, trial in draws]
+def _trial_cascades(s, statics, draws):
+    return [s.link_cascade(*draw_trial_links(s, beta_db, trial), statics)
+            for beta_db, trial in draws]
 
 
 def _phase_array_search(d, a, codebook):
@@ -249,40 +296,65 @@ def _phase_array_search(d, a, codebook):
     return records
 
 
-@pytest.mark.parametrize("case", ["reference", "small_n_mu_4"])
+@pytest.mark.parametrize("case", _CODEWORD_CASES)
 def test_b1_from_table_equals_row_by_row_phase_scoring(case, request):
-    s, codebook, table, draws = _codeword_case(case, request)
-    assert table.shape == (codebook[-1].shape[0] * codebook[-1].shape[1], s.ris_geometry().q)
-    for d, a in _trial_cascades(s, draws):
+    s, codebook, statics, draws = _codeword_case(case, request)
+    assert statics.table.shape == (codebook[-1].shape[0] * codebook[-1].shape[1],
+                                   s.ris_geometry().q)
+    for d, a in _trial_cascades(s, statics, draws):
         rows = [np.max(np.abs(nr.cis(row) @ a.T + d) ** 2, axis=-1) for row in codebook[-1]]
-        assert bm.benchmark1_full_search(d, a, table) == np.max(rows)
+        assert bm.benchmark1_full_search(d, a, statics.table) == np.max(rows)
 
 
-@pytest.mark.parametrize("case", ["reference", "small_n_mu_4"])
+@pytest.mark.parametrize("case", _CODEWORD_CASES)
 def test_trial_codewords_equal_codebook_cells(case, request):
-    # asked one grid row of cells at a time, every level: coarse levels are
-    # computed, the finest read from the table
-    s, codebook, table, _ = _codeword_case(case, request)
+    # level 1 and the finest level are tabled in the statics, the levels
+    # between computed from its recorded RIS positions; every level is asked
+    # whole, as the search asks level 1, and one grid row of cells at a time
+    s, codebook, statics, _ = _codeword_case(case, request)
+    q = s.ris_geometry().q
+    np.testing.assert_array_equal(statics.ris_pos, s.ris_geometry().element_positions())
+    np.testing.assert_array_equal(statics.level1, nr.cis(codebook[0].reshape(-1, q)))
+    np.testing.assert_array_equal(statics.table, nr.cis(codebook[-1].reshape(-1, q)))
     for depth, level in enumerate(codebook):
+        whole = s.codewords(statics, depth, list(np.ndindex(*level.shape[:2])))
+        np.testing.assert_array_equal(whole, nr.cis(level.reshape(-1, q)))
         for wx in range(level.shape[0]):
             cells = [(wx, wy) for wy in range(level.shape[1])]
-            words = s.codewords(table, depth, cells)
-            assert words.shape == (len(cells), level.shape[2])
+            words = s.codewords(statics, depth, cells)
+            assert words.shape == (len(cells), q)
             for cell, word in zip(cells, words):
                 np.testing.assert_array_equal(word, nr.cis(level[cell]))
 
 
-@pytest.mark.parametrize("case", ["reference", "small_n_mu_4"])
+@pytest.mark.parametrize("case", _CODEWORD_CASES)
 def test_search_equals_search_over_phase_arrays(case, request):
-    s, codebook, table, draws = _codeword_case(case, request)
-    for d, a in _trial_cascades(s, draws):
-        trace = s.search(d, a, table)
+    # the search reads level 1 and the finest level from the statics'
+    # tables and computes the levels between from its recorded positions
+    s, codebook, statics, draws = _codeword_case(case, request)
+    for d, a in _trial_cascades(s, statics, draws):
+        trace = s.search(d, a, statics)
         expect = _phase_array_search(d, a, codebook)
         assert len(trace.levels) == len(expect)
         for rec, (cands, snrs, winner) in zip(trace.levels, expect):
             assert rec.candidates == cands
             np.testing.assert_array_equal(rec.snrs, snrs)
             assert rec.winner == winner
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_order_and_results_equal_standalone_trials(workers):
+    # a campaign runs trial index by trial index, every beta of an index in
+    # one job; its results come back in (beta order, trial) order, each the
+    # standalone run_trial of its coordinates
+    s = small_scenario(trials=5, beta_list_db=(20.0, 0.0, 10.0), workers=workers,
+                       codebook_levels=((2, 2), (4, 4)))
+    results = run_campaign(s)
+    assert [(r.beta_db, r.trial) for r in results] == [
+        (b, t) for b in s.beta_list_db for t in range(s.trials)
+    ]
+    for r in results:
+        assert r == run_trial(s, r.beta_db, r.trial)
 
 
 def test_campaign_dominance_and_sorting():
@@ -382,8 +454,8 @@ def test_codebook_gaps_match_point_source_losses():
     # codewords' point-source losses; the direct link and the BS array's
     # gain ripple over the RIS leave a few tenths of a dB
     s = los_only_scenario()
-    table = s.finest_table()
-    results = [run_trial(s, 10.0, trial, table) for trial in range(s.trials)]
+    statics = s.statics()
+    results = [run_trial(s, 10.0, trial, statics) for trial in range(s.trials)]
     loss_b1, loss_prop = point_source_losses(s, s.build_codebook(), [r.mu_position for r in results])
     for r, l1, lp in zip(results, loss_b1, loss_prop):
         b2 = r.snr_db[bm.B2_FULL_FOCUSING]
