@@ -40,8 +40,8 @@ def main():
 
     rows = [
         ("hierarchical search", trace.levels[-1].snrs.max(), f"{trace.pilot_count} pilots"),
-        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, statics.table),
-         f"{len(statics.table)} pilots"),
+        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, statics.tables[-1]),
+         f"{len(statics.tables[-1])} pilots"),
         (bm.B2_FULL_FOCUSING, bm.benchmark2_full_focusing(d, a, p_mu, s.ris_geometry(),
                                                           s.bs_center, s.lambda_m),
          "exact MU position"),

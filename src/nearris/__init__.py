@@ -33,9 +33,9 @@ from .codebook import (
     BlockageArea,
     build_hierarchy,
     children,
-    finest_level_phasors,
     focusing_phases,
     grcs,
+    level_phasors,
     mapping,
     unit_cell_factor,
     wide_illumination_phases,

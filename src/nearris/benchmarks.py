@@ -1,11 +1,11 @@
 """Reference schemes the hierarchical search is compared against.
 
-B1 exhaustively sounds the finest codebook level, read from the campaign's
-phasor table; B2 focuses on the exact MU position; B3 phase-conjugates the
-cascaded per-element channel from full CSI. All read only the trial's
-(d, A) from `beam_mgmt.effective_cascade` and their own codewords or
-geometry, and return the same linear SNR as the proposed scheme, direct
-link included.
+B1 exhaustively sounds the finest codebook level, read from its
+`level_phasors` table in the campaign statics; B2 focuses on the exact MU
+position; B3 phase-conjugates the cascaded per-element channel from full
+CSI. All read only the trial's (d, A) from `beam_mgmt.effective_cascade`
+and their own codewords or geometry, and return the same linear SNR as
+the proposed scheme, direct link included.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ PROPOSED = "proposed"
 def benchmark1_full_search(d, a, table):
     """Exhaustive search over the finest level, scored as one block.
 
-    table is the level's (W_x * W_y, Q) phasors (`finest_level_phasors`),
+    table is the level's (W_x * W_y, Q) phasors (`codebook.level_phasors`),
     and the result max |table A^T + d|^2; costs W_x * W_y pilots.
     """
     return received_snr(d, a, table).max()

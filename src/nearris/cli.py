@@ -97,9 +97,15 @@ def load_scenario(path, strict=True):
 
 
 def save_scenario(scenario, path):
-    """Write a scenario back to YAML; load(save(x)) is field-identical to x."""
+    """Write a scenario back to YAML; load(save(x)) is field-identical to x.
+
+    The file gives the carrier in GHz, so a carrier_hz f with (f / 1e9) * 1e9 != f
+    would load as another carrier: it raises a ValueError and writes no file.
+    """
     values = scenario.to_dict()
     values["carrier_hz"] /= 1e9
+    if values["carrier_hz"] * 1e9 != scenario.carrier_hz:
+        raise ValueError(f"carrier_hz={scenario.carrier_hz!r} does not load back from GHz exactly")
 
     def entry(target):
         return [values[name] for name in target] if isinstance(target, tuple) else values[target]
@@ -133,9 +139,8 @@ def write_manifest(out_dir, scenario, argv, extra=None):
         "scenario_sha256": scenario_hash(scenario),
         "master_seed": scenario.master_seed,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        **(extra or {}),
     }
-    if extra:
-        man.update(extra)
     p = FsPath(out_dir) / "manifest.json"
     with open(p, "w") as fh:
         json.dump(man, fh, indent=2)
@@ -143,45 +148,39 @@ def write_manifest(out_dir, scenario, argv, extra=None):
     return p
 
 
+def _write_csv(path, header, rows):
+    """The format line, the header and one line per row string, newline-terminated."""
+    FsPath(path).write_text("\n".join([f"# format_version={FORMAT_VERSION}", header, *rows]) + "\n")
+
+
 def write_trials_csv(path, results):
-    lines = [f"# format_version={FORMAT_VERSION}",
-             "trial,beta_db,scheme,snr_db,mu_x,mu_y,mu_z,pilots,winners"]
+    rows = []
     for r in results:
         win = "|".join(f"{wx},{wy}" for wx, wy in r.winners)
+        mu = ",".join(map(_fmt, r.mu_position))
         for scheme in sorted(r.snr_db):
-            pilots = r.pilots if scheme == PROPOSED else ""
-            winners = win if scheme == PROPOSED else ""
-            lines.append(
-                f"{r.trial},{_fmt(r.beta_db)},{scheme},{_fmt(r.snr_db[scheme])},"
-                f"{_fmt(r.mu_position[0])},{_fmt(r.mu_position[1])},{_fmt(r.mu_position[2])},"
-                f"{pilots},{winners}"
-            )
-    FsPath(path).write_text("\n".join(lines) + "\n")
+            end = f"{r.pilots},{win}" if scheme == PROPOSED else ","  # pilots,winners
+            rows.append(f"{r.trial},{_fmt(r.beta_db)},{scheme},{_fmt(r.snr_db[scheme])},{mu},{end}")
+    _write_csv(path, "trial,beta_db,scheme,snr_db,mu_x,mu_y,mu_z,pilots,winners", rows)
 
 
 def write_aggregates_csv(path, rows):
-    lines = [f"# format_version={FORMAT_VERSION}",
-             "scheme,beta_db,mean_snr_db,std_snr_db,n_trials"]
-    for a in rows:
-        lines.append(f"{a.scheme},{_fmt(a.beta_db)},{_fmt(a.mean_snr_db)},"
-                     f"{_fmt(a.std_snr_db)},{a.n_trials}")
-    FsPath(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "scheme,beta_db,mean_snr_db,std_snr_db,n_trials",
+               (f"{a.scheme},{_fmt(a.beta_db)},{_fmt(a.mean_snr_db)},{_fmt(a.std_snr_db)},"
+                f"{a.n_trials}" for a in rows))
 
 
 def write_raster_csv(path, xs, ys, grid):
     """One x,y,snr line per grid point, x-major; each coordinate is formatted once."""
     ys_fmt = [_fmt(y) for y in ys]
     prefixes = [f"{x},{y}," for x in map(_fmt, xs) for y in ys_fmt]
-    lines = [f"# format_version={FORMAT_VERSION}", "x_m,y_m,snr_db"]
-    lines += [p + _fmt(v) for p, v in zip(prefixes, grid.ravel().tolist())]
-    FsPath(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "x_m,y_m,snr_db",
+               (p + _fmt(v) for p, v in zip(prefixes, grid.ravel().tolist())))
 
 
 def write_cut_csv(path, deltas, snr_db):
-    lines = [f"# format_version={FORMAT_VERSION}", "displacement_m,snr_db"]
-    for d, s in zip(deltas, snr_db):
-        lines.append(f"{_fmt(d)},{_fmt(s)}")
-    FsPath(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "displacement_m,snr_db",
+               (f"{_fmt(d)},{_fmt(s)}" for d, s in zip(deltas, snr_db)))
 
 
 def write_codebook_json(path, scenario, codebook, level_indices):
@@ -219,10 +218,8 @@ def write_channel_set(path, channels):
 
 
 def write_farfield_csv(path, rows):
-    lines = [f"# format_version={FORMAT_VERSION}", "size_L_m,aperture_D_m,far_field_distance_m"]
-    for size, d_ap, d_f in rows:
-        lines.append(f"{_fmt(size)},{_fmt(d_ap)},{_fmt(d_f)}")
-    FsPath(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "size_L_m,aperture_D_m,far_field_distance_m",
+               (",".join(map(_fmt, row)) for row in rows))
 
 
 # --- subcommand implementations ------------------------------------------
@@ -239,9 +236,7 @@ def _load(args):
         "beta_list_db": [args.beta] if "beta" in args else None,
         "illum_grid": getattr(args, "grid", None),
     }
-    return dataclasses.replace(
-        scenario, **{k: v for k, v in overrides.items() if v is not None}
-    )
+    return dataclasses.replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _level_index(scenario, level):
@@ -252,54 +247,57 @@ def _level_index(scenario, level):
     return level - 1
 
 
+def _cell(token, shape):
+    """One --cells token 'wx,wy' as a cell of a level of the given shape."""
+    try:
+        wx, wy = map(int, token.split(","))
+    except ValueError:
+        raise ValueError(f"--cells: {token!r} is not wx,wy") from None
+    if not (0 <= wx < shape[0] and 0 <= wy < shape[1]):
+        raise ValueError(f"--cells: {(wx, wy)} is outside the level's {shape[0]}x{shape[1]} grid")
+    return wx, wy
+
+
 def _out_dir(args):
     d = FsPath(args.out_dir)
     d.mkdir(parents=True, exist_ok=True)
     return d
 
 
-def _campaign(scenario):
-    """`harness.sweep_beta` plus the manifest's record of how the campaign ran.
-
-    The record holds the numpy version, the worker count, the number of
-    trials run (over every beta), the campaign's wall seconds and its trials
-    per second.
-    """
+def _campaign(args):
+    """Load the scenario, run `harness.sweep_beta` and write trials.csv and aggregates.csv;
+    return the scenario, the output directory, the aggregate rows and the manifest's run record."""
+    scenario = _load(args)
+    out = _out_dir(args)
     start = time.perf_counter()
     results, rows = harness.sweep_beta(scenario)
     wall_s = time.perf_counter() - start
+    write_trials_csv(out / "trials.csv", results)
+    write_aggregates_csv(out / "aggregates.csv", rows)
     run = {"numpy_version": np.__version__, "workers": scenario.workers,
            "trials": len(results), "campaign_wall_s": wall_s,
            "trials_per_s": len(results) / wall_s}
-    return results, rows, run
+    return scenario, out, rows, run
 
 
 def cmd_simulate(args, argv):
-    scenario = _load(args)
-    out = _out_dir(args)
+    scenario, out, rows, run = _campaign(args)
     (beta,) = scenario.beta_list_db
-    results, rows, run = _campaign(scenario)
-    write_trials_csv(out / "trials.csv", results)
-    write_aggregates_csv(out / "aggregates.csv", rows)
     if args.dump_channels:
         channels, _ = harness.build_trial_channels(scenario, beta, 0)
         write_channel_set(out / "channels_trial0.npz", channels)
     write_manifest(out, scenario, argv,
                    extra={"subcommand": "simulate", "beta_db": beta, **run})
-    print(f"simulate: {len(results)} trials at beta={beta:g} dB -> {out}")
+    print(f"simulate: {run['trials']} trials at beta={beta:g} dB -> {out}")
     for a in rows:
         print(f"  {a.scheme:>16s}: mean {a.mean_snr_db:7.2f} dB  (std {a.std_snr_db:.2f})")
     return 0
 
 
 def cmd_sweep_beta(args, argv):
-    scenario = _load(args)
-    out = _out_dir(args)
-    results, rows, run = _campaign(scenario)
-    write_trials_csv(out / "trials.csv", results)
-    write_aggregates_csv(out / "aggregates.csv", rows)
+    scenario, out, _, run = _campaign(args)
     write_manifest(out, scenario, argv, extra={"subcommand": "sweep-beta", **run})
-    print(f"sweep-beta: {len(results)} trials over beta={list(scenario.beta_list_db)} -> {out}")
+    print(f"sweep-beta: {run['trials']} trials over beta={list(scenario.beta_list_db)} -> {out}")
     return 0
 
 
@@ -310,10 +308,7 @@ def cmd_heatmap(args, argv):
     if args.cells in ("all", "composite"):
         cells = list(np.ndindex(*shape)) if args.cells == "all" else []
     else:
-        cells = [tuple(int(t) for t in token.split(",")) for token in args.cells.split(";")]
-    for cell in cells:  # checked before the level is rasterized
-        if len(cell) != 2 or not (0 <= cell[0] < shape[0] and 0 <= cell[1] < shape[1]):
-            raise ValueError(f"--cells: {cell} is outside the level's {shape[0]}x{shape[1]} grid")
+        cells = [_cell(token, shape) for token in args.cells.split(";")]  # checked before output
     out = _out_dir(args)
     # built here rather than inside heatmap, so that the raster's own run time
     # covers the field kernel alone (perfbench's raster-ref counts it as set-up)

@@ -12,8 +12,8 @@ Two SNR pipelines coexist and are kept separate on purpose:
   combiner (`Scenario.link_cascade`): the BS-RIS channel enters only as
   H1 v. Every scheme reads that pair alone and scores
   max_u |d_u + A_u exp(j*omega)|^2 (combiner and direct link included)
-  from the phasors exp(j*omega): level 1 and the finest level from tables,
-  the few codewords between on demand (`Scenario.codewords`). The phase
+  from the phasors exp(j*omega): a tabled level's from its table, the few
+  codewords of the other levels on demand (`Scenario.codewords`). The phase
   arrays of `Scenario.build_codebook` serve the rasters and the codebook
   dump, and are the tests' oracle of both. `build_trial_channels` and
   `Scenario.cascade` form the full matrices with `assemble_channel` and
@@ -55,8 +55,8 @@ from .codebook import (
     BlockageArea,
     build_hierarchy,
     check_levels,
-    finest_level_phasors,
     focusing_phases,
+    level_phasors,
     unit_cell_factor,
     wide_illumination_phases,
 )
@@ -247,14 +247,14 @@ class Scenario:
         ris_pos = self.ris_geometry().element_positions()
         v = bs_precoder_focus_ris(bs_pos, self.ris_center, lam, self.p_bs_watts)
         levels, *args = self._codebook_args()
-        table = finest_level_phasors(levels, *args)
-        # level 1's table is the finest level's of the one-level hierarchy levels[:1]
-        level1 = table if len(levels) == 1 else finest_level_phasors(levels[:1], *args)
+        tables = [None] * len(levels)
+        for depth in sorted({len(levels) - 1, 0}, reverse=True):  # tabled levels, finest first
+            tables[depth] = level_phasors(levels[depth], *args)
         return CampaignStatics(
             bs_pos=bs_pos, ris_pos=ris_pos, v=v, g=unit_cell_factor(self.ris_geometry(), lam),
             uh=mu_combiners(self.n_mu).conj(), sigma=np.sqrt(self.sigma2),
             los=_ris_rows(ris_pos, (), lambda rows: leg_phasors(rows, bs_pos, lam, +1) @ v),
-            table=table, level1=level1)
+            tables=tuple(tables))
 
     def cascade(self, channels):
         """(d, A) of a trial's full channel matrices: the oracle of `link_cascade`."""
@@ -310,13 +310,13 @@ class Scenario:
     def codewords(self, statics, depth, cells):
         """Phasors of cells [(w_x, w_y), ...] of level depth (0-based), one row each.
 
-        Level 1's and the finest level's rows come from the statics' tables;
-        a level between is computed here, from the recorded RIS positions
-        and the formula that builds the codebook.
+        A tabled level's rows come from its table in the statics; another
+        level's are computed here, from the recorded RIS positions and the
+        formula that builds the codebook.
         """
         w_x, w_y = np.array(cells).T
-        if depth in (0, len(self.codebook_levels) - 1):
-            table = statics.level1 if depth == 0 else statics.table
+        table = statics.tables[depth]
+        if table is not None:
             return table[w_x * self.codebook_levels[depth][1] + w_y]
         _, alpha, area, geom, p_i, lam = self._codebook_args()
         return cis(wide_illumination_phases(p_i, area, geom, lam, w_x, w_y,
@@ -337,8 +337,8 @@ class Scenario:
 @dataclass(frozen=True, eq=False)
 class CampaignStatics:
     """`Scenario.statics()`: positions, v, g, conj(U), sigma, the LOS projection E v,
-    the finest level's and level 1's (W_x * W_y, Q) phasor tables, and a one-slot
-    memo of one trial index's leg phasors (`Scenario.link_cascade`)."""
+    per codebook level its (W_x * W_y, Q) phasor table or None (level 1 and the finest
+    are tabled), and a one-slot memo of one trial index's leg phasors (`link_cascade`)."""
 
     bs_pos: np.ndarray
     ris_pos: np.ndarray
@@ -347,8 +347,7 @@ class CampaignStatics:
     uh: np.ndarray
     sigma: float
     los: np.ndarray
-    table: np.ndarray
-    level1: np.ndarray
+    tables: tuple
     legs: dict = field(default_factory=dict, repr=False)
 
 
@@ -486,7 +485,7 @@ def run_trial(scenario, beta_db, trial, statics=None):
     trace = scenario.search(d, a, statics)
     snr = {
         bm.PROPOSED: trace.levels[-1].snrs.max(),
-        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, statics.table),
+        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, statics.tables[-1]),
         bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, p_mu, scenario.ris_geometry(),
                                                          scenario.bs_center, scenario.lambda_m),
     }

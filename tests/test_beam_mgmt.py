@@ -215,7 +215,7 @@ def test_search_single_level_equals_exhaustive():
     statics = s.statics()
     d, a = s.cascade(build_trial_channels(s, 10.0, 3)[0])
     trace = s.search(d, a, statics)
-    r1 = benchmark1_full_search(d, a, statics.table)
+    r1 = benchmark1_full_search(d, a, statics.tables[-1])
     assert trace.levels[-1].snrs.max() == pytest.approx(r1, rel=1e-12)
 
 
@@ -226,7 +226,7 @@ def test_search_never_beats_exhaustive():
         d, a = s.cascade(build_trial_channels(s, 10.0, trial)[0])
         trace = s.search(d, a, statics)
         prop = trace.levels[-1].snrs.max()
-        r1 = benchmark1_full_search(d, a, statics.table)
+        r1 = benchmark1_full_search(d, a, statics.tables[-1])
         assert prop <= r1 * (1 + 1e-12)
 
 

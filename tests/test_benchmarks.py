@@ -9,7 +9,7 @@ from nearris.benchmarks import (
     benchmark3_full_csi,
 )
 from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
-from nearris.codebook import build_hierarchy, BlockageArea, finest_level_phasors, unit_cell_factor
+from nearris.codebook import build_hierarchy, BlockageArea, level_phasors, unit_cell_factor
 from nearris.geometry import RisGeometry, cis, wavelength
 
 LAM = wavelength(28e9)
@@ -29,7 +29,7 @@ def test_benchmark1_equals_measurement_on_single_codeword():
     )
     d, a = effective_cascade(*projected(ch, np.array([0.2, 0.1j])), unit_cell_factor(geom, LAM),
                              mu_combiners(1), 1e-6)
-    res = benchmark1_full_search(d, a, finest_level_phasors([(1, 1)], 0.8, AREA, geom, P_I, LAM))
+    res = benchmark1_full_search(d, a, level_phasors((1, 1), 0.8, AREA, geom, P_I, LAM))
     direct = received_snr(d, a, cis(cb[0][0, 0]))
     assert res == pytest.approx(direct, rel=1e-12)
 

@@ -15,7 +15,12 @@ from nearris.cli import (
     main,
     save_scenario,
     scenario_hash,
+    write_aggregates_csv,
     write_channel_set,
+    write_cut_csv,
+    write_farfield_csv,
+    write_raster_csv,
+    write_trials_csv,
 )
 
 NAN = float("nan")
@@ -43,6 +48,40 @@ def tiny_file(tmp_path, **overrides):
     p = tmp_path / "tiny.scn"
     save_scenario(s, p)
     return p, s
+
+
+# --- CSV writers -------------------------------------------------------------
+
+_TRIAL = nr.TrialResult(trial=3, beta_db=-5.0, mu_position=(20.123456789, 39.5, 1.0),
+                        snr_db={"proposed": 26.4567891, "B1_full_codebook": 1234567.0},
+                        pilots=24, winners=[(1, 2), (3, 4)])
+_AGGREGATES = [nr.Aggregate("B1_full_codebook", -10.0, 28.0, 0.0012345678, 100),
+               nr.Aggregate("proposed", 2.5, -3.21987654, 1.5, 7)]
+
+
+@pytest.mark.parametrize("write, expected", [
+    pytest.param(lambda p: write_trials_csv(p, [_TRIAL]),
+                 "trial,beta_db,scheme,snr_db,mu_x,mu_y,mu_z,pilots,winners\n"
+                 "3,-5,B1_full_codebook,1.23457e+06,20.1235,39.5,1,,\n"
+                 "3,-5,proposed,26.4568,20.1235,39.5,1,24,1,2|3,4\n", id="trials"),
+    pytest.param(lambda p: write_aggregates_csv(p, _AGGREGATES),
+                 "scheme,beta_db,mean_snr_db,std_snr_db,n_trials\n"
+                 "B1_full_codebook,-10,28,0.00123457,100\n"
+                 "proposed,2.5,-3.21988,1.5,7\n", id="aggregates"),
+    pytest.param(lambda p: write_raster_csv(p, np.array([1.0, 2.5]), np.array([-0.1, 1 / 3]),
+                                            np.array([[1.0, 2.0], [3.1234567, -4e-7]])),
+                 "x_m,y_m,snr_db\n1,-0.1,1\n1,0.333333,2\n2.5,-0.1,3.12346\n"
+                 "2.5,0.333333,-4e-07\n", id="raster"),
+    pytest.param(lambda p: write_cut_csv(p, np.array([-8.0, 0.5]), np.array([12.3456789, 1e-7])),
+                 "displacement_m,snr_db\n-8,12.3457\n0.5,1e-07\n", id="cut"),
+    pytest.param(lambda p: write_farfield_csv(p, [(0.5, 0.70710678, 93.3333333)]),
+                 "size_L_m,aperture_D_m,far_field_distance_m\n0.5,0.707107,93.3333\n",
+                 id="farfield"),
+])
+def test_csv_writers_format_rows(tmp_path, write, expected):
+    p = tmp_path / "x.csv"
+    write(p)
+    assert p.read_text() == "# format_version=1\n" + expected
 
 
 # --- scenario files -----------------------------------------------------------
@@ -73,6 +112,15 @@ def test_save_load_round_trip(tmp_path):
     back = load_scenario(p)
     assert back == s
     assert back.to_dict() == s.to_dict()
+
+
+def test_save_rejects_a_carrier_that_does_not_load_back(tmp_path):
+    # (f / 1e9) * 1e9 != f: the GHz value in the file would load as another carrier
+    s = nr.Scenario(carrier_hz=134597072568.60112)
+    p = tmp_path / "x.scn"
+    with pytest.raises(ValueError, match="carrier_hz"):
+        save_scenario(s, p)
+    assert not p.exists()
 
 
 def test_schema_names_every_field_once():
@@ -259,13 +307,22 @@ def test_heatmap_command_writes_rasters(tmp_path):
                  "--level", "9"]) == 2  # out of range
 
 
-@pytest.mark.parametrize("cells", ["9,9", "-1,0", "0,0;2,0"])
-def test_heatmap_rejects_cells_outside_level(tmp_path, capsys, cells):
+@pytest.mark.parametrize("cells, message", [
+    pytest.param(cells, message, id=cells) for cells, message in [
+        ("9,9", "outside the level's 2x2 grid"),
+        ("-1,0", "outside the level's 2x2 grid"),
+        ("0,0;2,0", "outside the level's 2x2 grid"),
+        ("a,b", "--cells: 'a,b' is not wx,wy"),
+        ("1,", "--cells: '1,' is not wx,wy"),
+        ("1;2", "--cells: '1' is not wx,wy"),
+    ]
+])
+def test_heatmap_rejects_cells_outside_level(tmp_path, capsys, cells, message):
     cfg, _ = tiny_file(tmp_path)
     out = tmp_path / "hm"
     assert main(["heatmap", "--config", str(cfg), "--out-dir", str(out),
                  "--level", "1", "--grid", "2", f"--cells={cells}"]) == 2
-    assert "outside the level's 2x2 grid" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("hm/*cell_*.csv"))
 
 

@@ -299,11 +299,11 @@ def _phase_array_search(d, a, codebook):
 @pytest.mark.parametrize("case", _CODEWORD_CASES)
 def test_b1_from_table_equals_row_by_row_phase_scoring(case, request):
     s, codebook, statics, draws = _codeword_case(case, request)
-    assert statics.table.shape == (codebook[-1].shape[0] * codebook[-1].shape[1],
-                                   s.ris_geometry().q)
+    assert statics.tables[-1].shape == (codebook[-1].shape[0] * codebook[-1].shape[1],
+                                        s.ris_geometry().q)
     for d, a in _trial_cascades(s, statics, draws):
         rows = [np.max(np.abs(nr.cis(row) @ a.T + d) ** 2, axis=-1) for row in codebook[-1]]
-        assert bm.benchmark1_full_search(d, a, statics.table) == np.max(rows)
+        assert bm.benchmark1_full_search(d, a, statics.tables[-1]) == np.max(rows)
 
 
 @pytest.mark.parametrize("case", _CODEWORD_CASES)
@@ -314,8 +314,10 @@ def test_trial_codewords_equal_codebook_cells(case, request):
     s, codebook, statics, _ = _codeword_case(case, request)
     q = s.ris_geometry().q
     np.testing.assert_array_equal(statics.ris_pos, s.ris_geometry().element_positions())
-    np.testing.assert_array_equal(statics.level1, nr.cis(codebook[0].reshape(-1, q)))
-    np.testing.assert_array_equal(statics.table, nr.cis(codebook[-1].reshape(-1, q)))
+    assert [t is not None for t in statics.tables] == [
+        depth in (0, len(codebook) - 1) for depth in range(len(codebook))]
+    np.testing.assert_array_equal(statics.tables[0], nr.cis(codebook[0].reshape(-1, q)))
+    np.testing.assert_array_equal(statics.tables[-1], nr.cis(codebook[-1].reshape(-1, q)))
     for depth, level in enumerate(codebook):
         whole = s.codewords(statics, depth, list(np.ndindex(*level.shape[:2])))
         np.testing.assert_array_equal(whole, nr.cis(level.reshape(-1, q)))
