@@ -21,14 +21,14 @@ def main():
     trial = 7
 
     print("building the campaign statics (level-1 and finest-level phasor tables)...")
-    statics = s.statics()
-    links, p_mu = nr.draw_trial_links(s, beta_db, trial)
+    table = s.statics().tables[-1]
+    links, p_mu, legs, focus = nr.trial_draw(s, trial)
     print(f"user drawn at ({p_mu[0]:.2f}, {p_mu[1]:.2f}, {p_mu[2]:.2f}) m, "
           f"beta = {beta_db:g} dB\n")
 
-    d, a = s.link_cascade(links, p_mu, statics)
+    d, a = s.link_cascade(nr.at_beta(s, links, beta_db), legs)
 
-    trace = s.search(d, a, statics)
+    trace = s.search(d, a)
     for depth, rec in enumerate(trace.levels):
         w_x, w_y = s.codebook_levels[depth]
         print(f"level {depth + 1} ({w_x}x{w_y} cells): sounded {len(rec.candidates)} pilots")
@@ -40,11 +40,8 @@ def main():
 
     rows = [
         ("hierarchical search", trace.levels[-1].snrs.max(), f"{trace.pilot_count} pilots"),
-        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, statics.tables[-1]),
-         f"{len(statics.tables[-1])} pilots"),
-        (bm.B2_FULL_FOCUSING, bm.benchmark2_full_focusing(d, a, p_mu, s.ris_geometry(),
-                                                          s.bs_center, s.lambda_m),
-         "exact MU position"),
+        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, table), f"{len(table)} pilots"),
+        (bm.B2_FULL_FOCUSING, bm.benchmark2_full_focusing(d, a, focus), "exact MU position"),
         (bm.B3_FULL_CSI, bm.benchmark3_full_csi(d, a),
          f"{2 * a.shape[1]} channel coefficients"),
     ]

@@ -20,7 +20,6 @@ from .geometry import (
 from .channel import (
     ChannelSet,
     LinkPaths,
-    NoiseModel,
     apply_beta,
     assemble_channel,
     blockage_attenuation,
@@ -58,6 +57,7 @@ from .harness import (
     Scenario,
     TrialResult,
     aggregate,
+    at_beta,
     build_trial_channels,
     draw_trial_links,
     farfield_table,
@@ -66,4 +66,5 @@ from .harness import (
     run_campaign,
     run_trial,
     sweep_beta,
+    trial_draw,
 )

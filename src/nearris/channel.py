@@ -75,22 +75,13 @@ class ChannelSet:
     h2: np.ndarray  # (N_mu, Q)    RIS to MU
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    psd_dbm_per_hz: float
-    bandwidth_hz: float
-    noise_figure_db: float = 0.0
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.noise_figure_db < 0:
-            raise ValueError("noise figure must be >= 0 dB")
-
-
-def noise_power(model):
+def noise_power(psd_dbm_per_hz, bandwidth_hz, noise_figure_db):
     """Noise power in watts: psd + 10*log10(B) + NF, converted from dBm."""
-    total_dbm = model.psd_dbm_per_hz + 10.0 * np.log10(model.bandwidth_hz) + model.noise_figure_db
+    if bandwidth_hz <= 0:
+        raise ValueError("bandwidth must be positive")
+    if noise_figure_db < 0:
+        raise ValueError("noise figure must be >= 0 dB")
+    total_dbm = psd_dbm_per_hz + 10.0 * np.log10(bandwidth_hz) + noise_figure_db
     return 10.0 ** ((total_dbm - 30.0) / 10.0)
 
 

@@ -17,20 +17,22 @@ Two SNR pipelines coexist and are kept separate on purpose:
   arrays of `Scenario.build_codebook` serve the rasters and the codebook
   dump, and are the tests' oracle of both. `build_trial_channels` and
   `Scenario.cascade` form the full matrices with `assemble_channel` and
-  are the oracle of the channel reduction. What trials read of the
-  scenario alone is one record, `Scenario.statics()`, built once per
-  campaign or pool worker.
+  are the oracle of the channel reduction.
 
 Trials are pure functions of (scenario, beta, trial index). Every random
 draw comes from a seed sequence labeled (master seed, trial, component),
-so all betas of a trial index share its links up to the NLOS amplitudes;
-a campaign runs index by index and builds each index's leg phasors once.
+so all betas of a trial index share its links up to the NLOS amplitudes
+(`at_beta`). Two one-slot caches of pure functions hold what a trial reads
+beyond its beta: `Scenario.statics()`, of the scenario alone, and
+`trial_draw(scenario, trial)`, of the trial index. A campaign runs index
+by index, so it builds the statics once per process and each index's
+draw, leg phasors and B2 codeword once for all its betas.
 """
 
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, fields
+from functools import lru_cache, partial
 from numbers import Real
 
 import numpy as np
@@ -40,7 +42,6 @@ from .beam_mgmt import bs_precoder_focus_ris, hierarchical_search, mu_combiners,
 from .channel import (
     ChannelSet,
     LinkPaths,
-    NoiseModel,
     apply_beta,
     assemble_channel,
     blockage_attenuation,
@@ -210,6 +211,12 @@ class Scenario:
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"scenario: ris size over spacing must give a finite grid of "
                              f">= 1 element per axis: {exc}") from None
+        with np.errstate(over="ignore"):  # dBm to watts: inf past ~3000 dBm, 0 below ~-3000
+            for inputs, power, watts in (
+                    ("p_bs_dbm", "p_bs_watts", self.p_bs_watts),
+                    ("noise_psd_dbm_hz, bandwidth_hz and noise_figure_db", "sigma2", self.sigma2)):
+                if not 0 < watts < np.inf:
+                    raise ValueError(f"scenario: {inputs} must give a finite {power} > 0 W")
 
     # --- derived pieces -------------------------------------------------
 
@@ -219,13 +226,11 @@ class Scenario:
 
     @property
     def p_bs_watts(self):
-        return 10.0 ** ((self.p_bs_dbm - 30.0) / 10.0)
+        return np.power(10.0, (self.p_bs_dbm - 30.0) / 10.0)  # inf, not OverflowError, past range
 
     @property
     def sigma2(self):
-        return noise_power(
-            NoiseModel(self.noise_psd_dbm_hz, self.bandwidth_hz, self.noise_figure_db)
-        )
+        return noise_power(self.noise_psd_dbm_hz, self.bandwidth_hz, self.noise_figure_db)
 
     def ris_geometry(self):
         d = self.ris_spacing_wl * self.lambda_m
@@ -240,8 +245,9 @@ class Scenario:
             n_x=self.bs_n_x, n_z=self.bs_n_z, d_x=d, d_z=d,
         )
 
+    @lru_cache(maxsize=1)  # on the class, so a pickled scenario carries no tables
     def statics(self):
-        """The record of what trials read of this scenario alone; a campaign builds it once."""
+        """The record of what trials read of this scenario alone, kept for the last scenario."""
         lam = self.lambda_m
         bs_pos = self.bs_geometry().element_positions()
         ris_pos = self.ris_geometry().element_positions()
@@ -264,30 +270,15 @@ class Scenario:
                               unit_cell_factor(self.ris_geometry(), self.lambda_m),
                               mu_combiners(self.n_mu).conj(), np.sqrt(self.sigma2))
 
-    def link_cascade(self, links, p_mu, statics, trial=None):
+    def link_cascade(self, links, legs):
         """(d, A) of a trial's (direct, BS-RIS, RIS-MU) links, without the (Q, N_bs) H1.
 
-        The links' leg phasors (conventions of `build_trial_channels`) are
-        kept in statics.legs under (self, trial), for the index's other betas
-        (trial None: not reused).
+        legs are the links' leg phasors, as `trial_draw` builds them.
         """
-        key = (self, trial)
-        if trial is None or key not in statics.legs:
-            lam, bs_pos, ris_pos = self.lambda_m, statics.bs_pos, statics.ris_pos
-            mu_pos = mu_antenna_positions(self, p_mu)
-            s_h, s_1, s_2 = (link.scatterers for link in links)
-            statics.legs.clear()  # one slot: the previous index's legs go first
-            statics.legs[key] = (  # per link (LOS, rx legs, tx legs); BS-RIS (rx legs, E_tx^T v)
-                (leg_phasors(mu_pos, bs_pos, lam, -1), leg_phasors(mu_pos, s_h, lam, -1),
-                 leg_phasors(bs_pos, s_h, lam, -1)),
-                (_ris_rows(ris_pos, (len(s_1),), lambda rows: leg_phasors(rows, s_1, lam, +1)),
-                 leg_phasors(bs_pos, s_1, lam, +1).T @ statics.v),
-                (leg_phasors(mu_pos, ris_pos, lam, +1), leg_phasors(mu_pos, s_2, lam, +1),
-                 _ris_rows(ris_pos, (len(s_2),), lambda rows: leg_phasors(rows, s_2, lam, +1))))
-        (l_h, l_1, l_2), (direct, bs_ris, ris_mu) = statics.legs[key], links
-        return reduce_cascade(sum_paths(direct, *l_h) @ statics.v,
-                              project_channel(bs_ris, statics.los, *l_1),
-                              sum_paths(ris_mu, *l_2), statics.g, statics.uh, statics.sigma)
+        st = self.statics()
+        (l_h, l_1, l_2), (direct, bs_ris, ris_mu) = legs, links
+        return reduce_cascade(sum_paths(direct, *l_h) @ st.v, project_channel(bs_ris, st.los, *l_1),
+                              sum_paths(ris_mu, *l_2), st.g, st.uh, st.sigma)
 
     def blockage_area(self):
         return BlockageArea(
@@ -307,7 +298,7 @@ class Scenario:
         """
         return build_hierarchy(*self._codebook_args())
 
-    def codewords(self, statics, depth, cells):
+    def codewords(self, depth, cells):
         """Phasors of cells [(w_x, w_y), ...] of level depth (0-based), one row each.
 
         A tabled level's rows come from its table in the statics; another
@@ -315,6 +306,7 @@ class Scenario:
         formula that builds the codebook.
         """
         w_x, w_y = np.array(cells).T
+        statics = self.statics()
         table = statics.tables[depth]
         if table is not None:
             return table[w_x * self.codebook_levels[depth][1] + w_y]
@@ -322,9 +314,9 @@ class Scenario:
         return cis(wide_illumination_phases(p_i, area, geom, lam, w_x, w_y,
                                             *self.codebook_levels[depth], alpha, statics.ris_pos))
 
-    def search(self, d, a, statics):
+    def search(self, d, a):
         """`hierarchical_search` of (d, A) over this scenario's hierarchy."""
-        return hierarchical_search(d, a, self.codebook_levels, partial(self.codewords, statics))
+        return hierarchical_search(d, a, self.codebook_levels, self.codewords)
 
     def to_dict(self):
         """Field name -> value, every tuple (nested ones too) as a list."""
@@ -338,7 +330,7 @@ class Scenario:
 class CampaignStatics:
     """`Scenario.statics()`: positions, v, g, conj(U), sigma, the LOS projection E v,
     per codebook level its (W_x * W_y, Q) phasor table or None (level 1 and the finest
-    are tabled), and a one-slot memo of one trial index's leg phasors (`link_cascade`)."""
+    are tabled)."""
 
     bs_pos: np.ndarray
     ris_pos: np.ndarray
@@ -348,7 +340,6 @@ class CampaignStatics:
     sigma: float
     los: np.ndarray
     tables: tuple
-    legs: dict = field(default_factory=dict, repr=False)
 
 
 def _ris_rows(ris_pos, cols, fn):
@@ -425,31 +416,58 @@ def draw_mu_position(scenario, trial):
     return np.array([x, y, c[2]])
 
 
-def draw_trial_links(scenario, beta_db, trial):
-    """Draw one realization: the MU position and the (direct, BS-RIS, RIS-MU) links.
+def draw_trial_links(scenario, trial):
+    """Draw one trial index: the MU position and the (direct, BS-RIS, RIS-MU) links.
 
-    Each link is a `LinkPaths` whose NLOS amplitudes are scaled to beta;
-    blockage attenuation applies to the direct link only. Returns
-    ((direct, bs_ris, ris_mu), p_mu).
+    Each link is a `LinkPaths` at its free-space amplitudes, before beta
+    (`at_beta`). Returns ((direct, bs_ris, ris_mu), p_mu).
     """
     p_mu = draw_mu_position(scenario, trial)
     rng_s = _trial_rng(scenario.master_seed, trial, _SEED_SCATTER)
     rng_f = _trial_rng(scenario.master_seed, trial, _SEED_FADING)
-    # (tx center, rx center, path count, loss dB) per link; this fixed draw
-    # order keeps every link's randomness reproducible
+    # (tx center, rx center, path count) per link; this fixed draw order
+    # keeps every link's randomness reproducible
     specs = (
-        (scenario.bs_center, p_mu, scenario.paths_direct, scenario.blockage_loss_db),
-        (scenario.bs_center, scenario.ris_center, scenario.paths_bs_ris, 0.0),
-        (scenario.ris_center, p_mu, scenario.paths_ris_mu, 0.0),
+        (scenario.bs_center, p_mu, scenario.paths_direct),
+        (scenario.bs_center, scenario.ris_center, scenario.paths_bs_ris),
+        (scenario.ris_center, p_mu, scenario.paths_ris_mu),
     )
-    links = []
-    for tx_c, rx_c, count, loss_db in specs:
-        link = _draw_link(tx_c, rx_c, count, scenario.scatterer_box_min,
-                          scenario.scatterer_box_max, scenario.lambda_m, rng_s, rng_f)
-        if count > 1:
+    return tuple(_draw_link(tx_c, rx_c, count, scenario.scatterer_box_min,
+                            scenario.scatterer_box_max, scenario.lambda_m, rng_s, rng_f)
+                 for tx_c, rx_c, count in specs), p_mu
+
+
+def at_beta(scenario, links, beta_db):
+    """The drawn links at beta: each link's NLOS amplitudes scaled to beta,
+    then the blockage loss, which attenuates the direct link only."""
+    out = []
+    for link, loss_db in zip(links, (scenario.blockage_loss_db, 0.0, 0.0)):
+        if len(link) > 1:
             link = apply_beta(link, _beta_total_db(scenario, link, beta_db))
-        links.append(blockage_attenuation(link, loss_db))
-    return tuple(links), p_mu
+        out.append(blockage_attenuation(link, loss_db))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1)
+def trial_draw(scenario, trial):
+    """The beta-free part of a trial, kept for the last (scenario, trial) asked.
+
+    Returns (links before beta, p_mu, legs, focus): legs are per link its
+    (LOS, rx legs, tx legs) phasors, the BS-RIS link's (rx legs, E_tx^T v),
+    in the conventions of `build_trial_channels`; focus is B2's phasors.
+    """
+    st, lam = scenario.statics(), scenario.lambda_m
+    links, p_mu = draw_trial_links(scenario, trial)
+    bs_pos, ris_pos, mu_pos = st.bs_pos, st.ris_pos, mu_antenna_positions(scenario, p_mu)
+    s_h, s_1, s_2 = (link.scatterers for link in links)
+    legs = ((leg_phasors(mu_pos, bs_pos, lam, -1), leg_phasors(mu_pos, s_h, lam, -1),
+             leg_phasors(bs_pos, s_h, lam, -1)),
+            (_ris_rows(ris_pos, (len(s_1),), lambda rows: leg_phasors(rows, s_1, lam, +1)),
+             leg_phasors(bs_pos, s_1, lam, +1).T @ st.v),
+            (leg_phasors(mu_pos, ris_pos, lam, +1), leg_phasors(mu_pos, s_2, lam, +1),
+             _ris_rows(ris_pos, (len(s_2),), lambda rows: leg_phasors(rows, s_2, lam, +1))))
+    focus = cis(focusing_phases(scenario.bs_center, p_mu, scenario.ris_geometry(), lam))
+    return links, p_mu, legs, focus
 
 
 def build_trial_channels(scenario, beta_db, trial):
@@ -462,7 +480,8 @@ def build_trial_channels(scenario, beta_db, trial):
     oracle and for `simulate --dump-channels`.
     """
     lam = scenario.lambda_m
-    (direct, bs_ris, ris_mu), p_mu = draw_trial_links(scenario, beta_db, trial)
+    links, p_mu = draw_trial_links(scenario, trial)
+    direct, bs_ris, ris_mu = at_beta(scenario, links, beta_db)
     bs_pos = scenario.bs_geometry().element_positions()
     ris_pos = scenario.ris_geometry().element_positions()
     mu_pos = mu_antenna_positions(scenario, p_mu)
@@ -471,23 +490,20 @@ def build_trial_channels(scenario, beta_db, trial):
                       h2=assemble_channel(ris_mu, ris_pos, mu_pos, lam, +1)), p_mu
 
 
-def run_trial(scenario, beta_db, trial, statics=None):
+def run_trial(scenario, beta_db, trial):
     """All schemes on one realization; deterministic in (scenario, beta, trial).
 
-    statics is `scenario.statics()`, built here when not given; every beta
-    of a trial index reads the leg phasors that its first call keeps there.
+    Reads the cached `scenario.statics()` and `trial_draw(scenario, trial)`,
+    which the other betas of the trial index share.
     """
-    if statics is None:
-        statics = scenario.statics()
-    links, p_mu = draw_trial_links(scenario, beta_db, trial)
-    d, a = scenario.link_cascade(links, p_mu, statics, trial)
+    links, p_mu, legs, focus = trial_draw(scenario, trial)
+    d, a = scenario.link_cascade(at_beta(scenario, links, beta_db), legs)
 
-    trace = scenario.search(d, a, statics)
+    trace = scenario.search(d, a)
     snr = {
         bm.PROPOSED: trace.levels[-1].snrs.max(),
-        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, statics.tables[-1]),
-        bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, p_mu, scenario.ris_geometry(),
-                                                         scenario.bs_center, scenario.lambda_m),
+        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, scenario.statics().tables[-1]),
+        bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, focus),
     }
     if scenario.n_mu == 1:
         snr[bm.B3_FULL_CSI] = bm.benchmark3_full_csi(d, a)
@@ -503,36 +519,27 @@ def run_trial(scenario, beta_db, trial, statics=None):
 
 # --- campaign execution --------------------------------------------------
 
-_WORKER_CTX = {}
-
-
-def _every_beta(scenario, statics, trial):
-    return [run_trial(scenario, b, trial, statics) for b in scenario.beta_list_db]
-
-
-def _worker_init(scenario):
-    _WORKER_CTX["run"] = partial(_every_beta, scenario, scenario.statics())
-
-
-def _worker_run(trial):
-    return _WORKER_CTX["run"](trial)
+def _every_beta(scenario, trial):
+    return [run_trial(scenario, b, trial) for b in scenario.beta_list_db]
 
 
 def run_campaign(scenario):
     """Monte Carlo over (beta, trial); results in (beta order, trial) order.
 
     Runs scenario.trials trial indices on scenario.workers processes; a job
-    is one index at every beta of scenario.beta_list_db, sharing leg phasors.
-    Output is bit-identical for any worker count: each trial is a pure
-    function of its coordinates, and the pool returns results in job order.
+    is one index at every beta of scenario.beta_list_db, sharing its draw.
+    Every process builds the statics before its first trial. Output is
+    bit-identical for any worker count: each trial is a pure function of
+    its coordinates, and the pool returns results in job order.
     """
-    trials = range(scenario.trials)
+    trials, job = range(scenario.trials), partial(_every_beta, scenario)
     if scenario.workers == 1:
-        rows = list(map(partial(_every_beta, scenario, scenario.statics()), trials))
+        scenario.statics()
+        rows = list(map(job, trials))
     else:
-        with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_worker_init,
-                                 initargs=(scenario,)) as ex:
-            rows = list(ex.map(_worker_run, trials))
+        with ProcessPoolExecutor(max_workers=scenario.workers,
+                                 initializer=scenario.statics) as ex:
+            rows = list(ex.map(job, trials))
     return [r for per_beta in zip(*rows) for r in per_beta]
 
 

@@ -76,11 +76,6 @@ def reference_codebook(reference_scenario):
     return reference_scenario.build_codebook()
 
 
-@pytest.fixture(scope="session")
-def reference_statics(reference_scenario):
-    return reference_scenario.statics()
-
-
 def point_source_losses(scenario, codebook, mu_positions):
     """Codebook losses in dB against full focusing, seen from a point source.
 

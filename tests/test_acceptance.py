@@ -86,10 +86,10 @@ def test_criterion_2_codebook_peak_and_focusing_gap(
     )
 
 
-def test_criterion_3_pilot_overhead(reference_scenario, reference_statics, record_criterion):
+def test_criterion_3_pilot_overhead(reference_scenario, record_criterion):
     s = reference_scenario
     ch, _ = build_trial_channels(s, 10.0, 0)
-    trace = s.search(*s.cascade(ch), reference_statics)
+    trace = s.search(*s.cascade(ch))
     per_level = trace.pilots_per_level()
     ok = trace.pilot_count == 24 and per_level == [16, 4, 2, 2]
     record_criterion(

@@ -205,28 +205,26 @@ def test_block_winner_ties_go_to_lowest_index():
 def test_search_pilot_budget_small_hierarchy():
     s = los_only_scenario()
     ch, _ = build_trial_channels(s, 10.0, 0)
-    trace = s.search(*s.cascade(ch), s.statics())
+    trace = s.search(*s.cascade(ch))
     assert trace.pilots_per_level() == [4, 4, 2]
     assert trace.pilot_count == 10
 
 
 def test_search_single_level_equals_exhaustive():
     s = small_scenario(codebook_levels=((4, 8),))
-    statics = s.statics()
     d, a = s.cascade(build_trial_channels(s, 10.0, 3)[0])
-    trace = s.search(d, a, statics)
-    r1 = benchmark1_full_search(d, a, statics.tables[-1])
+    trace = s.search(d, a)
+    r1 = benchmark1_full_search(d, a, s.statics().tables[-1])
     assert trace.levels[-1].snrs.max() == pytest.approx(r1, rel=1e-12)
 
 
 def test_search_never_beats_exhaustive():
     s = small_scenario()
-    statics = s.statics()
     for trial in range(6):
         d, a = s.cascade(build_trial_channels(s, 10.0, trial)[0])
-        trace = s.search(d, a, statics)
+        trace = s.search(d, a)
         prop = trace.levels[-1].snrs.max()
-        r1 = benchmark1_full_search(d, a, statics.tables[-1])
+        r1 = benchmark1_full_search(d, a, s.statics().tables[-1])
         assert prop <= r1 * (1 + 1e-12)
 
 
@@ -234,7 +232,6 @@ def test_search_finds_cell_center_users_exactly():
     # noiseless LOS channels with the MU parked on a finest-level cell
     # center: the descent must land on that exact cell
     s = los_only_scenario()
-    statics = s.statics()
     lam = s.lambda_m
     geom = s.ris_geometry()
     area = s.blockage_area()
@@ -254,7 +251,7 @@ def test_search_finds_cell_center_users_exactly():
             h1=assemble_channel(los(s.bs_center, s.ris_center), bs_pos, ris_pos, lam, +1),
             h2=assemble_channel(los(s.ris_center, p_mu), ris_pos, mu_pos, lam, +1),
         )
-        trace = s.search(*s.cascade(ch), statics)
+        trace = s.search(*s.cascade(ch))
         assert trace.levels[-1].winner == cell
 
 
@@ -263,12 +260,11 @@ def test_search_descent_rarely_degrades():
     # leaves small coverage gaps between sibling beams, so a bounded
     # fraction of descents may lose ground
     s = los_only_scenario()
-    statics = s.statics()
     monotone = 0
     trials = 40
     for trial in range(trials):
         ch, _ = build_trial_channels(s, 10.0, trial)
-        trace = s.search(*s.cascade(ch), statics)
+        trace = s.search(*s.cascade(ch))
         ws = [rec.snrs.max() for rec in trace.levels]
         if all(b >= a * (1 - 1e-12) for a, b in zip(ws, ws[1:])):
             monotone += 1

@@ -9,7 +9,13 @@ from nearris.benchmarks import (
     benchmark3_full_csi,
 )
 from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
-from nearris.codebook import build_hierarchy, BlockageArea, level_phasors, unit_cell_factor
+from nearris.codebook import (
+    BlockageArea,
+    build_hierarchy,
+    focusing_phases,
+    level_phasors,
+    unit_cell_factor,
+)
 from nearris.geometry import RisGeometry, cis, wavelength
 
 LAM = wavelength(28e9)
@@ -52,7 +58,7 @@ def test_benchmark2_scalar_closed_form():
     ch = ChannelSet(h=np.zeros((1, 1), dtype=complex), h1=h1, h2=h2)
     d, a = effective_cascade(*projected(ch, np.array([np.sqrt(p)], dtype=complex)), g,
                              mu_combiners(1), sigma2)
-    res = benchmark2_full_focusing(d, a, p_mu, geom, P_I, LAM)
+    res = benchmark2_full_focusing(d, a, cis(focusing_phases(P_I, p_mu, geom, LAM)))
     pl1 = free_space_amplitude(float(np.linalg.norm(P_I - geom.center)), LAM)
     pl2 = free_space_amplitude(float(np.linalg.norm(p_mu - geom.center)), LAM)
     expect = p * (g * pl1 * pl2) ** 2 / sigma2

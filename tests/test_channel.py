@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from nearris.channel import (
     LinkPaths,
-    NoiseModel,
     apply_beta,
     assemble_channel,
     blockage_attenuation,
@@ -261,15 +260,15 @@ def test_blockage_attenuation_scales_amplitudes():
 
 def test_noise_power_reference_values():
     # -176 dBm/Hz + 10*log10(100 MHz) + 6 dB NF = -90 dBm = 1e-12 W
-    assert noise_power(NoiseModel(-176.0, 1e8, 6.0)) == pytest.approx(1e-12, rel=1e-9)
-    assert noise_power(NoiseModel(-174.0, 1e6)) == pytest.approx(3.9810717055e-15, rel=1e-9)
-    base = noise_power(NoiseModel(-174.0, 1e6, 0.0))
-    plus3 = noise_power(NoiseModel(-174.0, 1e6, 3.0102999566398))
+    assert noise_power(-176.0, 1e8, 6.0) == pytest.approx(1e-12, rel=1e-9)
+    assert noise_power(-174.0, 1e6, 0.0) == pytest.approx(3.9810717055e-15, rel=1e-9)
+    base = noise_power(-174.0, 1e6, 0.0)
+    plus3 = noise_power(-174.0, 1e6, 3.0102999566398)
     assert plus3 == pytest.approx(2 * base, rel=1e-9)
 
 
 def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(-174.0, 0.0)
-    with pytest.raises(ValueError):
-        NoiseModel(-174.0, 1e6, -1.0)
+    with pytest.raises(ValueError, match="bandwidth"):
+        noise_power(-174.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="noise figure"):
+        noise_power(-174.0, 1e6, -1.0)

@@ -468,6 +468,10 @@ def test_farfield_rejects_sizes_that_are_not_finite_and_positive(tmp_path, capsy
         (("bs", "center", [40.0, "a", 10.0]), ["sweep-beta"], "bs_center must be a finite real"),
         (None, ["simulate", "--beta", "nan"], "beta_list_db must be a finite real"),
         (None, ["heatmap", "--level", "1", "--grid", "1"], "illum_grid must be >= 2"),
+        (("rf", "noise_psd_dbm_per_hz", -4000.0), ["simulate"],
+         "noise_psd_dbm_hz, bandwidth_hz and noise_figure_db must give a finite sigma2 > 0 W"),
+        (("rf", "transmit_power_dbm", 4000.0), ["simulate"],
+         "p_bs_dbm must give a finite p_bs_watts > 0 W"),
     ],
 )
 def test_bad_input_exits_2_before_any_output(tmp_path, capsys, edit, command, message):

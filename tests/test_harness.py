@@ -12,7 +12,7 @@ import nearris as nr
 from conftest import los_only_scenario, point_source_losses, small_scenario
 from nearris import benchmarks as bm
 from nearris.channel import LinkPaths, assemble_channel, free_space_amplitude
-from nearris.codebook import grcs, unit_cell_factor
+from nearris.codebook import focusing_phases, grcs, unit_cell_factor
 from nearris.harness import (
     _FIELD_CHUNK,
     Aggregate,
@@ -21,6 +21,7 @@ from nearris.harness import (
     _beta_total_db,
     _field_snr_db,
     aggregate,
+    at_beta,
     build_trial_channels,
     draw_mu_position,
     draw_trial_links,
@@ -31,6 +32,7 @@ from nearris.harness import (
     run_campaign,
     run_trial,
     sweep_beta,
+    trial_draw,
 )
 
 SCHEMES = (bm.PROPOSED, bm.B1_FULL_CODEBOOK, bm.B2_FULL_FOCUSING, bm.B3_FULL_CSI)
@@ -75,6 +77,11 @@ def test_scenario_validation_messages():
         (dict(beta_list_db=(1.0, 1.0)), "beta_list_db must be a non-empty list of distinct"),
         (dict(ris_size_z_m=0.001), "ris size over spacing must give a finite grid"),
         (dict(ris_size_y_m=1e300, ris_spacing_wl=1e-10), "ris size over spacing must give"),
+        (dict(p_bs_dbm=4000.0), "p_bs_dbm must give a finite p_bs_watts > 0 W"),
+        (dict(p_bs_dbm=-4000.0), "p_bs_dbm must give a finite p_bs_watts > 0 W"),
+        (dict(noise_psd_dbm_hz=-4000.0), "noise_figure_db must give a finite sigma2 > 0 W"),
+        (dict(noise_psd_dbm_hz=4000.0), "noise_figure_db must give a finite sigma2 > 0 W"),
+        (dict(bandwidth_hz=1e300, noise_figure_db=1e4), "must give a finite sigma2 > 0 W"),
     ]
     for overrides, word in cases:
         with pytest.raises(ValueError, match=word):
@@ -161,18 +168,14 @@ def test_direct_link_carries_blockage_loss():
     (None, 10.0, 5),
 ])
 def test_link_cascade_matches_full_matrix_oracle(overrides, beta_db, trial):
-    # trials reduce the links without H1: (d, A) from the statics must be
-    # Scenario.cascade of the full assemble_channel matrices, with the legs
-    # built here or kept from another beta of the trial index; None is the
-    # reference scenario, whose Q = 8649 RIS rows span several row blocks
+    # trials reduce the links without H1: (d, A) of trial_draw's legs and
+    # at_beta's links must be Scenario.cascade of the full assemble_channel
+    # matrices, and B2's phasors the focusing codeword of the drawn MU
+    # position; None is the reference scenario, whose Q = 8649 RIS rows span
+    # several row blocks
     s = Scenario() if overrides is None else small_scenario(**overrides)
-    statics = s.statics()
-    links, p_mu = draw_trial_links(s, beta_db, trial)
-    d, a = s.link_cascade(links, p_mu, statics)
-    s.link_cascade(*draw_trial_links(s, beta_db + 7.0, trial), statics, trial)
-    d_kept, a_kept = s.link_cascade(links, p_mu, statics, trial)
-    np.testing.assert_array_equal(d_kept, d)
-    np.testing.assert_array_equal(a_kept, a)
+    links, p_mu, legs, focus = trial_draw(s, trial)
+    d, a = s.link_cascade(at_beta(s, links, beta_db), legs)
     ch, p_mu_oracle = build_trial_channels(s, beta_db, trial)
     d0, a0 = s.cascade(ch)
     np.testing.assert_array_equal(p_mu, p_mu_oracle)
@@ -180,6 +183,8 @@ def test_link_cascade_matches_full_matrix_oracle(overrides, beta_db, trial):
     assert a.shape == a0.shape == (s.n_mu, s.ris_geometry().q)
     assert np.linalg.norm(d - d0) <= 1e-12 * np.linalg.norm(d0)
     assert np.linalg.norm(a - a0) <= 1e-12 * np.linalg.norm(a0)
+    np.testing.assert_array_equal(
+        focus, nr.cis(focusing_phases(s.bs_center, p_mu, s.ris_geometry(), s.lambda_m)))
 
 
 # --- trials and campaigns -----------------------------------------------------------
@@ -205,48 +210,53 @@ def test_run_trial_deterministic():
 
 
 def test_trial_draws_are_shared_by_every_beta():
-    # the leg memo rests on this: the seed streams are labeled (master seed,
-    # trial, component), so every beta of a trial index draws the same MU
-    # position, bounce points and fadings, and beta scales NLOS amplitudes only
+    # trial_draw rests on this: the seed streams are labeled (master seed,
+    # trial, component), so a trial index's draw has no beta in it, and
+    # at_beta scales the NLOS amplitudes only, then the direct link by the
+    # blockage loss, without touching the drawn links
     s = small_scenario(beta_list_db=(-10.0, 0.0, 10.0, 20.0))
     for trial in range(3):
-        first_links, first_p_mu = draw_trial_links(s, s.beta_list_db[0], trial)
-        for beta_db in s.beta_list_db[1:]:
-            links, p_mu = draw_trial_links(s, beta_db, trial)
-            np.testing.assert_array_equal(p_mu, first_p_mu)
-            for link, first in zip(links, first_links):
+        links, _ = draw_trial_links(s, trial)
+        drawn = [link.amplitude.copy() for link in links]
+        for beta_db in s.beta_list_db:
+            for link, first, loss in zip(at_beta(s, links, beta_db), links, (0.1, 1.0, 1.0)):
                 np.testing.assert_array_equal(link.scatterers, first.scatterers)
                 np.testing.assert_array_equal(link.fading, first.fading)
-                assert link.amplitude[0] == first.amplitude[0]
-    assert not np.array_equal(draw_trial_links(s, 0.0, 0)[1], draw_trial_links(s, 0.0, 1)[1])
+                assert link.amplitude[0] == pytest.approx(loss * first.amplitude[0], rel=1e-15)
+                power = np.sum(link.amplitude[1:] ** 2) / loss ** 2
+                assert 10 * np.log10(first.amplitude[0] ** 2 / power) == pytest.approx(
+                    _beta_total_db(s, first, beta_db), abs=1e-9)
+        for link, amplitude in zip(links, drawn):
+            np.testing.assert_array_equal(link.amplitude, amplitude)
+    assert not np.array_equal(draw_trial_links(s, 0)[1], draw_trial_links(s, 1)[1])
 
 
-def test_run_trial_on_warmed_statics_equals_cold_run_trial():
-    # a record warmed by other (beta, trial) calls, the previous one of
-    # another trial index or another master seed, gives what a fresh record
-    # gives, field for field
+def test_campaign_draws_each_trial_index_once():
+    # the campaign builds the statics once and reads every beta of a trial
+    # index from one draw
+    s = small_scenario(trials=4)
+    Scenario.statics.cache_clear()
+    trial_draw.cache_clear()
+    run_campaign(s)
+    assert Scenario.statics.cache_info().misses == 1
+    draws = trial_draw.cache_info()
+    assert draws.misses == s.trials
+    assert draws.hits == s.trials * (len(s.beta_list_db) - 1)
+
+
+def test_run_trial_does_not_depend_on_the_cache_state():
+    # trials read from caches warmed by other betas, trial indices, master
+    # seeds and scenarios equal the same trials run on cleared caches
     s = small_scenario(n_mu=2)
     other_seed = dataclasses.replace(s, master_seed=5)
-    statics = s.statics()
-    for scenario, beta_db, trial in [(s, 0.0, 1), (s, 20.0, 1), (s, 10.0, 4), (s, 0.0, 4),
-                                     (s, 20.0, 1), (other_seed, 20.0, 1), (s, 10.0, 1)]:
-        warmed = run_trial(scenario, beta_db, trial, statics)
-        cold = run_trial(scenario, beta_db, trial)
-        assert warmed == cold
-
-
-def test_run_trial_keeps_the_legs_of_one_trial_index():
-    # the first call of a trial index builds its legs in place of the
-    # previous index's; the calls at its other betas reuse them
-    s = small_scenario()
-    statics = s.statics()
-    for trial in (2, 3):
-        run_trial(s, s.beta_list_db[0], trial, statics)
-        kept = statics.legs[(s, trial)]
-        for beta_db in s.beta_list_db[1:]:
-            run_trial(s, beta_db, trial, statics)
-            assert statics.legs[(s, trial)] is kept
-        assert list(statics.legs) == [(s, trial)]
+    other_levels = small_scenario(codebook_levels=((2, 2), (4, 4)))
+    calls = [(s, 0.0, 1), (s, 20.0, 1), (s, 10.0, 4), (other_seed, 20.0, 1), (s, 0.0, 4),
+             (other_levels, 10.0, 1), (s, 20.0, 1), (other_seed, 0.0, 1), (s, 10.0, 1)]
+    warmed = [run_trial(*call) for call in calls]
+    for call, result in zip(calls, warmed):
+        Scenario.statics.cache_clear()
+        trial_draw.cache_clear()
+        assert run_trial(*call) == result
 
 
 def test_run_trial_multi_antenna_mu_drops_b3():
@@ -263,19 +273,21 @@ _CODEWORD_CASES = ["reference", "small_n_mu_4", "small_one_level"]
 
 
 def _codeword_case(case, request):
-    """(scenario, phase codebook, statics, [(beta, trial), ...]) of one oracle case."""
+    """(scenario, phase codebook, [(beta, trial), ...]) of one oracle case."""
     if case == "reference":
         return (request.getfixturevalue("reference_scenario"),
-                request.getfixturevalue("reference_codebook"),
-                request.getfixturevalue("reference_statics"), [(10.0, 0)])
+                request.getfixturevalue("reference_codebook"), [(10.0, 0)])
     one_level = {"codebook_levels": ((4, 8),)}
     s = small_scenario(**({"n_mu": 4} if case == "small_n_mu_4" else one_level))
-    return s, s.build_codebook(), s.statics(), [(0.0, 1), (10.0, 2), (20.0, 3)]
+    return s, s.build_codebook(), [(0.0, 1), (10.0, 2), (20.0, 3)]
 
 
-def _trial_cascades(s, statics, draws):
-    return [s.link_cascade(*draw_trial_links(s, beta_db, trial), statics)
-            for beta_db, trial in draws]
+def _trial_cascades(s, draws):
+    cascades = []
+    for beta_db, trial in draws:
+        links, _, legs, _ = trial_draw(s, trial)
+        cascades.append(s.link_cascade(at_beta(s, links, beta_db), legs))
+    return cascades
 
 
 def _phase_array_search(d, a, codebook):
@@ -298,10 +310,11 @@ def _phase_array_search(d, a, codebook):
 
 @pytest.mark.parametrize("case", _CODEWORD_CASES)
 def test_b1_from_table_equals_row_by_row_phase_scoring(case, request):
-    s, codebook, statics, draws = _codeword_case(case, request)
+    s, codebook, draws = _codeword_case(case, request)
+    statics = s.statics()
     assert statics.tables[-1].shape == (codebook[-1].shape[0] * codebook[-1].shape[1],
                                         s.ris_geometry().q)
-    for d, a in _trial_cascades(s, statics, draws):
+    for d, a in _trial_cascades(s, draws):
         rows = [np.max(np.abs(nr.cis(row) @ a.T + d) ** 2, axis=-1) for row in codebook[-1]]
         assert bm.benchmark1_full_search(d, a, statics.tables[-1]) == np.max(rows)
 
@@ -311,19 +324,19 @@ def test_trial_codewords_equal_codebook_cells(case, request):
     # level 1 and the finest level are tabled in the statics, the levels
     # between computed from its recorded RIS positions; every level is asked
     # whole, as the search asks level 1, and one grid row of cells at a time
-    s, codebook, statics, _ = _codeword_case(case, request)
-    q = s.ris_geometry().q
+    s, codebook, _ = _codeword_case(case, request)
+    statics, q = s.statics(), s.ris_geometry().q
     np.testing.assert_array_equal(statics.ris_pos, s.ris_geometry().element_positions())
     assert [t is not None for t in statics.tables] == [
         depth in (0, len(codebook) - 1) for depth in range(len(codebook))]
     np.testing.assert_array_equal(statics.tables[0], nr.cis(codebook[0].reshape(-1, q)))
     np.testing.assert_array_equal(statics.tables[-1], nr.cis(codebook[-1].reshape(-1, q)))
     for depth, level in enumerate(codebook):
-        whole = s.codewords(statics, depth, list(np.ndindex(*level.shape[:2])))
+        whole = s.codewords(depth, list(np.ndindex(*level.shape[:2])))
         np.testing.assert_array_equal(whole, nr.cis(level.reshape(-1, q)))
         for wx in range(level.shape[0]):
             cells = [(wx, wy) for wy in range(level.shape[1])]
-            words = s.codewords(statics, depth, cells)
+            words = s.codewords(depth, cells)
             assert words.shape == (len(cells), q)
             for cell, word in zip(cells, words):
                 np.testing.assert_array_equal(word, nr.cis(level[cell]))
@@ -333,9 +346,9 @@ def test_trial_codewords_equal_codebook_cells(case, request):
 def test_search_equals_search_over_phase_arrays(case, request):
     # the search reads level 1 and the finest level from the statics'
     # tables and computes the levels between from its recorded positions
-    s, codebook, statics, draws = _codeword_case(case, request)
-    for d, a in _trial_cascades(s, statics, draws):
-        trace = s.search(d, a, statics)
+    s, codebook, draws = _codeword_case(case, request)
+    for d, a in _trial_cascades(s, draws):
+        trace = s.search(d, a)
         expect = _phase_array_search(d, a, codebook)
         assert len(trace.levels) == len(expect)
         for rec, (cands, snrs, winner) in zip(trace.levels, expect):
@@ -443,7 +456,8 @@ def test_full_scale_focusing_matches_closed_form():
     g = unit_cell_factor(geom, lam)
     for trial in range(2):
         ch, p_mu = build_trial_channels(s, 10.0, trial)
-        res = bm.benchmark2_full_focusing(*s.cascade(ch), p_mu, geom, s.bs_center, lam)
+        res = bm.benchmark2_full_focusing(
+            *s.cascade(ch), nr.cis(focusing_phases(s.bs_center, p_mu, geom, lam)))
         pl1 = free_space_amplitude(float(np.linalg.norm(np.asarray(s.bs_center) -
                                                         np.asarray(s.ris_center))), lam)
         pl2 = free_space_amplitude(float(np.linalg.norm(p_mu - np.asarray(s.ris_center))), lam)
@@ -456,8 +470,7 @@ def test_codebook_gaps_match_point_source_losses():
     # codewords' point-source losses; the direct link and the BS array's
     # gain ripple over the RIS leave a few tenths of a dB
     s = los_only_scenario()
-    statics = s.statics()
-    results = [run_trial(s, 10.0, trial, statics) for trial in range(s.trials)]
+    results = [run_trial(s, 10.0, trial) for trial in range(s.trials)]
     loss_b1, loss_prop = point_source_losses(s, s.build_codebook(), [r.mu_position for r in results])
     for r, l1, lp in zip(results, loss_b1, loss_prop):
         b2 = r.snr_db[bm.B2_FULL_FOCUSING]
