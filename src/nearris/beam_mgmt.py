@@ -11,7 +11,8 @@ codeword. Every scheme that sounds codewords scores a block of them, one
 profile per row, in one call, and takes the first maximum in row-major
 cell order, so ties go to the lowest cell index. The hierarchical search
 sounds the full first codebook level, then only the children of each
-level's winner, asking its caller for just those codewords.
+level's winner, asking its caller for just those codewords. It only reads
+them, so the caller may hand back a block that it keeps for later searches.
 """
 
 from dataclasses import dataclass, field

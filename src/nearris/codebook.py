@@ -62,13 +62,14 @@ def grcs(p_i, p_r, omega, geom, lambda_m):
     return g * np.sum(np.exp(1j * (k * d + omega)))
 
 
-def focusing_phases(p_i, p_target, geom, lambda_m):
+def focusing_phases(p_i, p_target, geom, lambda_m, pn=None):
     """Phase profile that maximizes |grcs(p_i, p_target)|, attaining g*Q.
 
     omega_n = -k*(|p_i - p_n| + |p_target - p_n|): each summand of the
-    reflection sum becomes real-positive at the target point.
+    reflection sum becomes real-positive at the target point; pn defaults
+    to geom.element_positions().
     """
-    pn = geom.element_positions()
+    pn = geom.element_positions() if pn is None else pn
     k = _TWO_PI / lambda_m
     d = distance(p_i, pn)
     d += distance(p_target, pn)

@@ -13,20 +13,24 @@ Two SNR pipelines coexist and are kept separate on purpose:
   H1 v. Every scheme reads that pair alone and scores
   max_u |d_u + A_u exp(j*omega)|^2 (combiner and direct link included)
   from the phasors exp(j*omega): a tabled level's from its table, the few
-  codewords of the other levels on demand (`Scenario.codewords`). The phase
-  arrays of `Scenario.build_codebook` serve the rasters and the codebook
-  dump, and are the tests' oracle of both. `build_trial_channels` and
-  `Scenario.cascade` form the full matrices with `assemble_channel` and
-  are the oracle of the channel reduction.
+  codewords of the other levels that a search sounds as one cached block
+  (`Scenario.codewords`). The phase arrays of `Scenario.build_codebook`
+  serve the rasters and the codebook dump, and are the tests' oracle of
+  both. `build_trial_channels` and `Scenario.cascade` form the full
+  matrices with `assemble_channel` and are the oracle of the channel
+  reduction.
 
 Trials are pure functions of (scenario, beta, trial index). Every random
 draw comes from a seed sequence labeled (master seed, trial, component),
 so all betas of a trial index share its links up to the NLOS amplitudes
-(`at_beta`). Two one-slot caches of pure functions hold what a trial reads
-beyond its beta: `Scenario.statics()`, of the scenario alone, and
-`trial_draw(scenario, trial)`, of the trial index. A campaign runs index
-by index, so it builds the statics once per process and each index's
-draw, leg phasors and B2 codeword once for all its betas.
+(`at_beta`). Small caches of pure functions hold what a trial reads
+beyond its beta: `Scenario.statics()`, of the scenario alone,
+`trial_draw(scenario, trial)`, of the trial index, and
+`Scenario.codeword_block`, the last two searched blocks of untabled
+levels. A campaign runs index by index, so it builds the statics once per
+process, each index's draw, leg phasors and B2 codeword once for all its
+betas, and each block of children once per winner path that its betas
+follow.
 """
 
 import sys
@@ -211,6 +215,11 @@ class Scenario:
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"scenario: ris size over spacing must give a finite grid of "
                              f">= 1 element per axis: {exc}") from None
+        try:  # the direct link's amplitude factor, as `blockage_attenuation` computes it
+            10.0 ** (-self.blockage_loss_db / 20.0)
+        except OverflowError:
+            raise ValueError("scenario: blockage_loss_db must give a finite amplitude factor "
+                             "10^(-loss_db/20)") from None
         with np.errstate(over="ignore"):  # dBm to watts: inf past ~3000 dBm, 0 below ~-3000
             for inputs, power, watts in (
                     ("p_bs_dbm", "p_bs_watts", self.p_bs_watts),
@@ -302,17 +311,27 @@ class Scenario:
         """Phasors of cells [(w_x, w_y), ...] of level depth (0-based), one row each.
 
         A tabled level's rows come from its table in the statics; another
-        level's are computed here, from the recorded RIS positions and the
-        formula that builds the codebook.
+        level's are the cached block of `codeword_block`.
         """
+        table = self.statics().tables[depth]
+        if table is None:
+            return self.codeword_block(depth, tuple(cells))
         w_x, w_y = np.array(cells).T
-        statics = self.statics()
-        table = statics.tables[depth]
-        if table is not None:
-            return table[w_x * self.codebook_levels[depth][1] + w_y]
+        return table[w_x * self.codebook_levels[depth][1] + w_y]
+
+    @lru_cache(maxsize=2)  # one block per untabled level of the reference hierarchy
+    def codeword_block(self, depth, cells):
+        """Read-only phasors of the cells ((w_x, w_y), ...) of level depth, one row each,
+        from the recorded RIS positions and the formula that builds the codebook; kept
+        for the last two (scenario, depth, cells) asked, as the betas of a trial index
+        mostly sound the same children."""
+        w_x, w_y = np.array(cells).T
         _, alpha, area, geom, p_i, lam = self._codebook_args()
-        return cis(wide_illumination_phases(p_i, area, geom, lam, w_x, w_y,
-                                            *self.codebook_levels[depth], alpha, statics.ris_pos))
+        block = cis(wide_illumination_phases(p_i, area, geom, lam, w_x, w_y,
+                                             *self.codebook_levels[depth], alpha,
+                                             self.statics().ris_pos))
+        block.flags.writeable = False
+        return block
 
     def search(self, d, a):
         """`hierarchical_search` of (d, A) over this scenario's hierarchy."""
@@ -466,7 +485,7 @@ def trial_draw(scenario, trial):
              leg_phasors(bs_pos, s_1, lam, +1).T @ st.v),
             (leg_phasors(mu_pos, ris_pos, lam, +1), leg_phasors(mu_pos, s_2, lam, +1),
              _ris_rows(ris_pos, (len(s_2),), lambda rows: leg_phasors(rows, s_2, lam, +1))))
-    focus = cis(focusing_phases(scenario.bs_center, p_mu, scenario.ris_geometry(), lam))
+    focus = cis(focusing_phases(scenario.bs_center, p_mu, scenario.ris_geometry(), lam, ris_pos))
     return links, p_mu, legs, focus
 
 
@@ -528,19 +547,27 @@ def run_campaign(scenario):
 
     Runs scenario.trials trial indices on scenario.workers processes; a job
     is one index at every beta of scenario.beta_list_db, sharing its draw.
-    Every process builds the statics before its first trial. Output is
-    bit-identical for any worker count: each trial is a pure function of
-    its coordinates, and the pool returns results in job order.
+    Every process builds the statics and imports numpy.random before its
+    first trial (`_before_trials`). Output is bit-identical for any worker
+    count: each trial is a pure function of its coordinates, and the pool
+    returns results in job order.
     """
     trials, job = range(scenario.trials), partial(_every_beta, scenario)
     if scenario.workers == 1:
-        scenario.statics()
+        _before_trials(scenario)
         rows = list(map(job, trials))
     else:
-        with ProcessPoolExecutor(max_workers=scenario.workers,
-                                 initializer=scenario.statics) as ex:
+        with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_before_trials,
+                                 initargs=(scenario,)) as ex:
             rows = list(ex.map(job, trials))
     return [r for per_beta in zip(*rows) for r in per_beta]
+
+
+def _before_trials(scenario):
+    """A campaign process's set-up: the statics, then numpy.random, which numpy imports
+    on first use (about 8 ms) and the rasters never use."""
+    scenario.statics()
+    import numpy.random  # noqa: F401
 
 
 def aggregate(results, average=DB_MEAN):

@@ -472,6 +472,8 @@ def test_farfield_rejects_sizes_that_are_not_finite_and_positive(tmp_path, capsy
          "noise_psd_dbm_hz, bandwidth_hz and noise_figure_db must give a finite sigma2 > 0 W"),
         (("rf", "transmit_power_dbm", 4000.0), ["simulate"],
          "p_bs_dbm must give a finite p_bs_watts > 0 W"),
+        (("blockage", "loss_db", -100000.0), ["simulate"],
+         "blockage_loss_db must give a finite amplitude factor"),
     ],
 )
 def test_bad_input_exits_2_before_any_output(tmp_path, capsys, edit, command, message):

@@ -82,6 +82,7 @@ def test_scenario_validation_messages():
         (dict(noise_psd_dbm_hz=-4000.0), "noise_figure_db must give a finite sigma2 > 0 W"),
         (dict(noise_psd_dbm_hz=4000.0), "noise_figure_db must give a finite sigma2 > 0 W"),
         (dict(bandwidth_hz=1e300, noise_figure_db=1e4), "must give a finite sigma2 > 0 W"),
+        (dict(blockage_loss_db=-100000.0), "blockage_loss_db must give a finite amplitude"),
     ]
     for overrides, word in cases:
         with pytest.raises(ValueError, match=word):
@@ -256,7 +257,35 @@ def test_run_trial_does_not_depend_on_the_cache_state():
     for call, result in zip(calls, warmed):
         Scenario.statics.cache_clear()
         trial_draw.cache_clear()
+        Scenario.codeword_block.cache_clear()
         assert run_trial(*call) == result
+
+
+def test_rerun_trial_computes_no_codeword_block():
+    # the search's blocks of untabled levels come from the cache when a trial
+    # is run again, and the result is the cold run's
+    s = small_scenario(codebook_levels=((2, 2), (4, 4), (4, 8), (8, 16)))
+    Scenario.statics.cache_clear()
+    trial_draw.cache_clear()
+    Scenario.codeword_block.cache_clear()
+    cold = run_trial(s, 10.0, 3)
+    misses = Scenario.codeword_block.cache_info().misses
+    assert misses == 2
+    assert run_trial(s, 10.0, 3) == cold
+    assert Scenario.codeword_block.cache_info().misses == misses
+
+
+def test_trial_makes_no_element_positions_call(monkeypatch):
+    # positions come from the statics record, B2's focusing codeword included
+    s = small_scenario()
+    s.statics()
+    trial_draw.cache_clear()
+    calls = []
+    for cls in (nr.RisGeometry, nr.PlanarArrayGeometry):
+        monkeypatch.setattr(cls, "element_positions",
+                            lambda self, f=cls.element_positions: calls.append(self) or f(self))
+    run_trial(s, 10.0, 7)
+    assert calls == []
 
 
 def test_run_trial_multi_antenna_mu_drops_b3():
@@ -340,6 +369,57 @@ def test_trial_codewords_equal_codebook_cells(case, request):
             assert words.shape == (len(cells), q)
             for cell, word in zip(cells, words):
                 np.testing.assert_array_equal(word, nr.cis(level[cell]))
+
+
+def test_codeword_blocks_equal_codebook_cells_on_a_warm_cache():
+    # each block of the untabled levels, asked right after the same cells of
+    # other scenarios and then right after other cells and the same cells of
+    # the other untabled level, equals the codebook's cells through cis and
+    # an uncached computation, bit for bit
+    levels = ((2, 2), (4, 4), (4, 8), (8, 16))
+    s = small_scenario(codebook_levels=levels)
+    others = [small_scenario(codebook_levels=levels, codebook_alpha=0.5),
+              small_scenario(codebook_levels=levels, ris_center=(0.0, 41.0, 5.0))]
+    codebook = s.build_codebook()
+    assert [depth for depth, table in enumerate(s.statics().tables) if table is None] == [1, 2]
+    Scenario.codeword_block.cache_clear()
+    for depth in (1, 2):
+        level = codebook[depth]
+        for wx in range(level.shape[0]):
+            cells = [(wx, wy) for wy in range(4)]  # cells of both untabled levels
+            expect = nr.cis(np.stack([level[cell] for cell in cells]))
+            for other in others:
+                other.codewords(depth, cells)
+            np.testing.assert_array_equal(s.codewords(depth, cells), expect)
+            s.codewords(depth, [((wx + 1) % level.shape[0], 0)])
+            s.codewords(3 - depth, cells)
+            block = s.codewords(depth, cells)
+            np.testing.assert_array_equal(block, expect)
+            np.testing.assert_array_equal(
+                block, Scenario.codeword_block.__wrapped__(s, depth, tuple(cells)))
+
+
+def test_codeword_blocks_are_read_only():
+    s = small_scenario()
+    block = s.codewords(1, [(0, 0), (0, 1)])
+    assert block is s.codewords(1, [(0, 0), (0, 1)])
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 0.0
+
+
+def test_only_campaigns_import_numpy_random():
+    # numpy imports numpy.random on first use; a campaign process does so
+    # before its first trial, and importing the CLI, as the rasters do, not
+    script = ("import sys; import nearris.cli; from nearris import harness; "
+              "before = 'numpy.random' in sys.modules; "
+              "harness._before_trials(harness.Scenario(ris_size_y_m=0.05, ris_size_z_m=0.05, "
+              "codebook_levels=((1, 1), (1, 2)))); "
+              "print(before, 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(nr.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("case", _CODEWORD_CASES)
