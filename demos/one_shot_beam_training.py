@@ -20,8 +20,8 @@ def main():
     beta_db = 10.0
     trial = 7
 
-    print("building the campaign statics (level-1 and finest-level phasor tables)...")
-    table = s.statics().tables[-1]
+    print("building the campaign statics (the finest level's phasor table)...")
+    table = s.statics().finest
     links, p_mu, legs, focus = nr.trial_draw(s, trial)
     print(f"user drawn at ({p_mu[0]:.2f}, {p_mu[1]:.2f}, {p_mu[2]:.2f}) m, "
           f"beta = {beta_db:g} dB\n")

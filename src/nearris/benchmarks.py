@@ -1,7 +1,7 @@
 """Reference schemes the hierarchical search is compared against.
 
 B1 exhaustively sounds the finest codebook level, read from its
-`level_phasors` table in `Scenario.statics()`; B2 focuses on the exact MU
+`level_phasors` table, `Scenario.statics().finest`; B2 focuses on the exact MU
 position, with the phasors that `harness.trial_draw` builds once per trial
 index; B3 phase-conjugates the cascaded per-element channel from full
 CSI. All read only the trial's (d, A) from `beam_mgmt.effective_cascade`

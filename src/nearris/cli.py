@@ -310,9 +310,7 @@ def cmd_heatmap(args, argv):
     else:
         cells = [_cell(token, shape) for token in args.cells.split(";")]  # checked before output
     out = _out_dir(args)
-    # built here rather than inside heatmap, so that the raster's own run time
-    # covers the field kernel alone (perfbench's raster-ref counts it as set-up)
-    hm = harness.heatmap(scenario, level, codebook=scenario.build_codebook())
+    hm = harness.heatmap(scenario, level)
     write_raster_csv(out / f"heatmap_level{args.level}_composite.csv", hm.xs, hm.ys, hm.composite)
     for wx, wy in cells:
         write_raster_csv(out / f"heatmap_level{args.level}_cell_{wx}_{wy}.csv",

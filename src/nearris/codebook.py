@@ -11,8 +11,8 @@ A hierarchy is a tuple of levels, coarsest first, and a level is one
 array of shape (big_w_x, big_w_y, Q) holding the codeword of cell
 (w_x, w_y) at [w_x, w_y]; `check_levels` checks the level shapes and
 alpha for both the build and the scenario. The rasters and the codebook
-dump read these phase arrays. Trials read phasors instead: the tables of
-`level_phasors`, one per tabled level, and the few codewords of the other
+dump read these phase arrays. Trials read phasors instead: the finest
+level's table of `level_phasors`, and the few codewords of the coarser
 levels that a search sounds, computed on demand from the same formula.
 """
 
@@ -178,7 +178,8 @@ def check_levels(level_shapes, alpha):
         raise ValueError(f"codebook alpha must be in (0, 1.5], got {alpha}")
     for shape in level_shapes:
         if not (isinstance(shape, (list, tuple)) and len(shape) == 2
-                and all(isinstance(n, (int, np.integer)) and n >= 1 for n in shape)):
+                and all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                        and n >= 1 for n in shape)):
             raise ValueError(f"codebook levels must be pairs of positive integers, got {shape}")
     for (ax, ay), (bx, by) in zip(level_shapes, level_shapes[1:]):
         if bx % ax or by % ay or (bx, by) == (ax, ay):

@@ -12,8 +12,8 @@ Two SNR pipelines coexist and are kept separate on purpose:
   combiner (`Scenario.link_cascade`): the BS-RIS channel enters only as
   H1 v. Every scheme reads that pair alone and scores
   max_u |d_u + A_u exp(j*omega)|^2 (combiner and direct link included)
-  from the phasors exp(j*omega): a tabled level's from its table, the few
-  codewords of the other levels that a search sounds as one cached block
+  from the phasors exp(j*omega): the finest level's from its table, the
+  codewords of a coarser level that a search sounds as one cached block
   (`Scenario.codewords`). The phase arrays of `Scenario.build_codebook`
   serve the rasters and the codebook dump, and are the tests' oracle of
   both. `build_trial_channels` and `Scenario.cascade` form the full
@@ -24,13 +24,12 @@ Trials are pure functions of (scenario, beta, trial index). Every random
 draw comes from a seed sequence labeled (master seed, trial, component),
 so all betas of a trial index share its links up to the NLOS amplitudes
 (`at_beta`). Small caches of pure functions hold what a trial reads
-beyond its beta: `Scenario.statics()`, of the scenario alone,
-`trial_draw(scenario, trial)`, of the trial index, and
-`Scenario.codeword_block`, the last two searched blocks of untabled
-levels. A campaign runs index by index, so it builds the statics once per
-process, each index's draw, leg phasors and B2 codeword once for all its
-betas, and each block of children once per winner path that its betas
-follow.
+beyond its beta: `Scenario.statics()`, of the scenario alone, which keeps
+the last searched block of each coarser level, and
+`trial_draw(scenario, trial)`, of the trial index. A campaign runs index
+by index, so it builds the statics and level 1's block once per process,
+each index's draw, leg phasors and B2 codeword once for all its betas,
+and each block of children once per winner path that its betas follow.
 """
 
 import sys
@@ -185,6 +184,7 @@ class Scenario:
             (self.ris_spacing_wl > 0, "ris_spacing_wl must be positive"),
             (self.blockage_r_x > 0 and self.blockage_r_y > 0, "blockage extents must be positive"),
             (self.n_mu >= 1, "n_mu must be >= 1"),
+            (self.mu_spacing_wl > 0, "mu_spacing_wl must be positive"),
             (self.paths_direct >= 1 and self.paths_bs_ris >= 1 and self.paths_ris_mu >= 1,
              "each link needs at least the LOS path"),
             (self.beta_semantics in (PER_PATH, TOTAL),
@@ -261,15 +261,14 @@ class Scenario:
         bs_pos = self.bs_geometry().element_positions()
         ris_pos = self.ris_geometry().element_positions()
         v = bs_precoder_focus_ris(bs_pos, self.ris_center, lam, self.p_bs_watts)
-        levels, *args = self._codebook_args()
-        tables = [None] * len(levels)
-        for depth in sorted({len(levels) - 1, 0}, reverse=True):  # tabled levels, finest first
-            tables[depth] = level_phasors(levels[depth], *args)
+        (*coarser, finest), *args = self._codebook_args()
         return CampaignStatics(
             bs_pos=bs_pos, ris_pos=ris_pos, v=v, g=unit_cell_factor(self.ris_geometry(), lam),
             uh=mu_combiners(self.n_mu).conj(), sigma=np.sqrt(self.sigma2),
             los=_ris_rows(ris_pos, (), lambda rows: leg_phasors(rows, bs_pos, lam, +1) @ v),
-            tables=tuple(tables))
+            finest=level_phasors(finest, *args),
+            blocks=tuple(lru_cache(maxsize=1)(partial(_cell_phasors, shape, *args, ris_pos))
+                         for shape in coarser))
 
     def cascade(self, channels):
         """(d, A) of a trial's full channel matrices: the oracle of `link_cascade`."""
@@ -310,28 +309,14 @@ class Scenario:
     def codewords(self, depth, cells):
         """Phasors of cells [(w_x, w_y), ...] of level depth (0-based), one row each.
 
-        A tabled level's rows come from its table in the statics; another
-        level's are the cached block of `codeword_block`.
+        The finest level's rows come from its table in the statics; a coarser
+        level's are one read-only block, kept until that level is asked other cells.
         """
-        table = self.statics().tables[depth]
-        if table is None:
-            return self.codeword_block(depth, tuple(cells))
+        st = self.statics()
+        if depth < len(st.blocks):
+            return st.blocks[depth](tuple(cells))
         w_x, w_y = np.array(cells).T
-        return table[w_x * self.codebook_levels[depth][1] + w_y]
-
-    @lru_cache(maxsize=2)  # one block per untabled level of the reference hierarchy
-    def codeword_block(self, depth, cells):
-        """Read-only phasors of the cells ((w_x, w_y), ...) of level depth, one row each,
-        from the recorded RIS positions and the formula that builds the codebook; kept
-        for the last two (scenario, depth, cells) asked, as the betas of a trial index
-        mostly sound the same children."""
-        w_x, w_y = np.array(cells).T
-        _, alpha, area, geom, p_i, lam = self._codebook_args()
-        block = cis(wide_illumination_phases(p_i, area, geom, lam, w_x, w_y,
-                                             *self.codebook_levels[depth], alpha,
-                                             self.statics().ris_pos))
-        block.flags.writeable = False
-        return block
+        return st.finest[w_x * self.codebook_levels[depth][1] + w_y]
 
     def search(self, d, a):
         """`hierarchical_search` of (d, A) over this scenario's hierarchy."""
@@ -347,9 +332,9 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class CampaignStatics:
-    """`Scenario.statics()`: positions, v, g, conj(U), sigma, the LOS projection E v,
-    per codebook level its (W_x * W_y, Q) phasor table or None (level 1 and the finest
-    are tabled)."""
+    """`Scenario.statics()`: positions, v, g, conj(U), sigma, the LOS projection E v, the
+    finest level's (W_x * W_y, Q) phasor table, and per coarser level a one-slot cache of
+    its blocks (`_cell_phasors` of the cells asked)."""
 
     bs_pos: np.ndarray
     ris_pos: np.ndarray
@@ -358,7 +343,17 @@ class CampaignStatics:
     uh: np.ndarray
     sigma: float
     los: np.ndarray
-    tables: tuple
+    finest: np.ndarray
+    blocks: tuple
+
+
+def _cell_phasors(shape, alpha, area, geom, p_i, lambda_m, pn, cells):
+    """Read-only phasors of the cells ((w_x, w_y), ...) of a level of this shape, one row
+    each, from the RIS positions pn and the formula that builds the codebook."""
+    w_x, w_y = np.array(cells).T
+    block = cis(wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, *shape, alpha, pn))
+    block.flags.writeable = False
+    return block
 
 
 def _ris_rows(ris_pos, cols, fn):
@@ -521,7 +516,7 @@ def run_trial(scenario, beta_db, trial):
     trace = scenario.search(d, a)
     snr = {
         bm.PROPOSED: trace.levels[-1].snrs.max(),
-        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, scenario.statics().tables[-1]),
+        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, scenario.statics().finest),
         bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, focus),
     }
     if scenario.n_mu == 1:
@@ -663,20 +658,18 @@ class HeatmapResult:
     composite: np.ndarray
 
 
-def heatmap(scenario, level_index, codebook=None):
+def heatmap(scenario, level_index):
     """Rasterized illumination SNR over the blockage area for one level.
 
     level_index is 0-based into the codebook levels, and a ValueError
     names the valid range; the raster has scenario.illum_grid points per
-    axis. Returns the grid of every codeword of the level and their
-    pointwise-max composite.
+    axis. Builds that level alone and returns the grid of every codeword
+    of the level and their pointwise-max composite.
     """
-    if not 0 <= level_index < len(scenario.codebook_levels):
-        raise ValueError(f"level_index {level_index} out of range "
-                         f"0..{len(scenario.codebook_levels) - 1}")
-    if codebook is None:
-        codebook = scenario.build_codebook()
-    level = codebook[level_index]
+    levels, *args = scenario._codebook_args()
+    if not 0 <= level_index < len(levels):
+        raise ValueError(f"level_index {level_index} out of range 0..{len(levels) - 1}")
+    (level,) = build_hierarchy(levels[level_index:level_index + 1], *args)
     n = scenario.illum_grid
 
     p_b = np.asarray(scenario.blockage_center, dtype=float)

@@ -58,11 +58,9 @@ def test_criterion_1_focusing_reaches_max_gain(reference_scenario, record_criter
     )
 
 
-def test_criterion_2_codebook_peak_and_focusing_gap(
-    reference_scenario, reference_codebook, record_criterion
-):
+def test_criterion_2_codebook_peak_and_focusing_gap(reference_scenario, record_criterion):
     s = reference_scenario
-    hm = heatmap(dataclasses.replace(s, illum_grid=64), 3, codebook=reference_codebook)
+    hm = heatmap(dataclasses.replace(s, illum_grid=64), 3)
     peak = float(hm.composite.max())
     geom = s.ris_geometry()
     g = unit_cell_factor(geom, s.lambda_m)

@@ -214,7 +214,7 @@ def test_search_single_level_equals_exhaustive():
     s = small_scenario(codebook_levels=((4, 8),))
     d, a = s.cascade(build_trial_channels(s, 10.0, 3)[0])
     trace = s.search(d, a)
-    r1 = benchmark1_full_search(d, a, s.statics().tables[-1])
+    r1 = benchmark1_full_search(d, a, s.statics().finest)
     assert trace.levels[-1].snrs.max() == pytest.approx(r1, rel=1e-12)
 
 
@@ -224,7 +224,7 @@ def test_search_never_beats_exhaustive():
         d, a = s.cascade(build_trial_channels(s, 10.0, trial)[0])
         trace = s.search(d, a)
         prop = trace.levels[-1].snrs.max()
-        r1 = benchmark1_full_search(d, a, s.statics().tables[-1])
+        r1 = benchmark1_full_search(d, a, s.statics().finest)
         assert prop <= r1 * (1 + 1e-12)
 
 

@@ -412,6 +412,8 @@ def test_codebook_levels_are_checked_at_load(tmp_path, capsys):
     cases = [
         ([[4, 4], [6, 8]], "scenario: codebook level (6,8) does not refine (4,4)"),
         ([4, 4], "scenario: codebook levels must be pairs of positive integers, got 4"),
+        ([[True, True], [2, 2]],
+         "scenario: codebook levels must be pairs of positive integers, got [True, True]"),
     ]
     for levels, message in cases:
         cfg = _edited_file(tmp_path, "codebook", "levels", levels)
@@ -474,6 +476,7 @@ def test_farfield_rejects_sizes_that_are_not_finite_and_positive(tmp_path, capsy
          "p_bs_dbm must give a finite p_bs_watts > 0 W"),
         (("blockage", "loss_db", -100000.0), ["simulate"],
          "blockage_loss_db must give a finite amplitude factor"),
+        (("mu", "spacing_wavelengths", 0), ["simulate"], "mu_spacing_wl must be positive"),
     ],
 )
 def test_bad_input_exits_2_before_any_output(tmp_path, capsys, edit, command, message):

@@ -313,6 +313,8 @@ def test_build_hierarchy_validation():
         build_hierarchy([(2, 2.5)], 0.8, AREA, geom, P_I, LAM)
     with pytest.raises(ValueError, match="pairs of positive integers"):
         build_hierarchy([4, 4], 0.8, AREA, geom, P_I, LAM)
+    with pytest.raises(ValueError, match="positive integers"):
+        build_hierarchy([(True, True), (2, 2)], 0.8, AREA, geom, P_I, LAM)
     with pytest.warns(UserWarning):
         build_hierarchy([(2, 2)], 1.2, AREA, geom, P_I, LAM)
 

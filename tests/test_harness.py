@@ -11,6 +11,7 @@ import pytest
 import nearris as nr
 from conftest import los_only_scenario, point_source_losses, small_scenario
 from nearris import benchmarks as bm
+from nearris import harness
 from nearris.channel import LinkPaths, assemble_channel, free_space_amplitude
 from nearris.codebook import focusing_phases, grcs, unit_cell_factor
 from nearris.harness import (
@@ -83,6 +84,7 @@ def test_scenario_validation_messages():
         (dict(noise_psd_dbm_hz=4000.0), "noise_figure_db must give a finite sigma2 > 0 W"),
         (dict(bandwidth_hz=1e300, noise_figure_db=1e4), "must give a finite sigma2 > 0 W"),
         (dict(blockage_loss_db=-100000.0), "blockage_loss_db must give a finite amplitude"),
+        (dict(n_mu=4, mu_spacing_wl=0.0), "mu_spacing_wl must be positive"),
     ]
     for overrides, word in cases:
         with pytest.raises(ValueError, match=word):
@@ -255,24 +257,46 @@ def test_run_trial_does_not_depend_on_the_cache_state():
              (other_levels, 10.0, 1), (s, 20.0, 1), (other_seed, 0.0, 1), (s, 10.0, 1)]
     warmed = [run_trial(*call) for call in calls]
     for call, result in zip(calls, warmed):
-        Scenario.statics.cache_clear()
+        Scenario.statics.cache_clear()  # the codeword blocks go with the statics
         trial_draw.cache_clear()
-        Scenario.codeword_block.cache_clear()
         assert run_trial(*call) == result
 
 
-def test_rerun_trial_computes_no_codeword_block():
-    # the search's blocks of untabled levels come from the cache when a trial
-    # is run again, and the result is the cold run's
-    s = small_scenario(codebook_levels=((2, 2), (4, 4), (4, 8), (8, 16)))
+@pytest.fixture
+def block_calls(monkeypatch):
+    """(level shape, cells) of every codeword block computed from here on, one per computation."""
+    calls = []
+    monkeypatch.setattr(harness, "_cell_phasors",
+                        lambda *args, f=harness._cell_phasors: calls.append((args[0], args[-1]))
+                        or f(*args))
+    Scenario.statics.cache_clear()  # later statics records wrap the counting function
+    yield calls
     Scenario.statics.cache_clear()
+
+
+def test_rerun_trial_computes_no_codeword_block(block_calls):
+    # the search's blocks of the coarser levels come from their caches when a
+    # trial is run again, whatever the hierarchy's depth, and the result is
+    # the cold run's
+    levels = ((2, 2), (4, 4), (4, 8), (8, 8), (8, 16))
+    s = small_scenario(codebook_levels=levels)
     trial_draw.cache_clear()
-    Scenario.codeword_block.cache_clear()
     cold = run_trial(s, 10.0, 3)
-    misses = Scenario.codeword_block.cache_info().misses
-    assert misses == 2
+    assert len(block_calls) == len(levels) - 1
     assert run_trial(s, 10.0, 3) == cold
-    assert Scenario.codeword_block.cache_info().misses == misses
+    assert len(block_calls) == len(levels) - 1
+
+
+def test_level_one_block_is_computed_once_per_campaign(block_calls):
+    # level 1's block never changes key, and each other coarser level keeps
+    # its last block for the next betas of the same trial index: 67 of the
+    # 280 blocks asked are computed, where a cache shared by the levels and
+    # smaller than their count would compute the 210 of levels 2 to 4
+    s = small_scenario(codebook_levels=((2, 2), (4, 4), (4, 8), (8, 8), (8, 16)), trials=10,
+                       beta_list_db=Scenario().beta_list_db)
+    run_campaign(s)
+    assert block_calls.count(((2, 2), tuple(np.ndindex(2, 2)))) == 1
+    assert len(block_calls) <= 67
 
 
 def test_trial_makes_no_element_positions_call(monkeypatch):
@@ -341,25 +365,23 @@ def _phase_array_search(d, a, codebook):
 def test_b1_from_table_equals_row_by_row_phase_scoring(case, request):
     s, codebook, draws = _codeword_case(case, request)
     statics = s.statics()
-    assert statics.tables[-1].shape == (codebook[-1].shape[0] * codebook[-1].shape[1],
-                                        s.ris_geometry().q)
+    assert statics.finest.shape == (codebook[-1].shape[0] * codebook[-1].shape[1],
+                                    s.ris_geometry().q)
     for d, a in _trial_cascades(s, draws):
         rows = [np.max(np.abs(nr.cis(row) @ a.T + d) ** 2, axis=-1) for row in codebook[-1]]
-        assert bm.benchmark1_full_search(d, a, statics.tables[-1]) == np.max(rows)
+        assert bm.benchmark1_full_search(d, a, statics.finest) == np.max(rows)
 
 
 @pytest.mark.parametrize("case", _CODEWORD_CASES)
 def test_trial_codewords_equal_codebook_cells(case, request):
-    # level 1 and the finest level are tabled in the statics, the levels
-    # between computed from its recorded RIS positions; every level is asked
-    # whole, as the search asks level 1, and one grid row of cells at a time
+    # the finest level is tabled in the statics, the coarser levels computed
+    # from its recorded RIS positions; every level is asked whole, as the
+    # search asks level 1, and one grid row of cells at a time
     s, codebook, _ = _codeword_case(case, request)
     statics, q = s.statics(), s.ris_geometry().q
     np.testing.assert_array_equal(statics.ris_pos, s.ris_geometry().element_positions())
-    assert [t is not None for t in statics.tables] == [
-        depth in (0, len(codebook) - 1) for depth in range(len(codebook))]
-    np.testing.assert_array_equal(statics.tables[0], nr.cis(codebook[0].reshape(-1, q)))
-    np.testing.assert_array_equal(statics.tables[-1], nr.cis(codebook[-1].reshape(-1, q)))
+    assert len(statics.blocks) == len(codebook) - 1
+    np.testing.assert_array_equal(statics.finest, nr.cis(codebook[-1].reshape(-1, q)))
     for depth, level in enumerate(codebook):
         whole = s.codewords(depth, list(np.ndindex(*level.shape[:2])))
         np.testing.assert_array_equal(whole, nr.cis(level.reshape(-1, q)))
@@ -372,31 +394,30 @@ def test_trial_codewords_equal_codebook_cells(case, request):
 
 
 def test_codeword_blocks_equal_codebook_cells_on_a_warm_cache():
-    # each block of the untabled levels, asked right after the same cells of
-    # other scenarios and then right after other cells and the same cells of
-    # the other untabled level, equals the codebook's cells through cis and
-    # an uncached computation, bit for bit
+    # each block of a coarser level, asked right after the same cells of other
+    # scenarios and then right after other cells of its level and cells of
+    # every coarser level, equals the codebook's cells through cis and an
+    # uncached computation, bit for bit
     levels = ((2, 2), (4, 4), (4, 8), (8, 16))
     s = small_scenario(codebook_levels=levels)
     others = [small_scenario(codebook_levels=levels, codebook_alpha=0.5),
               small_scenario(codebook_levels=levels, ris_center=(0.0, 41.0, 5.0))]
     codebook = s.build_codebook()
-    assert [depth for depth, table in enumerate(s.statics().tables) if table is None] == [1, 2]
-    Scenario.codeword_block.cache_clear()
-    for depth in (1, 2):
-        level = codebook[depth]
+    assert len(s.statics().blocks) == len(levels) - 1
+    for depth, level in enumerate(codebook[:-1]):
         for wx in range(level.shape[0]):
-            cells = [(wx, wy) for wy in range(4)]  # cells of both untabled levels
-            expect = nr.cis(np.stack([level[cell] for cell in cells]))
+            cells = [(wx, wy) for wy in range(level.shape[1])]
+            expect = nr.cis(level[wx])
             for other in others:
                 other.codewords(depth, cells)
             np.testing.assert_array_equal(s.codewords(depth, cells), expect)
             s.codewords(depth, [((wx + 1) % level.shape[0], 0)])
-            s.codewords(3 - depth, cells)
+            for warm, (n_x, n_y) in enumerate(levels[:-1]):
+                s.codewords(warm, [(x % n_x, y % n_y) for x, y in cells])
             block = s.codewords(depth, cells)
             np.testing.assert_array_equal(block, expect)
             np.testing.assert_array_equal(
-                block, Scenario.codeword_block.__wrapped__(s, depth, tuple(cells)))
+                block, s.statics().blocks[depth].__wrapped__(tuple(cells)))
 
 
 def test_codeword_blocks_are_read_only():
