@@ -22,11 +22,12 @@ def main():
 
     print("building the campaign statics (the finest level's phasor table)...")
     table = s.statics().finest
-    links, p_mu, legs, focus = nr.trial_draw(s, trial)
+    draw = nr.trial_draw(s, trial)  # each link's beta-free LOS and scattered terms
+    _, p_mu, _, focus = draw
     print(f"user drawn at ({p_mu[0]:.2f}, {p_mu[1]:.2f}, {p_mu[2]:.2f}) m, "
           f"beta = {beta_db:g} dB\n")
 
-    d, a = s.link_cascade(nr.at_beta(s, links, beta_db), legs)
+    d, a = s.link_cascade(draw, beta_db)
 
     trace = s.search(d, a)
     for depth, rec in enumerate(trace.levels):

@@ -25,8 +25,8 @@ from .channel import (
     blockage_attenuation,
     free_space_amplitude,
     generate_scatterers,
+    nlos_scale,
     noise_power,
-    project_channel,
 )
 from .codebook import (
     BlockageArea,
@@ -42,10 +42,10 @@ from .codebook import (
 from .beam_mgmt import (
     SearchTrace,
     bs_precoder_focus_ris,
-    effective_cascade,
     hierarchical_search,
     mu_combiners,
     received_snr,
+    reduce_cascade,
 )
 from .benchmarks import (
     benchmark1_full_search,

@@ -45,25 +45,19 @@ def mu_combiners(n_mu):
     return np.ascontiguousarray(f.T)
 
 
-def effective_cascade(hv, h1v, h2, g, combiners, sigma2):
+def reduce_cascade(hv, h1v, h2, g, uh, sigma):
     """Reduce one realization under precoder v to (d, A) in noise-amplitude units.
 
     hv = H v (N_mu,) and h1v = H1 v (Q,) are the direct and BS-RIS channels
-    times v, and h2 is the (N_mu, Q) RIS-MU matrix. With combiner rows
-    U (N_u, N_mu) and sigma = sqrt(sigma2), d = conj(U) H v / sigma is (N_u,)
-    and A = conj(U) (g * H2 (.) (H1 v)) / sigma is (N_u, Q), so row i of
-    d + A exp(j*omega) is u_i^H (H + H2 diag(g*exp(j*omega)) H1) v / sigma.
+    times v, h2 the (N_mu, Q) RIS-MU matrix, uh = conj(U) the conjugated
+    combiner rows and sigma the noise amplitude: d = uh H v / sigma and
+    A = uh (g * H2 (.) (H1 v)) / sigma, so row i of d + A exp(j*omega) is
+    u_i^H (H + H2 diag(g*exp(j*omega)) H1) v / sigma.
     """
-    u = np.asarray(combiners)
-    if u.size == 0:
+    if np.size(uh) == 0:
         raise ValueError("combiner set is empty")
-    if not sigma2 > 0:  # also rejects NaN
-        raise ValueError("sigma2 must be positive")
-    return reduce_cascade(hv, h1v, h2, g, u.conj(), np.sqrt(sigma2))
-
-
-def reduce_cascade(hv, h1v, h2, g, uh, sigma):
-    """`effective_cascade` with the combiners conj(U) and sigma = sqrt(sigma2) given as is."""
+    if not sigma > 0:  # also rejects NaN
+        raise ValueError("sigma must be positive")
     return uh @ hv / sigma, uh @ (g * h2 * h1v) / sigma
 
 

@@ -4,7 +4,7 @@ B1 exhaustively sounds the finest codebook level, read from its
 `level_phasors` table, `Scenario.statics().finest`; B2 focuses on the exact MU
 position, with the phasors that `harness.trial_draw` builds once per trial
 index; B3 phase-conjugates the cascaded per-element channel from full
-CSI. All read only the trial's (d, A) from `beam_mgmt.effective_cascade`
+CSI. All read only the trial's (d, A) from `beam_mgmt.reduce_cascade`
 and their own codewords, and return the same linear SNR as the proposed
 scheme, direct link included.
 """

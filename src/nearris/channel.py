@@ -8,8 +8,8 @@ the exact per-antenna-pair path length (spherical wavefront, no planar
 approximation). The per-path pathloss is a single amplitude factor
 computed from array-center distances.
 
-`assemble_channel` builds a link's full matrix H and is the oracle of
-`project_channel`, which gives H v for one vector v without forming H.
+`sum_paths` gives a link's beta-free LOS and scattered terms, and
+`assemble_channel` adds them into the full matrix H, the trials' oracle.
 """
 
 from dataclasses import dataclass, replace
@@ -117,43 +117,38 @@ def assemble_channel(link, tx_positions, rx_positions, lambda_m, sign):
     if tx.ndim != 2 or rx.ndim != 2 or tx.shape[1] != 3 or rx.shape[1] != 3:
         raise ValueError("positions must be (n, 3) arrays")
     s = link.scatterers
-    return sum_paths(link, leg_phasors(rx, tx, lambda_m, sign), leg_phasors(rx, s, lambda_m, sign),
-                     leg_phasors(tx, s, lambda_m, sign))
+    return np.add(*sum_paths(link, leg_phasors(rx, tx, lambda_m, sign),
+                             leg_phasors(rx, s, lambda_m, sign),
+                             leg_phasors(tx, s, lambda_m, sign)))
 
 
 def sum_paths(link, los, rx_legs, tx_legs):
-    """`assemble_channel` from its (n_rx, n_tx) LOS, (n_rx, n-1) and (n_tx, n-1) leg phasors."""
+    """A link's (LOS, scattered) terms w_0 los and (rx_legs * w[1:]) tx_legs^T, w = PL * gamma.
+
+    Given E v and the 1-D E_tx^T v for its LOS and tx phasors, they sum to H v."""
     w = link.amplitude * link.fading
-    out = w[0] * los
-    out += (rx_legs * w[1:]) @ tx_legs.T
-    return out
+    return w[0] * los, (rx_legs * w[1:]) @ tx_legs.T
 
 
-def project_channel(link, los, rx_legs, tx_v):
-    """H v, shape (n_rx,), for H = assemble_channel(link, ...) without forming H.
-
-    los is E v for the link's unit-amplitude LOS phasors E (n_rx, n_tx),
-    rx_legs its (n_rx, n-1) scattered legs and tx_v = E_tx^T v of its
-    (n_tx, n-1) ones; no (n_rx, n_tx) array is made.
-    """
-    w = link.amplitude * link.fading
-    return w[0] * los + rx_legs @ (w[1:] * tx_v)
-
-
-def apply_beta(link, beta_db):
-    """Rescale NLOS pathlosses so PL_0^2 / sum_i PL_i^2 = 10^(beta_db/10).
-
-    The common factor preserves the relative NLOS profile; the LOS path is
-    untouched. Power-domain ratio, exact.
-    """
+def nlos_scale(link, beta_db):
+    """The factor on a link's NLOS pathlosses that sets PL_0^2 / sum_i PL_i^2 = 10^(beta_db/10)."""
     if len(link) < 2:
-        raise ValueError("apply_beta needs at least one NLOS path")
+        raise ValueError("a beta needs at least one NLOS path")
     p_nlos = np.sum(link.amplitude[1:] ** 2)
     if p_nlos == 0:
         raise ValueError("all NLOS pathlosses are zero, ratio undefined")
     target = link.amplitude[0] ** 2 / 10.0 ** (beta_db / 10.0)
+    return np.sqrt(target / p_nlos)
+
+
+def apply_beta(link, beta_db):
+    """Rescale NLOS pathlosses by `nlos_scale`, so PL_0^2 / sum_i PL_i^2 = 10^(beta_db/10).
+
+    The common factor preserves the relative NLOS profile; the LOS path is
+    untouched. Power-domain ratio, exact.
+    """
     amplitude = link.amplitude.copy()
-    amplitude[1:] *= np.sqrt(target / p_nlos)
+    amplitude[1:] *= nlos_scale(link, beta_db)
     return replace(link, amplitude=amplitude)
 
 

@@ -324,8 +324,8 @@ def cmd_focus_cut(args, argv):
     scenario = _load(args)
     out = _out_dir(args)
     axes = ["x", "y"] if args.axis == "both" else [args.axis]
-    for ax in axes:
-        deltas, snr = harness.focusing_cut(scenario, ax, args.range, args.steps)
+    cuts = {ax: harness.focusing_cut(scenario, ax, args.range, args.steps) for ax in axes}
+    for ax, (deltas, snr) in cuts.items():  # every cut checked before output
         write_cut_csv(out / f"focus_cut_{ax}.csv", deltas, snr)
         print(f"focus-cut {ax}: peak {snr.max():.2f} dB at "
               f"{deltas[int(np.argmax(snr))]:+.3f} m -> {out}")

@@ -57,12 +57,18 @@ def cis(x):
 
 
 def far_field_distance(aperture_m, lambda_m):
-    """Fraunhofer distance 2*D^2/lambda separating near and far field."""
+    """Fraunhofer distance 2*D^2/lambda separating near and far field, a finite float."""
     if not 0 < aperture_m < np.inf:
         raise ValueError(f"aperture must be finite and positive, got {aperture_m}")
     if not 0 < lambda_m < np.inf:
         raise ValueError(f"wavelength must be finite and positive, got {lambda_m}")
-    return 2.0 * aperture_m**2 / lambda_m
+    try:
+        d_f = 2.0 * aperture_m**2 / lambda_m
+    except OverflowError:  # a Python float's power past the float range
+        d_f = np.inf
+    if not d_f < np.inf:
+        raise ValueError(f"far-field distance of aperture {aperture_m} m is not a finite float")
+    return d_f
 
 
 def _centered_offsets(count, spacing):

@@ -7,29 +7,30 @@ Two SNR pipelines coexist and are kept separate on purpose:
   on the LOS geometry only, with a configurable reference power; both
   reduce to one field kernel, (points, phase profiles) -> SNR dB;
 * link-level trials draw each link as arrays of path amplitudes, fadings
-  and bounce points, and reduce them once, matrix-free, to a direct term d
-  and an effective cascade A in noise-amplitude units, one row per MU
-  combiner (`Scenario.link_cascade`): the BS-RIS channel enters only as
-  H1 v. Every scheme reads that pair alone and scores
-  max_u |d_u + A_u exp(j*omega)|^2 (combiner and direct link included)
-  from the phasors exp(j*omega): the finest level's from its table, the
-  codewords of a coarser level that a search sounds as one cached block
-  (`Scenario.codewords`). The phase arrays of `Scenario.build_codebook`
-  serve the rasters and the codebook dump, and are the tests' oracle of
-  both. `build_trial_channels` and `Scenario.cascade` form the full
-  matrices with `assemble_channel` and are the oracle of the channel
-  reduction.
+  and bounce points. Each trial index reduces H v, H1 v and H2 once,
+  matrix-free, to a LOS and a scattered term each (`trial_draw`); a beta
+  scales each scattered term by one factor and sums them to a direct
+  term d and an effective cascade A in noise-amplitude units, one row per
+  MU combiner (`Scenario.link_cascade`). Every scheme reads that pair
+  alone and scores max_u |d_u + A_u exp(j*omega)|^2 (combiner and direct
+  link included) from the phasors exp(j*omega): the finest level's from
+  its table, the codewords of a coarser level that a search sounds as one
+  cached block (`Scenario.codewords`). The phase arrays of
+  `Scenario.build_codebook` serve the rasters and the codebook dump, and
+  are the tests' oracle of both. `build_trial_channels` and
+  `Scenario.cascade` form the full matrices with `assemble_channel` and
+  are the oracle of the channel reduction.
 
 Trials are pure functions of (scenario, beta, trial index). Every random
 draw comes from a seed sequence labeled (master seed, trial, component),
 so all betas of a trial index share its links up to the NLOS amplitudes
-(`at_beta`). Small caches of pure functions hold what a trial reads
-beyond its beta: `Scenario.statics()`, of the scenario alone, which keeps
-the last searched block of each coarser level, and
-`trial_draw(scenario, trial)`, of the trial index. A campaign runs index
-by index, so it builds the statics and level 1's block once per process,
-each index's draw, leg phasors and B2 codeword once for all its betas,
-and each block of children once per winner path that its betas follow.
+(`at_beta`). Two one-slot caches hold what a trial reads beyond its beta:
+`Scenario.statics()`, of the scenario alone, which keeps the last searched
+block of each coarser level, and `trial_draw(scenario, trial)`. A
+campaign runs index by index, so it builds the statics and level 1's
+block once per process, each index's link terms and B2 codeword once for
+all its betas, and each block of children once per winner path that its
+betas follow.
 """
 
 import sys
@@ -51,8 +52,8 @@ from .channel import (
     free_space_amplitude,
     generate_scatterers,
     leg_phasors,
+    nlos_scale,
     noise_power,
-    project_channel,
     sum_paths,
 )
 from .codebook import (
@@ -87,10 +88,6 @@ LevelShapes = tuple[tuple[int, int], ...]
 _SEED_MU = 0
 _SEED_SCATTER = 1
 _SEED_FADING = 2
-
-# RIS rows per block of the LOS projection and of a trial's (Q, n-1) RIS legs:
-# the (Q, N_bs) LOS matrix is never built whole, nor a (Q, n-1) temporary
-_LOS_ROWS = 1024
 
 
 def is_finite_real(v):
@@ -265,7 +262,7 @@ class Scenario:
         return CampaignStatics(
             bs_pos=bs_pos, ris_pos=ris_pos, v=v, g=unit_cell_factor(self.ris_geometry(), lam),
             uh=mu_combiners(self.n_mu).conj(), sigma=np.sqrt(self.sigma2),
-            los=_ris_rows(ris_pos, (), lambda rows: leg_phasors(rows, bs_pos, lam, +1) @ v),
+            los=leg_phasors(ris_pos, bs_pos, lam, +1) @ v,
             finest=level_phasors(finest, *args),
             blocks=tuple(lru_cache(maxsize=1)(partial(_cell_phasors, shape, *args, ris_pos))
                          for shape in coarser))
@@ -278,15 +275,18 @@ class Scenario:
                               unit_cell_factor(self.ris_geometry(), self.lambda_m),
                               mu_combiners(self.n_mu).conj(), np.sqrt(self.sigma2))
 
-    def link_cascade(self, links, legs):
-        """(d, A) of a trial's (direct, BS-RIS, RIS-MU) links, without the (Q, N_bs) H1.
+    def link_cascade(self, draw, beta_db):
+        """(d, A) at beta of a trial index's `trial_draw`, without the (Q, N_bs) H1.
 
-        legs are the links' leg phasors, as `trial_draw` builds them.
+        Each of H v, H1 v and H2 is its link's LOS term plus its scattered
+        term times the link's `nlos_scale` at beta, the factor of `at_beta`.
         """
         st = self.statics()
-        (l_h, l_1, l_2), (direct, bs_ris, ris_mu) = legs, links
-        return reduce_cascade(sum_paths(direct, *l_h) @ st.v, project_channel(bs_ris, st.los, *l_1),
-                              sum_paths(ris_mu, *l_2), st.g, st.uh, st.sigma)
+        links, _, terms, _ = draw
+        hv, h1v, h2 = (los if len(link) == 1 else
+                       los + nlos_scale(link, _beta_total_db(self, link, beta_db)) * scattered
+                       for link, (los, scattered) in zip(links, terms))
+        return reduce_cascade(hv, h1v, h2, st.g, st.uh, st.sigma)
 
     def blockage_area(self):
         return BlockageArea(
@@ -354,14 +354,6 @@ def _cell_phasors(shape, alpha, area, geom, p_i, lambda_m, pn, cells):
     block = cis(wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, *shape, alpha, pn))
     block.flags.writeable = False
     return block
-
-
-def _ris_rows(ris_pos, cols, fn):
-    """fn of each block of _LOS_ROWS RIS positions, written into one (Q, *cols) complex array."""
-    out = np.empty((len(ris_pos), *cols), dtype=complex)
-    for s in range(0, len(ris_pos), _LOS_ROWS):
-        out[s:s + _LOS_ROWS] = fn(ris_pos[s:s + _LOS_ROWS])
-    return out
 
 
 @dataclass
@@ -466,22 +458,24 @@ def at_beta(scenario, links, beta_db):
 def trial_draw(scenario, trial):
     """The beta-free part of a trial, kept for the last (scenario, trial) asked.
 
-    Returns (links before beta, p_mu, legs, focus): legs are per link its
-    (LOS, rx legs, tx legs) phasors, the BS-RIS link's (rx legs, E_tx^T v),
-    in the conventions of `build_trial_channels`; focus is B2's phasors.
+    Returns (links before beta, p_mu, terms, focus): terms are the (LOS,
+    scattered) pairs (`sum_paths`) of H v, H1 v and H2 at the drawn amplitudes
+    and the direct link's blockage loss, in the conventions of
+    `build_trial_channels`, without an (n_rx, N_bs) matrix; focus is B2's phasors.
     """
     st, lam = scenario.statics(), scenario.lambda_m
     links, p_mu = draw_trial_links(scenario, trial)
-    bs_pos, ris_pos, mu_pos = st.bs_pos, st.ris_pos, mu_antenna_positions(scenario, p_mu)
-    s_h, s_1, s_2 = (link.scatterers for link in links)
-    legs = ((leg_phasors(mu_pos, bs_pos, lam, -1), leg_phasors(mu_pos, s_h, lam, -1),
-             leg_phasors(bs_pos, s_h, lam, -1)),
-            (_ris_rows(ris_pos, (len(s_1),), lambda rows: leg_phasors(rows, s_1, lam, +1)),
-             leg_phasors(bs_pos, s_1, lam, +1).T @ st.v),
-            (leg_phasors(mu_pos, ris_pos, lam, +1), leg_phasors(mu_pos, s_2, lam, +1),
-             _ris_rows(ris_pos, (len(s_2),), lambda rows: leg_phasors(rows, s_2, lam, +1))))
+    bs_pos, ris_pos, v, mu_pos = st.bs_pos, st.ris_pos, st.v, mu_antenna_positions(scenario, p_mu)
+    (direct, bs_ris, ris_mu), (s_h, s_1, s_2) = links, (link.scatterers for link in links)
+    terms = (sum_paths(blockage_attenuation(direct, scenario.blockage_loss_db),
+                       leg_phasors(mu_pos, bs_pos, lam, -1) @ v,
+                       leg_phasors(mu_pos, s_h, lam, -1), leg_phasors(bs_pos, s_h, lam, -1).T @ v),
+             sum_paths(bs_ris, st.los, leg_phasors(ris_pos, s_1, lam, +1),
+                       leg_phasors(bs_pos, s_1, lam, +1).T @ v),
+             sum_paths(ris_mu, leg_phasors(mu_pos, ris_pos, lam, +1),
+                       leg_phasors(mu_pos, s_2, lam, +1), leg_phasors(ris_pos, s_2, lam, +1)))
     focus = cis(focusing_phases(scenario.bs_center, p_mu, scenario.ris_geometry(), lam, ris_pos))
-    return links, p_mu, legs, focus
+    return links, p_mu, terms, focus
 
 
 def build_trial_channels(scenario, beta_db, trial):
@@ -510,8 +504,8 @@ def run_trial(scenario, beta_db, trial):
     Reads the cached `scenario.statics()` and `trial_draw(scenario, trial)`,
     which the other betas of the trial index share.
     """
-    links, p_mu, legs, focus = trial_draw(scenario, trial)
-    d, a = scenario.link_cascade(at_beta(scenario, links, beta_db), legs)
+    _, p_mu, _, focus = draw = trial_draw(scenario, trial)
+    d, a = scenario.link_cascade(draw, beta_db)
 
     trace = scenario.search(d, a)
     snr = {
@@ -634,7 +628,8 @@ def focusing_cut(scenario, axis, half_range_m=8.0, steps=801):
     """SNR vs displacement from the blockage center under full focusing.
 
     The RIS focuses on p_b; the observation point moves along the chosen
-    axis over steps >= 2 points. Returns (displacements, snr_db).
+    axis over steps >= 2 points. Returns (displacements, snr_db), and a
+    ValueError if a range too large for floats makes any of them not finite.
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
@@ -643,10 +638,13 @@ def focusing_cut(scenario, axis, half_range_m=8.0, steps=801):
                          f"got steps={steps}, half range={half_range_m} m")
     p_b = np.asarray(scenario.blockage_center, dtype=float)
     omega = focusing_phases(scenario.bs_center, p_b, scenario.ris_geometry(), scenario.lambda_m)
-    deltas = np.linspace(-half_range_m, half_range_m, steps)
     unit = np.array([1.0, 0, 0]) if axis == "x" else np.array([0, 1.0, 0])
-    points = p_b + deltas[:, None] * unit
-    return deltas, _field_snr_db(scenario, points, omega[None, :])[:, 0]
+    with np.errstate(all="ignore"):  # overflows are rejected below
+        deltas = np.linspace(-half_range_m, half_range_m, steps)
+        snr = _field_snr_db(scenario, p_b + deltas[:, None] * unit, omega[None, :])[:, 0]
+    if not (np.isfinite(deltas).all() and np.isfinite(snr).all()):
+        raise ValueError(f"focus cut: half range {half_range_m} m gives non-finite points or SNRs")
+    return deltas, snr
 
 
 @dataclass

@@ -52,7 +52,7 @@ def los_only_scenario(**overrides):
 
 
 def projected(channels, v):
-    """(H v, H1 v, H2) of full matrices: the channel arguments of `effective_cascade`."""
+    """(H v, H1 v, H2) of full matrices: the channel arguments of `reduce_cascade`."""
     return channels.h @ v, channels.h1 @ v, channels.h2
 
 

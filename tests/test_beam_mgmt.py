@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from conftest import los_only_scenario, phase_levels, projected, small_scenario
 from nearris.beam_mgmt import (
     bs_precoder_focus_ris,
-    effective_cascade,
     hierarchical_search,
     mu_combiners,
     received_snr,
+    reduce_cascade,
 )
 from nearris.benchmarks import benchmark1_full_search, benchmark3_full_csi
 from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
@@ -68,8 +68,8 @@ def test_mu_combiners_are_unit_norm_orthogonal():
 
 def test_received_snr_scalar_oracle():
     # y = g*sqrt(P) through unit cascade: SNR = g^2 * P / sigma2
-    d, a = effective_cascade(*projected(scalar_channels(), np.array([np.sqrt(2.0)])), G_PI,
-                             np.array([[1.0 + 0j]]), 0.5)
+    d, a = reduce_cascade(*projected(scalar_channels(), np.array([np.sqrt(2.0)])), G_PI,
+                          np.array([[1.0 + 0j]]).conj(), np.sqrt(0.5))
     snr = received_snr(d, a, cis(np.zeros(1)))
     assert snr == pytest.approx(4 * np.pi**2, rel=1e-12)
 
@@ -128,8 +128,8 @@ def test_received_snr_invariant_to_global_codeword_phase(c):
         h1=(rng.normal(size=(q, 2)) + 1j * rng.normal(size=(q, 2))),
         h2=(rng.normal(size=(1, q)) + 1j * rng.normal(size=(1, q))),
     )
-    d, a = effective_cascade(*projected(ch, np.array([0.3, 0.4 - 0.2j])), G_PI,
-                             np.array([[1.0 + 0j]]), 1e-3)
+    d, a = reduce_cascade(*projected(ch, np.array([0.3, 0.4 - 0.2j])), G_PI,
+                          np.array([[1.0 + 0j]]).conj(), np.sqrt(1e-3))
     omega = rng.uniform(0, 2 * np.pi, q)
     s1 = received_snr(d, a, cis(omega))
     s2 = received_snr(d, a, cis(omega + c))
@@ -148,19 +148,21 @@ def test_received_snr_invariant_to_combiner_phase():
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
     u /= np.linalg.norm(u)
     v = np.array([0.1, 0.2j])
-    s1 = received_snr(*effective_cascade(*projected(ch, v), G_PI, u[None, :], 1e-3), cis(omega))
+    s1 = received_snr(*reduce_cascade(*projected(ch, v), G_PI, u[None, :].conj(), np.sqrt(1e-3)),
+                      cis(omega))
     turned = u[None, :] * np.exp(1j * 0.7)
-    s2 = received_snr(*effective_cascade(*projected(ch, v), G_PI, turned, 1e-3), cis(omega))
+    s2 = received_snr(*reduce_cascade(*projected(ch, v), G_PI, turned.conj(), np.sqrt(1e-3)),
+                      cis(omega))
     assert s2 == pytest.approx(s1, rel=1e-12)
 
 
-def test_effective_cascade_validation():
+def test_reduce_cascade_validation():
     unit = projected(scalar_channels(), np.array([1.0]))
     with pytest.raises(ValueError):
-        effective_cascade(*unit, G_PI, np.empty((0, 1)), 1.0)
+        reduce_cascade(*unit, G_PI, np.empty((0, 1)).conj(), np.sqrt(1.0))
     for sigma2 in (0.0, np.nan):
         with pytest.raises(ValueError):
-            effective_cascade(*unit, G_PI, np.ones((1, 1)), sigma2)
+            reduce_cascade(*unit, G_PI, np.ones((1, 1)).conj(), np.sqrt(sigma2))
 
 
 # --- selection ---------------------------------------------------------------

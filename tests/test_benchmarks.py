@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import projected
-from nearris.beam_mgmt import effective_cascade, mu_combiners, received_snr
+from nearris.beam_mgmt import mu_combiners, received_snr, reduce_cascade
 from nearris.benchmarks import (
     benchmark1_full_search,
     benchmark2_full_focusing,
@@ -33,8 +33,8 @@ def test_benchmark1_equals_measurement_on_single_codeword():
         h1=rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2)),
         h2=rng.normal(size=(1, 9)) + 1j * rng.normal(size=(1, 9)),
     )
-    d, a = effective_cascade(*projected(ch, np.array([0.2, 0.1j])), unit_cell_factor(geom, LAM),
-                             mu_combiners(1), 1e-6)
+    d, a = reduce_cascade(*projected(ch, np.array([0.2, 0.1j])), unit_cell_factor(geom, LAM),
+                          mu_combiners(1).conj(), np.sqrt(1e-6))
     res = benchmark1_full_search(d, a, level_phasors((1, 1), 0.8, AREA, geom, P_I, LAM))
     direct = received_snr(d, a, cis(cb[0][0, 0]))
     assert res == pytest.approx(direct, rel=1e-12)
@@ -56,8 +56,8 @@ def test_benchmark2_scalar_closed_form():
     h1 = assemble_channel(los(P_I, geom.center), P_I[None, :], geom.element_positions(), LAM, +1)
     h2 = assemble_channel(los(geom.center, p_mu), geom.element_positions(), p_mu[None, :], LAM, +1)
     ch = ChannelSet(h=np.zeros((1, 1), dtype=complex), h1=h1, h2=h2)
-    d, a = effective_cascade(*projected(ch, np.array([np.sqrt(p)], dtype=complex)), g,
-                             mu_combiners(1), sigma2)
+    d, a = reduce_cascade(*projected(ch, np.array([np.sqrt(p)], dtype=complex)), g,
+                          mu_combiners(1).conj(), np.sqrt(sigma2))
     res = benchmark2_full_focusing(d, a, cis(focusing_phases(P_I, p_mu, geom, LAM)))
     pl1 = free_space_amplitude(float(np.linalg.norm(P_I - geom.center)), LAM)
     pl2 = free_space_amplitude(float(np.linalg.norm(p_mu - geom.center)), LAM)

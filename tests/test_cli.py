@@ -347,6 +347,16 @@ def test_focus_cut_rejects_degenerate_cuts(tmp_path, capsys, flags):
     assert not list(tmp_path.glob("cut/focus_cut_*.csv"))
 
 
+@pytest.mark.parametrize("half_range", ["1e160", "1e308"])
+def test_focus_cut_rejects_ranges_past_float_range(tmp_path, capsys, half_range):
+    # the far points' distances overflow, and at 1e308 the displacements too
+    cfg, _ = tiny_file(tmp_path)
+    assert main(["focus-cut", "--config", str(cfg), "--out-dir", str(tmp_path / "cut"),
+                 "--steps", "3", "--range", half_range]) == 2
+    assert "non-finite points or SNRs" in capsys.readouterr().err
+    assert not list(tmp_path.glob("cut/focus_cut_*.csv"))
+
+
 def test_codebook_dump_command(tmp_path):
     cfg, s = tiny_file(tmp_path)
     out = tmp_path / "cb"
@@ -444,6 +454,13 @@ def test_farfield_rejects_sizes_that_are_not_finite_and_positive(tmp_path, capsy
     out = tmp_path / "ff"
     assert main(["farfield", "--out-dir", str(out), "--sizes", sizes]) == 2
     assert "aperture must be finite and positive" in capsys.readouterr().err
+    assert not (out / "farfield.csv").exists()
+
+
+def test_farfield_rejects_sizes_past_float_range(tmp_path, capsys):
+    out = tmp_path / "ff"
+    assert main(["farfield", "--out-dir", str(out), "--sizes", "0.5,1e200"]) == 2
+    assert "is not a finite float" in capsys.readouterr().err
     assert not (out / "farfield.csv").exists()
 
 

@@ -66,6 +66,10 @@ def test_far_field_distance_rejects_bad_args():
                           (1.0, inf)]:
         with pytest.raises(ValueError, match="finite and positive"):
             far_field_distance(aperture, lam)
+    # the square overflows (OverflowError for a float), or the quotient does
+    for aperture, lam in [(1e200, 1.0), (1e154, 1e-10)]:
+        with pytest.raises(ValueError, match="not a finite float"):
+            far_field_distance(aperture, lam)
 
 
 def test_ris_from_aperture_reference_grid():

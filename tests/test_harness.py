@@ -169,23 +169,32 @@ def test_direct_link_carries_blockage_loss():
     (dict(paths_bs_ris=1), 20.0, 2),
     (dict(n_mu=4, paths_bs_ris=1, beta_semantics="total"), 0.0, 3),
     (None, 10.0, 5),
+    (dict(paths_direct=1), 5.0, 4),
+    (dict(n_mu=2, paths_ris_mu=1), -5.0, 6),
 ])
 def test_link_cascade_matches_full_matrix_oracle(overrides, beta_db, trial):
-    # trials reduce the links without H1: (d, A) of trial_draw's legs and
-    # at_beta's links must be Scenario.cascade of the full assemble_channel
-    # matrices, and B2's phasors the focusing codeword of the drawn MU
-    # position; None is the reference scenario, whose Q = 8649 RIS rows span
-    # several row blocks
+    # trials reduce the links without H1: (d, A) at every reference beta of
+    # one cached trial_draw must be Scenario.cascade of the full
+    # assemble_channel matrices at that beta, a link without NLOS paths
+    # included, and B2's phasors the focusing codeword of the drawn MU
+    # position; None is the reference scenario. The draw is read, never
+    # written: beta_db, read first, gives the same pair again at the end.
     s = Scenario() if overrides is None else small_scenario(**overrides)
-    links, p_mu, legs, focus = trial_draw(s, trial)
-    d, a = s.link_cascade(at_beta(s, links, beta_db), legs)
-    ch, p_mu_oracle = build_trial_channels(s, beta_db, trial)
-    d0, a0 = s.cascade(ch)
-    np.testing.assert_array_equal(p_mu, p_mu_oracle)
-    assert d.shape == d0.shape == (s.n_mu,)
-    assert a.shape == a0.shape == (s.n_mu, s.ris_geometry().q)
-    assert np.linalg.norm(d - d0) <= 1e-12 * np.linalg.norm(d0)
-    assert np.linalg.norm(a - a0) <= 1e-12 * np.linalg.norm(a0)
+    draw = trial_draw(s, trial)
+    first = s.link_cascade(draw, beta_db)
+    for b in Scenario().beta_list_db:
+        d, a = s.link_cascade(trial_draw(s, trial), b)
+        ch, p_mu = build_trial_channels(s, b, trial)
+        d0, a0 = s.cascade(ch)
+        assert d.shape == d0.shape == (s.n_mu,)
+        assert a.shape == a0.shape == (s.n_mu, s.ris_geometry().q)
+        assert np.linalg.norm(d - d0) <= 1e-12 * np.linalg.norm(d0)
+        assert np.linalg.norm(a - a0) <= 1e-12 * np.linalg.norm(a0)
+    assert trial_draw(s, trial) is draw
+    for got, want in zip(s.link_cascade(draw, beta_db), first):
+        np.testing.assert_array_equal(got, want)
+    _, p_mu_draw, _, focus = draw
+    np.testing.assert_array_equal(p_mu_draw, p_mu)
     np.testing.assert_array_equal(
         focus, nr.cis(focusing_phases(s.bs_center, p_mu, s.ris_geometry(), s.lambda_m)))
 
@@ -312,6 +321,18 @@ def test_trial_makes_no_element_positions_call(monkeypatch):
     assert calls == []
 
 
+def test_warm_trial_builds_no_link(monkeypatch):
+    # beta enters a trial as one scalar per link: a trial on a warm draw
+    # scales the draw's terms and constructs no LinkPaths at its beta
+    s = small_scenario()
+    run_trial(s, 0.0, 2)
+    built = []
+    monkeypatch.setattr(LinkPaths, "__post_init__",
+                        lambda self, f=LinkPaths.__post_init__: built.append(self) or f(self))
+    run_trial(s, 10.0, 2)
+    assert built == []
+
+
 def test_run_trial_multi_antenna_mu_drops_b3():
     s = small_scenario(n_mu=2)
     r = run_trial(s, 10.0, 0)
@@ -338,8 +359,7 @@ def _codeword_case(case, request):
 def _trial_cascades(s, draws):
     cascades = []
     for beta_db, trial in draws:
-        links, _, legs, _ = trial_draw(s, trial)
-        cascades.append(s.link_cascade(at_beta(s, links, beta_db), legs))
+        cascades.append(s.link_cascade(trial_draw(s, trial), beta_db))
     return cascades
 
 

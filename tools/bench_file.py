@@ -6,10 +6,13 @@ Usage (from the repository root):
 
 It runs `perfbench/run.py --workload all --seed 1 --seconds 40` with
 `--trace 0` and then `--trace 1` in the checkout at --root (default: this
-repository), then the Tier-1 suite there, timed, then the reference
-campaign `nearris sweep-beta` (7 betas x 100 trials, seed 1, BLAS pinned
-to one thread) 5 times at each worker count, 1 and 2 alternating. It
-writes one JSON file:
+repository), each after deleting the `__pycache__` directories under its
+`src/` and `perfbench/`, so that every run starts from the same bytecode
+state whatever was imported there before (`setup_s` includes compiling).
+Then it runs the Tier-1 suite there, timed, then the reference campaign
+`nearris sweep-beta` (7 betas x 100 trials, seed 1, BLAS pinned to one
+thread) 5 times at each worker count, 1 and 2 alternating. It writes one
+JSON file:
 
     {"seed": 1, "seconds": 40, "nproc": ...,
      "tier1": {"command": ..., "returncode": ..., "wall_s": ..., "summary": ...},
@@ -33,6 +36,7 @@ benchmark: it only runs it.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +55,8 @@ PINNED_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_benchmark(root, trace):
+    for cache in (c for top in ("src", "perfbench") for c in (root / top).rglob("__pycache__")):
+        shutil.rmtree(cache)
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
            "--seconds", str(SECONDS), "--trace", str(trace)]
     subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.DEVNULL)
