@@ -22,8 +22,8 @@ def main():
 
     print("building the campaign statics (the finest level's phasor table)...")
     table = s.statics().finest
-    draw = nr.trial_draw(s, trial)  # each link's beta-free LOS and scattered terms
-    _, p_mu, _, focus = draw
+    draw = nr.trial_draw(s, trial)  # each link's LOS and scattered terms at 0 dB
+    p_mu, _, focus = draw
     print(f"user drawn at ({p_mu[0]:.2f}, {p_mu[1]:.2f}, {p_mu[2]:.2f}) m, "
           f"beta = {beta_db:g} dB\n")
 

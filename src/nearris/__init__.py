@@ -25,7 +25,6 @@ from .channel import (
     blockage_attenuation,
     free_space_amplitude,
     generate_scatterers,
-    nlos_scale,
     noise_power,
 )
 from .codebook import (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import children
-from .geometry import distance
+from .geometry import cis, distance
 
 
 def bs_precoder_focus_ris(bs_positions, p_ris, lambda_m, p_bs_watts):
@@ -30,7 +30,7 @@ def bs_precoder_focus_ris(bs_positions, p_ris, lambda_m, p_bs_watts):
     RIS through the advance-convention channel. ||v||^2 = P exactly.
     """
     k = 2.0 * np.pi / lambda_m
-    a = np.exp(1j * k * distance(bs_positions, p_ris))
+    a = cis(k * distance(bs_positions, p_ris))
     return np.sqrt(p_bs_watts) * a.conj() / np.linalg.norm(a)
 
 

@@ -8,7 +8,7 @@ the exact per-antenna-pair path length (spherical wavefront, no planar
 approximation). The per-path pathloss is a single amplitude factor
 computed from array-center distances.
 
-`sum_paths` gives a link's beta-free LOS and scattered terms, and
+`sum_paths` gives a link's LOS and scattered terms at its amplitudes, and
 `assemble_channel` adds them into the full matrix H, the trials' oracle.
 """
 
@@ -130,25 +130,20 @@ def sum_paths(link, los, rx_legs, tx_legs):
     return w[0] * los, (rx_legs * w[1:]) @ tx_legs.T
 
 
-def nlos_scale(link, beta_db):
-    """The factor on a link's NLOS pathlosses that sets PL_0^2 / sum_i PL_i^2 = 10^(beta_db/10)."""
+def apply_beta(link, beta_db):
+    """Rescale NLOS pathlosses by one factor, so PL_0^2 / sum_i PL_i^2 = 10^(beta_db/10).
+
+    The factor, proportional to 10^(-beta_db/20), preserves the relative
+    NLOS profile; the LOS path is untouched. Power-domain ratio, exact.
+    """
     if len(link) < 2:
         raise ValueError("a beta needs at least one NLOS path")
     p_nlos = np.sum(link.amplitude[1:] ** 2)
     if p_nlos == 0:
         raise ValueError("all NLOS pathlosses are zero, ratio undefined")
     target = link.amplitude[0] ** 2 / 10.0 ** (beta_db / 10.0)
-    return np.sqrt(target / p_nlos)
-
-
-def apply_beta(link, beta_db):
-    """Rescale NLOS pathlosses by `nlos_scale`, so PL_0^2 / sum_i PL_i^2 = 10^(beta_db/10).
-
-    The common factor preserves the relative NLOS profile; the LOS path is
-    untouched. Power-domain ratio, exact.
-    """
     amplitude = link.amplitude.copy()
-    amplitude[1:] *= nlos_scale(link, beta_db)
+    amplitude[1:] *= np.sqrt(target / p_nlos)
     return replace(link, amplitude=amplitude)
 
 

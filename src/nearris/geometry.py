@@ -5,9 +5,9 @@ right-handed Cartesian frame. The RIS lies in the y-z plane and the BS
 array in the x-z plane; element grids are uniformly spaced and centered
 on the declared array center. `distance` is the package's one distance
 formula: `hypot3` of the component differences, which the codeword
-formula calls directly on its image-point planes. `cis` is the phasor
-formula of the trial path: the channel phasors and the codewords that
-trials score.
+formula calls directly on its image-point planes. `cis` is the one phasor
+formula of the channels, the precoder, the codewords and the field kernel;
+`codebook.grcs` keeps numpy's complex exponential as their oracle.
 """
 
 from dataclasses import dataclass

@@ -8,10 +8,10 @@ Two SNR pipelines coexist and are kept separate on purpose:
   reduce to one field kernel, (points, phase profiles) -> SNR dB;
 * link-level trials draw each link as arrays of path amplitudes, fadings
   and bounce points. Each trial index reduces H v, H1 v and H2 once,
-  matrix-free, to a LOS and a scattered term each (`trial_draw`); a beta
-  scales each scattered term by one factor and sums them to a direct
-  term d and an effective cascade A in noise-amplitude units, one row per
-  MU combiner (`Scenario.link_cascade`). Every scheme reads that pair
+  matrix-free, to a LOS and a scattered term each at 0 dB (`trial_draw`);
+  a beta scales every scattered term by one scalar and sums them to a
+  direct term d and an effective cascade A in noise-amplitude units, one
+  row per MU combiner (`Scenario.link_cascade`). Every scheme reads that pair
   alone and scores max_u |d_u + A_u exp(j*omega)|^2 (combiner and direct
   link included) from the phasors exp(j*omega): the finest level's from
   its table, the codewords of a coarser level that a search sounds as one
@@ -52,7 +52,6 @@ from .channel import (
     free_space_amplitude,
     generate_scatterers,
     leg_phasors,
-    nlos_scale,
     noise_power,
     sum_paths,
 )
@@ -217,12 +216,15 @@ class Scenario:
         except OverflowError:
             raise ValueError("scenario: blockage_loss_db must give a finite amplitude factor "
                              "10^(-loss_db/20)") from None
-        with np.errstate(over="ignore"):  # dBm to watts: inf past ~3000 dBm, 0 below ~-3000
-            for inputs, power, watts in (
-                    ("p_bs_dbm", "p_bs_watts", self.p_bs_watts),
-                    ("noise_psd_dbm_hz, bandwidth_hz and noise_figure_db", "sigma2", self.sigma2)):
-                if not 0 < watts < np.inf:
-                    raise ValueError(f"scenario: {inputs} must give a finite {power} > 0 W")
+        with np.errstate(over="ignore"):  # dB to linear: inf past ~3080 dB, 0 below ~-3230
+            for inputs, linear, value in (
+                    ("p_bs_dbm", "p_bs_watts > 0 W", self.p_bs_watts),
+                    ("noise_psd_dbm_hz, bandwidth_hz and noise_figure_db", "sigma2 > 0 W",
+                     self.sigma2),
+                    *(("beta_list_db", f"power ratio 10^(beta_db/10) > 0, got {b!r}",
+                       np.power(10.0, b / 10.0)) for b in self.beta_list_db)):
+                if not 0 < value < np.inf:
+                    raise ValueError(f"scenario: {inputs} must give a finite {linear}")
 
     # --- derived pieces -------------------------------------------------
 
@@ -279,13 +281,14 @@ class Scenario:
         """(d, A) at beta of a trial index's `trial_draw`, without the (Q, N_bs) H1.
 
         Each of H v, H1 v and H2 is its link's LOS term plus its scattered
-        term times the link's `nlos_scale` at beta, the factor of `at_beta`.
+        term at 0 dB times s = 10^(-beta_db/20), one scalar for every link
+        (all-zero for a link without NLOS paths). That is `at_beta` under
+        both beta semantics: `apply_beta`'s factor is proportional to
+        10^(-b/20), and b is beta_db plus a per-link offset free of beta.
         """
         st = self.statics()
-        links, _, terms, _ = draw
-        hv, h1v, h2 = (los if len(link) == 1 else
-                       los + nlos_scale(link, _beta_total_db(self, link, beta_db)) * scattered
-                       for link, (los, scattered) in zip(links, terms))
+        s = 10.0 ** (-beta_db / 20.0)
+        hv, h1v, h2 = (los + s * scattered for los, scattered in draw[1])
         return reduce_cascade(hv, h1v, h2, st.g, st.uh, st.sigma)
 
     def blockage_area(self):
@@ -458,24 +461,24 @@ def at_beta(scenario, links, beta_db):
 def trial_draw(scenario, trial):
     """The beta-free part of a trial, kept for the last (scenario, trial) asked.
 
-    Returns (links before beta, p_mu, terms, focus): terms are the (LOS,
-    scattered) pairs (`sum_paths`) of H v, H1 v and H2 at the drawn amplitudes
-    and the direct link's blockage loss, in the conventions of
-    `build_trial_channels`, without an (n_rx, N_bs) matrix; focus is B2's phasors.
+    Returns (p_mu, terms, focus): terms are the (LOS, scattered) pairs
+    (`sum_paths`) of H v, H1 v and H2 of the links at beta = 0 dB, blockage
+    included (`at_beta`), in the conventions of `build_trial_channels`,
+    without an (n_rx, N_bs) matrix; focus is B2's phasors.
     """
     st, lam = scenario.statics(), scenario.lambda_m
     links, p_mu = draw_trial_links(scenario, trial)
     bs_pos, ris_pos, v, mu_pos = st.bs_pos, st.ris_pos, st.v, mu_antenna_positions(scenario, p_mu)
-    (direct, bs_ris, ris_mu), (s_h, s_1, s_2) = links, (link.scatterers for link in links)
-    terms = (sum_paths(blockage_attenuation(direct, scenario.blockage_loss_db),
-                       leg_phasors(mu_pos, bs_pos, lam, -1) @ v,
+    direct, bs_ris, ris_mu = at_beta(scenario, links, 0.0)
+    s_h, s_1, s_2 = (link.scatterers for link in links)
+    terms = (sum_paths(direct, leg_phasors(mu_pos, bs_pos, lam, -1) @ v,
                        leg_phasors(mu_pos, s_h, lam, -1), leg_phasors(bs_pos, s_h, lam, -1).T @ v),
              sum_paths(bs_ris, st.los, leg_phasors(ris_pos, s_1, lam, +1),
                        leg_phasors(bs_pos, s_1, lam, +1).T @ v),
              sum_paths(ris_mu, leg_phasors(mu_pos, ris_pos, lam, +1),
                        leg_phasors(mu_pos, s_2, lam, +1), leg_phasors(ris_pos, s_2, lam, +1)))
     focus = cis(focusing_phases(scenario.bs_center, p_mu, scenario.ris_geometry(), lam, ris_pos))
-    return links, p_mu, terms, focus
+    return p_mu, terms, focus
 
 
 def build_trial_channels(scenario, beta_db, trial):
@@ -502,9 +505,10 @@ def run_trial(scenario, beta_db, trial):
     """All schemes on one realization; deterministic in (scenario, beta, trial).
 
     Reads the cached `scenario.statics()` and `trial_draw(scenario, trial)`,
-    which the other betas of the trial index share.
+    which the other betas of the trial index share. A non-finite SNR raises
+    a ValueError.
     """
-    _, p_mu, _, focus = draw = trial_draw(scenario, trial)
+    p_mu, _, focus = draw = trial_draw(scenario, trial)
     d, a = scenario.link_cascade(draw, beta_db)
 
     trace = scenario.search(d, a)
@@ -515,11 +519,14 @@ def run_trial(scenario, beta_db, trial):
     }
     if scenario.n_mu == 1:
         snr[bm.B3_FULL_CSI] = bm.benchmark3_full_csi(d, a)
+    snr_db = {scheme: 10.0 * np.log10(x) for scheme, x in snr.items()}
+    if not all(map(is_finite_real, snr_db.values())):
+        raise ValueError(f"trial {trial} at beta {beta_db:g} dB gives a non-finite SNR")
     return TrialResult(
         trial=trial,
         beta_db=beta_db,
         mu_position=tuple(float(x) for x in p_mu),
-        snr_db={scheme: 10.0 * np.log10(x) for scheme, x in snr.items()},
+        snr_db=snr_db,
         pilots=trace.pilot_count,
         winners=[tuple(rec.winner) for rec in trace.levels],
     )
@@ -609,14 +616,12 @@ def _field_snr_db(scenario, points, profiles):
     pn = geom.element_positions()
     pl1 = free_space_amplitude(float(np.linalg.norm(p_i - p_ris)), lam)
 
-    phase_in = k * distance(p_i, pn)
-    emat = 1j * (phase_in[:, None] + np.asarray(profiles, dtype=float).T)
-    np.exp(emat, out=emat)  # in place: the (Q, K) matrix is the largest array here
+    emat = cis(k * distance(p_i, pn)[:, None] + np.asarray(profiles, dtype=float).T)
     out = np.empty((len(points), emat.shape[1]))
     for s in range(0, len(points), _FIELD_CHUNK):
         p_r = points[s:s + _FIELD_CHUNK]
         d = distance(p_r[:, None, :], pn[None, :, :])
-        mags = np.abs(np.exp(1j * k * d) @ emat) * g
+        mags = np.abs(cis(k * d) @ emat) * g
         pl2 = free_space_amplitude(distance(p_r, p_ris), lam)
         out[s:s + _FIELD_CHUNK] = 10.0 * np.log10(
             scenario.illum_reference_power_w * (pl1 * pl2[:, None] * mags) ** 2 / scenario.sigma2

@@ -494,6 +494,10 @@ def test_farfield_rejects_sizes_past_float_range(tmp_path, capsys):
         (("blockage", "loss_db", -100000.0), ["simulate"],
          "blockage_loss_db must give a finite amplitude factor"),
         (("mu", "spacing_wavelengths", 0), ["simulate"], "mu_spacing_wl must be positive"),
+        (("campaign", "beta_list_db", [0.0, -1e300]), ["sweep-beta"],
+         "beta_list_db must give a finite power ratio 10^(beta_db/10) > 0, got -1e+300"),
+        (("paths", "beta_semantics", "total"), ["simulate", "--beta=1e300"],
+         "beta_list_db must give a finite power ratio 10^(beta_db/10) > 0, got 1e+300"),
     ],
 )
 def test_bad_input_exits_2_before_any_output(tmp_path, capsys, edit, command, message):
@@ -501,6 +505,15 @@ def test_bad_input_exits_2_before_any_output(tmp_path, capsys, edit, command, me
     assert main([*command, "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert f"scenario: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("o/*.csv"))
+
+
+def test_beta_too_far_for_float_snrs_exits_2_before_any_output(tmp_path, capsys):
+    # 10^(beta/10) is a float at -3000 dB, but the NLOS amplitudes it sets
+    # overflow the SNRs of the reference scenario
+    out = tmp_path / "o"
+    assert main(["simulate", "--trials", "1", "--beta=-3000", "--out-dir", str(out)]) == 2
+    assert "trial 0 at beta -3000 dB gives a non-finite SNR" in capsys.readouterr().err
+    assert not (out / "trials.csv").exists()
 
 
 def test_cli_error_paths_return_2(tmp_path):

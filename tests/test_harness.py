@@ -85,6 +85,8 @@ def test_scenario_validation_messages():
         (dict(bandwidth_hz=1e300, noise_figure_db=1e4), "must give a finite sigma2 > 0 W"),
         (dict(blockage_loss_db=-100000.0), "blockage_loss_db must give a finite amplitude"),
         (dict(n_mu=4, mu_spacing_wl=0.0), "mu_spacing_wl must be positive"),
+        (dict(beta_list_db=(0.0, -1e300)), "beta_list_db must give a finite power ratio"),
+        (dict(beta_list_db=(1e300,), beta_semantics="total"), "must give a finite power ratio"),
     ]
     for overrides, word in cases:
         with pytest.raises(ValueError, match=word):
@@ -177,10 +179,15 @@ def test_link_cascade_matches_full_matrix_oracle(overrides, beta_db, trial):
     # one cached trial_draw must be Scenario.cascade of the full
     # assemble_channel matrices at that beta, a link without NLOS paths
     # included, and B2's phasors the focusing codeword of the drawn MU
-    # position; None is the reference scenario. The draw is read, never
+    # position; None is the reference scenario. The draw holds arrays
+    # only, no link: one scalar of beta scales its terms at 0 dB, and
+    # beta = 0 dB checks those terms themselves. The draw is read, never
     # written: beta_db, read first, gives the same pair again at the end.
     s = Scenario() if overrides is None else small_scenario(**overrides)
     draw = trial_draw(s, trial)
+    p_mu_draw, terms, focus = draw
+    assert all(isinstance(t, np.ndarray) for pair in terms for t in pair)
+    assert not any(isinstance(x, LinkPaths) for x in (p_mu_draw, *terms, focus))
     first = s.link_cascade(draw, beta_db)
     for b in Scenario().beta_list_db:
         d, a = s.link_cascade(trial_draw(s, trial), b)
@@ -193,7 +200,6 @@ def test_link_cascade_matches_full_matrix_oracle(overrides, beta_db, trial):
     assert trial_draw(s, trial) is draw
     for got, want in zip(s.link_cascade(draw, beta_db), first):
         np.testing.assert_array_equal(got, want)
-    _, p_mu_draw, _, focus = draw
     np.testing.assert_array_equal(p_mu_draw, p_mu)
     np.testing.assert_array_equal(
         focus, nr.cis(focusing_phases(s.bs_center, p_mu, s.ris_geometry(), s.lambda_m)))
@@ -322,8 +328,8 @@ def test_trial_makes_no_element_positions_call(monkeypatch):
 
 
 def test_warm_trial_builds_no_link(monkeypatch):
-    # beta enters a trial as one scalar per link: a trial on a warm draw
-    # scales the draw's terms and constructs no LinkPaths at its beta
+    # beta enters a trial as one scalar: a trial on a warm draw scales the
+    # draw's terms and constructs no LinkPaths at its beta
     s = small_scenario()
     run_trial(s, 0.0, 2)
     built = []
