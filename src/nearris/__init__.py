@@ -33,7 +33,6 @@ from .codebook import (
     children,
     focusing_phases,
     grcs,
-    level_phasors,
     mapping,
     unit_cell_factor,
     wide_illumination_phases,

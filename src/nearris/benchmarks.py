@@ -1,7 +1,7 @@
 """Reference schemes the hierarchical search is compared against.
 
 B1 exhaustively sounds the finest codebook level, read from its
-`level_phasors` table, `Scenario.statics().finest`; B2 focuses on the exact MU
+`cell_phasors` table, `Scenario.statics().finest`; B2 focuses on the exact MU
 position, with the phasors that `harness.trial_draw` builds once per trial
 index; B3 phase-conjugates the cascaded per-element channel from full
 CSI. All read only the trial's (d, A) from `beam_mgmt.reduce_cascade`
@@ -22,7 +22,7 @@ PROPOSED = "proposed"
 def benchmark1_full_search(d, a, table):
     """Exhaustive search over the finest level, scored as one block.
 
-    table is the level's (W_x * W_y, Q) phasors (`codebook.level_phasors`),
+    table is the level's (W_x * W_y, Q) phasors (`codebook.cell_phasors`),
     and the result max |table A^T + d|^2; costs W_x * W_y pilots.
     """
     return received_snr(d, a, table).max()

@@ -11,9 +11,9 @@ A hierarchy is a tuple of levels, coarsest first, and a level is one
 array of shape (big_w_x, big_w_y, Q) holding the codeword of cell
 (w_x, w_y) at [w_x, w_y]; `check_levels` checks the level shapes and
 alpha for both the build and the scenario. The rasters and the codebook
-dump read these phase arrays. Trials read phasors instead: the finest
-level's table of `level_phasors`, and the few codewords of the coarser
-levels that a search sounds, computed on demand from the same formula.
+dump read these phase arrays. Trials read phasors instead, all from
+`cell_phasors`: the finest level's table, and the few codewords of the
+coarser levels that a search sounds, computed on demand.
 """
 
 import warnings
@@ -186,17 +186,6 @@ def check_levels(level_shapes, alpha):
             raise ValueError(f"codebook level ({bx},{by}) does not refine ({ax},{ay})")
 
 
-def _level_rows(shape, alpha, area, geom, p_i, lambda_m):
-    """A level's phases one row of cells (fixed w_x) at a time, (W_y, Q) per row.
-
-    Callers hold each row until the next one comes: freeing it first lets the
-    heap shrink and fault back in at every row, a first build ~15% slower.
-    """
-    for wx in range(shape[0]):
-        yield wide_illumination_phases(p_i, area, geom, lambda_m, wx, np.arange(shape[1]),
-                                       *shape, alpha)
-
-
 def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
     """All codewords for (big_w_x, big_w_y) level shapes that pass `check_levels`: one
     (big_w_x, big_w_y, Q) array per level, coarsest first, filled a row of cells at a time."""
@@ -206,16 +195,30 @@ def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
     levels = []
     for shape in level_shapes:
         words = np.empty((*shape, geom.q))
-        for wx, row in enumerate(_level_rows(shape, alpha, area, geom, p_i, lambda_m)):
+        for wx in range(shape[0]):
+            # the last row stays bound while the next is computed: freeing it first lets
+            # the heap shrink and fault back in at every row, a first build ~15% slower
+            row = wide_illumination_phases(p_i, area, geom, lambda_m, wx, np.arange(shape[1]),
+                                           *shape, alpha)
             words[wx] = row
         levels.append(words)
     return tuple(levels)
 
 
-def level_phasors(shape, alpha, area, geom, p_i, lambda_m):
-    """exp(j*omega) of one (W_x, W_y) level of `build_hierarchy`: a (W_x * W_y, Q) table whose
-    row w_x * W_y + w_y holds cell (w_x, w_y), built without holding the level's phases whole."""
-    table = np.empty((*shape, geom.q), dtype=complex)
-    for wx, row in enumerate(_level_rows(shape, alpha, area, geom, p_i, lambda_m)):
-        table[wx] = cis(row)
-    return table.reshape(-1, geom.q)
+def cell_phasors(shape, alpha, area, geom, p_i, lambda_m, pn, cells):
+    """Read-only exp(j*omega) of the cells ((w_x, w_y), ...) of a (W_x, W_y) level of
+    `build_hierarchy`, one row each, from the RIS positions pn.
+
+    Fills the rows W_y cells at a time, so a whole level in row-major order
+    (the finest level's table, row w_x * W_y + w_y) is built without holding
+    its phases whole.
+    """
+    w_x, w_y = np.array(cells).T
+    table = np.empty((len(cells), geom.q), dtype=complex)
+    for s in range(0, len(cells), shape[1]):
+        cut = slice(s, s + shape[1])
+        phases = wide_illumination_phases(p_i, area, geom, lambda_m, w_x[cut], w_y[cut],
+                                          *shape, alpha, pn)  # bound as build_hierarchy's row
+        table[cut] = cis(phases)
+    table.flags.writeable = False
+    return table

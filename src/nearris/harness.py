@@ -58,11 +58,10 @@ from .channel import (
 from .codebook import (
     BlockageArea,
     build_hierarchy,
+    cell_phasors,
     check_levels,
     focusing_phases,
-    level_phasors,
     unit_cell_factor,
-    wide_illumination_phases,
 )
 from .geometry import (
     PlanarArrayGeometry,
@@ -265,8 +264,8 @@ class Scenario:
             bs_pos=bs_pos, ris_pos=ris_pos, v=v, g=unit_cell_factor(self.ris_geometry(), lam),
             uh=mu_combiners(self.n_mu).conj(), sigma=np.sqrt(self.sigma2),
             los=leg_phasors(ris_pos, bs_pos, lam, +1) @ v,
-            finest=level_phasors(finest, *args),
-            blocks=tuple(lru_cache(maxsize=1)(partial(_cell_phasors, shape, *args, ris_pos))
+            finest=cell_phasors(finest, *args, ris_pos, list(np.ndindex(*finest))),
+            blocks=tuple(lru_cache(maxsize=1)(partial(cell_phasors, shape, *args, ris_pos))
                          for shape in coarser))
 
     def cascade(self, channels):
@@ -335,9 +334,9 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class CampaignStatics:
-    """`Scenario.statics()`: positions, v, g, conj(U), sigma, the LOS projection E v, the
-    finest level's (W_x * W_y, Q) phasor table, and per coarser level a one-slot cache of
-    its blocks (`_cell_phasors` of the cells asked)."""
+    """`Scenario.statics()`: positions, v, g, conj(U), sigma, the LOS projection E v, and
+    the read-only phasors of `codebook.cell_phasors`: the finest level's (W_x * W_y, Q)
+    table, and per coarser level a one-slot cache of its blocks of the cells asked."""
 
     bs_pos: np.ndarray
     ris_pos: np.ndarray
@@ -348,15 +347,6 @@ class CampaignStatics:
     los: np.ndarray
     finest: np.ndarray
     blocks: tuple
-
-
-def _cell_phasors(shape, alpha, area, geom, p_i, lambda_m, pn, cells):
-    """Read-only phasors of the cells ((w_x, w_y), ...) of a level of this shape, one row
-    each, from the RIS positions pn and the formula that builds the codebook."""
-    w_x, w_y = np.array(cells).T
-    block = cis(wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, *shape, alpha, pn))
-    block.flags.writeable = False
-    return block
 
 
 @dataclass
@@ -506,19 +496,19 @@ def run_trial(scenario, beta_db, trial):
 
     Reads the cached `scenario.statics()` and `trial_draw(scenario, trial)`,
     which the other betas of the trial index share. A non-finite SNR raises
-    a ValueError.
+    a ValueError, with no overflow warning first.
     """
     p_mu, _, focus = draw = trial_draw(scenario, trial)
-    d, a = scenario.link_cascade(draw, beta_db)
-
-    trace = scenario.search(d, a)
-    snr = {
-        bm.PROPOSED: trace.levels[-1].snrs.max(),
-        bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, scenario.statics().finest),
-        bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, focus),
-    }
-    if scenario.n_mu == 1:
-        snr[bm.B3_FULL_CSI] = bm.benchmark3_full_csi(d, a)
+    with np.errstate(over="ignore"):  # an overflow gives an infinite SNR, rejected below
+        d, a = scenario.link_cascade(draw, beta_db)
+        trace = scenario.search(d, a)
+        snr = {
+            bm.PROPOSED: trace.levels[-1].snrs.max(),
+            bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, scenario.statics().finest),
+            bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, focus),
+        }
+        if scenario.n_mu == 1:
+            snr[bm.B3_FULL_CSI] = bm.benchmark3_full_csi(d, a)
     snr_db = {scheme: 10.0 * np.log10(x) for scheme, x in snr.items()}
     if not all(map(is_finite_real, snr_db.values())):
         raise ValueError(f"trial {trial} at beta {beta_db:g} dB gives a non-finite SNR")
@@ -541,19 +531,21 @@ def _every_beta(scenario, trial):
 def run_campaign(scenario):
     """Monte Carlo over (beta, trial); results in (beta order, trial) order.
 
-    Runs scenario.trials trial indices on scenario.workers processes; a job
-    is one index at every beta of scenario.beta_list_db, sharing its draw.
-    Every process builds the statics and imports numpy.random before its
-    first trial (`_before_trials`). Output is bit-identical for any worker
-    count: each trial is a pure function of its coordinates, and the pool
-    returns results in job order.
+    Runs scenario.trials trial indices in this process at 1 worker, else on
+    a pool of scenario.workers processes, or of one per index when there
+    are fewer; a job is one index at every beta of scenario.beta_list_db,
+    sharing its draw. Every process builds the statics and imports
+    numpy.random before its first trial (`_before_trials`). Output is
+    bit-identical for any worker count: each trial is a pure function of
+    its coordinates, and the pool returns results in job order.
     """
     trials, job = range(scenario.trials), partial(_every_beta, scenario)
     if scenario.workers == 1:
         _before_trials(scenario)
         rows = list(map(job, trials))
     else:
-        with ProcessPoolExecutor(max_workers=scenario.workers, initializer=_before_trials,
+        workers = min(scenario.workers, scenario.trials)  # each one builds the statics
+        with ProcessPoolExecutor(max_workers=workers, initializer=_before_trials,
                                  initargs=(scenario,)) as ex:
             rows = list(ex.map(job, trials))
     return [r for per_beta in zip(*rows) for r in per_beta]

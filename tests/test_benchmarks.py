@@ -12,8 +12,8 @@ from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_
 from nearris.codebook import (
     BlockageArea,
     build_hierarchy,
+    cell_phasors,
     focusing_phases,
-    level_phasors,
     unit_cell_factor,
 )
 from nearris.geometry import RisGeometry, cis, wavelength
@@ -35,7 +35,8 @@ def test_benchmark1_equals_measurement_on_single_codeword():
     )
     d, a = reduce_cascade(*projected(ch, np.array([0.2, 0.1j])), unit_cell_factor(geom, LAM),
                           mu_combiners(1).conj(), np.sqrt(1e-6))
-    res = benchmark1_full_search(d, a, level_phasors((1, 1), 0.8, AREA, geom, P_I, LAM))
+    table = cell_phasors((1, 1), 0.8, AREA, geom, P_I, LAM, geom.element_positions(), [(0, 0)])
+    res = benchmark1_full_search(d, a, table)
     direct = received_snr(d, a, cis(cb[0][0, 0]))
     assert res == pytest.approx(direct, rel=1e-12)
 

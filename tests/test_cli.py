@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -509,9 +510,12 @@ def test_bad_input_exits_2_before_any_output(tmp_path, capsys, edit, command, me
 
 def test_beta_too_far_for_float_snrs_exits_2_before_any_output(tmp_path, capsys):
     # 10^(beta/10) is a float at -3000 dB, but the NLOS amplitudes it sets
-    # overflow the SNRs of the reference scenario
+    # overflow the SNRs of the reference scenario; the trial rejects them
+    # without a numpy overflow warning
     out = tmp_path / "o"
-    assert main(["simulate", "--trials", "1", "--beta=-3000", "--out-dir", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--trials", "1", "--beta=-3000", "--out-dir", str(out)]) == 2
     assert "trial 0 at beta -3000 dB gives a non-finite SNR" in capsys.readouterr().err
     assert not (out / "trials.csv").exists()
 

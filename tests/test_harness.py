@@ -279,11 +279,18 @@ def test_run_trial_does_not_depend_on_the_cache_state():
 
 @pytest.fixture
 def block_calls(monkeypatch):
-    """(level shape, cells) of every codeword block computed from here on, one per computation."""
+    """(level shape, cells) of every codeword block computed from here on, one per computation.
+
+    A block cache asks for a tuple of cells, its key; the statics record's one build of the
+    finest level's table passes a list and is not counted.
+    """
     calls = []
-    monkeypatch.setattr(harness, "_cell_phasors",
-                        lambda *args, f=harness._cell_phasors: calls.append((args[0], args[-1]))
-                        or f(*args))
+
+    def counted(*args, f=harness.cell_phasors):
+        if isinstance(args[-1], tuple):
+            calls.append((args[0], args[-1]))
+        return f(*args)
+    monkeypatch.setattr(harness, "cell_phasors", counted)
     Scenario.statics.cache_clear()  # later statics records wrap the counting function
     yield calls
     Scenario.statics.cache_clear()
@@ -450,8 +457,9 @@ def test_codeword_blocks_are_read_only():
     s = small_scenario()
     block = s.codewords(1, [(0, 0), (0, 1)])
     assert block is s.codewords(1, [(0, 0), (0, 1)])
-    with pytest.raises(ValueError, match="read-only"):
-        block[0, 0] = 0.0
+    for phasors in (block, s.statics().finest):
+        with pytest.raises(ValueError, match="read-only"):
+            phasors[0, 0] = 0.0
 
 
 def test_only_campaigns_import_numpy_random():
@@ -497,6 +505,20 @@ def test_campaign_order_and_results_equal_standalone_trials(workers):
     ]
     for r in results:
         assert r == run_trial(s, r.beta_db, r.trial)
+
+
+def test_campaign_forks_no_more_workers_than_trial_indices(monkeypatch):
+    # every pool process builds the statics, so a pool larger than the
+    # trial count would build them for nothing; the results are the
+    # 1-worker campaign's
+    pools = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers, f=harness.ProcessPoolExecutor, **kw:
+                        pools.append(max_workers) or f(max_workers, **kw))
+    s = small_scenario(trials=2, workers=4, codebook_levels=((2, 2), (4, 4)))
+    results = run_campaign(s)
+    assert pools == [2]
+    assert results == run_campaign(dataclasses.replace(s, workers=1))
 
 
 def test_campaign_dominance_and_sorting():

@@ -1,4 +1,4 @@
-"""Check that this checkout writes the same CSV bytes as another checkout.
+"""Check that this checkout writes the same output bytes as another checkout.
 
 Usage (from the repository root):
 
@@ -13,13 +13,16 @@ thread and each run in its own output directory:
 - `sweep-beta` of `perfbench/scenarios/small_pool.scn` (this checkout's
   file on both sides) with 2 workers, at seeds 1 and 2;
 - `heatmap --level 4 --grid 64 --cells all`;
-- `focus-cut --axis both`.
+- `focus-cut --axis both`;
+- `codebook dump` of every level, the one output holding the phase arrays
+  of `build_hierarchy` byte for byte (about 50 MB per side).
 
-Then it compares every CSV of every run byte for byte and prints one line
+Then it compares every CSV and every JSON file but `manifest.json` (which
+records timings and paths) of every run byte for byte and prints one line
 per file: `same`, `DIFFERS`, or which side lacks it. It exits 1 if any file
 differs or is missing on one side, and 0 otherwise. A change that must keep
 the outputs byte-identical runs it against its parent commit's checkout.
-It takes about 90 s on a 2-core host.
+It takes about 55 s on a 2-core host.
 """
 
 import argparse
@@ -43,6 +46,7 @@ RUNS = [
       for seed in (1, 2)),
     ("heatmap-level4", ["heatmap", "--level", "4", "--grid", "64", "--cells", "all"]),
     ("focus-cut", ["focus-cut", "--axis", "both"]),
+    ("codebook-dump", ["codebook", "dump"]),
 ]
 
 
@@ -57,10 +61,12 @@ def run_all(checkout, out_root):
 
 
 def compare(here, baseline):
-    """One (status, run/file) pair per CSV written on either side, in run order."""
+    """One (status, run/file) pair per CSV or JSON file but the manifest written on either
+    side, in run order."""
     rows = []
     for name, _ in RUNS:
-        files = sorted({p.name for side in (here, baseline) for p in (side / name).glob("*.csv")})
+        files = sorted({p.name for side in (here, baseline) for pattern in ("*.csv", "*.json")
+                        for p in (side / name).glob(pattern)} - {"manifest.json"})
         for f in files:
             a, b = here / name / f, baseline / name / f
             if not b.exists():
