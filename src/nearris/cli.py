@@ -62,13 +62,23 @@ _Loader.add_implicit_resolver(
 
 
 def load_scenario(path, strict=True):
-    """Parse a scenario file into a Scenario, whose checks raise ValueError naming bad fields."""
+    """Parse a scenario file into a Scenario, whose checks raise ValueError naming bad fields.
+
+    A file that is not YAML, or whose format_version is present and not the
+    integer FORMAT_VERSION, raises a ValueError naming the file.
+    """
     with open(path) as fh:
-        raw = yaml.load(fh, Loader=_Loader)
+        try:
+            raw = yaml.load(fh, Loader=_Loader)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"scenario file {path} is not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"scenario file {path} is not a mapping")
     raw = dict(raw)
-    raw.pop("format_version", None)
+    version = raw.pop("format_version", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:  # not a bool, float or string
+        raise ValueError(f"scenario file {path}: format_version must be {FORMAT_VERSION}, "
+                         f"got {version!r}")
     if "carrier_ghz" not in raw:
         raise ValueError("scenario file missing required key: carrier_ghz")
     kwargs = {}

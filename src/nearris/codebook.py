@@ -10,10 +10,11 @@ a rectangular blockage area.
 A hierarchy is a tuple of levels, coarsest first, and a level is one
 array of shape (big_w_x, big_w_y, Q) holding the codeword of cell
 (w_x, w_y) at [w_x, w_y]; `check_levels` checks the level shapes and
-alpha for both the build and the scenario. The rasters and the codebook
-dump read these phase arrays. Trials read phasors instead, all from
-`cell_phasors`: the finest level's table, and the few codewords of the
-coarser levels that a search sounds, computed on demand.
+alpha for both the build and the scenario. The codebook dump reads these
+phase arrays, and the tests take them as the oracle. Trials and the
+heatmap read phasors instead, all from `cell_phasors`: the finest level's
+table, the few codewords of the coarser levels that a search sounds,
+computed on demand, and the one level a heatmap draws.
 """
 
 import warnings
@@ -170,7 +171,7 @@ def check_levels(level_shapes, alpha):
     """Reject level shapes or a codeword width alpha that cannot form a hierarchy.
 
     Shapes are pairs of positive integers, each refining the one before by
-    integer ratios (not both 1); alpha lies in (0, 1.5].
+    integer ratios (not both 1); alpha lies in (0, 1.5], and alpha > 1 warns.
     """
     if not isinstance(level_shapes, (list, tuple)) or not level_shapes:
         raise ValueError(f"codebook levels must be a non-empty list of pairs, got {level_shapes!r}")
@@ -184,14 +185,14 @@ def check_levels(level_shapes, alpha):
     for (ax, ay), (bx, by) in zip(level_shapes, level_shapes[1:]):
         if bx % ax or by % ay or (bx, by) == (ax, ay):
             raise ValueError(f"codebook level ({bx},{by}) does not refine ({ax},{ay})")
+    if alpha > 1.0:
+        warnings.warn(f"alpha={alpha} > 1 overlaps neighboring cells beyond their edges")
 
 
 def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
     """All codewords for (big_w_x, big_w_y) level shapes that pass `check_levels`: one
     (big_w_x, big_w_y, Q) array per level, coarsest first, filled a row of cells at a time."""
     check_levels(level_shapes, alpha)
-    if alpha > 1.0:
-        warnings.warn(f"alpha={alpha} > 1 overlaps neighboring cells beyond their edges")
     levels = []
     for shape in level_shapes:
         words = np.empty((*shape, geom.q))
@@ -210,8 +211,8 @@ def cell_phasors(shape, alpha, area, geom, p_i, lambda_m, pn, cells):
     `build_hierarchy`, one row each, from the RIS positions pn.
 
     Fills the rows W_y cells at a time, so a whole level in row-major order
-    (the finest level's table, row w_x * W_y + w_y) is built without holding
-    its phases whole.
+    (the finest level's table or a heatmap's level, row w_x * W_y + w_y) is
+    built without holding its phases whole.
     """
     w_x, w_y = np.array(cells).T
     table = np.empty((len(cells), geom.q), dtype=complex)

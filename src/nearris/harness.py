@@ -5,7 +5,8 @@ Two SNR pipelines coexist and are kept separate on purpose:
 * illumination maps (focusing cuts, codebook heatmaps) treat the BS as a
   point source at p_i and score P_ref * (PL1 * PL2 * |g_ris|)^2 / sigma2
   on the LOS geometry only, with a configurable reference power; both
-  reduce to one field kernel, (points, phase profiles) -> SNR dB;
+  reduce to one field kernel, (points, phasor profiles) -> SNR dB, and
+  the heatmap reads its level's phasors from `cell_phasors`;
 * link-level trials draw each link as arrays of path amplitudes, fadings
   and bounce points. Each trial index reduces H v, H1 v and H2 once,
   matrix-free, to a LOS and a scattered term each at 0 dB (`trial_draw`);
@@ -16,8 +17,8 @@ Two SNR pipelines coexist and are kept separate on purpose:
   link included) from the phasors exp(j*omega): the finest level's from
   its table, the codewords of a coarser level that a search sounds as one
   cached block (`Scenario.codewords`). The phase arrays of
-  `Scenario.build_codebook` serve the rasters and the codebook dump, and
-  are the tests' oracle of both. `build_trial_channels` and
+  `Scenario.build_codebook` serve the codebook dump, and are the tests'
+  oracle of the trials and the rasters. `build_trial_channels` and
   `Scenario.cascade` form the full matrices with `assemble_channel` and
   are the oracle of the channel reduction.
 
@@ -303,8 +304,8 @@ class Scenario:
     def build_codebook(self):
         """The hierarchy: one (W_x, W_y, Q) codeword array per level, coarsest first.
 
-        The rasters and `codebook dump` read it; trials read the phasors of
-        `statics()` and `codewords` instead.
+        `codebook dump` and the tests read it; trials read the phasors of
+        `statics()` and `codewords`, and the heatmap those of `cell_phasors`.
         """
         return build_hierarchy(*self._codebook_args())
 
@@ -585,19 +586,22 @@ def sweep_beta(scenario):
 # --- illumination pipeline (point-source GRCS maps) ----------------------
 
 # Points per block of the field kernel. It bounds the (points, Q)
-# temporaries: on the reference RIS a level-4 heatmap peaks near 165 MB
-# at 64 and 205 MB at 128, at the same speed within noise; 32 is slower.
+# temporaries: on the reference RIS, a process that draws a level-4 heatmap
+# peaks at 87, 104 and 134 MB at 32, 64 and 128 points per block, and all
+# three take 2.3-3.9 s, the same within the noise of a 2-core host.
 _FIELD_CHUNK = 64
 
 
-def _field_snr_db(scenario, points, profiles):
+def _field_snr_db(scenario, points, phasors):
     """Point-source illumination SNR in dB of each profile at each point, shape (P, K).
 
-    points is (P, 3); profiles is (K, Q), one RIS phase vector per row. The
-    BS is a point source at p_i, and each entry is
-    10*log10(P_ref * (PL1 * PL2 * |grcs(p_i, p, omega)|)^2 / sigma2), with
-    PL1 and PL2 the Friis amplitudes over the BS-RIS and RIS-point center
-    distances. Points are evaluated _FIELD_CHUNK at a time.
+    points is (P, 3); phasors is (K, Q), one profile exp(j*omega) per row, as
+    `codebook.cell_phasors` builds them. The BS is a point source at p_i, and
+    each entry is 10*log10(P_ref * (PL1 * PL2 * |grcs(p_i, p, omega)|)^2 / sigma2),
+    with PL1 and PL2 the Friis amplitudes over the BS-RIS and RIS-point center
+    distances. Points are evaluated _FIELD_CHUNK at a time; each block's path
+    phasors exp(j*k*(|p_i - p_n| + |p - p_n|)) carry both legs, so the
+    profiles are read as given.
     """
     geom = scenario.ris_geometry()
     lam = scenario.lambda_m
@@ -607,13 +611,14 @@ def _field_snr_db(scenario, points, profiles):
     p_ris = np.asarray(scenario.ris_center, dtype=float)
     pn = geom.element_positions()
     pl1 = free_space_amplitude(float(np.linalg.norm(p_i - p_ris)), lam)
+    d_i = distance(p_i, pn)
 
-    emat = cis(k * distance(p_i, pn)[:, None] + np.asarray(profiles, dtype=float).T)
-    out = np.empty((len(points), emat.shape[1]))
+    out = np.empty((len(points), len(phasors)))
     for s in range(0, len(points), _FIELD_CHUNK):
         p_r = points[s:s + _FIELD_CHUNK]
         d = distance(p_r[:, None, :], pn[None, :, :])
-        mags = np.abs(cis(k * d) @ emat) * g
+        d += d_i
+        mags = np.abs(cis(k * d) @ phasors.T) * g
         pl2 = free_space_amplitude(distance(p_r, p_ris), lam)
         out[s:s + _FIELD_CHUNK] = 10.0 * np.log10(
             scenario.illum_reference_power_w * (pl1 * pl2[:, None] * mags) ** 2 / scenario.sigma2
@@ -638,7 +643,7 @@ def focusing_cut(scenario, axis, half_range_m=8.0, steps=801):
     unit = np.array([1.0, 0, 0]) if axis == "x" else np.array([0, 1.0, 0])
     with np.errstate(all="ignore"):  # overflows are rejected below
         deltas = np.linspace(-half_range_m, half_range_m, steps)
-        snr = _field_snr_db(scenario, p_b + deltas[:, None] * unit, omega[None, :])[:, 0]
+        snr = _field_snr_db(scenario, p_b + deltas[:, None] * unit, cis(omega)[None, :])[:, 0]
     if not (np.isfinite(deltas).all() and np.isfinite(snr).all()):
         raise ValueError(f"focus cut: half range {half_range_m} m gives non-finite points or SNRs")
     return deltas, snr
@@ -658,13 +663,15 @@ def heatmap(scenario, level_index):
 
     level_index is 0-based into the codebook levels, and a ValueError
     names the valid range; the raster has scenario.illum_grid points per
-    axis. Builds that level alone and returns the grid of every codeword
-    of the level and their pointwise-max composite.
+    axis. Builds that level's phasors alone (`cell_phasors`, row
+    w_x * W_y + w_y) and returns the grid of every codeword of the level
+    and their pointwise-max composite.
     """
     levels, *args = scenario._codebook_args()
     if not 0 <= level_index < len(levels):
         raise ValueError(f"level_index {level_index} out of range 0..{len(levels) - 1}")
-    (level,) = build_hierarchy(levels[level_index:level_index + 1], *args)
+    shape = levels[level_index]  # args is (alpha, area, RIS geometry, p_i, lambda_m)
+    level = cell_phasors(shape, *args, args[2].element_positions(), list(np.ndindex(*shape)))
     n = scenario.illum_grid
 
     p_b = np.asarray(scenario.blockage_center, dtype=float)
@@ -672,8 +679,8 @@ def heatmap(scenario, level_index):
     ys = p_b[1] + np.linspace(-scenario.blockage_r_y / 2, scenario.blockage_r_y / 2, n)
     grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([grid_x.ravel(), grid_y.ravel(), np.full(n * n, p_b[2])])
-    flat = _field_snr_db(scenario, points, level.reshape(-1, level.shape[2]))
-    per_cell = flat.T.reshape(*level.shape[:2], n, n)
+    flat = _field_snr_db(scenario, points, level)
+    per_cell = flat.T.reshape(*shape, n, n)
     return HeatmapResult(level=level_index + 1, xs=xs, ys=ys,
                          per_cell=per_cell, composite=per_cell.max(axis=(0, 1)))
 

@@ -202,6 +202,26 @@ def test_load_rejects_non_mapping(tmp_path):
         load_scenario(p)
 
 
+def test_malformed_scenario_file_exits_2_before_any_output(tmp_path, capsys):
+    p = tmp_path / "broken.scn"
+    p.write_text("carrier_ghz: [28\n")
+    out = tmp_path / "o"
+    assert main(["sweep-beta", "--config", str(p), "--out-dir", str(out)]) == 2
+    assert f"error: scenario file {p}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("version", [7, True, "1", 1.0])
+@pytest.mark.parametrize("lax", [[], ["--lax"]])
+def test_format_version_other_than_1_exits_2_before_any_output(tmp_path, capsys, version, lax):
+    cfg = _edited_file(tmp_path, None, "format_version", version)
+    out = tmp_path / "o"
+    assert main(["farfield", "--config", str(cfg), "--out-dir", str(out), *lax]) == 2
+    assert (f"error: scenario file {cfg}: format_version must be 1, got {version!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_scenario_hash_tracks_content():
     a = tiny_scenario()
     b = tiny_scenario()

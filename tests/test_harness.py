@@ -93,6 +93,12 @@ def test_scenario_validation_messages():
             Scenario(**overrides)
 
 
+def test_scenario_warns_of_alpha_past_one():
+    # every command builds a Scenario, so each one warns for the same file
+    with pytest.warns(UserWarning, match=r"alpha=1\.2 > 1"):
+        small_scenario(codebook_alpha=1.2)
+
+
 def test_scenario_round_trips_through_dict(reference_scenario):
     d = reference_scenario.to_dict()
     assert d["carrier_hz"] == 28e9
@@ -630,27 +636,54 @@ def test_codebook_gaps_match_point_source_losses():
 # --- illumination pipeline -----------------------------------------------------------
 
 
+def point_source_snr_db(s, p, omega):
+    """The illumination budget of phase profile omega at point p, its GRCS summed directly."""
+    lam, p_ris = s.lambda_m, np.asarray(s.ris_center)
+    pl1 = free_space_amplitude(float(np.linalg.norm(np.asarray(s.bs_center) - p_ris)), lam)
+    pl2 = free_space_amplitude(float(np.linalg.norm(p - p_ris)), lam)
+    mag = abs(grcs(s.bs_center, p, omega, s.ris_geometry(), lam))
+    return 10 * np.log10(s.illum_reference_power_w * (pl1 * pl2 * mag) ** 2 / s.sigma2)
+
+
 def test_field_kernel_matches_grcs_oracle():
     # random points around the area and random profiles, more points than
     # one chunk: every entry equals the direct-summation GRCS in the
     # point-source budget
     s = small_scenario()
-    geom = s.ris_geometry()
-    lam = s.lambda_m
     rng = np.random.default_rng(9)
     points = np.asarray(s.blockage_center) + rng.uniform(-8.0, 8.0, (_FIELD_CHUNK + 5, 3))
-    profiles = rng.uniform(0, 2 * np.pi, (3, geom.q))
-    got = _field_snr_db(s, points, profiles)
+    profiles = rng.uniform(0, 2 * np.pi, (3, s.ris_geometry().q))
+    got = _field_snr_db(s, points, nr.cis(profiles))
     assert got.shape == (len(points), len(profiles))
-    pl1 = free_space_amplitude(
-        float(np.linalg.norm(np.asarray(s.bs_center) - np.asarray(s.ris_center))), lam
-    )
     for i, p in enumerate(points):
-        pl2 = free_space_amplitude(float(np.linalg.norm(p - np.asarray(s.ris_center))), lam)
         for j, omega in enumerate(profiles):
-            mag = abs(grcs(s.bs_center, p, omega, geom, lam))
-            expect = 10 * np.log10(s.illum_reference_power_w * (pl1 * pl2 * mag) ** 2 / s.sigma2)
-            assert got[i, j] == pytest.approx(expect, rel=1e-9)
+            assert got[i, j] == pytest.approx(point_source_snr_db(s, p, omega), rel=1e-9)
+
+
+def test_heatmap_cells_match_grcs_oracle():
+    # every cell's raster, at a few points, is the point-source budget of
+    # that cell's phase codeword: the cell order of the level's phasors is
+    # the order of the per_cell axes
+    s = small_scenario(illum_grid=5)
+    level = 1
+    hm = heatmap(s, level)
+    words = s.build_codebook()[level]
+    assert hm.per_cell.shape == (*words.shape[:2], 5, 5)
+    for ix, iy in [(0, 0), (1, 3), (4, 2), (3, 4)]:
+        p = np.array([hm.xs[ix], hm.ys[iy], s.blockage_center[2]])
+        for wx, wy in np.ndindex(*words.shape[:2]):
+            assert hm.per_cell[wx, wy, ix, iy] == pytest.approx(
+                point_source_snr_db(s, p, words[wx, wy]), rel=1e-9)
+
+
+def test_heatmap_builds_no_phase_array(monkeypatch):
+    # the raster reads its level's phasors from `cell_phasors`, as trials do
+    def no_phase_arrays(*args):
+        raise AssertionError("heatmap built a phase array")
+
+    monkeypatch.setattr(harness, "build_hierarchy", no_phase_arrays)
+    hm = heatmap(small_scenario(illum_grid=4), 2)
+    assert hm.per_cell.shape == (4, 8, 4, 4)
 
 
 def test_focusing_cut_center_equals_analytic_peak():

@@ -22,7 +22,7 @@ records timings and paths) of every run byte for byte and prints one line
 per file: `same`, `DIFFERS`, or which side lacks it. It exits 1 if any file
 differs or is missing on one side, and 0 otherwise. A change that must keep
 the outputs byte-identical runs it against its parent commit's checkout.
-It takes about 55 s on a 2-core host.
+It takes about 75 s on a 2-core host.
 """
 
 import argparse
