@@ -13,6 +13,7 @@ import numpy as np
 
 import nearris as nr
 from nearris import benchmarks as bm
+from nearris.beam_mgmt import at_scale
 
 
 def main():
@@ -22,12 +23,13 @@ def main():
 
     print("building the campaign statics (the finest level's phasor table)...")
     table = s.statics().finest
-    draw = nr.trial_draw(s, trial)  # each link's LOS and scattered terms at 0 dB
-    p_mu, _, focus = draw
+    # (d, A) as polynomials in s = 10^(-beta/20), and B1's and B2's products with them
+    draw = nr.trial_draw(s, trial)
+    p_mu, scale = draw.p_mu, 10.0 ** (-beta_db / 20.0)
     print(f"user drawn at ({p_mu[0]:.2f}, {p_mu[1]:.2f}, {p_mu[2]:.2f}) m, "
           f"beta = {beta_db:g} dB\n")
 
-    d, a = s.link_cascade(draw, beta_db)
+    d, a = at_scale(draw.d, scale), at_scale(draw.c, scale)
 
     trace = s.search(d, a)
     for depth, rec in enumerate(trace.levels):
@@ -41,8 +43,8 @@ def main():
 
     rows = [
         ("hierarchical search", trace.levels[-1].snrs.max(), f"{trace.pilot_count} pilots"),
-        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(d, a, table), f"{len(table)} pilots"),
-        (bm.B2_FULL_FOCUSING, bm.benchmark2_full_focusing(d, a, focus), "exact MU position"),
+        (bm.B1_FULL_CODEBOOK, bm.benchmark1_full_search(draw.b1, scale), f"{len(table)} pilots"),
+        (bm.B2_FULL_FOCUSING, bm.benchmark2_full_focusing(draw.b2, scale), "exact MU position"),
         (bm.B3_FULL_CSI, bm.benchmark3_full_csi(d, a),
          f"{2 * a.shape[1]} channel coefficients"),
     ]

@@ -39,7 +39,10 @@ from .codebook import (
 )
 from .beam_mgmt import (
     SearchTrace,
+    at_scale,
+    basis_products,
     bs_precoder_focus_ris,
+    cascade_basis,
     hierarchical_search,
     mu_combiners,
     received_snr,

@@ -6,13 +6,19 @@ fixed, so a realization reduces once to a direct term d and an effective
 cascade A, one row per combiner, in noise-amplitude units: the SNR under
 RIS phases omega is max_i |d_i + A_i exp(j*omega)|^2. Scoring reads the
 phasors exp(j*omega), not the phases, so a campaign can exponentiate its
-static codewords once. One "pilot" is one SNR measurement under one RIS
-codeword. Every scheme that sounds codewords scores a block of them, one
-profile per row, in one call, and takes the first maximum in row-major
-cell order, so ties go to the lowest cell index. The hierarchical search
-sounds the full first codebook level, then only the children of each
-level's winner, asking its caller for just those codewords. It only reads
-them, so the caller may hand back a block that it keeps for later searches.
+static codewords once. When a beta scales the channels' scattered terms
+by one scalar s, (d, A) is a basis of three terms in s
+(`cascade_basis`, read at one s by `at_scale`), and a fixed block of
+profiles, such as the finest level's table, is scored at every s from its
+products with that basis (`basis_products`, `basis_snr`), taken once, one
+matrix-vector product per term and combiner row. One "pilot" is one SNR
+measurement under one RIS codeword. Every scheme that sounds codewords
+scores a block of them, one profile per row, in one call, and takes the
+first maximum in row-major cell order, so ties go to the lowest cell
+index. The hierarchical search sounds the full first codebook level, then
+only the children of each level's winner, asking its caller for just
+those codewords. It only reads them, so the caller may hand back a block
+that it keeps for later searches.
 """
 
 from dataclasses import dataclass, field
@@ -59,6 +65,47 @@ def reduce_cascade(hv, h1v, h2, g, uh, sigma):
     if not sigma > 0:  # also rejects NaN
         raise ValueError("sigma must be positive")
     return uh @ hv / sigma, uh @ (g * h2 * h1v) / sigma
+
+
+def cascade_basis(hv, h1v, h2, g, uh, sigma):
+    """`reduce_cascade` of channels that a beta scales by one scalar s, as polynomials in s.
+
+    hv, h1v and h2 are each a (LOS, scattered) pair, the channel at s being
+    LOS + s * scattered. Returns (D, C), of shapes (3, N_mu) and (3, N_mu, Q):
+    d = D_0 + s D_1 (D_2 = 0) and A = C_0 + s C_1 + s^2 C_2 (`at_scale`),
+    where C_k reduces the s^k coefficient of H2 (.) (H1 v).
+    """
+    (l_h, n_h), (l_1, n_1), (l_2, n_2) = hv, h1v, h2
+    terms = [reduce_cascade(h, 1.0, x, g, uh, sigma)
+             for h, x in ((l_h, l_2 * l_1), (n_h, l_2 * n_1 + n_2 * l_1),
+                          (np.zeros_like(l_h), n_2 * n_1))]
+    return tuple(np.stack(t) for t in zip(*terms))
+
+
+def at_scale(basis, s):
+    """basis[0] + s basis[1] + s^2 basis[2], in Horner's form, of a (3, ...) basis."""
+    return basis[0] + s * (basis[1] + s * basis[2])
+
+
+def basis_products(e, d, c):
+    """The (3, N_mu, K) products E C_k^T + D_k of (K, Q) phasor profiles with a basis.
+
+    at_scale of the result is E A^T + d at s, the received amplitudes of
+    `received_snr`. Each product is one matrix-vector product per combiner
+    row, whose entries are each the dot product of one profile with that
+    row, so its bits do not depend on the BLAS thread count.
+    """
+    y = np.empty((3, *c.shape[1:-1], len(e)), dtype=complex)
+    for k in range(3):
+        for u, row in enumerate(c[k]):
+            y[k, u] = e @ row
+    y += d[:, :, None]
+    return y
+
+
+def basis_snr(y, s):
+    """Linear SNR max |at_scale(y, s)|^2 over every profile and combiner of basis products y."""
+    return np.max(np.abs(at_scale(y, s)) ** 2)
 
 
 def received_snr(d, a, e):

@@ -1,17 +1,18 @@
 """Reference schemes the hierarchical search is compared against.
 
-B1 exhaustively sounds the finest codebook level, read from its
-`cell_phasors` table, `Scenario.statics().finest`; B2 focuses on the exact MU
-position, with the phasors that `harness.trial_draw` builds once per trial
-index; B3 phase-conjugates the cascaded per-element channel from full
-CSI. All read only the trial's (d, A) from `beam_mgmt.reduce_cascade`
-and their own codewords, and return the same linear SNR as the proposed
-scheme, direct link included.
+B1 exhaustively sounds the finest codebook level, the rows of its
+`cell_phasors` table `Scenario.statics().finest`; B2 focuses on the exact
+MU position. Neither reads the table or the codeword at a beta: a trial
+index's `harness.trial_draw` takes their `beam_mgmt.basis_products` with the
+basis of its (d, A) once, and a beta then costs O(W_x * W_y * N_mu) for B1
+and O(N_mu) for B2. B3 phase-conjugates the cascaded per-element channel
+from full CSI, from the trial's (d, A). All three return the same linear
+SNR as the proposed scheme, direct link included.
 """
 
 import numpy as np
 
-from .beam_mgmt import received_snr
+from .beam_mgmt import basis_snr
 
 B1_FULL_CODEBOOK = "B1_full_codebook"
 B2_FULL_FOCUSING = "B2_full_focusing"
@@ -19,18 +20,20 @@ B3_FULL_CSI = "B3_full_csi"
 PROPOSED = "proposed"
 
 
-def benchmark1_full_search(d, a, table):
-    """Exhaustive search over the finest level, scored as one block.
+def benchmark1_full_search(y, s):
+    """Exhaustive search over the finest level at s = 10^(-beta/20).
 
-    table is the level's (W_x * W_y, Q) phasors (`codebook.cell_phasors`),
-    and the result max |table A^T + d|^2; costs W_x * W_y pilots.
+    y is the (3, N_mu, W_x * W_y) `basis_products` of the level's phasors
+    (`codebook.cell_phasors`), and the result max |table A^T + d|^2 over
+    every cell and combiner; costs W_x * W_y pilots.
     """
-    return received_snr(d, a, table).max()
+    return basis_snr(y, s)
 
 
-def benchmark2_full_focusing(d, a, focus):
-    """Genie-aided focusing on the exact MU position: focus is its (Q,) phasors."""
-    return received_snr(d, a, focus)
+def benchmark2_full_focusing(y, s):
+    """Genie-aided focusing on the exact MU position: y is the (3, N_mu, 1)
+    `basis_products` of its phasors, read at s as B1's."""
+    return basis_snr(y, s)
 
 
 def benchmark3_full_csi(d, a):

@@ -63,22 +63,21 @@ def grcs(p_i, p_r, omega, geom, lambda_m):
     return g * np.sum(np.exp(1j * (k * d + omega)))
 
 
-def focusing_phases(p_i, p_target, geom, lambda_m, pn=None):
+def focusing_phases(p_i, p_target, geom, lambda_m):
     """Phase profile that maximizes |grcs(p_i, p_target)|, attaining g*Q.
 
     omega_n = -k*(|p_i - p_n| + |p_target - p_n|): each summand of the
-    reflection sum becomes real-positive at the target point; pn defaults
-    to geom.element_positions().
+    reflection sum becomes real-positive at the target point.
     """
-    pn = geom.element_positions() if pn is None else pn
     k = _TWO_PI / lambda_m
-    d = distance(p_i, pn)
-    d += distance(p_target, pn)
+    d, d_target = geom.distances([p_i, p_target])
+    d += d_target
     return -k * d
 
 
-def _image_planes(p, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
-    """x and y of the image points of `mapping` for (n, 3) positions p, each S + (n,).
+def _image_planes(y, z, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
+    """x and y of the image points of `mapping` for element y and z values, S + z.shape
+    and S + y.shape: x varies with the cell and z alone, y with the cell and y alone.
 
     Every image point lies at the area's height area.center[2].
     """
@@ -92,8 +91,8 @@ def _image_planes(p, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
     t_y = (w_y[..., None] + 0.5) * area.r_y / big_w_y - area.r_y / 2.0
     delta_x = alpha * area.r_x / big_w_x
     delta_y = alpha * area.r_y / big_w_y
-    rel_y = p[:, 1] - geom.center[1]
-    rel_z = p[:, 2] - geom.center[2]
+    rel_y = y - geom.center[1]
+    rel_z = z - geom.center[2]
     x = delta_x / l_z * rel_z + t_x
     x += area.center[0]
     y = delta_y / l_y * rel_y + t_y
@@ -118,7 +117,7 @@ def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
     p = np.asarray(p_n, dtype=float)
     single = p.ndim == 1
     p = np.atleast_2d(p)
-    x, y = _image_planes(p, area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
+    x, y = _image_planes(p[:, 1], p[:, 2], area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
     out = np.empty(x.shape + (3,))
     out[..., 0] = x
     out[..., 1] = y
@@ -126,25 +125,29 @@ def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
     return out[..., 0, :] if single else out
 
 
-def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w_y, alpha,
-                             pn=None):
+def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w_y, alpha):
     """Codeword spreading the reflection over cell (w_x, w_y) of the area.
 
     omega_n = -k*(|M(p_n) - p_n| - |M(p_n) - p_ris| + |p_i - p_n|), with M
     the per-element mapping above. Each element focuses on its own image
     point; the -|M - p_ris| term keeps the profile phase-continuous across
     the aperture. Array cell indices broadcast as in `mapping`, to S + (Q,).
-    The image points enter as x and y planes and one height, so no S + (Q, 3)
-    array is made; pn defaults to geom.element_positions().
+    The image points' x varies with the cell and the element's z only, and
+    their y with the cell and the element's y only, so both `hypot3` calls
+    square their x terms on S + (1, q_z) and their y terms on S + (q_y, 1)
+    grids and sum them in `distance`'s order: the bits of the formula over
+    S + (Q, 3) image points, with no such array and no per-element positions.
     """
-    pn = geom.element_positions() if pn is None else pn
-    m_x, m_y = _image_planes(pn, area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
+    x, ys, zs = geom.axes()
+    m_x, m_y = _image_planes(ys, zs, area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
+    m_x, m_y = m_x[..., None, :], m_y[..., :, None]
     m_z = area.center[2]
     c = geom.center
     k = _TWO_PI / lambda_m
-    d = hypot3(m_x - pn[:, 0], m_y - pn[:, 1], m_z - pn[:, 2])
+    d = hypot3(m_x - x, m_y - ys[:, None], m_z - zs)
     d -= hypot3(m_x - c[0], m_y - c[1], m_z - c[2])
-    d += distance(p_i, pn)
+    d = d.reshape(*d.shape[:-2], geom.q)
+    d += geom.distances([p_i])[0]
     d *= -k
     return d
 
@@ -206,9 +209,9 @@ def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
     return tuple(levels)
 
 
-def cell_phasors(shape, alpha, area, geom, p_i, lambda_m, pn, cells):
+def cell_phasors(shape, alpha, area, geom, p_i, lambda_m, cells):
     """Read-only exp(j*omega) of the cells ((w_x, w_y), ...) of a (W_x, W_y) level of
-    `build_hierarchy`, one row each, from the RIS positions pn.
+    `build_hierarchy`, one row each.
 
     Fills the rows W_y cells at a time, so a whole level in row-major order
     (the finest level's table or a heatmap's level, row w_x * W_y + w_y) is
@@ -219,7 +222,7 @@ def cell_phasors(shape, alpha, area, geom, p_i, lambda_m, pn, cells):
     for s in range(0, len(cells), shape[1]):
         cut = slice(s, s + shape[1])
         phases = wide_illumination_phases(p_i, area, geom, lambda_m, w_x[cut], w_y[cut],
-                                          *shape, alpha, pn)  # bound as build_hierarchy's row
+                                          *shape, alpha)  # bound as build_hierarchy's row
         table[cut] = cis(phases)
     table.flags.writeable = False
     return table

@@ -4,10 +4,12 @@ All positions are length-3 float arrays (x, y, z) in meters in a shared
 right-handed Cartesian frame. The RIS lies in the y-z plane and the BS
 array in the x-z plane; element grids are uniformly spaced and centered
 on the declared array center. `distance` is the package's one distance
-formula: `hypot3` of the component differences, which the codeword
-formula calls directly on its image-point planes. `cis` is the one phasor
-formula of the channels, the precoder, the codewords and the field kernel;
-`codebook.grcs` keeps numpy's complex exponential as their oracle.
+formula: `hypot3` of the component differences. `RisGeometry.distances`
+and the codeword formula take its sums on the RIS grid's axes, where each
+component difference varies along one axis only, with the same bits.
+`cis` is the one phasor formula of the channels, the precoder, the
+codewords and the field kernel; `codebook.grcs` keeps numpy's complex
+exponential as their oracle.
 """
 
 from dataclasses import dataclass
@@ -118,15 +120,37 @@ class RisGeometry:
         """(L_y, L_z) edge-to-edge grid span counting one cell per element."""
         return self.q_y * self.d_y, self.q_z * self.d_z
 
+    def axes(self):
+        """(x, ys, zs): the elements' common x, and their q_y y and q_z z values."""
+        return (self.center[0], self.center[1] + _centered_offsets(self.q_y, self.d_y),
+                self.center[2] + _centered_offsets(self.q_z, self.d_z))
+
     def element_positions(self):
         """All Q element positions, shape (Q, 3), canonical order."""
-        oy = _centered_offsets(self.q_y, self.d_y)
-        oz = _centered_offsets(self.q_z, self.d_z)
-        yy, zz = np.meshgrid(oy, oz, indexing="ij")
-        out = np.tile(self.center, (self.q, 1))
-        out[:, 1] += yy.ravel()
-        out[:, 2] += zz.ravel()
+        x, ys, zs = self.axes()
+        yy, zz = np.meshgrid(ys, zs, indexing="ij")
+        out = np.empty((self.q, 3))
+        out[:, 0] = x
+        out[:, 1] = yy.ravel()
+        out[:, 2] = zz.ravel()
         return out
+
+    def distances(self, points):
+        """Distance from each of the (P, 3) points to each element, shape (P, Q).
+
+        Equals distance(points[:, None], element_positions()[None]) bit for
+        bit: the squared x and y differences are summed on a (P, q_y) grid,
+        then the squared z differences of a (P, q_z) grid are added, in
+        `hypot3`'s order, so only that sum and the root are taken per pair.
+        """
+        p = np.asarray(points, dtype=float)
+        x, ys, zs = self.axes()
+        dx = p[:, 0, None] - x
+        dy = p[:, 1, None] - ys
+        dz = p[:, 2, None] - zs
+        s = dx * dx + dy * dy
+        s = s[:, :, None] + (dz * dz)[:, None, :]
+        return np.sqrt(s, out=s).reshape(len(p), self.q)
 
 
 def ris_from_aperture(center, size_y_m, size_z_m, d_y, d_z):

@@ -5,20 +5,26 @@ Two SNR pipelines coexist and are kept separate on purpose:
 * illumination maps (focusing cuts, codebook heatmaps) treat the BS as a
   point source at p_i and score P_ref * (PL1 * PL2 * |g_ris|)^2 / sigma2
   on the LOS geometry only, with a configurable reference power; both
-  reduce to one field kernel, (points, phasor profiles) -> SNR dB, and
-  the heatmap reads its level's phasors from `cell_phasors`;
+  reduce to one field kernel, (points, phasor profiles) -> SNR dB, which
+  takes its point-to-element distances on the RIS grid's axes
+  (`RisGeometry.distances`), and the heatmap reads its level's phasors
+  from `cell_phasors`;
 * link-level trials draw each link as arrays of path amplitudes, fadings
-  and bounce points. Each trial index reduces H v, H1 v and H2 once,
-  matrix-free, to a LOS and a scattered term each at 0 dB (`trial_draw`);
-  a beta scales every scattered term by one scalar and sums them to a
-  direct term d and an effective cascade A in noise-amplitude units, one
-  row per MU combiner (`Scenario.link_cascade`). Every scheme reads that pair
-  alone and scores max_u |d_u + A_u exp(j*omega)|^2 (combiner and direct
-  link included) from the phasors exp(j*omega): the finest level's from
-  its table, the codewords of a coarser level that a search sounds as one
-  cached block (`Scenario.codewords`). The phase arrays of
-  `Scenario.build_codebook` serve the codebook dump, and are the tests'
-  oracle of the trials and the rasters. `build_trial_channels` and
+  and bounce points. A beta scales every link's scattered term at 0 dB by
+  one scalar s = 10^(-beta/20), so a trial's direct term d and effective
+  cascade A, in noise-amplitude units and one row per MU combiner, are
+  polynomials in s: d = D_0 + s D_1 and A = C_0 + s C_1 + s^2 C_2. Each
+  trial index reduces H v, H1 v and H2 once, matrix-free and with every
+  RIS leg's distances taken on the grid, to that basis (`trial_draw`).
+  Every scheme scores max_u |d_u + A_u exp(j*omega)|^2 (combiner and
+  direct link included) from the phasors exp(j*omega). The search and B3
+  form (d, A) at each beta, O(N_mu Q), and the search sounds the codewords
+  of a coarser level as one cached block (`Scenario.codewords`) and the
+  finest level's from its table. B1 and B2 read the table and their
+  codeword once per trial index, as the products E C_k^T + D_k
+  (`basis_products`), so a beta costs them O(W_x W_y N_mu). The phase
+  arrays of `Scenario.build_codebook` serve the codebook dump, and are the
+  tests' oracle of the trials and the rasters. `build_trial_channels` and
   `Scenario.cascade` form the full matrices with `assemble_channel` and
   are the oracle of the channel reduction.
 
@@ -29,11 +35,12 @@ so all betas of a trial index share its links up to the NLOS amplitudes
 `Scenario.statics()`, of the scenario alone, which keeps the last searched
 block of each coarser level, and `trial_draw(scenario, trial)`. A
 campaign runs index by index, so it builds the statics and level 1's
-block once per process, each index's link terms and B2 codeword once for
-all its betas, and each block of children once per winner path that its
-betas follow.
+block once per process, each index's basis and B1 and B2 products once
+for all its betas, and each block of children once per winner path that
+its betas follow.
 """
 
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -43,7 +50,15 @@ from numbers import Real
 import numpy as np
 
 from . import benchmarks as bm
-from .beam_mgmt import bs_precoder_focus_ris, hierarchical_search, mu_combiners, reduce_cascade
+from .beam_mgmt import (
+    at_scale,
+    basis_products,
+    bs_precoder_focus_ris,
+    cascade_basis,
+    hierarchical_search,
+    mu_combiners,
+    reduce_cascade,
+)
 from .channel import (
     ChannelSet,
     LinkPaths,
@@ -66,6 +81,7 @@ from .codebook import (
 )
 from .geometry import (
     PlanarArrayGeometry,
+    RisGeometry,
     cis,
     distance,
     far_field_distance,
@@ -256,40 +272,25 @@ class Scenario:
     @lru_cache(maxsize=1)  # on the class, so a pickled scenario carries no tables
     def statics(self):
         """The record of what trials read of this scenario alone, kept for the last scenario."""
-        lam = self.lambda_m
+        lam, ris = self.lambda_m, self.ris_geometry()
         bs_pos = self.bs_geometry().element_positions()
-        ris_pos = self.ris_geometry().element_positions()
         v = bs_precoder_focus_ris(bs_pos, self.ris_center, lam, self.p_bs_watts)
         (*coarser, finest), *args = self._codebook_args()
         return CampaignStatics(
-            bs_pos=bs_pos, ris_pos=ris_pos, v=v, g=unit_cell_factor(self.ris_geometry(), lam),
+            bs_pos=bs_pos, ris=ris, v=v, g=unit_cell_factor(ris, lam),
             uh=mu_combiners(self.n_mu).conj(), sigma=np.sqrt(self.sigma2),
-            los=leg_phasors(ris_pos, bs_pos, lam, +1) @ v,
-            finest=cell_phasors(finest, *args, ris_pos, list(np.ndindex(*finest))),
-            blocks=tuple(lru_cache(maxsize=1)(partial(cell_phasors, shape, *args, ris_pos))
+            los=v @ _ris_legs(ris, bs_pos, lam),
+            finest=cell_phasors(finest, *args, list(np.ndindex(*finest))),
+            blocks=tuple(lru_cache(maxsize=1)(partial(cell_phasors, shape, *args))
                          for shape in coarser))
 
     def cascade(self, channels):
-        """(d, A) of a trial's full channel matrices: the oracle of `link_cascade`."""
+        """(d, A) of a trial's full channel matrices: the oracle of `trial_draw`'s basis."""
         v = bs_precoder_focus_ris(self.bs_geometry().element_positions(), self.ris_center,
                                   self.lambda_m, self.p_bs_watts)
         return reduce_cascade(channels.h @ v, channels.h1 @ v, channels.h2,
                               unit_cell_factor(self.ris_geometry(), self.lambda_m),
                               mu_combiners(self.n_mu).conj(), np.sqrt(self.sigma2))
-
-    def link_cascade(self, draw, beta_db):
-        """(d, A) at beta of a trial index's `trial_draw`, without the (Q, N_bs) H1.
-
-        Each of H v, H1 v and H2 is its link's LOS term plus its scattered
-        term at 0 dB times s = 10^(-beta_db/20), one scalar for every link
-        (all-zero for a link without NLOS paths). That is `at_beta` under
-        both beta semantics: `apply_beta`'s factor is proportional to
-        10^(-b/20), and b is beta_db plus a per-link offset free of beta.
-        """
-        st = self.statics()
-        s = 10.0 ** (-beta_db / 20.0)
-        hv, h1v, h2 = (los + s * scattered for los, scattered in draw[1])
-        return reduce_cascade(hv, h1v, h2, st.g, st.uh, st.sigma)
 
     def blockage_area(self):
         return BlockageArea(
@@ -335,12 +336,13 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class CampaignStatics:
-    """`Scenario.statics()`: positions, v, g, conj(U), sigma, the LOS projection E v, and
-    the read-only phasors of `codebook.cell_phasors`: the finest level's (W_x * W_y, Q)
-    table, and per coarser level a one-slot cache of its blocks of the cells asked."""
+    """`Scenario.statics()`: the BS positions, the RIS geometry, v, g, conj(U), sigma, the
+    LOS projection E v, and the read-only phasors of `codebook.cell_phasors`: the finest
+    level's (W_x * W_y, Q) table, and per coarser level a one-slot cache of its blocks of
+    the cells asked."""
 
     bs_pos: np.ndarray
-    ris_pos: np.ndarray
+    ris: RisGeometry
     v: np.ndarray
     g: float
     uh: np.ndarray
@@ -448,28 +450,61 @@ def at_beta(scenario, links, beta_db):
     return tuple(out)
 
 
+def _ris_legs(ris, points, lambda_m):
+    """exp(+j*k*|p - p_n|) from each of the (P, 3) points to each RIS element, shape (P, Q):
+    `leg_phasors` of the RIS links from the grid's distances (`RisGeometry.distances`)."""
+    return cis((2.0 * np.pi / lambda_m) * ris.distances(points))
+
+
+@dataclass(frozen=True, eq=False)
+class TrialDraw:
+    """`trial_draw(scenario, trial)`: what every beta of a trial index reads.
+
+    Each (3, ...) array is a basis in s = 10^(-beta_db/20) that `at_scale`
+    reads at one beta: d and c give the trial's (d, A) (`cascade_basis`),
+    b1 and b2 their `basis_products` with B1's finest-level table and B2's
+    focusing phasors.
+    """
+
+    p_mu: np.ndarray  # (3,) MU position
+    d: np.ndarray     # (3, N_mu)
+    c: np.ndarray     # (3, N_mu, Q)
+    b1: np.ndarray    # (3, N_mu, W_x * W_y)
+    b2: np.ndarray    # (3, N_mu, 1)
+
+
 @lru_cache(maxsize=1)
 def trial_draw(scenario, trial):
     """The beta-free part of a trial, kept for the last (scenario, trial) asked.
 
-    Returns (p_mu, terms, focus): terms are the (LOS, scattered) pairs
-    (`sum_paths`) of H v, H1 v and H2 of the links at beta = 0 dB, blockage
-    included (`at_beta`), in the conventions of `build_trial_channels`,
-    without an (n_rx, N_bs) matrix; focus is B2's phasors.
+    A beta scales every link's scattered term at 0 dB by one scalar
+    s = 10^(-beta_db/20), under both beta semantics: `apply_beta`'s factor
+    is proportional to 10^(-b/20), and b is beta_db plus a per-link offset
+    free of beta. So (d, A) at beta is a polynomial in s of degree 1 and 2.
+    This reduces the (LOS, scattered) pairs (`sum_paths`) of H v, H1 v and H2
+    of the links at beta = 0 dB, blockage included (`at_beta`), to that
+    basis, in the conventions of `build_trial_channels` but without an
+    (n_rx, N_bs) matrix; every RIS leg's distances come from the RIS grid.
+    It then reads B1's 256-row table and B2's codeword once for all betas:
+    one matrix-vector product per basis term and combiner row each.
+    Returns a `TrialDraw`.
     """
     st, lam = scenario.statics(), scenario.lambda_m
     links, p_mu = draw_trial_links(scenario, trial)
-    bs_pos, ris_pos, v, mu_pos = st.bs_pos, st.ris_pos, st.v, mu_antenna_positions(scenario, p_mu)
+    bs_pos, ris, v, mu_pos = st.bs_pos, st.ris, st.v, mu_antenna_positions(scenario, p_mu)
     direct, bs_ris, ris_mu = at_beta(scenario, links, 0.0)
     s_h, s_1, s_2 = (link.scatterers for link in links)
-    terms = (sum_paths(direct, leg_phasors(mu_pos, bs_pos, lam, -1) @ v,
-                       leg_phasors(mu_pos, s_h, lam, -1), leg_phasors(bs_pos, s_h, lam, -1).T @ v),
-             sum_paths(bs_ris, st.los, leg_phasors(ris_pos, s_1, lam, +1),
-                       leg_phasors(bs_pos, s_1, lam, +1).T @ v),
-             sum_paths(ris_mu, leg_phasors(mu_pos, ris_pos, lam, +1),
-                       leg_phasors(mu_pos, s_2, lam, +1), leg_phasors(ris_pos, s_2, lam, +1)))
-    focus = cis(focusing_phases(scenario.bs_center, p_mu, scenario.ris_geometry(), lam, ris_pos))
-    return p_mu, terms, focus
+    d, c = cascade_basis(
+        sum_paths(direct, leg_phasors(mu_pos, bs_pos, lam, -1) @ v,
+                  leg_phasors(mu_pos, s_h, lam, -1), leg_phasors(bs_pos, s_h, lam, -1).T @ v),
+        sum_paths(bs_ris, st.los, _ris_legs(ris, s_1, lam).T,
+                  leg_phasors(bs_pos, s_1, lam, +1).T @ v),
+        sum_paths(ris_mu, _ris_legs(ris, mu_pos, lam),
+                  leg_phasors(mu_pos, s_2, lam, +1), _ris_legs(ris, s_2, lam).T),
+        st.g, st.uh, st.sigma)
+    focus = cis(focusing_phases(scenario.bs_center, p_mu, ris, lam))
+    return TrialDraw(p_mu=p_mu, d=d, c=c, b1=basis_products(st.finest, d, c),
+                     b2=basis_products(focus[None], d, c))
 
 
 def build_trial_channels(scenario, beta_db, trial):
@@ -478,8 +513,8 @@ def build_trial_channels(scenario, beta_db, trial):
     The BS-RIS and RIS-MU matrices use the phase-advance convention (+j)
     consistently with the reflection model behind the codebook; the direct
     matrix uses the opposite sign. Trials reduce the same links without
-    these matrices (`Scenario.link_cascade`); this form serves as their
-    oracle and for `simulate --dump-channels`.
+    these matrices (`trial_draw`); this form serves as their oracle and for
+    `simulate --dump-channels`.
     """
     lam = scenario.lambda_m
     links, p_mu = draw_trial_links(scenario, trial)
@@ -496,17 +531,20 @@ def run_trial(scenario, beta_db, trial):
     """All schemes on one realization; deterministic in (scenario, beta, trial).
 
     Reads the cached `scenario.statics()` and `trial_draw(scenario, trial)`,
-    which the other betas of the trial index share. A non-finite SNR raises
-    a ValueError, with no overflow warning first.
+    which the other betas of the trial index share, at s = 10^(-beta_db/20):
+    the search and B3 form (d, A) from the draw's basis, O(N_mu Q), and B1
+    and B2 read their basis products, O(W_x W_y N_mu). A non-finite SNR
+    raises a ValueError, with no overflow warning first.
     """
-    p_mu, _, focus = draw = trial_draw(scenario, trial)
+    draw = trial_draw(scenario, trial)
+    s = 10.0 ** (-beta_db / 20.0)
     with np.errstate(over="ignore"):  # an overflow gives an infinite SNR, rejected below
-        d, a = scenario.link_cascade(draw, beta_db)
+        d, a = at_scale(draw.d, s), at_scale(draw.c, s)
         trace = scenario.search(d, a)
         snr = {
             bm.PROPOSED: trace.levels[-1].snrs.max(),
-            bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(d, a, scenario.statics().finest),
-            bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(d, a, focus),
+            bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(draw.b1, s),
+            bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(draw.b2, s),
         }
         if scenario.n_mu == 1:
             snr[bm.B3_FULL_CSI] = bm.benchmark3_full_csi(d, a)
@@ -516,7 +554,7 @@ def run_trial(scenario, beta_db, trial):
     return TrialResult(
         trial=trial,
         beta_db=beta_db,
-        mu_position=tuple(float(x) for x in p_mu),
+        mu_position=tuple(float(x) for x in draw.p_mu),
         snr_db=snr_db,
         pilots=trace.pilot_count,
         winners=[tuple(rec.winner) for rec in trace.levels],
@@ -533,8 +571,8 @@ def run_campaign(scenario):
     """Monte Carlo over (beta, trial); results in (beta order, trial) order.
 
     Runs scenario.trials trial indices in this process at 1 worker, else on
-    a pool of scenario.workers processes, or of one per index when there
-    are fewer; a job is one index at every beta of scenario.beta_list_db,
+    a pool of scenario.workers processes, capped at one per index and one
+    per core; a job is one index at every beta of scenario.beta_list_db,
     sharing its draw. Every process builds the statics and imports
     numpy.random before its first trial (`_before_trials`). Output is
     bit-identical for any worker count: each trial is a pure function of
@@ -545,7 +583,8 @@ def run_campaign(scenario):
         _before_trials(scenario)
         rows = list(map(job, trials))
     else:
-        workers = min(scenario.workers, scenario.trials)  # each one builds the statics
+        # each process builds the statics, and more processes than cores only queue
+        workers = min(scenario.workers, scenario.trials, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers, initializer=_before_trials,
                                  initargs=(scenario,)) as ex:
             rows = list(ex.map(job, trials))
@@ -599,7 +638,8 @@ def _field_snr_db(scenario, points, phasors):
     `codebook.cell_phasors` builds them. The BS is a point source at p_i, and
     each entry is 10*log10(P_ref * (PL1 * PL2 * |grcs(p_i, p, omega)|)^2 / sigma2),
     with PL1 and PL2 the Friis amplitudes over the BS-RIS and RIS-point center
-    distances. Points are evaluated _FIELD_CHUNK at a time; each block's path
+    distances. Points are evaluated _FIELD_CHUNK at a time, their distances to
+    the elements taken on the RIS grid (`RisGeometry.distances`); each block's path
     phasors exp(j*k*(|p_i - p_n| + |p - p_n|)) carry both legs, so the
     profiles are read as given.
     """
@@ -609,14 +649,13 @@ def _field_snr_db(scenario, points, phasors):
     g = unit_cell_factor(geom, lam)
     p_i = np.asarray(scenario.bs_center, dtype=float)
     p_ris = np.asarray(scenario.ris_center, dtype=float)
-    pn = geom.element_positions()
     pl1 = free_space_amplitude(float(np.linalg.norm(p_i - p_ris)), lam)
-    d_i = distance(p_i, pn)
+    d_i = geom.distances([p_i])[0]
 
     out = np.empty((len(points), len(phasors)))
     for s in range(0, len(points), _FIELD_CHUNK):
         p_r = points[s:s + _FIELD_CHUNK]
-        d = distance(p_r[:, None, :], pn[None, :, :])
+        d = geom.distances(p_r)
         d += d_i
         mags = np.abs(cis(k * d) @ phasors.T) * g
         pl2 = free_space_amplitude(distance(p_r, p_ris), lam)
@@ -671,7 +710,7 @@ def heatmap(scenario, level_index):
     if not 0 <= level_index < len(levels):
         raise ValueError(f"level_index {level_index} out of range 0..{len(levels) - 1}")
     shape = levels[level_index]  # args is (alpha, area, RIS geometry, p_i, lambda_m)
-    level = cell_phasors(shape, *args, args[2].element_positions(), list(np.ndindex(*shape)))
+    level = cell_phasors(shape, *args, list(np.ndindex(*shape)))
     n = scenario.illum_grid
 
     p_b = np.asarray(scenario.blockage_center, dtype=float)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nearris as nr
+from nearris.beam_mgmt import at_scale, basis_products
 from nearris.codebook import children
 
 _ACCEPTANCE_LINES = []
@@ -54,6 +55,22 @@ def los_only_scenario(**overrides):
 def projected(channels, v):
     """(H v, H1 v, H2) of full matrices: the channel arguments of `reduce_cascade`."""
     return channels.h @ v, channels.h1 @ v, channels.h2
+
+
+def on_fixed_cascade(scheme, d, a, phasors):
+    """B1's or B2's SNR of a (d, A) that no beta scales, over (K, Q) phasors.
+
+    Its basis is (d, 0, 0) and (A, 0, 0), so at s = 0 the scheme reads the
+    products phasors A^T + d alone.
+    """
+    basis = (np.stack([x, np.zeros_like(x), np.zeros_like(x)]) for x in (d, a))
+    return scheme(basis_products(phasors, *basis), 0.0)
+
+
+def draw_cascade(draw, beta_db):
+    """(d, A) at beta_db of a `trial_draw`, as `run_trial` forms them."""
+    s = 10.0 ** (-beta_db / 20.0)
+    return at_scale(draw.d, s), at_scale(draw.c, s)
 
 
 def phase_levels(codebook):

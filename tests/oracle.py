@@ -1,0 +1,70 @@
+"""A whole trial from slow, obviously correct pieces: the oracle of `run_trial`.
+
+`slow_trial` builds the full channel matrices with `build_trial_channels`
+at no blockage and attenuates the direct matrix itself, reduces them with
+`Scenario.cascade`, then scores every codeword of the phase arrays of
+`Scenario.build_codebook` on its own with `np.exp`: a search over those
+arrays, B1 over the finest level, B2 from `focusing_phases` and B3 by its
+formula. No basis, table, block or cache of the trial path is read.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from nearris import benchmarks as bm
+from nearris.codebook import focusing_phases
+from nearris.harness import build_trial_channels
+
+
+@dataclasses.dataclass
+class SlowTrial:
+    snr: dict       # scheme -> linear SNR
+    pilots: int
+    winners: list   # per level, the first maximum in row-major cell order
+    margins: list   # per level, (best - second best) / best of the sounded SNRs; inf alone
+
+
+def _snr(d, a, omega):
+    """max_u |d_u + sum_q A_uq exp(j omega_q)|^2 of one phase profile."""
+    return float(np.max(np.abs(d + a @ np.exp(1j * omega)) ** 2))
+
+
+def slow_trial(scenario, beta_db, trial):
+    """Every scheme's linear SNR, the search's pilots, winners and per-level margins."""
+    channels, p_mu = build_trial_channels(
+        dataclasses.replace(scenario, blockage_loss_db=0.0), beta_db, trial)
+    # the blockage loss attenuates the direct link alone
+    channels = dataclasses.replace(
+        channels, h=channels.h * 10.0 ** (-scenario.blockage_loss_db / 20.0))
+    d, a = scenario.cascade(channels)
+    codebook = scenario.build_codebook()
+
+    winners, margins, pilots = [], [], 0
+    for depth, level in enumerate(codebook):
+        w_x, w_y = level.shape[:2]
+        if depth == 0:
+            cells = [(x, y) for x in range(w_x) for y in range(w_y)]
+        else:
+            (px, py), (pw_x, pw_y) = winners[-1], codebook[depth - 1].shape[:2]
+            r_x, r_y = w_x // pw_x, w_y // pw_y
+            cells = [(px * r_x + i, py * r_y + j) for i in range(r_x) for j in range(r_y)]
+        snrs = [_snr(d, a, level[cell]) for cell in cells]
+        best = max(snrs)
+        winners.append(cells[snrs.index(best)])
+        rest = sorted(snrs)[:-1]
+        margins.append((best - rest[-1]) / best if rest else np.inf)
+        pilots += len(cells)
+
+    finest = codebook[-1]
+    snr = {
+        bm.PROPOSED: _snr(d, a, finest[winners[-1]]),
+        bm.B1_FULL_CODEBOOK: max(_snr(d, a, finest[cell])
+                                 for cell in np.ndindex(*finest.shape[:2])),
+        bm.B2_FULL_FOCUSING: _snr(d, a, focusing_phases(scenario.bs_center, p_mu,
+                                                        scenario.ris_geometry(),
+                                                        scenario.lambda_m)),
+    }
+    if scenario.n_mu == 1:
+        snr[bm.B3_FULL_CSI] = float(np.abs(d[0] + np.sum(np.abs(a[0]))) ** 2)
+    return SlowTrial(snr=snr, pilots=pilots, winners=winners, margins=margins)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import los_only_scenario, phase_levels, projected, small_scenario
+from conftest import los_only_scenario, on_fixed_cascade, phase_levels, projected, small_scenario
 from nearris.beam_mgmt import (
     bs_precoder_focus_ris,
     hierarchical_search,
@@ -190,7 +190,7 @@ def test_block_winner_is_argmax():
     assert rec.winner == (1, 0)
     assert snr[(1, 0)] == pytest.approx(36.0, rel=1e-12)
     assert rec.snrs.max() == snr[(1, 0)]
-    assert benchmark1_full_search(d, a, cis(level.reshape(4, -1))) == snr[(1, 0)]
+    assert on_fixed_cascade(benchmark1_full_search, d, a, cis(level.reshape(4, -1))) == snr[(1, 0)]
 
 
 def test_block_winner_ties_go_to_lowest_index():
@@ -198,7 +198,7 @@ def test_block_winner_ties_go_to_lowest_index():
     rec, snr = sounded(level, d, a)
     assert snr[(1, 0)] == snr[(0, 1)]
     assert rec.winner == (0, 1)
-    assert benchmark1_full_search(d, a, cis(level.reshape(4, -1))) == snr[(0, 1)]
+    assert on_fixed_cascade(benchmark1_full_search, d, a, cis(level.reshape(4, -1))) == snr[(0, 1)]
 
 
 # --- hierarchical search ------------------------------------------------------
@@ -216,7 +216,7 @@ def test_search_single_level_equals_exhaustive():
     s = small_scenario(codebook_levels=((4, 8),))
     d, a = s.cascade(build_trial_channels(s, 10.0, 3)[0])
     trace = s.search(d, a)
-    r1 = benchmark1_full_search(d, a, s.statics().finest)
+    r1 = on_fixed_cascade(benchmark1_full_search, d, a, s.statics().finest)
     assert trace.levels[-1].snrs.max() == pytest.approx(r1, rel=1e-12)
 
 
@@ -226,7 +226,7 @@ def test_search_never_beats_exhaustive():
         d, a = s.cascade(build_trial_channels(s, 10.0, trial)[0])
         trace = s.search(d, a)
         prop = trace.levels[-1].snrs.max()
-        r1 = benchmark1_full_search(d, a, s.statics().finest)
+        r1 = on_fixed_cascade(benchmark1_full_search, d, a, s.statics().finest)
         assert prop <= r1 * (1 + 1e-12)
 
 

@@ -5,9 +5,12 @@ untraced record with every end-to-end metric and a traced record with
 every per-layer metric, each a finite number, plus the core count and the
 Tier-1 wall time. A file that times the reference sweep must hold, per
 worker count 1 and 2, the medians of its runs' trials/s and campaign wall
-time.
+time. A file with a `paired` section (`--baseline`) must hold, per
+workload and end-to-end metric, both sides' runs with their medians and
+quartiles, every pair's ratio, the ratios' median and range, and the wins.
 """
 
+import importlib.util
 import json
 import math
 import statistics
@@ -43,6 +46,8 @@ def test_bench_file_schema(path):
             for m in DECLARED[kind]:
                 assert is_number(metrics[m["name"]]["value"]), (wl["name"], trace, m["name"])
                 assert metrics[m["name"]]["unit"] == m["unit"]
+    if "paired" in doc:
+        check_paired(doc["paired"])
     sweep = doc.get("reference_sweep")
     if sweep is not None:
         assert sweep["command"] and sweep["repeats"] >= 5
@@ -56,3 +61,52 @@ def test_bench_file_schema(path):
             # every run is the 7 x 100 reference sweep
             for run in runs:
                 assert run["trials_per_s"] * run["campaign_wall_s"] == pytest.approx(700)
+
+
+def check_paired(paired):
+    """The schema of a `paired` section, its summaries recomputed from its runs."""
+    pairs = paired["pairs"]
+    assert isinstance(pairs, int) and pairs >= 5
+    assert paired["first"] == [("baseline", "change")[i % 2] for i in range(pairs)]
+    assert paired["command"] and paired["baseline"] and paired["change"]
+    assert is_number(paired["seconds"]) and paired["seconds"] > 0
+    for wl in DECLARED["workloads"]:
+        for m in DECLARED["end_to_end"]:
+            rec = paired["workloads"][wl["name"]][m["name"]]
+            assert rec["better"] == m["better"]
+            for side in (rec["baseline"], rec["change"]):
+                runs = side["runs"]
+                assert len(runs) == pairs and all(is_number(r) and r > 0 for r in runs)
+                assert side["median"] == statistics.median(runs)
+                assert side["q1"] <= side["median"] <= side["q3"]
+            pairs_of = list(zip(rec["baseline"]["runs"], rec["change"]["runs"]))
+            assert rec["ratios"] == [c / b for b, c in pairs_of]
+            assert rec["ratio_median"] == statistics.median(rec["ratios"])
+            assert (rec["ratio_min"], rec["ratio_max"]) == (min(rec["ratios"]),
+                                                            max(rec["ratios"]))
+            higher = m["better"] == "higher"
+            assert rec["wins"] == sum((c > b) if higher else (c < b) for b, c in pairs_of)
+
+
+def test_paired_section_of_the_tool_has_the_schema(monkeypatch, tmp_path):
+    # bench_file.py's paired section from stand-in runs, no benchmark started:
+    # the sides alternate, each pair with the other side first
+    spec = importlib.util.spec_from_file_location("bench_file", ROOT / "tools" / "bench_file.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    calls = []
+
+    def fake_run(root, trace, seconds):
+        calls.append(root)
+        value = 1.0 + len(calls) / 10 + (root == ROOT)
+        return {wl["name"]: {"result": {"metrics": {m["name"]: {"value": value}
+                                                    for m in DECLARED["end_to_end"]}}}
+                for wl in DECLARED["workloads"]}
+
+    monkeypatch.setattr(tool, "run_benchmark", fake_run)
+    monkeypatch.setattr(tool, "clear_bytecode", lambda root: None)
+    paired = tool.run_paired(tmp_path, ROOT, 6, 3)
+    assert calls == [tmp_path, ROOT, ROOT, tmp_path] * 3
+    check_paired(json.loads(json.dumps(paired)))
+    rec = paired["workloads"]["sweep-ref"]["throughput_per_s"]
+    assert rec["wins"] == 6 and rec["baseline"]["runs"][:2] == [1.1, 1.4]

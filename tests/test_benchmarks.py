@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import projected
+from conftest import on_fixed_cascade, projected
 from nearris.beam_mgmt import mu_combiners, received_snr, reduce_cascade
 from nearris.benchmarks import (
     benchmark1_full_search,
@@ -35,8 +35,8 @@ def test_benchmark1_equals_measurement_on_single_codeword():
     )
     d, a = reduce_cascade(*projected(ch, np.array([0.2, 0.1j])), unit_cell_factor(geom, LAM),
                           mu_combiners(1).conj(), np.sqrt(1e-6))
-    table = cell_phasors((1, 1), 0.8, AREA, geom, P_I, LAM, geom.element_positions(), [(0, 0)])
-    res = benchmark1_full_search(d, a, table)
+    table = cell_phasors((1, 1), 0.8, AREA, geom, P_I, LAM, [(0, 0)])
+    res = on_fixed_cascade(benchmark1_full_search, d, a, table)
     direct = received_snr(d, a, cis(cb[0][0, 0]))
     assert res == pytest.approx(direct, rel=1e-12)
 
@@ -59,7 +59,8 @@ def test_benchmark2_scalar_closed_form():
     ch = ChannelSet(h=np.zeros((1, 1), dtype=complex), h1=h1, h2=h2)
     d, a = reduce_cascade(*projected(ch, np.array([np.sqrt(p)], dtype=complex)), g,
                           mu_combiners(1).conj(), np.sqrt(sigma2))
-    res = benchmark2_full_focusing(d, a, cis(focusing_phases(P_I, p_mu, geom, LAM)))
+    res = on_fixed_cascade(benchmark2_full_focusing, d, a,
+                           cis(focusing_phases(P_I, p_mu, geom, LAM))[None])
     pl1 = free_space_amplitude(float(np.linalg.norm(P_I - geom.center)), LAM)
     pl2 = free_space_amplitude(float(np.linalg.norm(p_mu - geom.center)), LAM)
     expect = p * (g * pl1 * pl2) ** 2 / sigma2

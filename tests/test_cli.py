@@ -540,6 +540,27 @@ def test_beta_too_far_for_float_snrs_exits_2_before_any_output(tmp_path, capsys)
     assert not (out / "trials.csv").exists()
 
 
+@pytest.mark.parametrize("command, owner, target", [
+    ("heatmap --level 1 --grid 2", nr.harness, "heatmap"),
+    ("sweep-beta", nr.harness, "sweep_beta"),
+    ("codebook dump", nr.Scenario, "build_codebook"),
+])
+def test_out_of_memory_exits_2_before_any_output(tmp_path, capsys, monkeypatch, command, owner,
+                                                 target):
+    # an allocation past the host's memory, stood in for by a raising function,
+    # ends in a message naming the command and leaves no output file
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(owner, target, no_memory)
+    cfg, _ = tiny_file(tmp_path)
+    out = tmp_path / "o"
+    assert main([*command.split(), "--config", str(cfg), "--out-dir", str(out)]) == 2
+    name = " ".join(command.split()[:2 if command.startswith("codebook") else 1])
+    assert f"error: {name}: out of memory" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_cli_error_paths_return_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.scn")]) == 2
     bad = tmp_path / "bad.scn"

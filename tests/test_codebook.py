@@ -15,7 +15,7 @@ from nearris.codebook import (
     unit_cell_factor,
     wide_illumination_phases,
 )
-from nearris.geometry import RisGeometry, ris_from_aperture, wavelength
+from nearris.geometry import RisGeometry, distance, ris_from_aperture, wavelength
 
 LAM = wavelength(28e9)
 P_I = np.array([40.0, 0.0, 10.0])
@@ -277,6 +277,31 @@ def test_codewords_equal_image_point_array_formula(q_y, q_z):
     np.testing.assert_array_equal(
         wide_illumination_phases(P_I, AREA, geom, LAM, w_x, w_y, 4, 4, 0.8),
         _image_point_array_phases(P_I, AREA, geom, LAM, w_x, w_y, 4, 4, 0.8))
+
+
+def _mapped_formula_phases(p_i, area, geom, lam, w_x, w_y, big_w_x, big_w_y, alpha):
+    """The codeword formula written through `mapping` and `distance` on element positions."""
+    pn = geom.element_positions()
+    m = mapping(pn, area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
+    d = distance(m, pn)
+    d -= distance(m, geom.center)
+    d += distance(p_i, pn)
+    return -(2 * np.pi / lam) * d
+
+
+@pytest.mark.parametrize("size, shapes, alpha", [
+    ((0.5, 0.5), [(4, 4), (8, 8), (8, 16), (8, 32)], 0.8),  # the reference RIS and hierarchy
+    ((0.13, 0.07), [(1, 2), (2, 4), (6, 8)], 0.3),
+])
+def test_codewords_equal_mapping_formula_at_every_level(size, shapes, alpha):
+    # the per-axis image planes give the bits of the formula over the
+    # (Q, 3) image points of `mapping`, cell by cell at every level
+    geom = ris_from_aperture((0.0, 40.0, 5.0), *size, LAM / 2, LAM / 2)
+    for shape, lev in zip(shapes, build_hierarchy(shapes, alpha, AREA, geom, P_I, LAM)):
+        for wx in range(shape[0]):
+            expect = _mapped_formula_phases(P_I, AREA, geom, LAM, wx, np.arange(shape[1]),
+                                            *shape, alpha)
+            np.testing.assert_array_equal(lev[wx], expect)
 
 
 def test_build_hierarchy_single_cell():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearris.geometry import (
     C,
@@ -113,6 +115,32 @@ def test_ris_element_order_is_row_major_y_then_z():
 def test_ris_aperture_counts_one_cell_per_element():
     geom = RisGeometry(center=(0, 0, 0), q_y=10, q_z=4, d_y=0.01, d_z=0.02)
     assert geom.aperture == pytest.approx((0.1, 0.08))
+
+
+_coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(center=st.tuples(_coord, _coord, _coord), q_y=st.integers(1, 12), q_z=st.integers(1, 12),
+       d_y=st.floats(1e-4, 0.2), d_z=st.floats(1e-4, 0.2),
+       points=st.lists(st.tuples(_coord, _coord, _coord), min_size=0, max_size=6))
+def test_grid_distances_equal_distance_bit_for_bit(center, q_y, q_z, d_y, d_z, points):
+    # the per-axis sums of RisGeometry.distances give distance's bits, and its
+    # element order is element_positions', on any grid and any points
+    geom = RisGeometry(center=center, q_y=q_y, q_z=q_z, d_y=d_y, d_z=d_z)
+    p = np.array(points, dtype=float).reshape(-1, 3)
+    got = geom.distances(p)
+    assert got.shape == (len(p), geom.q)
+    np.testing.assert_array_equal(got, distance(p[:, None], geom.element_positions()[None]))
+
+
+def test_element_positions_are_the_axes_grid():
+    geom = RisGeometry(center=(0.5, -2.0, 3.0), q_y=3, q_z=4, d_y=0.1, d_z=0.2)
+    x, ys, zs = geom.axes()
+    pos = geom.element_positions()
+    assert np.all(pos[:, 0] == x)
+    np.testing.assert_array_equal(pos[:, 1], np.repeat(ys, 4))
+    np.testing.assert_array_equal(pos[:, 2], np.tile(zs, 3))
 
 
 def test_planar_array_lives_in_xz_plane():

@@ -9,10 +9,19 @@ import numpy as np
 import pytest
 
 import nearris as nr
-from conftest import los_only_scenario, point_source_losses, small_scenario
+from conftest import (
+    draw_cascade,
+    los_only_scenario,
+    on_fixed_cascade,
+    point_source_losses,
+    small_scenario,
+)
 from nearris import benchmarks as bm
 from nearris import harness
+from nearris.beam_mgmt import basis_products, basis_snr
 from nearris.channel import LinkPaths, assemble_channel, free_space_amplitude
+from nearris.cli import main as cli_main
+from nearris.cli import save_scenario
 from nearris.codebook import focusing_phases, grcs, unit_cell_factor
 from nearris.harness import (
     _FIELD_CHUNK,
@@ -182,21 +191,21 @@ def test_direct_link_carries_blockage_loss():
 ])
 def test_link_cascade_matches_full_matrix_oracle(overrides, beta_db, trial):
     # trials reduce the links without H1: (d, A) at every reference beta of
-    # one cached trial_draw must be Scenario.cascade of the full
+    # one cached trial_draw's basis must be Scenario.cascade of the full
     # assemble_channel matrices at that beta, a link without NLOS paths
-    # included, and B2's phasors the focusing codeword of the drawn MU
-    # position; None is the reference scenario. The draw holds arrays
-    # only, no link: one scalar of beta scales its terms at 0 dB, and
-    # beta = 0 dB checks those terms themselves. The draw is read, never
+    # included, and B2's products those of the focusing codeword of the
+    # drawn MU position; None is the reference scenario. The draw holds
+    # arrays only, no link: d is of degree 1 in s = 10^(-beta/20), and
+    # beta = 0 dB checks the sum of the basis itself. The draw is read, never
     # written: beta_db, read first, gives the same pair again at the end.
     s = Scenario() if overrides is None else small_scenario(**overrides)
     draw = trial_draw(s, trial)
-    p_mu_draw, terms, focus = draw
-    assert all(isinstance(t, np.ndarray) for pair in terms for t in pair)
-    assert not any(isinstance(x, LinkPaths) for x in (p_mu_draw, *terms, focus))
-    first = s.link_cascade(draw, beta_db)
+    parts = (draw.p_mu, draw.d, draw.c, draw.b1, draw.b2)
+    assert all(isinstance(x, np.ndarray) for x in parts)
+    assert not np.any(draw.d[2])
+    first = draw_cascade(draw, beta_db)
     for b in Scenario().beta_list_db:
-        d, a = s.link_cascade(trial_draw(s, trial), b)
+        d, a = draw_cascade(trial_draw(s, trial), b)
         ch, p_mu = build_trial_channels(s, b, trial)
         d0, a0 = s.cascade(ch)
         assert d.shape == d0.shape == (s.n_mu,)
@@ -204,11 +213,11 @@ def test_link_cascade_matches_full_matrix_oracle(overrides, beta_db, trial):
         assert np.linalg.norm(d - d0) <= 1e-12 * np.linalg.norm(d0)
         assert np.linalg.norm(a - a0) <= 1e-12 * np.linalg.norm(a0)
     assert trial_draw(s, trial) is draw
-    for got, want in zip(s.link_cascade(draw, beta_db), first):
+    for got, want in zip(draw_cascade(draw, beta_db), first):
         np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(p_mu_draw, p_mu)
-    np.testing.assert_array_equal(
-        focus, nr.cis(focusing_phases(s.bs_center, p_mu, s.ris_geometry(), s.lambda_m)))
+    np.testing.assert_array_equal(draw.p_mu, p_mu)
+    focus = nr.cis(focusing_phases(s.bs_center, p_mu, s.ris_geometry(), s.lambda_m))
+    np.testing.assert_array_equal(draw.b2, basis_products(focus[None], draw.d, draw.c))
 
 
 # --- trials and campaigns -----------------------------------------------------------
@@ -376,10 +385,7 @@ def _codeword_case(case, request):
 
 
 def _trial_cascades(s, draws):
-    cascades = []
-    for beta_db, trial in draws:
-        cascades.append(s.link_cascade(trial_draw(s, trial), beta_db))
-    return cascades
+    return [draw_cascade(trial_draw(s, trial), beta_db) for beta_db, trial in draws]
 
 
 def _phase_array_search(d, a, codebook):
@@ -402,13 +408,18 @@ def _phase_array_search(d, a, codebook):
 
 @pytest.mark.parametrize("case", _CODEWORD_CASES)
 def test_b1_from_table_equals_row_by_row_phase_scoring(case, request):
+    # a trial index takes B1's products with the whole table once; scoring
+    # each row of cells of the phase array through the same basis gives the
+    # same bits at every beta
     s, codebook, draws = _codeword_case(case, request)
     statics = s.statics()
     assert statics.finest.shape == (codebook[-1].shape[0] * codebook[-1].shape[1],
                                     s.ris_geometry().q)
-    for d, a in _trial_cascades(s, draws):
-        rows = [np.max(np.abs(nr.cis(row) @ a.T + d) ** 2, axis=-1) for row in codebook[-1]]
-        assert bm.benchmark1_full_search(d, a, statics.finest) == np.max(rows)
+    for beta_db, trial in draws:
+        draw, scale = trial_draw(s, trial), 10.0 ** (-beta_db / 20.0)
+        rows = [basis_snr(basis_products(nr.cis(row), draw.d, draw.c), scale)
+                for row in codebook[-1]]
+        assert bm.benchmark1_full_search(draw.b1, scale) == np.max(rows)
 
 
 @pytest.mark.parametrize("case", _CODEWORD_CASES)
@@ -418,7 +429,6 @@ def test_trial_codewords_equal_codebook_cells(case, request):
     # search asks level 1, and one grid row of cells at a time
     s, codebook, _ = _codeword_case(case, request)
     statics, q = s.statics(), s.ris_geometry().q
-    np.testing.assert_array_equal(statics.ris_pos, s.ris_geometry().element_positions())
     assert len(statics.blocks) == len(codebook) - 1
     np.testing.assert_array_equal(statics.finest, nr.cis(codebook[-1].reshape(-1, q)))
     for depth, level in enumerate(codebook):
@@ -523,8 +533,46 @@ def test_campaign_forks_no_more_workers_than_trial_indices(monkeypatch):
                         pools.append(max_workers) or f(max_workers, **kw))
     s = small_scenario(trials=2, workers=4, codebook_levels=((2, 2), (4, 4)))
     results = run_campaign(s)
-    assert pools == [2]
+    assert pools == [min(2, os.cpu_count())]
     assert results == run_campaign(dataclasses.replace(s, workers=1))
+
+
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records its size and starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_campaign_pool_is_capped_at_the_core_count(monkeypatch, tmp_path):
+    # a workers value far past the host's cores asks for one pool process
+    # per core and gives the 1-worker campaign's results; the manifest
+    # records the workers asked for
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    s = small_scenario(trials=5, workers=10**6, codebook_levels=((2, 2), (4, 4)),
+                       beta_list_db=(10.0,))
+    results = run_campaign(s)
+    assert _InProcessPool.sizes == [3]
+    assert results == run_campaign(dataclasses.replace(s, workers=1))
+    save_scenario(s, tmp_path / "s.scn")
+    assert cli_main(["sweep-beta", "--config", str(tmp_path / "s.scn"),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+    assert _InProcessPool.sizes == [3, 3]
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["workers"] == 10**6
 
 
 def test_campaign_dominance_and_sorting():
@@ -541,19 +589,24 @@ def test_campaign_dominance_and_sorting():
 _CAMPAIGN_SCRIPT = """
 import json
 import nearris as nr
-s = nr.Scenario(ris_size_y_m=0.15, ris_size_z_m=0.15, codebook_levels=((2, 2), (4, 4)),
-                trials=3, beta_list_db=(0.0, 10.0), n_mu={n_mu})
+s = nr.Scenario({scenario})
 print(json.dumps([[r.snr_db, r.mu_position, r.winners] for r in nr.run_campaign(s)]))
 """
+_SMALL_CAMPAIGN = ("ris_size_y_m=0.15, ris_size_z_m=0.15, codebook_levels=((2, 2), (4, 4)), "
+                   "trials=3, beta_list_db=(0.0, 10.0), ")
 
 
-@pytest.mark.parametrize("n_mu", [1, 4])
-def test_campaign_identical_across_blas_threads(n_mu):
-    # the NLOS sums, the cascade products and (n_mu > 1) the combiner
-    # product run in BLAS; a second BLAS thread must not change a single
-    # bit of the results
+@pytest.mark.parametrize("scenario, count", [
+    pytest.param(_SMALL_CAMPAIGN + "n_mu=1", 6, id="1"),
+    pytest.param(_SMALL_CAMPAIGN + "n_mu=4", 6, id="4"),
+    pytest.param("n_mu=4, trials=3", 21, id="reference-4"),  # the reference RIS and betas
+])
+def test_campaign_identical_across_blas_threads(scenario, count):
+    # the NLOS sums, the cascade products, B1's products with its 256-row
+    # table and (n_mu > 1) the combiner product run in BLAS; a second BLAS
+    # thread must not change a single bit of the results
     src = str(Path(nr.__file__).resolve().parents[1])
-    script = _CAMPAIGN_SCRIPT.format(n_mu=n_mu)
+    script = _CAMPAIGN_SCRIPT.format(scenario=scenario)
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -561,7 +614,7 @@ def test_campaign_identical_across_blas_threads(n_mu):
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True, timeout=300)
         runs.append(json.loads(proc.stdout))
-    assert len(runs[0]) == 6
+    assert len(runs[0]) == count
     assert runs[0] == runs[1]
 
 
@@ -611,8 +664,8 @@ def test_full_scale_focusing_matches_closed_form():
     g = unit_cell_factor(geom, lam)
     for trial in range(2):
         ch, p_mu = build_trial_channels(s, 10.0, trial)
-        res = bm.benchmark2_full_focusing(
-            *s.cascade(ch), nr.cis(focusing_phases(s.bs_center, p_mu, geom, lam)))
+        res = on_fixed_cascade(bm.benchmark2_full_focusing, *s.cascade(ch),
+                               nr.cis(focusing_phases(s.bs_center, p_mu, geom, lam))[None])
         pl1 = free_space_amplitude(float(np.linalg.norm(np.asarray(s.bs_center) -
                                                         np.asarray(s.ris_center))), lam)
         pl2 = free_space_amplitude(float(np.linalg.norm(p_mu - np.asarray(s.ris_center))), lam)

@@ -3,6 +3,7 @@
 Usage (from the repository root):
 
     python3 tools/bench_file.py BENCH_<short-commit>.json [--root DIR]
+        [--baseline DIR [--pairs 10] [--pair-seconds 40]]
 
 It runs `perfbench/run.py --workload all --seed 1 --seconds 40` with
 `--trace 0` and then `--trace 1` in the checkout at --root (default: this
@@ -28,9 +29,29 @@ where each full record is the one perfbench writes to
 `.perfbench/results/<name>-seed1-trace<t>.json`: its run record (commit,
 core count, versions, pinned threads), its result with every metric, and
 its iterations. The sweep's numbers are the `trials_per_s` and
-`campaign_wall_s` of each run's manifest. tests/test_bench_files.py
-checks the schema of every committed file. Nothing here changes the
-benchmark: it only runs it.
+`campaign_wall_s` of each run's manifest.
+
+With --baseline DIR (another checkout, typically the parent commit) it
+then runs `perfbench/run.py --workload all --trace 0` --pairs times on
+each side, alternating between DIR and --root and which of the two goes
+first in a pair, with `__pycache__` cleared on both sides before every run,
+and adds a `paired` section:
+
+    "paired": {"baseline": DIR, "change": ROOT, "command": ..., "pairs": 10,
+               "seconds": 40, "first": ["baseline", "change", ...],
+               "workloads": {<name>: {<end-to-end metric>: {
+                   "better": "lower" | "higher",
+                   "baseline": {"runs": [...], "median": ..., "q1": ..., "q3": ...},
+                   "change": {...},
+                   "ratios": [change / baseline of each pair, ...],
+                   "ratio_median": ..., "ratio_min": ..., "ratio_max": ...,
+                   "wins": <pairs where the change is better>}}}}
+
+The quartiles are `statistics.quantiles(runs, n=4, method="inclusive")`.
+Two BENCH files from different days do not make a before and after on a
+shared host; a paired section does. tests/test_bench_files.py checks the
+schema of every committed file. Nothing here changes the benchmark: it
+only runs it.
 """
 
 import argparse
@@ -46,6 +67,7 @@ from pathlib import Path
 
 SEED = 1
 SECONDS = 40
+PAIRS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 SWEEP = ["sweep-beta", "--seed", str(SEED)]  # the bundled reference scenario: 7 x 100 trials
 SWEEP_WORKERS = (1, 2)
@@ -54,11 +76,15 @@ SWEEP_METRICS = ("trials_per_s", "campaign_wall_s")  # read from each run's mani
 PINNED_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_benchmark(root, trace):
+def clear_bytecode(root):
     for cache in (c for top in ("src", "perfbench") for c in (root / top).rglob("__pycache__")):
         shutil.rmtree(cache)
+
+
+def run_benchmark(root, trace, seconds=SECONDS):
+    clear_bytecode(root)
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
-           "--seconds", str(SECONDS), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", str(trace)]
     subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.DEVNULL)
     names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     results = root / ".perfbench" / "results"
@@ -104,13 +130,66 @@ def run_reference_sweep(root):
                         for w, rs in runs.items()}}
 
 
+def side_summary(runs):
+    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"runs": runs, "median": statistics.median(runs), "q1": q1, "q3": q3}
+
+
+def run_paired(baseline, change, pairs, seconds):
+    """The `paired` section: untraced runs of both checkouts, alternating, each pair's
+    order flipped from the last, with every bytecode cache cleared before each run."""
+    declared = json.loads((change / "BENCHMARK.json").read_text())
+    runs = {"baseline": [], "change": []}
+    first = []
+    for i in range(pairs):
+        order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
+        first.append(order[0])
+        for side in order:
+            root = baseline if side == "baseline" else change
+            clear_bytecode(baseline)
+            clear_bytecode(change)
+            runs[side].append(run_benchmark(root, 0, seconds))
+    workloads = {}
+    for wl in declared["workloads"]:
+        per_metric = {}
+        for m in declared["end_to_end"]:
+            values = {side: [r[wl["name"]]["result"]["metrics"][m["name"]]["value"]
+                             for r in rs] for side, rs in runs.items()}
+            ratios = [c / b for b, c in zip(values["baseline"], values["change"])]
+            higher = m["better"] == "higher"
+            per_metric[m["name"]] = {
+                "better": m["better"],
+                **{side: side_summary(v) for side, v in values.items()},
+                "ratios": ratios,
+                "ratio_median": statistics.median(ratios),
+                "ratio_min": min(ratios),
+                "ratio_max": max(ratios),
+                "wins": sum((c > b) if higher else (c < b)
+                            for b, c in zip(values["baseline"], values["change"])),
+            }
+        workloads[wl["name"]] = per_metric
+    return {"baseline": str(baseline), "change": str(change),
+            "command": f"perfbench/run.py --workload all --seed {SEED} --seconds {seconds} "
+                       f"--trace 0",
+            "pairs": pairs, "seconds": seconds, "first": first, "workloads": workloads}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", type=Path, help="file to write, e.g. BENCH_<short-commit>.json")
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                     help="checkout to measure (default: this repository)")
+    ap.add_argument("--baseline", type=Path,
+                    help="checkout to pair --root's untraced runs with, e.g. the parent commit")
+    ap.add_argument("--pairs", type=int, default=PAIRS, help=f"pairs of runs (default {PAIRS})")
+    ap.add_argument("--pair-seconds", type=int, default=SECONDS,
+                    help=f"--seconds of each paired run (default {SECONDS})")
     args = ap.parse_args(argv)
     root = args.root.resolve()
+    if args.baseline is not None and not (args.baseline / "perfbench" / "run.py").is_file():
+        ap.error(f"{args.baseline} has no perfbench/run.py")
+    if args.pairs < 5:
+        ap.error("a paired section needs at least 5 pairs")
     traces = {trace: run_benchmark(root, trace) for trace in (0, 1)}
     doc = {
         "seed": SEED,
@@ -121,6 +200,8 @@ def main(argv=None):
                       for name in traces[0]},
         "reference_sweep": run_reference_sweep(root),
     }
+    if args.baseline is not None:
+        doc["paired"] = run_paired(args.baseline.resolve(), root, args.pairs, args.pair_seconds)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"bench file: {args.out} ({doc['tier1']['summary']})")
     return 0
