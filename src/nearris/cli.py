@@ -439,7 +439,8 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:  # every command computes all of its results before writing any
+    except MemoryError:  # every command computes its results before its first write, so
+        # one raised while computing leaves no file; one raised while writing may leave some
         command = " ".join(filter(None, (args.command, getattr(args, "codebook_command", None))))
         print(f"error: {command}: out of memory; a smaller RIS, raster grid or codebook "
               f"needs less", file=sys.stderr)

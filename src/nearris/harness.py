@@ -572,7 +572,7 @@ def run_campaign(scenario):
 
     Runs scenario.trials trial indices in this process at 1 worker, else on
     a pool of scenario.workers processes, capped at one per index and one
-    per core; a job is one index at every beta of scenario.beta_list_db,
+    per usable core; a job is one index at every beta of scenario.beta_list_db,
     sharing its draw. Every process builds the statics and imports
     numpy.random before its first trial (`_before_trials`). Output is
     bit-identical for any worker count: each trial is a pure function of
@@ -584,11 +584,19 @@ def run_campaign(scenario):
         rows = list(map(job, trials))
     else:
         # each process builds the statics, and more processes than cores only queue
-        workers = min(scenario.workers, scenario.trials, os.cpu_count() or 1)
+        workers = min(scenario.workers, scenario.trials, usable_cores())
         with ProcessPoolExecutor(max_workers=workers, initializer=_before_trials,
                                  initargs=(scenario,)) as ex:
             rows = list(ex.map(job, trials))
     return [r for per_beta in zip(*rows) for r in per_beta]
+
+
+def usable_cores():
+    """The cores this process may run on (its CPU affinity, which taskset or a
+    cpuset narrows), or the host's count where the OS reports no affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _before_trials(scenario):

@@ -7,7 +7,8 @@ Tier-1 wall time. A file that times the reference sweep must hold, per
 worker count 1 and 2, the medians of its runs' trials/s and campaign wall
 time. A file with a `paired` section (`--baseline`) must hold, per
 workload and end-to-end metric, both sides' runs with their medians and
-quartiles, every pair's ratio, the ratios' median and range, and the wins.
+quartiles, every pair's ratio, the ratios' median and range, and the wins,
+from at least 10 pairs of 40 s runs.
 """
 
 import importlib.util
@@ -66,10 +67,10 @@ def test_bench_file_schema(path):
 def check_paired(paired):
     """The schema of a `paired` section, its summaries recomputed from its runs."""
     pairs = paired["pairs"]
-    assert isinstance(pairs, int) and pairs >= 5
+    assert isinstance(pairs, int) and pairs >= 10
     assert paired["first"] == [("baseline", "change")[i % 2] for i in range(pairs)]
     assert paired["command"] and paired["baseline"] and paired["change"]
-    assert is_number(paired["seconds"]) and paired["seconds"] > 0
+    assert paired["seconds"] == 40
     for wl in DECLARED["workloads"]:
         for m in DECLARED["end_to_end"]:
             rec = paired["workloads"][wl["name"]][m["name"]]
@@ -96,7 +97,7 @@ def test_paired_section_of_the_tool_has_the_schema(monkeypatch, tmp_path):
     spec.loader.exec_module(tool)
     calls = []
 
-    def fake_run(root, trace, seconds):
+    def fake_run(root, trace):
         calls.append(root)
         value = 1.0 + len(calls) / 10 + (root == ROOT)
         return {wl["name"]: {"result": {"metrics": {m["name"]: {"value": value}
@@ -105,8 +106,8 @@ def test_paired_section_of_the_tool_has_the_schema(monkeypatch, tmp_path):
 
     monkeypatch.setattr(tool, "run_benchmark", fake_run)
     monkeypatch.setattr(tool, "clear_bytecode", lambda root: None)
-    paired = tool.run_paired(tmp_path, ROOT, 6, 3)
-    assert calls == [tmp_path, ROOT, ROOT, tmp_path] * 3
+    paired = tool.run_paired(tmp_path, ROOT, 10)
+    assert calls == [tmp_path, ROOT, ROOT, tmp_path] * 5
     check_paired(json.loads(json.dumps(paired)))
     rec = paired["workloads"]["sweep-ref"]["throughput_per_s"]
-    assert rec["wins"] == 6 and rec["baseline"]["runs"][:2] == [1.1, 1.4]
+    assert rec["wins"] == 10 and rec["baseline"]["runs"][:2] == [1.1, 1.4]

@@ -533,7 +533,7 @@ def test_campaign_forks_no_more_workers_than_trial_indices(monkeypatch):
                         pools.append(max_workers) or f(max_workers, **kw))
     s = small_scenario(trials=2, workers=4, codebook_levels=((2, 2), (4, 4)))
     results = run_campaign(s)
-    assert pools == [min(2, os.cpu_count())]
+    assert pools == [min(2, harness.usable_cores())]
     assert results == run_campaign(dataclasses.replace(s, workers=1))
 
 
@@ -557,12 +557,13 @@ class _InProcessPool:
 
 
 def test_campaign_pool_is_capped_at_the_core_count(monkeypatch, tmp_path):
-    # a workers value far past the host's cores asks for one pool process
-    # per core and gives the 1-worker campaign's results; the manifest
-    # records the workers asked for
+    # a workers value far past the usable cores asks for one pool process
+    # per core this process may run on, not per host core, and gives the
+    # 1-worker campaign's results; the manifest records the workers asked for
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     s = small_scenario(trials=5, workers=10**6, codebook_levels=((2, 2), (4, 4)),
                        beta_list_db=(10.0,))
     results = run_campaign(s)

@@ -3,7 +3,7 @@
 Usage (from the repository root):
 
     python3 tools/bench_file.py BENCH_<short-commit>.json [--root DIR]
-        [--baseline DIR [--pairs 10] [--pair-seconds 40]]
+        [--baseline DIR [--pairs 10]]
 
 It runs `perfbench/run.py --workload all --seed 1 --seconds 40` with
 `--trace 0` and then `--trace 1` in the checkout at --root (default: this
@@ -32,10 +32,10 @@ its iterations. The sweep's numbers are the `trials_per_s` and
 `campaign_wall_s` of each run's manifest.
 
 With --baseline DIR (another checkout, typically the parent commit) it
-then runs `perfbench/run.py --workload all --trace 0` --pairs times on
-each side, alternating between DIR and --root and which of the two goes
-first in a pair, with `__pycache__` cleared on both sides before every run,
-and adds a `paired` section:
+then runs `perfbench/run.py --workload all --seed 1 --seconds 40 --trace 0`
+--pairs times (at least 10) on each side, alternating between DIR and
+--root and which of the two goes first in a pair, with `__pycache__`
+cleared on both sides before every run, and adds a `paired` section:
 
     "paired": {"baseline": DIR, "change": ROOT, "command": ..., "pairs": 10,
                "seconds": 40, "first": ["baseline", "change", ...],
@@ -81,10 +81,10 @@ def clear_bytecode(root):
         shutil.rmtree(cache)
 
 
-def run_benchmark(root, trace, seconds=SECONDS):
+def run_benchmark(root, trace):
     clear_bytecode(root)
     cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.DEVNULL)
     names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     results = root / ".perfbench" / "results"
@@ -135,7 +135,7 @@ def side_summary(runs):
     return {"runs": runs, "median": statistics.median(runs), "q1": q1, "q3": q3}
 
 
-def run_paired(baseline, change, pairs, seconds):
+def run_paired(baseline, change, pairs):
     """The `paired` section: untraced runs of both checkouts, alternating, each pair's
     order flipped from the last, with every bytecode cache cleared before each run."""
     declared = json.loads((change / "BENCHMARK.json").read_text())
@@ -148,7 +148,7 @@ def run_paired(baseline, change, pairs, seconds):
             root = baseline if side == "baseline" else change
             clear_bytecode(baseline)
             clear_bytecode(change)
-            runs[side].append(run_benchmark(root, 0, seconds))
+            runs[side].append(run_benchmark(root, 0))
     workloads = {}
     for wl in declared["workloads"]:
         per_metric = {}
@@ -169,9 +169,9 @@ def run_paired(baseline, change, pairs, seconds):
             }
         workloads[wl["name"]] = per_metric
     return {"baseline": str(baseline), "change": str(change),
-            "command": f"perfbench/run.py --workload all --seed {SEED} --seconds {seconds} "
+            "command": f"perfbench/run.py --workload all --seed {SEED} --seconds {SECONDS} "
                        f"--trace 0",
-            "pairs": pairs, "seconds": seconds, "first": first, "workloads": workloads}
+            "pairs": pairs, "seconds": SECONDS, "first": first, "workloads": workloads}
 
 
 def main(argv=None):
@@ -182,14 +182,12 @@ def main(argv=None):
     ap.add_argument("--baseline", type=Path,
                     help="checkout to pair --root's untraced runs with, e.g. the parent commit")
     ap.add_argument("--pairs", type=int, default=PAIRS, help=f"pairs of runs (default {PAIRS})")
-    ap.add_argument("--pair-seconds", type=int, default=SECONDS,
-                    help=f"--seconds of each paired run (default {SECONDS})")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     if args.baseline is not None and not (args.baseline / "perfbench" / "run.py").is_file():
         ap.error(f"{args.baseline} has no perfbench/run.py")
-    if args.pairs < 5:
-        ap.error("a paired section needs at least 5 pairs")
+    if args.pairs < PAIRS:
+        ap.error(f"a paired section needs at least {PAIRS} pairs")
     traces = {trace: run_benchmark(root, trace) for trace in (0, 1)}
     doc = {
         "seed": SEED,
@@ -201,7 +199,7 @@ def main(argv=None):
         "reference_sweep": run_reference_sweep(root),
     }
     if args.baseline is not None:
-        doc["paired"] = run_paired(args.baseline.resolve(), root, args.pairs, args.pair_seconds)
+        doc["paired"] = run_paired(args.baseline.resolve(), root, args.pairs)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"bench file: {args.out} ({doc['tier1']['summary']})")
     return 0
