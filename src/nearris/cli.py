@@ -311,6 +311,15 @@ def cmd_sweep_beta(args, argv):
     return 0
 
 
+def _raster_run(start, points, evals):
+    """The manifest's record of a raster run started at perf_counter() `start`: numpy's
+    version, the field kernel's threads over `points` points a call, and `evals`
+    field evaluations with their rate."""
+    wall_s = time.perf_counter() - start
+    return {"numpy_version": np.__version__, "threads": harness.field_threads(points),
+            "field_evals": evals, "kernel_wall_s": wall_s, "field_evals_per_s": evals / wall_s}
+
+
 def cmd_heatmap(args, argv):
     scenario = _load(args)
     level = _level_index(scenario, args.level)
@@ -320,12 +329,15 @@ def cmd_heatmap(args, argv):
     else:
         cells = [_cell(token, shape) for token in args.cells.split(";")]  # checked before output
     out = _out_dir(args)
+    start = time.perf_counter()
     hm = harness.heatmap(scenario, level)
+    run = _raster_run(start, scenario.illum_grid ** 2, hm.per_cell.size)
     write_raster_csv(out / f"heatmap_level{args.level}_composite.csv", hm.xs, hm.ys, hm.composite)
     for wx, wy in cells:
         write_raster_csv(out / f"heatmap_level{args.level}_cell_{wx}_{wy}.csv",
                          hm.xs, hm.ys, hm.per_cell[wx, wy])
-    write_manifest(out, scenario, argv, extra={"subcommand": "heatmap", "level": args.level})
+    write_manifest(out, scenario, argv,
+                   extra={"subcommand": "heatmap", "level": args.level, **run})
     print(f"heatmap: level {args.level} peak {hm.composite.max():.2f} dB -> {out}")
     return 0
 
@@ -334,12 +346,14 @@ def cmd_focus_cut(args, argv):
     scenario = _load(args)
     out = _out_dir(args)
     axes = ["x", "y"] if args.axis == "both" else [args.axis]
+    start = time.perf_counter()
     cuts = {ax: harness.focusing_cut(scenario, ax, args.range, args.steps) for ax in axes}
+    run = _raster_run(start, args.steps, args.steps * len(axes))
     for ax, (deltas, snr) in cuts.items():  # every cut checked before output
         write_cut_csv(out / f"focus_cut_{ax}.csv", deltas, snr)
         print(f"focus-cut {ax}: peak {snr.max():.2f} dB at "
               f"{deltas[int(np.argmax(snr))]:+.3f} m -> {out}")
-    write_manifest(out, scenario, argv, extra={"subcommand": "focus-cut"})
+    write_manifest(out, scenario, argv, extra={"subcommand": "focus-cut", **run})
     return 0
 
 

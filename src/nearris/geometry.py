@@ -49,10 +49,15 @@ def hypot3(x0, x1, x2):
     return np.sqrt(s)
 
 
-def cis(x):
-    """exp(j*x) for real x: cos and sin written into one complex array."""
+def cis(x, out=None):
+    """exp(j*x) for real x: cos and sin written into one complex array.
+
+    out, if given, is a complex array of x's shape that receives the result,
+    so a caller can fill a larger buffer slice by slice.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape, dtype=complex)
+    if out is None:
+        out = np.empty(x.shape, dtype=complex)
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
     return out

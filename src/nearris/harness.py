@@ -7,8 +7,9 @@ Two SNR pipelines coexist and are kept separate on purpose:
   on the LOS geometry only, with a configurable reference power; both
   reduce to one field kernel, (points, phasor profiles) -> SNR dB, which
   takes its point-to-element distances on the RIS grid's axes
-  (`RisGeometry.distances`), and the heatmap reads its level's phasors
-  from `cell_phasors`;
+  (`RisGeometry.distances`) and scores its 64-point blocks on one thread
+  per usable core with the same bits for any thread count, and the
+  heatmap reads its level's phasors from `cell_phasors`;
 * link-level trials draw each link as arrays of path amplitudes, fadings
   and bounce points. A beta scales every link's scattered term at 0 dB by
   one scalar s = 10^(-beta/20), so a trial's direct term d and effective
@@ -42,7 +43,7 @@ its betas follow.
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from numbers import Real
@@ -632,11 +633,23 @@ def sweep_beta(scenario):
 
 # --- illumination pipeline (point-source GRCS maps) ----------------------
 
-# Points per block of the field kernel. It bounds the (points, Q)
-# temporaries: on the reference RIS, a process that draws a level-4 heatmap
-# peaks at 87, 104 and 134 MB at 32, 64 and 128 points per block, and all
-# three take 2.3-3.9 s, the same within the noise of a 2-core host.
+# Points per block of the field kernel, and per sub-block of its phases.
+# A block is one (points, Q) complex buffer of path phasors and one GEMM
+# with the profiles; its distances and phases are computed _FIELD_SUB
+# points at a time into the buffer, so the peak grows with threads x block:
+# one 8.9 MB buffer per thread on the reference RIS. A block's GEMM
+# operands do not depend on the thread count, so neither do the output's
+# bits. On the reference RIS and a 2-core host, a process that draws a
+# level-4 heatmap on 2 threads peaks at 103, 104, 106 and 111 MB at 4, 8,
+# 16 and 64 points per sub-block, against 101 MB on one thread.
 _FIELD_CHUNK = 64
+_FIELD_SUB = 4
+
+
+def field_threads(n_points):
+    """Threads of the field kernel over n_points points: one per usable core,
+    at most one per _FIELD_CHUNK-point block."""
+    return min(usable_cores(), -(-n_points // _FIELD_CHUNK))
 
 
 def _field_snr_db(scenario, points, phasors):
@@ -649,7 +662,11 @@ def _field_snr_db(scenario, points, phasors):
     distances. Points are evaluated _FIELD_CHUNK at a time, their distances to
     the elements taken on the RIS grid (`RisGeometry.distances`); each block's path
     phasors exp(j*k*(|p_i - p_n| + |p - p_n|)) carry both legs, so the
-    profiles are read as given.
+    profiles are read as given. The blocks run on `field_threads(P)` threads,
+    each under the caller's numpy error state and writing only its own rows,
+    and the threads end before the call returns; numpy's cos, sin and the
+    GEMM release the interpreter lock, and the result has the same bits for
+    any thread count.
     """
     geom = scenario.ris_geometry()
     lam = scenario.lambda_m
@@ -659,17 +676,26 @@ def _field_snr_db(scenario, points, phasors):
     p_ris = np.asarray(scenario.ris_center, dtype=float)
     pl1 = free_space_amplitude(float(np.linalg.norm(p_i - p_ris)), lam)
     d_i = geom.distances([p_i])[0]
-
     out = np.empty((len(points), len(phasors)))
-    for s in range(0, len(points), _FIELD_CHUNK):
-        p_r = points[s:s + _FIELD_CHUNK]
-        d = geom.distances(p_r)
-        d += d_i
-        mags = np.abs(cis(k * d) @ phasors.T) * g
-        pl2 = free_space_amplitude(distance(p_r, p_ris), lam)
-        out[s:s + _FIELD_CHUNK] = 10.0 * np.log10(
-            scenario.illum_reference_power_w * (pl1 * pl2[:, None] * mags) ** 2 / scenario.sigma2
-        )
+    err = dict(np.geterr(), call=np.geterrcall())  # a new thread starts from numpy's defaults
+
+    def block(s):
+        with np.errstate(**err):
+            p_r = points[s:s + _FIELD_CHUNK]
+            paths = np.empty((len(p_r), geom.q), dtype=complex)
+            for t in range(0, len(p_r), _FIELD_SUB):
+                d = geom.distances(p_r[t:t + _FIELD_SUB])
+                d += d_i
+                d *= k
+                cis(d, out=paths[t:t + _FIELD_SUB])
+            mags = np.abs(paths @ phasors.T) * g
+            pl2 = free_space_amplitude(distance(p_r, p_ris), lam)
+            out[s:s + _FIELD_CHUNK] = 10.0 * np.log10(
+                scenario.illum_reference_power_w * (pl1 * pl2[:, None] * mags) ** 2
+                / scenario.sigma2)
+
+    with ThreadPoolExecutor(max_workers=field_threads(len(points))) as ex:
+        list(ex.map(block, range(0, len(points), _FIELD_CHUNK)))  # re-raises a block's error
     return out
 
 

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import nearris as nr
+from nearris import harness
 from nearris.channel import ChannelSet
 from nearris.cli import (
     _SCHEMA,
@@ -314,6 +315,17 @@ def test_sweep_beta_outputs_all_schemes(tmp_path):
     assert {"numpy_version", "workers", "campaign_wall_s", "trials_per_s"} <= set(man)
 
 
+def _assert_raster_run(out, points, evals):
+    # how a raster ran: the field kernel's threads (one per usable core, at
+    # most one per 64-point block), its evaluations and their rate
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["numpy_version"] == np.__version__
+    assert man["threads"] == min(harness.usable_cores(), -(-points // 64))
+    assert man["field_evals"] == evals
+    assert man["kernel_wall_s"] > 0
+    assert man["field_evals_per_s"] == pytest.approx(evals / man["kernel_wall_s"])
+
+
 def test_heatmap_command_writes_rasters(tmp_path):
     cfg, _ = tiny_file(tmp_path)
     out = tmp_path / "hm"
@@ -324,6 +336,7 @@ def test_heatmap_command_writes_rasters(tmp_path):
     assert len(comp) == 2 + 25
     assert (out / "heatmap_level1_cell_0_0.csv").exists()
     assert (out / "heatmap_level1_cell_1_1.csv").exists()
+    _assert_raster_run(out, points=25, evals=25 * 4)
     assert main(["heatmap", "--config", str(cfg), "--out-dir", str(out),
                  "--level", "9"]) == 2  # out of range
 
@@ -356,6 +369,10 @@ def test_focus_cut_command(tmp_path):
     assert lines[1] == "displacement_m,snr_db"
     assert len(lines) == 2 + 21
     assert not (out / "focus_cut_y.csv").exists()
+    _assert_raster_run(out, points=21, evals=21)
+    assert main(["focus-cut", "--config", str(cfg), "--out-dir", str(out),
+                 "--axis", "both", "--steps", "200"]) == 0
+    _assert_raster_run(out, points=200, evals=2 * 200)
 
 
 @pytest.mark.parametrize("flags", [["--steps", "0"], ["--steps", "1"], ["--range", "0"],

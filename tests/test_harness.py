@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -619,6 +621,25 @@ def test_campaign_identical_across_blas_threads(scenario, count):
     assert runs[0] == runs[1]
 
 
+def test_rasters_written_identical_across_blas_threads(tmp_path):
+    # a second BLAS thread moves the low bits of about a quarter of the
+    # level-4 heatmap's values in memory (at most 1e-12 dB on the reference
+    # RIS); the 6-digit CSVs of the rasters must keep every byte
+    src = str(Path(nr.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for args in (["heatmap", "--level", "4", "--grid", "16", "--cells", "all"],
+                     ["focus-cut", "--axis", "both", "--steps", "201"]):
+            subprocess.run([sys.executable, "-m", "nearris.cli", *args, "--out-dir", str(out)],
+                           env=env, capture_output=True, check=True, timeout=300)
+        runs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert len(runs[0]) == 256 + 1 + 2
+    assert runs[0] == runs[1]
+
+
 def test_aggregate_single_trial_passthrough():
     r = TrialResult(trial=0, beta_db=10.0, mu_position=(0, 0, 0),
                     snr_db={"proposed": 12.5}, pilots=10, winners=[])
@@ -712,6 +733,80 @@ def test_field_kernel_matches_grcs_oracle():
     for i, p in enumerate(points):
         for j, omega in enumerate(profiles):
             assert got[i, j] == pytest.approx(point_source_snr_db(s, p, omega), rel=1e-9)
+
+
+def test_rasters_have_the_same_bits_for_any_thread_count(monkeypatch):
+    # 81 raster points make a full block and a partial one, a 101-step cut
+    # two blocks and the random points four, so three threads share them;
+    # each block gets the same GEMM on any thread, and no thread outlives
+    # the call
+    s = small_scenario(illum_grid=9)
+    rng = np.random.default_rng(5)
+    points = np.asarray(s.blockage_center) + rng.uniform(-4.0, 4.0, (3 * _FIELD_CHUNK + 7, 3))
+    profiles = nr.cis(rng.uniform(0, 2 * np.pi, (3, s.ris_geometry().q)))
+    threads = threading.active_count()
+    runs = []
+    for cores in (1, 3):
+        monkeypatch.setattr(harness, "usable_cores", lambda c=cores: c)
+        hm = heatmap(s, 2)
+        runs.append([_field_snr_db(s, points, profiles), hm.per_cell, hm.composite,
+                     *(focusing_cut(s, axis, 2.0, steps=101)[1] for axis in "xy")])
+        assert threading.active_count() == threads
+    for one, three in zip(*runs):
+        assert one.tobytes() == three.tobytes()
+
+
+class _InlineThreads:
+    """A stand-in for ThreadPoolExecutor that records its size and runs every job in the
+    calling thread."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 7])
+def test_field_kernel_takes_one_thread_per_core_and_at_most_one_per_block(monkeypatch, cores):
+    # a 9 x 9 raster is 2 blocks and a cut of 5 blocks' points is 5; the
+    # stand-in starts no thread and gives the threaded kernel's results
+    s = small_scenario(illum_grid=9)
+    expected = heatmap(s, 0).per_cell, focusing_cut(s, "x", 2.0, 5 * _FIELD_CHUNK)[1]
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", _InlineThreads)
+    monkeypatch.setattr(_InlineThreads, "sizes", [])
+    monkeypatch.setattr(harness, "usable_cores", lambda: cores)
+    threads = threading.active_count()
+    got = heatmap(s, 0).per_cell, focusing_cut(s, "x", 2.0, 5 * _FIELD_CHUNK)[1]
+    assert _InlineThreads.sizes == [min(cores, 2), min(cores, 5)]
+    assert threading.active_count() == threads
+    for a, b in zip(expected, got):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_field_kernel_blocks_run_under_the_callers_error_state(monkeypatch):
+    # every point of three blocks is far enough that its squared distances
+    # overflow; a worker thread starts from numpy's default error state,
+    # which warns, so each block must take the caller's
+    monkeypatch.setattr(harness, "usable_cores", lambda: 3)
+    s = small_scenario()
+    far = 1e160 * np.linspace(1.0, 2.0, 3 * _FIELD_CHUNK)
+    points = np.asarray(s.blockage_center) + far[:, None] * np.array([1.0, 0, 0])
+    phasors = nr.cis(np.zeros((1, s.ris_geometry().q)))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        _field_snr_db(s, points, phasors)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        snr = _field_snr_db(s, points, phasors)
+    assert not np.isfinite(snr).any()
 
 
 def test_heatmap_cells_match_grcs_oracle():
