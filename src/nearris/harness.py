@@ -8,8 +8,9 @@ Two SNR pipelines coexist and are kept separate on purpose:
   reduce to one field kernel, (points, phasor profiles) -> SNR dB, which
   takes its point-to-element distances on the RIS grid's axes
   (`RisGeometry.distances`) and scores its 64-point blocks on one thread
-  per usable core with the same bits for any thread count, and the
-  heatmap reads its level's phasors from `cell_phasors`;
+  per usable core that BLAS leaves (`field_threads`), with the same bits
+  for any thread count, and the heatmap reads its level's phasors from
+  `cell_phasors`;
 * link-level trials draw each link as arrays of path amplitudes, fadings
   and bounce points. A beta scales every link's scattered term at 0 dB by
   one scalar s = 10^(-beta/20), so a trial's direct term d and effective
@@ -639,17 +640,35 @@ def sweep_beta(scenario):
 # points at a time into the buffer, so the peak grows with threads x block:
 # one 8.9 MB buffer per thread on the reference RIS. A block's GEMM
 # operands do not depend on the thread count, so neither do the output's
-# bits. On the reference RIS and a 2-core host, a process that draws a
-# level-4 heatmap on 2 threads peaks at 103, 104, 106 and 111 MB at 4, 8,
-# 16 and 64 points per sub-block, against 101 MB on one thread.
+# bits. On the reference RIS (2-core host, BLAS on 1 thread), a process
+# that draws a level-4 heatmap peaks at 93 MB on one kernel thread and
+# 103 MB on two with 4-point sub-blocks; 8, 16 and 64 points take two
+# threads to 104, 106 and 111 MB.
 _FIELD_CHUNK = 64
 _FIELD_SUB = 4
 
 
+def blas_threads():
+    """The BLAS threads the environment asks for: the first of OPENBLAS_NUM_THREADS,
+    OMP_NUM_THREADS and MKL_NUM_THREADS set to a positive integer, else one per
+    usable core, as OpenBLAS takes when none is set."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdecimal() and int(value) > 0:
+            return int(value)
+    return usable_cores()
+
+
 def field_threads(n_points):
-    """Threads of the field kernel over n_points points: one per usable core,
-    at most one per _FIELD_CHUNK-point block."""
-    return min(usable_cores(), -(-n_points // _FIELD_CHUNK))
+    """Threads of the field kernel over n_points points: the usable cores per BLAS
+    thread, at least one, and at most one per _FIELD_CHUNK-point block.
+
+    A block's GEMM runs on every BLAS thread, so more kernel threads than
+    that quotient only contend for the cores: on a 2-core host with BLAS
+    unpinned (2 threads), 2 kernel threads draw a level-4 heatmap in about
+    2.4 s, against 2.0 s on one.
+    """
+    return min(max(1, usable_cores() // blas_threads()), -(-n_points // _FIELD_CHUNK))
 
 
 def _field_snr_db(scenario, points, phasors):

@@ -315,18 +315,26 @@ def test_sweep_beta_outputs_all_schemes(tmp_path):
     assert {"numpy_version", "workers", "campaign_wall_s", "trials_per_s"} <= set(man)
 
 
-def _assert_raster_run(out, points, evals):
-    # how a raster ran: the field kernel's threads (one per usable core, at
-    # most one per 64-point block), its evaluations and their rate
+@pytest.fixture
+def two_kernel_threads(monkeypatch):
+    # 2 usable cores and BLAS pinned to 1 thread leave the field kernel 2
+    monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+    for name in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def _assert_raster_run(out, threads, evals):
+    # how a raster ran: the field kernel's threads, its evaluations and their rate
     man = json.loads((out / "manifest.json").read_text())
     assert man["numpy_version"] == np.__version__
-    assert man["threads"] == min(harness.usable_cores(), -(-points // 64))
+    assert man["threads"] == threads
     assert man["field_evals"] == evals
     assert man["kernel_wall_s"] > 0
     assert man["field_evals_per_s"] == pytest.approx(evals / man["kernel_wall_s"])
 
 
-def test_heatmap_command_writes_rasters(tmp_path):
+def test_heatmap_command_writes_rasters(tmp_path, two_kernel_threads):
     cfg, _ = tiny_file(tmp_path)
     out = tmp_path / "hm"
     assert main(["heatmap", "--config", str(cfg), "--out-dir", str(out),
@@ -336,7 +344,7 @@ def test_heatmap_command_writes_rasters(tmp_path):
     assert len(comp) == 2 + 25
     assert (out / "heatmap_level1_cell_0_0.csv").exists()
     assert (out / "heatmap_level1_cell_1_1.csv").exists()
-    _assert_raster_run(out, points=25, evals=25 * 4)
+    _assert_raster_run(out, threads=1, evals=25 * 4)  # 25 points: one block
     assert main(["heatmap", "--config", str(cfg), "--out-dir", str(out),
                  "--level", "9"]) == 2  # out of range
 
@@ -360,7 +368,7 @@ def test_heatmap_rejects_cells_outside_level(tmp_path, capsys, cells, message):
     assert not list(tmp_path.glob("hm/*cell_*.csv"))
 
 
-def test_focus_cut_command(tmp_path):
+def test_focus_cut_command(tmp_path, two_kernel_threads):
     cfg, _ = tiny_file(tmp_path)
     out = tmp_path / "cut"
     assert main(["focus-cut", "--config", str(cfg), "--out-dir", str(out),
@@ -369,10 +377,10 @@ def test_focus_cut_command(tmp_path):
     assert lines[1] == "displacement_m,snr_db"
     assert len(lines) == 2 + 21
     assert not (out / "focus_cut_y.csv").exists()
-    _assert_raster_run(out, points=21, evals=21)
+    _assert_raster_run(out, threads=1, evals=21)
     assert main(["focus-cut", "--config", str(cfg), "--out-dir", str(out),
                  "--axis", "both", "--steps", "200"]) == 0
-    _assert_raster_run(out, points=200, evals=2 * 200)
+    _assert_raster_run(out, threads=2, evals=2 * 200)
 
 
 @pytest.mark.parametrize("flags", [["--steps", "0"], ["--steps", "1"], ["--range", "0"],

@@ -624,7 +624,8 @@ def test_campaign_identical_across_blas_threads(scenario, count):
 def test_rasters_written_identical_across_blas_threads(tmp_path):
     # a second BLAS thread moves the low bits of about a quarter of the
     # level-4 heatmap's values in memory (at most 1e-12 dB on the reference
-    # RIS); the 6-digit CSVs of the rasters must keep every byte
+    # RIS); the 6-digit CSVs of the rasters must keep every byte, whatever
+    # number of kernel threads each BLAS setting leaves
     src = str(Path(nr.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
@@ -735,11 +736,19 @@ def test_field_kernel_matches_grcs_oracle():
             assert got[i, j] == pytest.approx(point_source_snr_db(s, p, omega), rel=1e-9)
 
 
+def _blas_threads_set(monkeypatch, **env):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+
 def test_rasters_have_the_same_bits_for_any_thread_count(monkeypatch):
     # 81 raster points make a full block and a partial one, a 101-step cut
     # two blocks and the random points four, so three threads share them;
     # each block gets the same GEMM on any thread, and no thread outlives
     # the call
+    _blas_threads_set(monkeypatch, OPENBLAS_NUM_THREADS="1")
     s = small_scenario(illum_grid=9)
     rng = np.random.default_rng(5)
     points = np.asarray(s.blockage_center) + rng.uniform(-4.0, 4.0, (3 * _FIELD_CHUNK + 7, 3))
@@ -775,8 +784,17 @@ class _InlineThreads:
         return map(fn, jobs)
 
 
-@pytest.mark.parametrize("cores", [1, 2, 7])
-def test_field_kernel_takes_one_thread_per_core_and_at_most_one_per_block(monkeypatch, cores):
+@pytest.mark.parametrize("cores, env, sizes", [
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, [1, 1]),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, [2, 2]),
+    (7, {"OPENBLAS_NUM_THREADS": "1"}, [2, 5]),
+    (7, {"OMP_NUM_THREADS": "2"}, [2, 3]),
+    (7, {"MKL_NUM_THREADS": "4"}, [1, 1]),
+    (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2,1"}, [1, 1]),  # neither counts
+    (4, {}, [1, 1]),  # unpinned BLAS takes every core
+])
+def test_field_kernel_takes_the_cores_blas_leaves_and_at_most_one_per_block(
+        monkeypatch, cores, env, sizes):
     # a 9 x 9 raster is 2 blocks and a cut of 5 blocks' points is 5; the
     # stand-in starts no thread and gives the threaded kernel's results
     s = small_scenario(illum_grid=9)
@@ -784,9 +802,10 @@ def test_field_kernel_takes_one_thread_per_core_and_at_most_one_per_block(monkey
     monkeypatch.setattr(harness, "ThreadPoolExecutor", _InlineThreads)
     monkeypatch.setattr(_InlineThreads, "sizes", [])
     monkeypatch.setattr(harness, "usable_cores", lambda: cores)
+    _blas_threads_set(monkeypatch, **env)
     threads = threading.active_count()
     got = heatmap(s, 0).per_cell, focusing_cut(s, "x", 2.0, 5 * _FIELD_CHUNK)[1]
-    assert _InlineThreads.sizes == [min(cores, 2), min(cores, 5)]
+    assert _InlineThreads.sizes == sizes
     assert threading.active_count() == threads
     for a, b in zip(expected, got):
         assert a.tobytes() == b.tobytes()
@@ -797,6 +816,7 @@ def test_field_kernel_blocks_run_under_the_callers_error_state(monkeypatch):
     # overflow; a worker thread starts from numpy's default error state,
     # which warns, so each block must take the caller's
     monkeypatch.setattr(harness, "usable_cores", lambda: 3)
+    _blas_threads_set(monkeypatch, OPENBLAS_NUM_THREADS="1")
     s = small_scenario()
     far = 1e160 * np.linspace(1.0, 2.0, 3 * _FIELD_CHUNK)
     points = np.asarray(s.blockage_center) + far[:, None] * np.array([1.0, 0, 0])
