@@ -14,6 +14,7 @@ import re
 import sys
 import time
 import warnings
+from functools import lru_cache
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -180,12 +181,21 @@ def write_aggregates_csv(path, rows):
                 f"{a.n_trials}" for a in rows))
 
 
-def write_raster_csv(path, xs, ys, grid):
-    """One x,y,snr line per grid point, x-major; each coordinate is formatted once."""
+@lru_cache(maxsize=1)
+def _raster_template(xs, ys):
+    """A raster file of the axes' tuples with one %.6g slot per grid point, x-major: the
+    format line, the header and one "x,y,%.6g" line per point, each coordinate
+    formatted once. One slot holds it, so every raster of a heatmap shares it."""
     ys_fmt = [_fmt(y) for y in ys]
-    prefixes = [f"{x},{y}," for x in map(_fmt, xs) for y in ys_fmt]
-    _write_csv(path, "x_m,y_m,snr_db",
-               (p + _fmt(v) for p, v in zip(prefixes, grid.ravel().tolist())))
+    return "".join([f"# format_version={FORMAT_VERSION}\nx_m,y_m,snr_db\n",
+                    *(f"{x},{y},%.6g\n" for x in map(_fmt, xs) for y in ys_fmt)])
+
+
+def write_raster_csv(path, xs, ys, grid):
+    """One x,y,snr line per grid point, x-major, formatted by one % on the axes' template;
+    '%.6g' % v and f"{v:.6g}" give the same text for every float."""
+    template = _raster_template(tuple(xs.tolist()), tuple(ys.tolist()))
+    FsPath(path).write_text(template % tuple(grid.ravel().tolist()))
 
 
 def write_cut_csv(path, deltas, snr_db):
@@ -314,7 +324,8 @@ def cmd_sweep_beta(args, argv):
 def _raster_run(start, points, evals):
     """The manifest's record of a raster run started at perf_counter() `start`: numpy's
     version, the field kernel's threads over `points` points a call, and `evals`
-    field evaluations with their rate."""
+    field evaluations with their rate. The caller adds `write_s`, the seconds its
+    CSV writes take."""
     wall_s = time.perf_counter() - start
     return {"numpy_version": np.__version__, "threads": harness.field_threads(points),
             "field_evals": evals, "kernel_wall_s": wall_s, "field_evals_per_s": evals / wall_s}
@@ -332,10 +343,12 @@ def cmd_heatmap(args, argv):
     start = time.perf_counter()
     hm = harness.heatmap(scenario, level)
     run = _raster_run(start, scenario.illum_grid ** 2, hm.per_cell.size)
+    start = time.perf_counter()
     write_raster_csv(out / f"heatmap_level{args.level}_composite.csv", hm.xs, hm.ys, hm.composite)
     for wx, wy in cells:
         write_raster_csv(out / f"heatmap_level{args.level}_cell_{wx}_{wy}.csv",
                          hm.xs, hm.ys, hm.per_cell[wx, wy])
+    run["write_s"] = time.perf_counter() - start
     write_manifest(out, scenario, argv,
                    extra={"subcommand": "heatmap", "level": args.level, **run})
     print(f"heatmap: level {args.level} peak {hm.composite.max():.2f} dB -> {out}")
@@ -349,8 +362,11 @@ def cmd_focus_cut(args, argv):
     start = time.perf_counter()
     cuts = {ax: harness.focusing_cut(scenario, ax, args.range, args.steps) for ax in axes}
     run = _raster_run(start, args.steps, args.steps * len(axes))
+    start = time.perf_counter()
     for ax, (deltas, snr) in cuts.items():  # every cut checked before output
         write_cut_csv(out / f"focus_cut_{ax}.csv", deltas, snr)
+    run["write_s"] = time.perf_counter() - start
+    for ax, (deltas, snr) in cuts.items():
         print(f"focus-cut {ax}: peak {snr.max():.2f} dB at "
               f"{deltas[int(np.argmax(snr))]:+.3f} m -> {out}")
     write_manifest(out, scenario, argv, extra={"subcommand": "focus-cut", **run})

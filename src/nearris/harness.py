@@ -8,7 +8,7 @@ Two SNR pipelines coexist and are kept separate on purpose:
   reduce to one field kernel, (points, phasor profiles) -> SNR dB, which
   takes its point-to-element distances on the RIS grid's axes
   (`RisGeometry.distances`) and scores its 64-point blocks on one thread
-  per usable core that BLAS leaves (`field_threads`), with the same bits
+  per usable core that BLAS leaves (`blas_slots`), with the same bits
   for any thread count, and the heatmap reads its level's phasors from
   `cell_phasors`;
 * link-level trials draw each link as arrays of path amplitudes, fadings
@@ -573,20 +573,22 @@ def run_campaign(scenario):
     """Monte Carlo over (beta, trial); results in (beta order, trial) order.
 
     Runs scenario.trials trial indices in this process at 1 worker, else on
-    a pool of scenario.workers processes, capped at one per index and one
-    per usable core; a job is one index at every beta of scenario.beta_list_db,
-    sharing its draw. Every process builds the statics and imports
-    numpy.random before its first trial (`_before_trials`). Output is
-    bit-identical for any worker count: each trial is a pure function of
-    its coordinates, and the pool returns results in job order.
+    a pool of scenario.workers processes, capped at one per index and at
+    `blas_slots()`, the usable cores per BLAS thread; a job is one index at
+    every beta of scenario.beta_list_db, sharing its draw. Every process
+    builds the statics and imports numpy.random before its first trial
+    (`_before_trials`). Output is bit-identical for any worker count: each
+    trial is a pure function of its coordinates, and the pool returns
+    results in job order.
     """
     trials, job = range(scenario.trials), partial(_every_beta, scenario)
     if scenario.workers == 1:
         _before_trials(scenario)
         rows = list(map(job, trials))
     else:
-        # each process builds the statics, and more processes than cores only queue
-        workers = min(scenario.workers, scenario.trials, usable_cores())
+        # each process builds the statics, and each runs its products on every BLAS
+        # thread, so more processes than BLAS-thread teams the cores hold only queue
+        workers = min(scenario.workers, scenario.trials, blas_slots())
         with ProcessPoolExecutor(max_workers=workers, initializer=_before_trials,
                                  initargs=(scenario,)) as ex:
             rows = list(ex.map(job, trials))
@@ -659,16 +661,22 @@ def blas_threads():
     return usable_cores()
 
 
-def field_threads(n_points):
-    """Threads of the field kernel over n_points points: the usable cores per BLAS
-    thread, at least one, and at most one per _FIELD_CHUNK-point block.
+def blas_slots():
+    """The usable cores per BLAS thread, at least one: how many threads or processes
+    that each call BLAS on all its threads run side by side without contending for
+    the cores. A campaign pool and the field kernel take at most this many.
 
-    A block's GEMM runs on every BLAS thread, so more kernel threads than
-    that quotient only contend for the cores: on a 2-core host with BLAS
-    unpinned (2 threads), 2 kernel threads draw a level-4 heatmap in about
-    2.4 s, against 2.0 s on one.
+    On a 2-core host with BLAS unpinned (2 threads), 2 kernel threads draw a
+    level-4 heatmap in about 2.4 s, against 2.0 s on one, and a 2-process
+    `sweep-beta --trials 30` runs 91-102 trials/s, against 156-164 on one.
     """
-    return min(max(1, usable_cores() // blas_threads()), -(-n_points // _FIELD_CHUNK))
+    return max(1, usable_cores() // blas_threads())
+
+
+def field_threads(n_points):
+    """Threads of the field kernel over n_points points: `blas_slots()`, and at most
+    one per _FIELD_CHUNK-point block."""
+    return min(blas_slots(), -(-n_points // _FIELD_CHUNK))
 
 
 def _field_snr_db(scenario, points, phasors):

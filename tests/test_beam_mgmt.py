@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import los_only_scenario, on_fixed_cascade, phase_levels, projected, small_scenario
 from nearris.beam_mgmt import (
+    _BASIS_BLOCK_BYTES,
+    basis_products,
     bs_precoder_focus_ris,
     hierarchical_search,
     mu_combiners,
@@ -78,6 +80,21 @@ def matrix_oracle_snr(ch, omega, v, combiners, sigma2, g):
     """max_u |u^H (H + H2 diag(g e^{j omega}) H1) v|^2 / sigma2 from the full matrices."""
     y = (ch.h + ch.h2 @ np.diag(g * np.exp(1j * omega)) @ ch.h1) @ v
     return max(abs(np.vdot(u, y)) ** 2 for u in combiners) / sigma2
+
+
+@pytest.mark.parametrize("n_mu", [1, 4])
+def test_basis_products_in_row_blocks_equal_one_product_per_combiner_row(n_mu):
+    # the reference RIS's rows are 7 to a block, so 10 profiles make a full
+    # block and a partial one; each entry is the same dot product either way
+    q = 93 * 93
+    rows = _BASIS_BLOCK_BYTES // (16 * q)
+    assert 0 < 10 - rows < rows
+    rng = np.random.default_rng(11)
+    e = cis(rng.uniform(0, 2 * np.pi, (10, q)))
+    d = rng.normal(size=(3, n_mu)) + 1j * rng.normal(size=(3, n_mu))
+    c = rng.normal(size=(3, n_mu, q)) + 1j * rng.normal(size=(3, n_mu, q))
+    expected = np.stack([[e @ row + du for row, du in zip(c[k], d[k])] for k in range(3)])
+    assert basis_products(e, d, c).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n_mu", [1, 4])

@@ -86,6 +86,48 @@ def test_csv_writers_format_rows(tmp_path, write, expected):
     assert p.read_text() == "# format_version=1\n" + expected
 
 
+def _raster_per_value(xs, ys, grid):
+    # a raster file formatted one value at a time, as f"{v:.6g}"
+    lines = [f"{x:.6g},{y:.6g},{v:.6g}"
+             for (x, y), v in zip(((x, y) for x in xs for y in ys), grid.ravel().tolist())]
+    return "\n".join(["# format_version=1", "x_m,y_m,snr_db", *lines]) + "\n"
+
+
+def test_raster_writer_formats_every_value_as_the_per_value_format(tmp_path):
+    xs, ys = np.array([-0.0, 1e-7, 999999.5]), np.array([1e16, -2.5])
+    grid = np.array([[NAN, INF], [-INF, -0.0], [1e-7, 999999.5]])
+    write_raster_csv(tmp_path / "r.csv", xs, ys, grid)
+    text = (tmp_path / "r.csv").read_text()
+    assert text == _raster_per_value(xs, ys, grid)
+    assert "-0,1e+16,nan\n-0,-2.5,inf\n1e-07,1e+16,-inf\n" in text
+    assert text.endswith("1e+06,-2.5,1e+06\n")
+
+
+def test_raster_writer_takes_each_grids_own_axes(tmp_path):
+    # the writer keeps one grid's template; a second grid, and then the
+    # first again, must each be written on their own coordinates
+    rng = np.random.default_rng(3)
+    grids = [(np.linspace(-1.0, 1.0, 3), np.linspace(2.0, 3.0, 2)),
+             (np.linspace(-1.0, 1.0, 4), np.linspace(2.0, 3.0, 2)),
+             (np.array([5.0]), np.array([7.0]))]  # 1 x 1
+    for xs, ys in [*grids, grids[0]]:
+        grid = rng.normal(size=(len(xs), len(ys)))
+        write_raster_csv(tmp_path / "r.csv", xs, ys, grid)
+        assert (tmp_path / "r.csv").read_text() == _raster_per_value(xs, ys, grid)
+
+
+def test_two_heatmaps_on_different_grids_in_one_process(tmp_path):
+    cfg, _ = tiny_file(tmp_path)
+    for n in (3, 4, 3):
+        out = tmp_path / f"hm{n}"
+        assert main(["heatmap", "--config", str(cfg), "--out-dir", str(out),
+                     "--level", "1", "--grid", str(n), "--cells", "all"]) == 0
+        for f in out.glob("*.csv"):
+            points = [line.split(",")[:2] for line in f.read_text().splitlines()[2:]]
+            assert len(points) == n * n
+            assert len({x for x, _ in points}) == len({y for _, y in points}) == n
+
+
 # --- scenario files -----------------------------------------------------------
 
 
@@ -332,6 +374,7 @@ def _assert_raster_run(out, threads, evals):
     assert man["field_evals"] == evals
     assert man["kernel_wall_s"] > 0
     assert man["field_evals_per_s"] == pytest.approx(evals / man["kernel_wall_s"])
+    assert man["write_s"] > 0
 
 
 def test_heatmap_command_writes_rasters(tmp_path, two_kernel_threads):

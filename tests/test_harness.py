@@ -525,10 +525,18 @@ def test_campaign_order_and_results_equal_standalone_trials(workers):
         assert r == run_trial(s, r.beta_db, r.trial)
 
 
+def _blas_threads_set(monkeypatch, **env):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+
 def test_campaign_forks_no_more_workers_than_trial_indices(monkeypatch):
     # every pool process builds the statics, so a pool larger than the
     # trial count would build them for nothing; the results are the
-    # 1-worker campaign's
+    # 1-worker campaign's. BLAS is pinned, so the cores are not what caps it
+    _blas_threads_set(monkeypatch, OPENBLAS_NUM_THREADS="1")
     pools = []
     monkeypatch.setattr(harness, "ProcessPoolExecutor",
                         lambda max_workers, f=harness.ProcessPoolExecutor, **kw:
@@ -562,6 +570,7 @@ def test_campaign_pool_is_capped_at_the_core_count(monkeypatch, tmp_path):
     # a workers value far past the usable cores asks for one pool process
     # per core this process may run on, not per host core, and gives the
     # 1-worker campaign's results; the manifest records the workers asked for
+    _blas_threads_set(monkeypatch, OPENBLAS_NUM_THREADS="1")
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -576,6 +585,22 @@ def test_campaign_pool_is_capped_at_the_core_count(monkeypatch, tmp_path):
                      "--out-dir", str(tmp_path / "o")]) == 0
     assert _InProcessPool.sizes == [3, 3]
     assert json.loads((tmp_path / "o" / "manifest.json").read_text())["workers"] == 10**6
+
+
+@pytest.mark.parametrize("env, size", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)])
+def test_campaign_pool_takes_the_cores_blas_leaves(monkeypatch, env, size):
+    # each pool process runs its products on every BLAS thread: unpinned
+    # BLAS takes all 4 cores, which leaves room for one process, and 2 BLAS
+    # threads for two; the stand-in starts no process
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(harness, "usable_cores", lambda: 4)
+    _blas_threads_set(monkeypatch, **env)
+    s = small_scenario(trials=5, workers=4, codebook_levels=((2, 2), (4, 4)),
+                       beta_list_db=(10.0,))
+    results = run_campaign(s)
+    assert _InProcessPool.sizes == [size]
+    assert results == run_campaign(dataclasses.replace(s, workers=1))
 
 
 def test_campaign_dominance_and_sorting():
@@ -734,13 +759,6 @@ def test_field_kernel_matches_grcs_oracle():
     for i, p in enumerate(points):
         for j, omega in enumerate(profiles):
             assert got[i, j] == pytest.approx(point_source_snr_db(s, p, omega), rel=1e-9)
-
-
-def _blas_threads_set(monkeypatch, **env):
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
 
 
 def test_rasters_have_the_same_bits_for_any_thread_count(monkeypatch):
