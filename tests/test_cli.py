@@ -104,11 +104,12 @@ def test_raster_writer_formats_every_value_as_the_per_value_format(tmp_path):
 
 
 def test_raster_writer_takes_each_grids_own_axes(tmp_path):
-    # the writer keeps one grid's template; a second grid, and then the
-    # first again, must each be written on their own coordinates
+    # the writer keeps one grid's template; grids of another size, or of
+    # the same size on other coordinates, and then the first again, must
+    # each be written on their own coordinates
     rng = np.random.default_rng(3)
-    grids = [(np.linspace(-1.0, 1.0, 3), np.linspace(2.0, 3.0, 2)),
-             (np.linspace(-1.0, 1.0, 4), np.linspace(2.0, 3.0, 2)),
+    xs, ys = np.linspace(-1.0, 1.0, 3), np.linspace(2.0, 3.0, 2)
+    grids = [(xs, ys), (xs + 0.5, ys), (xs, ys - 0.5), (np.linspace(-1.0, 1.0, 4), ys),
              (np.array([5.0]), np.array([7.0]))]  # 1 x 1
     for xs, ys in [*grids, grids[0]]:
         grid = rng.normal(size=(len(xs), len(ys)))
