@@ -29,11 +29,9 @@ from .channel import (
 )
 from .codebook import (
     BlockageArea,
-    build_hierarchy,
     children,
     focusing_phases,
     grcs,
-    mapping,
     unit_cell_factor,
     wide_illumination_phases,
 )

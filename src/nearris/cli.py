@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -23,6 +24,7 @@ import yaml
 from . import __version__
 from . import harness
 from .benchmarks import PROPOSED
+from .codebook import wide_illumination_phases
 from .harness import Scenario, farfield_table, is_finite_real
 
 FORMAT_VERSION = 1
@@ -203,32 +205,40 @@ def write_cut_csv(path, deltas, snr_db):
                (f"{_fmt(d)},{_fmt(s)}" for d, s in zip(deltas, snr_db)))
 
 
-def write_codebook_json(path, scenario, codebook, level_indices):
-    """The codewords of the 0-based levels in level_indices, phases wrapped to [0, 2*pi)."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "alpha": scenario.codebook_alpha,
-        "area": {
-            "center": list(scenario.blockage_center),
-            "extent_m": [scenario.blockage_r_x, scenario.blockage_r_y],
-        },
-        "element_order": "row-major in (q_y, q_z)",
-        "phase_unit": "radians in [0, 2*pi)",
-        "levels": [],
-    }
-    for li in level_indices:
-        lev = codebook[li]
-        doc["levels"].append({
-            "level": li + 1,
-            "shape": list(lev.shape[:2]),
-            "codewords": {
-                f"{wx},{wy}": [round(float(p), 9) for p in np.mod(lev[wx, wy], 2 * np.pi)]
-                for wx, wy in np.ndindex(lev.shape[:2])
-            },
-        })
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+def write_codebook_json(path, scenario, level_indices):
+    """The codewords of the 0-based levels in level_indices, phases wrapped to [0, 2*pi).
+
+    Writes the bytes `json.dump` gives for the whole document, computing one
+    row of cells of one level at a time, so no level is held whole and no
+    unselected level is computed. The text goes to a temporary file next to
+    `path`, renamed onto it after the last level; any failure removes it.
+    """
+    levels, alpha, area, geom, p_i, lambda_m = scenario.codebook_args()
+    head = {"format_version": FORMAT_VERSION, "alpha": alpha,
+            "area": {"center": list(scenario.blockage_center),
+                     "extent_m": [scenario.blockage_r_x, scenario.blockage_r_y]},
+            "element_order": "row-major in (q_y, q_z)", "phase_unit": "radians in [0, 2*pi)",
+            "levels": []}
+    part = FsPath(f"{path}.part")
+    try:
+        with open(part, "w") as fh:
+            fh.write(json.dumps(head)[:-2])  # up to the open levels list
+            for n, li in enumerate(level_indices):
+                shape = levels[li]
+                level = {"level": li + 1, "shape": list(shape), "codewords": {}}
+                fh.write(", " * (n > 0) + json.dumps(level)[:-2])  # up to the open codewords
+                for wx in range(shape[0]):
+                    row = wide_illumination_phases(p_i, area, geom, lambda_m, wx,
+                                                   np.arange(shape[1]), *shape, alpha)
+                    for wy, phases in enumerate(np.mod(row, 2 * np.pi)):
+                        fh.write(f'{", " * (wx + wy > 0)}"{wx},{wy}": '
+                                 + json.dumps([round(p, 9) for p in phases.tolist()]))
+                fh.write("}}")
+            fh.write("]}\n")
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def write_channel_set(path, channels):
@@ -378,8 +388,7 @@ def cmd_codebook_dump(args, argv):
     sel = (range(len(scenario.codebook_levels)) if args.level is None
            else [_level_index(scenario, args.level)])
     out = _out_dir(args)
-    codebook = scenario.build_codebook()
-    write_codebook_json(out / "codebook.json", scenario, codebook, sel)
+    write_codebook_json(out / "codebook.json", scenario, sel)
     write_manifest(out, scenario, argv, extra={"subcommand": "codebook dump"})
     total = sum(wx * wy for wx, wy in (scenario.codebook_levels[i] for i in sel))
     print(f"codebook dump: {total} codewords -> {out / 'codebook.json'}")
@@ -469,8 +478,10 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:  # every command computes its results before its first write, so
-        # one raised while computing leaves no file; one raised while writing may leave some
+    except MemoryError:  # every command computes its results before its first write, or
+        # (codebook dump) writes under a temporary name that a failure removes, so one
+        # raised while computing leaves no file; one raised while writing several files
+        # (a campaign's CSVs, a heatmap's rasters) may leave some
         command = " ".join(filter(None, (args.command, getattr(args, "codebook_command", None))))
         print(f"error: {command}: out of memory; a smaller RIS, raster grid or codebook "
               f"needs less", file=sys.stderr)

@@ -7,14 +7,12 @@ point; focusing codewords make every summand real-positive at the target,
 wide-illumination codewords spread the reflected energy over one cell of
 a rectangular blockage area.
 
-A hierarchy is a tuple of levels, coarsest first, and a level is one
-array of shape (big_w_x, big_w_y, Q) holding the codeword of cell
-(w_x, w_y) at [w_x, w_y]; `check_levels` checks the level shapes and
-alpha for both the build and the scenario. The codebook dump reads these
-phase arrays, and the tests take them as the oracle. Trials and the
-heatmap read phasors instead, all from `cell_phasors`: the finest level's
-table, the few codewords of the coarser levels that a search sounds,
-computed on demand, and the one level a heatmap draws.
+A hierarchy is a tuple of level shapes (big_w_x, big_w_y), coarsest
+first, with one width alpha, which `check_levels` checks. Every reader
+computes a level a row of cells at a time with `wide_illumination_phases`:
+trials and the heatmap read phasors from `cell_phasors` (the finest
+level's table, the few coarser codewords that a search sounds, on demand,
+and the one level a heatmap draws), and `codebook dump` writes phases.
 """
 
 import warnings
@@ -76,10 +74,15 @@ def focusing_phases(p_i, p_target, geom, lambda_m):
 
 
 def _image_planes(y, z, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
-    """x and y of the image points of `mapping` for element y and z values, S + z.shape
-    and S + y.shape: x varies with the cell and z alone, y with the cell and y alone.
+    """x and y of the image points, in the blockage plane at height area.center[2], of
+    elements at y and z: S + z.shape and S + y.shape for cell indices broadcasting to S.
 
-    Every image point lies at the area's height area.center[2].
+    Cell (w_x, w_y) of a big_w_x by big_w_y partition is anchored at its
+    center, offset t_w = (w + 1/2)*R/W - R/2 from the area center; the
+    element's (y, z), taken relative to the RIS center, are scaled by
+    Delta_t = alpha*R_t/W_t over the aperture so one cell is painted by the
+    whole surface: x varies with the cell and z alone, y with the cell and y
+    alone. alpha = 0 collapses the image to the cell center.
     """
     w_x, w_y = np.broadcast_arrays(w_x, w_y)
     if not (np.all((0 <= w_x) & (w_x < big_w_x)) and np.all((0 <= w_y) & (w_y < big_w_y))):
@@ -100,38 +103,13 @@ def _image_planes(y, z, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
     return x, y
 
 
-def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
-    """Map RIS element position(s) to target point(s) in the blockage plane.
-
-    Cell (w_x, w_y) of a big_w_x by big_w_y partition is anchored at its
-    center, offset t_w = (w + 1/2)*R/W - R/2 from the area center; the
-    element's in-plane coordinates (y, z), taken relative to the RIS
-    center, are scaled by Delta_t = alpha*R_t/W_t over the aperture so one
-    cell is painted by the whole surface. alpha = 0 collapses the image to
-    the cell center; the single cell of a 1x1 partition maps onto the area
-    center itself.
-
-    Accepts a single (3,) position or an (n, 3) batch, and integer-array
-    cell indices broadcasting to a shape S: the result is S + (3,) or S + (n, 3).
-    """
-    p = np.asarray(p_n, dtype=float)
-    single = p.ndim == 1
-    p = np.atleast_2d(p)
-    x, y = _image_planes(p[:, 1], p[:, 2], area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
-    out = np.empty(x.shape + (3,))
-    out[..., 0] = x
-    out[..., 1] = y
-    out[..., 2] = area.center[2]
-    return out[..., 0, :] if single else out
-
-
 def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w_y, alpha):
     """Codeword spreading the reflection over cell (w_x, w_y) of the area.
 
-    omega_n = -k*(|M(p_n) - p_n| - |M(p_n) - p_ris| + |p_i - p_n|), with M
-    the per-element mapping above. Each element focuses on its own image
-    point; the -|M - p_ris| term keeps the profile phase-continuous across
-    the aperture. Array cell indices broadcast as in `mapping`, to S + (Q,).
+    omega_n = -k*(|M(p_n) - p_n| - |M(p_n) - p_ris| + |p_i - p_n|), with M the
+    per-element image point of `_image_planes`. Each element focuses on its own
+    image point; the -|M - p_ris| term keeps the profile phase-continuous across
+    the aperture. Integer-array cell indices broadcasting to S give S + (Q,).
     The image points' x varies with the cell and the element's z only, and
     their y with the cell and the element's y only, so both `hypot3` calls
     square their x terms on S + (1, q_z) and their y terms on S + (q_y, 1)
@@ -192,26 +170,9 @@ def check_levels(level_shapes, alpha):
         warnings.warn(f"alpha={alpha} > 1 overlaps neighboring cells beyond their edges")
 
 
-def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
-    """All codewords for (big_w_x, big_w_y) level shapes that pass `check_levels`: one
-    (big_w_x, big_w_y, Q) array per level, coarsest first, filled a row of cells at a time."""
-    check_levels(level_shapes, alpha)
-    levels = []
-    for shape in level_shapes:
-        words = np.empty((*shape, geom.q))
-        for wx in range(shape[0]):
-            # the last row stays bound while the next is computed: freeing it first lets
-            # the heap shrink and fault back in at every row, a first build ~15% slower
-            row = wide_illumination_phases(p_i, area, geom, lambda_m, wx, np.arange(shape[1]),
-                                           *shape, alpha)
-            words[wx] = row
-        levels.append(words)
-    return tuple(levels)
-
-
 def cell_phasors(shape, alpha, area, geom, p_i, lambda_m, cells):
-    """Read-only exp(j*omega) of the cells ((w_x, w_y), ...) of a (W_x, W_y) level of
-    `build_hierarchy`, one row each.
+    """Read-only exp(j*omega) of the cells ((w_x, w_y), ...) of a (W_x, W_y) level, one
+    row each.
 
     Fills the rows W_y cells at a time, so a whole level in row-major order
     (the finest level's table or a heatmap's level, row w_x * W_y + w_y) is
@@ -221,8 +182,9 @@ def cell_phasors(shape, alpha, area, geom, p_i, lambda_m, cells):
     table = np.empty((len(cells), geom.q), dtype=complex)
     for s in range(0, len(cells), shape[1]):
         cut = slice(s, s + shape[1])
+        # a block stays bound while the next is computed, so the heap does not shrink
         phases = wide_illumination_phases(p_i, area, geom, lambda_m, w_x[cut], w_y[cut],
-                                          *shape, alpha)  # bound as build_hierarchy's row
+                                          *shape, alpha)
         table[cut] = cis(phases)
     table.flags.writeable = False
     return table

@@ -24,9 +24,9 @@ Two SNR pipelines coexist and are kept separate on purpose:
   of a coarser level as one cached block (`Scenario.codewords`) and the
   finest level's from its table. B1 and B2 read the table and their
   codeword once per trial index, as the products E C_k^T + D_k
-  (`basis_products`), so a beta costs them O(W_x W_y N_mu). The phase
-  arrays of `Scenario.build_codebook` serve the codebook dump, and are the
-  tests' oracle of the trials and the rasters. `build_trial_channels` and
+  (`basis_products`), so a beta costs them O(W_x W_y N_mu). No level of
+  phases is held whole: whole-level phase arrays are the tests' oracle of
+  the trials and the rasters. `build_trial_channels` and
   `Scenario.cascade` form the full matrices with `assemble_channel` and
   are the oracle of the channel reduction.
 
@@ -75,7 +75,6 @@ from .channel import (
 )
 from .codebook import (
     BlockageArea,
-    build_hierarchy,
     cell_phasors,
     check_levels,
     focusing_phases,
@@ -277,7 +276,7 @@ class Scenario:
         lam, ris = self.lambda_m, self.ris_geometry()
         bs_pos = self.bs_geometry().element_positions()
         v = bs_precoder_focus_ris(bs_pos, self.ris_center, lam, self.p_bs_watts)
-        (*coarser, finest), *args = self._codebook_args()
+        (*coarser, finest), *args = self.codebook_args()
         return CampaignStatics(
             bs_pos=bs_pos, ris=ris, v=v, g=unit_cell_factor(ris, lam),
             uh=mu_combiners(self.n_mu).conj(), sigma=np.sqrt(self.sigma2),
@@ -300,17 +299,11 @@ class Scenario:
             r_x=self.blockage_r_x, r_y=self.blockage_r_y,
         )
 
-    def _codebook_args(self):
+    def codebook_args(self):
+        """(level shapes, alpha, blockage area, RIS geometry, p_i, lambda_m): what every
+        codeword of this scenario is computed from."""
         return (self.codebook_levels, self.codebook_alpha, self.blockage_area(),
                 self.ris_geometry(), np.asarray(self.bs_center, dtype=float), self.lambda_m)
-
-    def build_codebook(self):
-        """The hierarchy: one (W_x, W_y, Q) codeword array per level, coarsest first.
-
-        `codebook dump` and the tests read it; trials read the phasors of
-        `statics()` and `codewords`, and the heatmap those of `cell_phasors`.
-        """
-        return build_hierarchy(*self._codebook_args())
 
     def codewords(self, depth, cells):
         """Phasors of cells [(w_x, w_y), ...] of level depth (0-based), one row each.
@@ -767,7 +760,7 @@ def heatmap(scenario, level_index):
     w_x * W_y + w_y) and returns the grid of every codeword of the level
     and their pointwise-max composite.
     """
-    levels, *args = scenario._codebook_args()
+    levels, *args = scenario.codebook_args()
     if not 0 <= level_index < len(levels):
         raise ValueError(f"level_index {level_index} out of range 0..{len(levels) - 1}")
     shape = levels[level_index]  # args is (alpha, area, RIS geometry, p_i, lambda_m)

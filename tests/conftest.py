@@ -11,6 +11,7 @@ import pytest
 import nearris as nr
 from nearris.beam_mgmt import at_scale, basis_products
 from nearris.codebook import children
+from oracle import phase_codebook
 
 _ACCEPTANCE_LINES = []
 
@@ -90,7 +91,7 @@ def reference_scenario():
 
 @pytest.fixture(scope="session")
 def reference_codebook(reference_scenario):
-    return reference_scenario.build_codebook()
+    return phase_codebook(reference_scenario)
 
 
 def point_source_losses(scenario, codebook, mu_positions):

@@ -1,11 +1,17 @@
-"""A whole trial from slow, obviously correct pieces: the oracle of `run_trial`.
+"""Slow, obviously correct pieces: the oracles of the codebook and of `run_trial`.
+
+`build_hierarchy` holds a whole hierarchy as phase arrays, one
+(W_x, W_y, Q) array per level, and `phase_codebook` builds a scenario's;
+the package computes codewords only a row of cells at a time, and the
+tests compare those rows, `codebook dump` and the trial path with these
+arrays. `mapping` gives the image points of elements as (..., 3) arrays.
 
 `slow_trial` builds the full channel matrices with `build_trial_channels`
 at no blockage and attenuates the direct matrix itself, reduces them with
-`Scenario.cascade`, then scores every codeword of the phase arrays of
-`Scenario.build_codebook` on its own with `np.exp`: a search over those
-arrays, B1 over the finest level, B2 from `focusing_phases` and B3 by its
-formula. No basis, table, block or cache of the trial path is read.
+`Scenario.cascade`, then scores every codeword of `phase_codebook` on its
+own with `np.exp`: a search over those arrays, B1 over the finest level,
+B2 from `focusing_phases` and B3 by its formula. No basis, table, block or
+cache of the trial path is read.
 """
 
 import dataclasses
@@ -13,8 +19,47 @@ import dataclasses
 import numpy as np
 
 from nearris import benchmarks as bm
-from nearris.codebook import focusing_phases
+from nearris.codebook import _image_planes, check_levels, focusing_phases, wide_illumination_phases
 from nearris.harness import build_trial_channels
+
+
+def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
+    """Image point(s) in the blockage plane of RIS element position(s) for cell (w_x, w_y).
+
+    Accepts a single (3,) position or an (n, 3) batch, and integer-array
+    cell indices broadcasting to a shape S: the result is S + (3,) or S + (n, 3).
+    """
+    p = np.asarray(p_n, dtype=float)
+    single = p.ndim == 1
+    p = np.atleast_2d(p)
+    x, y = _image_planes(p[:, 1], p[:, 2], area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
+    out = np.empty(x.shape + (3,))
+    out[..., 0] = x
+    out[..., 1] = y
+    out[..., 2] = area.center[2]
+    return out[..., 0, :] if single else out
+
+
+def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
+    """All codewords for (big_w_x, big_w_y) level shapes that pass `check_levels`: one
+    (big_w_x, big_w_y, Q) array per level, coarsest first, filled a row of cells at a time."""
+    check_levels(level_shapes, alpha)
+    levels = []
+    for shape in level_shapes:
+        words = np.empty((*shape, geom.q))
+        for wx in range(shape[0]):
+            # the last row stays bound while the next is computed: freeing it first lets
+            # the heap shrink and fault back in at every row, a first build ~15% slower
+            row = wide_illumination_phases(p_i, area, geom, lambda_m, wx, np.arange(shape[1]),
+                                           *shape, alpha)
+            words[wx] = row
+        levels.append(words)
+    return tuple(levels)
+
+
+def phase_codebook(scenario):
+    """The scenario's hierarchy as `build_hierarchy` phase arrays, coarsest first."""
+    return build_hierarchy(*scenario.codebook_args())
 
 
 @dataclasses.dataclass
@@ -38,7 +83,7 @@ def slow_trial(scenario, beta_db, trial):
     channels = dataclasses.replace(
         channels, h=channels.h * 10.0 ** (-scenario.blockage_loss_db / 20.0))
     d, a = scenario.cascade(channels)
-    codebook = scenario.build_codebook()
+    codebook = phase_codebook(scenario)
 
     winners, margins, pilots = [], [], 0
     for depth, level in enumerate(codebook):

@@ -15,9 +15,10 @@ from nearris.beam_mgmt import (
 )
 from nearris.benchmarks import benchmark1_full_search, benchmark3_full_csi
 from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
-from nearris.codebook import mapping, unit_cell_factor
+from nearris.codebook import unit_cell_factor
 from nearris.geometry import cis
 from nearris.harness import build_trial_channels
+from oracle import mapping, phase_codebook
 
 G_PI = np.pi
 
@@ -102,7 +103,7 @@ def test_received_snr_matches_full_matrix_oracle(n_mu):
     # multipath channels from assemble_channel, direct link on, random and
     # codebook profiles: the (d, A) reduction must not change the SNR
     s = small_scenario(n_mu=n_mu, codebook_levels=((2, 2),))
-    cb = s.build_codebook()
+    cb = phase_codebook(s)
     lam = s.lambda_m
     v = bs_precoder_focus_ris(s.bs_geometry().element_positions(), s.ris_center, lam,
                               s.p_bs_watts)

@@ -8,7 +8,8 @@ worker count 1 and 2, the medians of its runs' trials/s and campaign wall
 time. A file with a `paired` section (`--baseline`) must hold, per
 workload and end-to-end metric, both sides' runs with their medians and
 quartiles, every pair's ratio, the ratios' median and range, and the wins,
-from at least 10 pairs of 40 s runs.
+from at least 10 pairs of 40 s runs; where it holds the baseline's traced
+records, each has every per-layer metric.
 """
 
 import importlib.util
@@ -41,12 +42,7 @@ def test_bench_file_schema(path):
     workloads = doc["workloads"]
     for wl in DECLARED["workloads"]:
         for trace, kind in (("trace0", "end_to_end"), ("trace1", "per_layer")):
-            record = workloads[wl["name"]][trace]
-            assert record["record"]["workload"] == wl["name"]
-            metrics = record["result"]["metrics"]
-            for m in DECLARED[kind]:
-                assert is_number(metrics[m["name"]]["value"]), (wl["name"], trace, m["name"])
-                assert metrics[m["name"]]["unit"] == m["unit"]
+            check_record(workloads[wl["name"]][trace], wl["name"], kind)
     if "paired" in doc:
         check_paired(doc["paired"])
     sweep = doc.get("reference_sweep")
@@ -64,8 +60,21 @@ def test_bench_file_schema(path):
                 assert run["trials_per_s"] * run["campaign_wall_s"] == pytest.approx(700)
 
 
+def check_record(record, workload, kind):
+    """A perfbench record of `workload` holds every `kind` metric as a finite number."""
+    assert record["record"]["workload"] == workload
+    metrics = record["result"]["metrics"]
+    for m in DECLARED[kind]:
+        assert is_number(metrics[m["name"]]["value"]), (workload, kind, m["name"])
+        assert metrics[m["name"]]["unit"] == m["unit"]
+
+
 def check_paired(paired):
-    """The schema of a `paired` section, its summaries recomputed from its runs."""
+    """The schema of a `paired` section, its summaries recomputed from its runs, and of
+    its baseline's traced records where it holds them."""
+    if "baseline_trace1" in paired:
+        for wl in DECLARED["workloads"]:
+            check_record(paired["baseline_trace1"][wl["name"]], wl["name"], "per_layer")
     pairs = paired["pairs"]
     assert isinstance(pairs, int) and pairs >= 10
     assert paired["first"] == [("baseline", "change")[i % 2] for i in range(pairs)]
@@ -91,7 +100,8 @@ def check_paired(paired):
 
 def test_paired_section_of_the_tool_has_the_schema(monkeypatch, tmp_path):
     # bench_file.py's paired section from stand-in runs, no benchmark started:
-    # the sides alternate, each pair with the other side first
+    # the sides alternate, each pair with the other side first, then the
+    # baseline runs once traced
     spec = importlib.util.spec_from_file_location("bench_file", ROOT / "tools" / "bench_file.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -100,14 +110,17 @@ def test_paired_section_of_the_tool_has_the_schema(monkeypatch, tmp_path):
     def fake_run(root, trace):
         calls.append(root)
         value = 1.0 + len(calls) / 10 + (root == ROOT)
-        return {wl["name"]: {"result": {"metrics": {m["name"]: {"value": value}
-                                                    for m in DECLARED["end_to_end"]}}}
+        kind = ("end_to_end", "per_layer")[trace]
+        return {wl["name"]: {"record": {"workload": wl["name"]},
+                             "result": {"metrics": {m["name"]: {"value": value, "unit": m["unit"]}
+                                                    for m in DECLARED[kind]}}}
                 for wl in DECLARED["workloads"]}
 
     monkeypatch.setattr(tool, "run_benchmark", fake_run)
     monkeypatch.setattr(tool, "clear_bytecode", lambda root: None)
     paired = tool.run_paired(tmp_path, ROOT, 10)
-    assert calls == [tmp_path, ROOT, ROOT, tmp_path] * 5
+    assert calls == [tmp_path, ROOT, ROOT, tmp_path] * 5 + [tmp_path]
+    assert set(paired["baseline_trace1"]) == {wl["name"] for wl in DECLARED["workloads"]}
     check_paired(json.loads(json.dumps(paired)))
     rec = paired["workloads"]["sweep-ref"]["throughput_per_s"]
     assert rec["wins"] == 10 and rec["baseline"]["runs"][:2] == [1.1, 1.4]

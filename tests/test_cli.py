@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import nearris as nr
-from nearris import harness
+from nearris import cli, harness
 from nearris.channel import ChannelSet
 from nearris.cli import (
     _SCHEMA,
@@ -24,6 +24,8 @@ from nearris.cli import (
     write_raster_csv,
     write_trials_csv,
 )
+from nearris.codebook import wide_illumination_phases
+from oracle import phase_codebook
 
 NAN = float("nan")
 INF = float("inf")
@@ -463,6 +465,41 @@ def test_codebook_dump_command(tmp_path):
         assert all(0 <= p < 2 * np.pi for p in phases)
 
 
+def test_codebook_dump_equals_the_phase_arrays(tmp_path):
+    # every cell of every level is the oracle's phase array, wrapped and rounded
+    cfg, s = tiny_file(tmp_path)
+    out = tmp_path / "cb"
+    assert main(["codebook", "dump", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "codebook.json").read_text())
+    codebook = phase_codebook(s)
+    assert [lev["level"] for lev in doc["levels"]] == [1, 2]
+    for lev, words in zip(doc["levels"], codebook):
+        assert lev["shape"] == list(words.shape[:2])
+        assert list(lev["codewords"]) == [f"{wx},{wy}" for wx, wy in np.ndindex(*lev["shape"])]
+        for wx, wy in np.ndindex(*lev["shape"]):
+            expect = [round(float(p), 9) for p in np.mod(words[wx, wy], 2 * np.pi)]
+            assert lev["codewords"][f"{wx},{wy}"] == expect
+    assert sorted(p.name for p in out.iterdir()) == ["codebook.json", "manifest.json"]
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_codebook_dump_of_one_level_computes_its_rows_alone(tmp_path, monkeypatch, level):
+    shapes = ((2, 2), (4, 4), (4, 8))
+    cfg, _ = tiny_file(tmp_path, codebook_levels=shapes)
+    rows = []
+
+    def counted(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w_y, alpha):
+        rows.append((big_w_x, big_w_y, w_x))
+        return wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w_y,
+                                        alpha)
+
+    monkeypatch.setattr(cli, "wide_illumination_phases", counted)
+    assert main(["codebook", "dump", "--config", str(cfg), "--out-dir", str(tmp_path / "cb"),
+                 "--level", str(level)]) == 0
+    shape = shapes[level - 1]
+    assert rows == [(*shape, wx) for wx in range(shape[0])]
+
+
 @pytest.mark.parametrize("command", [["codebook", "dump"], ["heatmap"]])
 @pytest.mark.parametrize("level", ["0", "-1", "9"])
 def test_level_outside_the_hierarchy_exits_2_before_any_output(tmp_path, capsys, command, level):
@@ -612,7 +649,6 @@ def test_beta_too_far_for_float_snrs_exits_2_before_any_output(tmp_path, capsys)
 @pytest.mark.parametrize("command, owner, target", [
     ("heatmap --level 1 --grid 2", nr.harness, "heatmap"),
     ("sweep-beta", nr.harness, "sweep_beta"),
-    ("codebook dump", nr.Scenario, "build_codebook"),
 ])
 def test_out_of_memory_exits_2_before_any_output(tmp_path, capsys, monkeypatch, command, owner,
                                                  target):
@@ -625,9 +661,28 @@ def test_out_of_memory_exits_2_before_any_output(tmp_path, capsys, monkeypatch, 
     cfg, _ = tiny_file(tmp_path)
     out = tmp_path / "o"
     assert main([*command.split(), "--config", str(cfg), "--out-dir", str(out)]) == 2
-    name = " ".join(command.split()[:2 if command.startswith("codebook") else 1])
-    assert f"error: {name}: out of memory" in capsys.readouterr().err
+    assert f"error: {command.split()[0]}: out of memory" in capsys.readouterr().err
     assert not list(out.glob("*"))
+
+
+def test_out_of_memory_mid_dump_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the dump writes as it computes: a MemoryError at its second row, raised once
+    # the temporary file holds the first, exits 2 and leaves the directory empty
+    out = tmp_path / "o"
+    files_seen = []
+
+    def no_memory_after_one_row(*args):
+        files_seen.append(sorted(p.name for p in out.iterdir()))
+        if len(files_seen) > 1:
+            raise MemoryError
+        return wide_illumination_phases(*args)
+
+    monkeypatch.setattr(cli, "wide_illumination_phases", no_memory_after_one_row)
+    cfg, _ = tiny_file(tmp_path)
+    assert main(["codebook", "dump", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "error: codebook dump: out of memory" in capsys.readouterr().err
+    assert files_seen == [["codebook.json.part"]] * 2
+    assert not list(out.iterdir())
 
 
 def test_cli_error_paths_return_2(tmp_path):

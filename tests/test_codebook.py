@@ -7,15 +7,15 @@ from conftest import phase_levels
 from nearris.beam_mgmt import hierarchical_search
 from nearris.codebook import (
     BlockageArea,
-    build_hierarchy,
+    check_levels,
     children,
     focusing_phases,
     grcs,
-    mapping,
     unit_cell_factor,
     wide_illumination_phases,
 )
 from nearris.geometry import RisGeometry, distance, ris_from_aperture, wavelength
+from oracle import build_hierarchy, mapping
 
 LAM = wavelength(28e9)
 P_I = np.array([40.0, 0.0, 10.0])
@@ -318,30 +318,32 @@ def test_build_hierarchy_level_indices_row_major():
     assert trace.levels[0].candidates == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
-def test_build_hierarchy_validation():
-    geom = small_geom(q=2)
+def test_check_levels_validation():
+    # the scenario's check of a hierarchy, which the oracle's build makes too
     with pytest.raises(ValueError):
-        build_hierarchy([], 0.8, AREA, geom, P_I, LAM)
+        check_levels([], 0.8)
     with pytest.raises(ValueError):
-        build_hierarchy([(4, 4), (2, 8)], 0.8, AREA, geom, P_I, LAM)
+        check_levels([(4, 4), (2, 8)], 0.8)
     with pytest.raises(ValueError):
-        build_hierarchy([(4, 4), (6, 8)], 0.8, AREA, geom, P_I, LAM)
+        check_levels([(4, 4), (6, 8)], 0.8)
     with pytest.raises(ValueError):
-        build_hierarchy([(4, 4), (4, 4)], 0.8, AREA, geom, P_I, LAM)
+        check_levels([(4, 4), (4, 4)], 0.8)
     with pytest.raises(ValueError):
-        build_hierarchy([(2, 2)], 0.0, AREA, geom, P_I, LAM)
+        check_levels([(2, 2)], 0.0)
     with pytest.raises(ValueError):
-        build_hierarchy([(2, 2)], 1.6, AREA, geom, P_I, LAM)
+        check_levels([(2, 2)], 1.6)
     with pytest.raises(ValueError, match="positive integers"):
-        build_hierarchy([(0, 2)], 0.8, AREA, geom, P_I, LAM)
+        check_levels([(0, 2)], 0.8)
     with pytest.raises(ValueError, match="positive integers"):
-        build_hierarchy([(2, 2.5)], 0.8, AREA, geom, P_I, LAM)
+        check_levels([(2, 2.5)], 0.8)
     with pytest.raises(ValueError, match="pairs of positive integers"):
-        build_hierarchy([4, 4], 0.8, AREA, geom, P_I, LAM)
+        check_levels([4, 4], 0.8)
     with pytest.raises(ValueError, match="positive integers"):
-        build_hierarchy([(True, True), (2, 2)], 0.8, AREA, geom, P_I, LAM)
+        check_levels([(True, True), (2, 2)], 0.8)
     with pytest.warns(UserWarning):
-        build_hierarchy([(2, 2)], 1.2, AREA, geom, P_I, LAM)
+        check_levels([(2, 2)], 1.2)
+    with pytest.raises(ValueError, match="refine"):
+        build_hierarchy([(4, 4), (6, 8)], 0.8, AREA, small_geom(q=2), P_I, LAM)
 
 
 def test_level_one_covers_whole_area():

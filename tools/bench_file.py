@@ -35,7 +35,8 @@ With --baseline DIR (another checkout, typically the parent commit) it
 then runs `perfbench/run.py --workload all --seed 1 --seconds 40 --trace 0`
 --pairs times (at least 10) on each side, alternating between DIR and
 --root and which of the two goes first in a pair, with `__pycache__`
-cleared on both sides before every run, and adds a `paired` section:
+cleared on both sides before every run, then one `--trace 1` run of DIR,
+and adds a `paired` section:
 
     "paired": {"baseline": DIR, "change": ROOT, "command": ..., "pairs": 10,
                "seconds": 40, "first": ["baseline", "change", ...],
@@ -45,7 +46,11 @@ cleared on both sides before every run, and adds a `paired` section:
                    "change": {...},
                    "ratios": [change / baseline of each pair, ...],
                    "ratio_median": ..., "ratio_min": ..., "ratio_max": ...,
-                   "wins": <pairs where the change is better>}}}}
+                   "wins": <pairs where the change is better>}},
+               "baseline_trace1": {<name>: <full record>}}
+
+The baseline's traced records hold its per-layer metrics from the same
+host and hour as the change's `trace1` records.
 
 The quartiles are `statistics.quantiles(runs, n=4, method="inclusive")`.
 Two BENCH files from different days do not make a before and after on a
@@ -137,7 +142,8 @@ def side_summary(runs):
 
 def run_paired(baseline, change, pairs):
     """The `paired` section: untraced runs of both checkouts, alternating, each pair's
-    order flipped from the last, with every bytecode cache cleared before each run."""
+    order flipped from the last, with every bytecode cache cleared before each run,
+    then the baseline's traced records."""
     declared = json.loads((change / "BENCHMARK.json").read_text())
     runs = {"baseline": [], "change": []}
     first = []
@@ -149,6 +155,8 @@ def run_paired(baseline, change, pairs):
             clear_bytecode(baseline)
             clear_bytecode(change)
             runs[side].append(run_benchmark(root, 0))
+    clear_bytecode(change)
+    baseline_trace1 = run_benchmark(baseline, 1)
     workloads = {}
     for wl in declared["workloads"]:
         per_metric = {}
@@ -171,7 +179,8 @@ def run_paired(baseline, change, pairs):
     return {"baseline": str(baseline), "change": str(change),
             "command": f"perfbench/run.py --workload all --seed {SEED} --seconds {SECONDS} "
                        f"--trace 0",
-            "pairs": pairs, "seconds": SECONDS, "first": first, "workloads": workloads}
+            "pairs": pairs, "seconds": SECONDS, "first": first, "workloads": workloads,
+            "baseline_trace1": baseline_trace1}
 
 
 def main(argv=None):

@@ -14,8 +14,8 @@ thread and each run in its own output directory:
   file on both sides) with 2 workers, at seeds 1 and 2;
 - `heatmap --level 4 --grid 64 --cells all`;
 - `focus-cut --axis both`;
-- `codebook dump` of every level, the one output holding the phase arrays
-  of `build_hierarchy` byte for byte (about 50 MB per side).
+- `codebook dump` of every level, every codeword's phases wrapped and
+  rounded to 9 digits (about 50 MB per side).
 
 Then it compares every CSV and every JSON file but `manifest.json` (which
 records timings and paths) of every run byte for byte and prints one line
