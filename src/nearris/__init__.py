@@ -31,7 +31,6 @@ from .codebook import (
     BlockageArea,
     children,
     focusing_phases,
-    grcs,
     unit_cell_factor,
     wide_illumination_phases,
 )

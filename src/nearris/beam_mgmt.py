@@ -87,26 +87,31 @@ def at_scale(basis, s):
     return basis[0] + s * (basis[1] + s * basis[2])
 
 
-# Bytes of profiles per row block of `basis_products`: every product runs on a
-# block while it sits in a core's L2 cache (2 MB per core on the host of the
-# README's numbers), so a call reads its (K, Q) profiles from memory once
-# rather than once per product. The reference's finest table is 7 rows a block.
+# Bytes of profiles per row block of `basis_products` and BLAS thread: every
+# product runs on a block while it sits in the cores' L2 caches (2 MB per core
+# on the host of the README's numbers), so a call reads its (K, Q) profiles
+# from memory once rather than once per product. The reference's finest table
+# is 7 rows a block on one BLAS thread and 15 on two.
 _BASIS_BLOCK_BYTES = 1 << 20
 
 
-def basis_products(e, d, c):
+def basis_products(e, d, c, threads=1):
     """The (3, N_mu, K) products E C_k^T + D_k of (K, Q) phasor profiles with a basis.
 
     at_scale of the result is E A^T + d at s, the received amplitudes of
     `received_snr`. Each product is one matrix-vector product per combiner
-    row and block of _BASIS_BLOCK_BYTES of rows of E, whose entries are each
-    the dot product of one profile with that row, so its bits depend neither
-    on the blocks nor on the BLAS thread count.
+    row and block of threads x _BASIS_BLOCK_BYTES of rows of E, for `threads`
+    BLAS threads. No block of a many-row E has one row: numpy scores a lone
+    row with its vector dot, whose last bits may differ, so a tail of one
+    joins the block before it. Every entry is then the matrix-vector dot
+    product of one profile with that row, so its bits depend neither on the
+    blocks nor on the BLAS thread count.
     """
     y = np.empty((3, *c.shape[1:-1], len(e)), dtype=complex)
-    rows = max(1, _BASIS_BLOCK_BYTES // (e.itemsize * e.shape[-1]))
-    for lo in range(0, len(e), rows):
-        block, out = e[lo:lo + rows], y[..., lo:lo + rows]
+    rows = max(2, threads * _BASIS_BLOCK_BYTES // (e.itemsize * e.shape[-1]))
+    cuts = range(rows, len(e) - 1, rows)  # a tail of one row joins the block before it
+    for lo, hi in zip([0, *cuts], [*cuts, len(e)]):
+        block, out = e[lo:hi], y[..., lo:hi]
         for k in range(3):
             for u, row in enumerate(c[k]):
                 out[k, u] = block @ row

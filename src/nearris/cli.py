@@ -4,11 +4,16 @@ Scenario files are YAML with nested sections and explicit units (GHz,
 meters, dBm, dB). Every run writes a JSON manifest next to its outputs
 with the scenario hash, seed, tool version, and command line; numeric
 output files (CSV) are byte-identical when re-run with the same inputs.
+
+A command loads only what it runs: PyYAML is imported by the scenario
+file readers and writers alone, so a run without --config, which takes
+`Scenario()` (the bundled file spells it out), never imports it, and
+`hashlib`, which maps OpenSSL's libcrypto, is imported by the manifest's
+hash, after the work.
 """
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import re
@@ -19,7 +24,6 @@ from functools import lru_cache
 from pathlib import Path as FsPath
 
 import numpy as np
-import yaml
 
 from . import __version__
 from . import harness
@@ -53,23 +57,22 @@ _SCHEMA = {
 }
 
 
-class _Loader(yaml.SafeLoader):
-    """Safe YAML loading that also reads 1e8 and 1.0e8 as floats, as YAML 1.2 does."""
-
-
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"),
-)
-
-
 def load_scenario(path, strict=True):
     """Parse a scenario file into a Scenario, whose checks raise ValueError naming bad fields.
 
     A file that is not YAML, or whose format_version is present and not the
     integer FORMAT_VERSION, raises a ValueError naming the file.
     """
+    import yaml
+
+    class _Loader(yaml.SafeLoader):
+        """Safe YAML loading that also reads 1e8 and 1.0e8 as floats, as YAML 1.2 does."""
+
+    _Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
     with open(path) as fh:
         try:
             raw = yaml.load(fh, Loader=_Loader)
@@ -115,6 +118,8 @@ def save_scenario(scenario, path):
     The file gives the carrier in GHz, so a carrier_hz f with (f / 1e9) * 1e9 != f
     would load as another carrier: it raises a ValueError and writes no file.
     """
+    import yaml
+
     values = scenario.to_dict()
     values["carrier_hz"] /= 1e9
     if values["carrier_hz"] * 1e9 != scenario.carrier_hz:
@@ -132,6 +137,8 @@ def save_scenario(scenario, path):
 
 
 def scenario_hash(scenario):
+    import hashlib
+
     canon = json.dumps(scenario.to_dict(), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -256,9 +263,9 @@ def write_farfield_csv(path, rows):
 
 
 def _load(args):
-    """The scenario file with the command-line overrides applied; Scenario checks them."""
-    path = args.config or default_scenario_path()
-    scenario = load_scenario(path, strict=not args.lax)
+    """The --config file, else `Scenario()`, with the command-line overrides applied;
+    Scenario checks them."""
+    scenario = load_scenario(args.config, strict=not args.lax) if args.config else Scenario()
     overrides = {
         "master_seed": args.seed,
         "trials": getattr(args, "trials", None),
@@ -416,7 +423,8 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, trials=False):
-        p.add_argument("--config", help="scenario file (default: bundled reference scenario)")
+        p.add_argument("--config", help="scenario file (default: Scenario(), the reference "
+                                        "scenario that the bundled reference.scn spells out)")
         p.add_argument("--seed", type=int, help="override the scenario master seed")
         p.add_argument("--out-dir", default="out", help="output directory (default: ./out)")
         p.add_argument("--lax", action="store_true",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import cis, distance, hypot3
+from .geometry import cis, hypot3
 
 _TWO_PI = 2.0 * np.pi
 
@@ -44,25 +44,8 @@ class BlockageArea:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
 
-def grcs(p_i, p_r, omega, geom, lambda_m):
-    """Complex aggregate reflection coefficient between p_i and p_r.
-
-    g * sum_n exp(+j*k*(|p_i - p_n| + |p_r - p_n|)) * exp(j*omega_n);
-    its magnitude is bounded by g*Q for any phase vector.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (geom.q,):
-        raise ValueError(f"omega must have length Q={geom.q}, got shape {omega.shape}")
-    pn = geom.element_positions()
-    k = _TWO_PI / lambda_m
-    d = distance(p_i, pn)
-    d += distance(p_r, pn)
-    g = unit_cell_factor(geom, lambda_m)
-    return g * np.sum(np.exp(1j * (k * d + omega)))
-
-
 def focusing_phases(p_i, p_target, geom, lambda_m):
-    """Phase profile that maximizes |grcs(p_i, p_target)|, attaining g*Q.
+    """Phase profile that maximizes |GRCS| between p_i and p_target, attaining g*Q.
 
     omega_n = -k*(|p_i - p_n| + |p_target - p_n|): each summand of the
     reflection sum becomes real-positive at the target point.

@@ -8,8 +8,8 @@ formula: `hypot3` of the component differences. `RisGeometry.distances`
 and the codeword formula take its sums on the RIS grid's axes, where each
 component difference varies along one axis only, with the same bits.
 `cis` is the one phasor formula of the channels, the precoder, the
-codewords and the field kernel; `codebook.grcs` keeps numpy's complex
-exponential as their oracle.
+codewords and the field kernel; the tests' GRCS oracle keeps numpy's
+complex exponential as theirs.
 """
 
 from dataclasses import dataclass

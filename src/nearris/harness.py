@@ -26,9 +26,16 @@ Two SNR pipelines coexist and are kept separate on purpose:
   codeword once per trial index, as the products E C_k^T + D_k
   (`basis_products`), so a beta costs them O(W_x W_y N_mu). No level of
   phases is held whole: whole-level phase arrays are the tests' oracle of
-  the trials and the rasters. `build_trial_channels` and
-  `Scenario.cascade` form the full matrices with `assemble_channel` and
-  are the oracle of the channel reduction.
+  the trials and the rasters. `build_trial_channels` forms the full
+  matrices with `assemble_channel`; the tests reduce them to (d, A) as the
+  oracle of the channel reduction, and `simulate --dump-channels` writes
+  them.
+
+The module imports what every command runs. The process pool is imported
+by a campaign of more than one worker alone (`run_campaign`), the thread
+pool by the field kernel alone, and numpy.random by a campaign process
+before its first trial, so a raster imports neither numpy.random nor,
+through its `secrets` import, OpenSSL's libcrypto.
 
 Trials are pure functions of (scenario, beta, trial index). Every random
 draw comes from a seed sequence labeled (master seed, trial, component),
@@ -44,7 +51,6 @@ its betas follow.
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from numbers import Real
@@ -59,7 +65,6 @@ from .beam_mgmt import (
     cascade_basis,
     hierarchical_search,
     mu_combiners,
-    reduce_cascade,
 )
 from .channel import (
     ChannelSet,
@@ -285,14 +290,6 @@ class Scenario:
             blocks=tuple(lru_cache(maxsize=1)(partial(cell_phasors, shape, *args))
                          for shape in coarser))
 
-    def cascade(self, channels):
-        """(d, A) of a trial's full channel matrices: the oracle of `trial_draw`'s basis."""
-        v = bs_precoder_focus_ris(self.bs_geometry().element_positions(), self.ris_center,
-                                  self.lambda_m, self.p_bs_watts)
-        return reduce_cascade(channels.h @ v, channels.h1 @ v, channels.h2,
-                              unit_cell_factor(self.ris_geometry(), self.lambda_m),
-                              mu_combiners(self.n_mu).conj(), np.sqrt(self.sigma2))
-
     def blockage_area(self):
         return BlockageArea(
             center=np.asarray(self.blockage_center, dtype=float),
@@ -480,8 +477,9 @@ def trial_draw(scenario, trial):
     of the links at beta = 0 dB, blockage included (`at_beta`), to that
     basis, in the conventions of `build_trial_channels` but without an
     (n_rx, N_bs) matrix; every RIS leg's distances come from the RIS grid.
-    It then reads B1's 256-row table and B2's codeword once for all betas:
-    one matrix-vector product per basis term and combiner row each.
+    It then reads B1's 256-row table, in row blocks sized for `blas_threads()`,
+    and B2's codeword once for all betas: one matrix-vector product per basis
+    term, combiner row and block each.
     Returns a `TrialDraw`.
     """
     st, lam = scenario.statics(), scenario.lambda_m
@@ -498,7 +496,7 @@ def trial_draw(scenario, trial):
                   leg_phasors(mu_pos, s_2, lam, +1), _ris_legs(ris, s_2, lam).T),
         st.g, st.uh, st.sigma)
     focus = cis(focusing_phases(scenario.bs_center, p_mu, ris, lam))
-    return TrialDraw(p_mu=p_mu, d=d, c=c, b1=basis_products(st.finest, d, c),
+    return TrialDraw(p_mu=p_mu, d=d, c=c, b1=basis_products(st.finest, d, c, blas_threads()),
                      b2=basis_products(focus[None], d, c))
 
 
@@ -570,9 +568,11 @@ def run_campaign(scenario):
     `blas_slots()`, the usable cores per BLAS thread; a job is one index at
     every beta of scenario.beta_list_db, sharing its draw. Every process
     builds the statics and imports numpy.random before its first trial
-    (`_before_trials`). Output is bit-identical for any worker count: each
-    trial is a pure function of its coordinates, and the pool returns
-    results in job order.
+    (`_before_trials`); the pool's parent imports numpy.random, and with it
+    OpenSSL's libcrypto, before it forks, so the workers inherit both, and
+    only this branch imports the process pool. Output is bit-identical for
+    any worker count: each trial is a pure function of its coordinates, and
+    the pool returns results in job order.
     """
     trials, job = range(scenario.trials), partial(_every_beta, scenario)
     if scenario.workers == 1:
@@ -582,6 +582,11 @@ def run_campaign(scenario):
         # each process builds the statics, and each runs its products on every BLAS
         # thread, so more processes than BLAS-thread teams the cores hold only queue
         workers = min(scenario.workers, scenario.trials, blas_slots())
+        # numpy.random imports secrets, hmac and OpenSSL's libcrypto: imported before the
+        # fork, the workers inherit them rather than each mapping its own
+        import numpy.random  # noqa: F401
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_before_trials,
                                  initargs=(scenario,)) as ex:
             rows = list(ex.map(job, trials))
@@ -677,7 +682,7 @@ def _field_snr_db(scenario, points, phasors):
 
     points is (P, 3); phasors is (K, Q), one profile exp(j*omega) per row, as
     `codebook.cell_phasors` builds them. The BS is a point source at p_i, and
-    each entry is 10*log10(P_ref * (PL1 * PL2 * |grcs(p_i, p, omega)|)^2 / sigma2),
+    each entry is 10*log10(P_ref * (PL1 * PL2 * |GRCS(p_i, p, omega)|)^2 / sigma2),
     with PL1 and PL2 the Friis amplitudes over the BS-RIS and RIS-point center
     distances. Points are evaluated _FIELD_CHUNK at a time, their distances to
     the elements taken on the RIS grid (`RisGeometry.distances`); each block's path
@@ -686,7 +691,7 @@ def _field_snr_db(scenario, points, phasors):
     each under the caller's numpy error state and writing only its own rows,
     and the threads end before the call returns; numpy's cos, sin and the
     GEMM release the interpreter lock, and the result has the same bits for
-    any thread count.
+    any thread count. The thread pool is imported here, by its one user.
     """
     geom = scenario.ris_geometry()
     lam = scenario.lambda_m
@@ -698,6 +703,7 @@ def _field_snr_db(scenario, points, phasors):
     d_i = geom.distances([p_i])[0]
     out = np.empty((len(points), len(phasors)))
     err = dict(np.geterr(), call=np.geterrcall())  # a new thread starts from numpy's defaults
+    from concurrent.futures import ThreadPoolExecutor
 
     def block(s):
         with np.errstate(**err):

@@ -5,6 +5,11 @@ full-size reference scenario is session-scoped because its codebook and
 campaigns are the expensive parts of the suite.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,15 @@ from nearris.codebook import children
 from oracle import phase_codebook
 
 _ACCEPTANCE_LINES = []
+
+
+def run_python(script, *args):
+    """The stdout of `python -c script args...` in a fresh interpreter that imports this
+    package from the same source tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(nr.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
 
 
 @pytest.fixture

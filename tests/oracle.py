@@ -1,4 +1,5 @@
-"""Slow, obviously correct pieces: the oracles of the codebook and of `run_trial`.
+"""Slow, obviously correct pieces: the oracles of the codebook, the field kernel, the
+channel reduction and `run_trial`.
 
 `build_hierarchy` holds a whole hierarchy as phase arrays, one
 (W_x, W_y, Q) array per level, and `phase_codebook` builds a scenario's;
@@ -6,12 +7,17 @@ the package computes codewords only a row of cells at a time, and the
 tests compare those rows, `codebook dump` and the trial path with these
 arrays. `mapping` gives the image points of elements as (..., 3) arrays.
 
+`grcs` sums the reflection coefficient over element positions with
+`np.exp`, the oracle of the field kernel's `cis` and grid distances.
+`cascade` reduces full channel matrices to (d, A), the oracle of
+`trial_draw`'s basis.
+
 `slow_trial` builds the full channel matrices with `build_trial_channels`
 at no blockage and attenuates the direct matrix itself, reduces them with
-`Scenario.cascade`, then scores every codeword of `phase_codebook` on its
-own with `np.exp`: a search over those arrays, B1 over the finest level,
-B2 from `focusing_phases` and B3 by its formula. No basis, table, block or
-cache of the trial path is read.
+`cascade`, then scores every codeword of `phase_codebook` on its own with
+`np.exp`: a search over those arrays, B1 over the finest level, B2 from
+`focusing_phases` and B3 by its formula. No basis, table, block or cache
+of the trial path is read.
 """
 
 import dataclasses
@@ -19,8 +25,42 @@ import dataclasses
 import numpy as np
 
 from nearris import benchmarks as bm
-from nearris.codebook import _image_planes, check_levels, focusing_phases, wide_illumination_phases
+from nearris.beam_mgmt import bs_precoder_focus_ris, mu_combiners, reduce_cascade
+from nearris.codebook import (
+    _image_planes,
+    check_levels,
+    focusing_phases,
+    unit_cell_factor,
+    wide_illumination_phases,
+)
+from nearris.geometry import distance
 from nearris.harness import build_trial_channels
+
+
+def grcs(p_i, p_r, omega, geom, lambda_m):
+    """Complex aggregate reflection coefficient between p_i and p_r.
+
+    g * sum_n exp(+j*k*(|p_i - p_n| + |p_r - p_n|)) * exp(j*omega_n);
+    its magnitude is bounded by g*Q for any phase vector.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (geom.q,):
+        raise ValueError(f"omega must have length Q={geom.q}, got shape {omega.shape}")
+    pn = geom.element_positions()
+    k = 2.0 * np.pi / lambda_m
+    d = distance(p_i, pn)
+    d += distance(p_r, pn)
+    g = unit_cell_factor(geom, lambda_m)
+    return g * np.sum(np.exp(1j * (k * d + omega)))
+
+
+def cascade(scenario, channels):
+    """(d, A) of a trial's full channel matrices: the oracle of `trial_draw`'s basis."""
+    v = bs_precoder_focus_ris(scenario.bs_geometry().element_positions(), scenario.ris_center,
+                              scenario.lambda_m, scenario.p_bs_watts)
+    return reduce_cascade(channels.h @ v, channels.h1 @ v, channels.h2,
+                          unit_cell_factor(scenario.ris_geometry(), scenario.lambda_m),
+                          mu_combiners(scenario.n_mu).conj(), np.sqrt(scenario.sigma2))
 
 
 def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
@@ -82,7 +122,7 @@ def slow_trial(scenario, beta_db, trial):
     # the blockage loss attenuates the direct link alone
     channels = dataclasses.replace(
         channels, h=channels.h * 10.0 ** (-scenario.blockage_loss_db / 20.0))
-    d, a = scenario.cascade(channels)
+    d, a = cascade(scenario, channels)
     codebook = phase_codebook(scenario)
 
     winners, margins, pilots = [], [], 0

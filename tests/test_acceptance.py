@@ -20,7 +20,7 @@ import pytest
 from conftest import point_source_losses, small_scenario
 from nearris import benchmarks as bm
 from nearris.channel import LinkPaths, apply_beta, free_space_amplitude
-from nearris.codebook import focusing_phases, grcs, unit_cell_factor
+from nearris.codebook import focusing_phases, unit_cell_factor
 from nearris.harness import (
     aggregate,
     build_trial_channels,
@@ -29,6 +29,7 @@ from nearris.harness import (
     heatmap,
     run_campaign,
 )
+from oracle import cascade, grcs
 
 BETAS = (0.0, 10.0)
 TRIALS = 100
@@ -87,7 +88,7 @@ def test_criterion_2_codebook_peak_and_focusing_gap(reference_scenario, record_c
 def test_criterion_3_pilot_overhead(reference_scenario, record_criterion):
     s = reference_scenario
     ch, _ = build_trial_channels(s, 10.0, 0)
-    trace = s.search(*s.cascade(ch))
+    trace = s.search(*cascade(s, ch))
     per_level = trace.pilots_per_level()
     ok = trace.pilot_count == 24 and per_level == [16, 4, 2, 2]
     record_criterion(

@@ -18,7 +18,7 @@ from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_
 from nearris.codebook import unit_cell_factor
 from nearris.geometry import cis
 from nearris.harness import build_trial_channels
-from oracle import mapping, phase_codebook
+from oracle import cascade, mapping, phase_codebook
 
 G_PI = np.pi
 
@@ -85,17 +85,20 @@ def matrix_oracle_snr(ch, omega, v, combiners, sigma2, g):
 
 @pytest.mark.parametrize("n_mu", [1, 4])
 def test_basis_products_in_row_blocks_equal_one_product_per_combiner_row(n_mu):
-    # the reference RIS's rows are 7 to a block, so 10 profiles make a full
-    # block and a partial one; each entry is the same dot product either way
+    # the reference RIS's rows are 7 to a block on one BLAS thread and 15 on
+    # two, so 10 and 18 profiles make a full block and a partial one, and 8
+    # and 16 a full block and a one-row tail, which joins it: numpy scores a
+    # lone row with its vector dot. Each entry is the same dot product either way
     q = 93 * 93
     rows = _BASIS_BLOCK_BYTES // (16 * q)
-    assert 0 < 10 - rows < rows
+    assert rows == 7
     rng = np.random.default_rng(11)
-    e = cis(rng.uniform(0, 2 * np.pi, (10, q)))
     d = rng.normal(size=(3, n_mu)) + 1j * rng.normal(size=(3, n_mu))
     c = rng.normal(size=(3, n_mu, q)) + 1j * rng.normal(size=(3, n_mu, q))
-    expected = np.stack([[e @ row + du for row, du in zip(c[k], d[k])] for k in range(3)])
-    assert basis_products(e, d, c).tobytes() == expected.tobytes()
+    for threads, count in [(1, 10), (1, 8), (2, 18), (2, 16)]:
+        e = cis(rng.uniform(0, 2 * np.pi, (count, q)))
+        expected = np.stack([[e @ row + du for row, du in zip(c[k], d[k])] for k in range(3)])
+        assert basis_products(e, d, c, threads).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n_mu", [1, 4])
@@ -113,7 +116,7 @@ def test_received_snr_matches_full_matrix_oracle(n_mu):
     for trial in range(3):
         ch, _ = build_trial_channels(s, 10.0, trial)
         assert np.any(ch.h != 0)
-        d, a = s.cascade(ch)
+        d, a = cascade(s, ch)
         assert d.shape == (n_mu,) and a.shape == (n_mu, s.ris_geometry().q)
         q = a.shape[1]
         profiles = np.vstack(
@@ -225,14 +228,14 @@ def test_block_winner_ties_go_to_lowest_index():
 def test_search_pilot_budget_small_hierarchy():
     s = los_only_scenario()
     ch, _ = build_trial_channels(s, 10.0, 0)
-    trace = s.search(*s.cascade(ch))
+    trace = s.search(*cascade(s, ch))
     assert trace.pilots_per_level() == [4, 4, 2]
     assert trace.pilot_count == 10
 
 
 def test_search_single_level_equals_exhaustive():
     s = small_scenario(codebook_levels=((4, 8),))
-    d, a = s.cascade(build_trial_channels(s, 10.0, 3)[0])
+    d, a = cascade(s, build_trial_channels(s, 10.0, 3)[0])
     trace = s.search(d, a)
     r1 = on_fixed_cascade(benchmark1_full_search, d, a, s.statics().finest)
     assert trace.levels[-1].snrs.max() == pytest.approx(r1, rel=1e-12)
@@ -241,7 +244,7 @@ def test_search_single_level_equals_exhaustive():
 def test_search_never_beats_exhaustive():
     s = small_scenario()
     for trial in range(6):
-        d, a = s.cascade(build_trial_channels(s, 10.0, trial)[0])
+        d, a = cascade(s, build_trial_channels(s, 10.0, trial)[0])
         trace = s.search(d, a)
         prop = trace.levels[-1].snrs.max()
         r1 = on_fixed_cascade(benchmark1_full_search, d, a, s.statics().finest)
@@ -271,7 +274,7 @@ def test_search_finds_cell_center_users_exactly():
             h1=assemble_channel(los(s.bs_center, s.ris_center), bs_pos, ris_pos, lam, +1),
             h2=assemble_channel(los(s.ris_center, p_mu), ris_pos, mu_pos, lam, +1),
         )
-        trace = s.search(*s.cascade(ch))
+        trace = s.search(*cascade(s, ch))
         assert trace.levels[-1].winner == cell
 
 
@@ -284,7 +287,7 @@ def test_search_descent_rarely_degrades():
     trials = 40
     for trial in range(trials):
         ch, _ = build_trial_channels(s, 10.0, trial)
-        trace = s.search(*s.cascade(ch))
+        trace = s.search(*cascade(s, ch))
         ws = [rec.snrs.max() for rec in trace.levels]
         if all(b >= a * (1 - 1e-12) for a, b in zip(ws, ws[1:])):
             monotone += 1

@@ -9,7 +9,9 @@ time. A file with a `paired` section (`--baseline`) must hold, per
 workload and end-to-end metric, both sides' runs with their medians and
 quartiles, every pair's ratio, the ratios' median and range, and the wins,
 from at least 10 pairs of 40 s runs; where it holds the baseline's traced
-records, each has every per-layer metric.
+records, each has every per-layer metric; where it holds a paired
+reference sweep, the same comparison of trials/s and peak RSS per worker
+count 1 and 2, from at least 5 alternating pairs.
 """
 
 import importlib.util
@@ -82,29 +84,46 @@ def check_paired(paired):
     assert paired["seconds"] == 40
     for wl in DECLARED["workloads"]:
         for m in DECLARED["end_to_end"]:
-            rec = paired["workloads"][wl["name"]][m["name"]]
-            assert rec["better"] == m["better"]
-            for side in (rec["baseline"], rec["change"]):
-                runs = side["runs"]
-                assert len(runs) == pairs and all(is_number(r) and r > 0 for r in runs)
-                assert side["median"] == statistics.median(runs)
-                assert side["q1"] <= side["median"] <= side["q3"]
-            pairs_of = list(zip(rec["baseline"]["runs"], rec["change"]["runs"]))
-            assert rec["ratios"] == [c / b for b, c in pairs_of]
-            assert rec["ratio_median"] == statistics.median(rec["ratios"])
-            assert (rec["ratio_min"], rec["ratio_max"]) == (min(rec["ratios"]),
-                                                            max(rec["ratios"]))
-            higher = m["better"] == "higher"
-            assert rec["wins"] == sum((c > b) if higher else (c < b) for b, c in pairs_of)
+            check_comparison(paired["workloads"][wl["name"]][m["name"]], pairs, m["better"])
+    sweep = paired.get("reference_sweep")
+    if sweep is not None:
+        assert sweep["command"] and sweep["pairs"] >= 5
+        assert sweep["first"] == [("baseline", "change")[i % 2] for i in range(sweep["pairs"])]
+        assert set(sweep["workers"]) == {"1", "2"}
+        for per_workers in sweep["workers"].values():
+            check_comparison(per_workers["trials_per_s"], sweep["pairs"], "higher")
+            check_comparison(per_workers["peak_rss_mb"], sweep["pairs"], "lower")
+
+
+def check_comparison(rec, pairs, better):
+    """One paired metric: both sides' `pairs` runs with their medians and quartiles, every
+    pair's ratio, the ratios' median and range, and the wins, recomputed from the runs."""
+    assert rec["better"] == better
+    for side in (rec["baseline"], rec["change"]):
+        runs = side["runs"]
+        assert len(runs) == pairs and all(is_number(r) and r > 0 for r in runs)
+        assert side["median"] == statistics.median(runs)
+        assert side["q1"] <= side["median"] <= side["q3"]
+    pairs_of = list(zip(rec["baseline"]["runs"], rec["change"]["runs"]))
+    assert rec["ratios"] == [c / b for b, c in pairs_of]
+    assert rec["ratio_median"] == statistics.median(rec["ratios"])
+    assert (rec["ratio_min"], rec["ratio_max"]) == (min(rec["ratios"]), max(rec["ratios"]))
+    higher = better == "higher"
+    assert rec["wins"] == sum((c > b) if higher else (c < b) for b, c in pairs_of)
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_file", ROOT / "tools" / "bench_file.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_paired_section_of_the_tool_has_the_schema(monkeypatch, tmp_path):
     # bench_file.py's paired section from stand-in runs, no benchmark started:
     # the sides alternate, each pair with the other side first, then the
     # baseline runs once traced
-    spec = importlib.util.spec_from_file_location("bench_file", ROOT / "tools" / "bench_file.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool()
     calls = []
 
     def fake_run(root, trace):
@@ -124,3 +143,32 @@ def test_paired_section_of_the_tool_has_the_schema(monkeypatch, tmp_path):
     check_paired(json.loads(json.dumps(paired)))
     rec = paired["workloads"]["sweep-ref"]["throughput_per_s"]
     assert rec["wins"] == 10 and rec["baseline"]["runs"][:2] == [1.1, 1.4]
+
+
+def test_paired_reference_sweep_of_the_tool_has_the_schema(monkeypatch, tmp_path):
+    # bench_file.py's paired reference sweep from stand-in runs, no campaign
+    # started: at each worker count the sides alternate, each pair with the
+    # other side first
+    tool = load_tool()
+    calls = []
+
+    def fake_sweep(root, workers):
+        calls.append((root, workers))
+        change = root == ROOT
+        return 100.0 * workers + len(calls) + 50 * change, 90.0 - len(calls) / 10 - change
+
+    monkeypatch.setattr(tool, "sweep_run", fake_sweep)
+    sweep = tool.run_paired_sweep(tmp_path, ROOT, 5)
+    assert calls == [(root, w) for w in (1, 2)
+                     for root in [tmp_path, ROOT, ROOT, tmp_path] * 2 + [tmp_path, ROOT]]
+    paired = {"pairs": 10, "first": [("baseline", "change")[i % 2] for i in range(10)],
+              "command": "stand-in", "baseline": str(tmp_path), "change": str(ROOT),
+              "seconds": 40, "reference_sweep": json.loads(json.dumps(sweep)),
+              "workloads": {wl["name"]: {m["name"]: tool.compare([1.0] * 10, [1.0] * 10,
+                                                                 m["better"])
+                                         for m in DECLARED["end_to_end"]}
+                            for wl in DECLARED["workloads"]}}
+    check_paired(paired)
+    for per_workers in sweep["workers"].values():
+        assert per_workers["trials_per_s"]["wins"] == per_workers["peak_rss_mb"]["wins"] == 5
+    assert sweep["workers"]["2"]["trials_per_s"]["baseline"]["runs"][:2] == [211.0, 214.0]

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import nearris as nr
+from conftest import run_python
 from nearris import cli, harness
 from nearris.channel import ChannelSet
 from nearris.cli import (
@@ -690,3 +691,51 @@ def test_cli_error_paths_return_2(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text("carrier_ghz: 28.0\nwhatever: 3\n")
     assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+# --- what a command loads --------------------------------------------------------
+
+
+def test_importing_the_cli_loads_no_yaml_openssl_or_process_pool():
+    # PyYAML reads scenario files, hashlib (which maps OpenSSL's libcrypto)
+    # hashes the manifest's scenario and the process pool runs campaigns of
+    # more than one worker: none is imported before its command runs it
+    script = ("import json, sys, nearris.cli; print(json.dumps([m for m in "
+              "('yaml', 'hashlib', '_hashlib', 'concurrent.futures.process') "
+              "if m in sys.modules]))")
+    assert json.loads(run_python(script)) == []
+
+
+_HEATMAP_SCRIPT = """
+import json, sys
+from nearris import cli, harness
+
+seen, kernel = [], harness._field_snr_db
+
+def probe(*args):
+    seen.append([m for m in ("yaml", "_hashlib") if m in sys.modules])
+    return kernel(*args)
+
+harness._field_snr_db = probe
+assert cli.main(["heatmap", "--level", "1", "--grid", "2", "--out-dir", sys.argv[1]]) == 0
+print(json.dumps([seen, "_hashlib" in sys.modules]))
+"""
+
+
+def test_default_heatmap_kernel_starts_before_yaml_or_openssl_is_loaded(tmp_path):
+    # without --config the raster takes Scenario() and reads no file; the
+    # manifest's hash loads OpenSSL's libcrypto only after the kernel
+    out = run_python(_HEATMAP_SCRIPT, str(tmp_path / "o"))
+    assert json.loads(out.splitlines()[-1]) == [[[]], True]
+
+
+def test_default_scenario_equals_the_bundled_file(tmp_path):
+    # a campaign without --config and one with the bundled file write the
+    # same bytes and hash the same scenario
+    runs = []
+    for config in ([], ["--config", str(default_scenario_path())]):
+        out = tmp_path / f"o{len(runs)}"
+        assert main(["sweep-beta", "--trials", "2", "--out-dir", str(out), *config]) == 0
+        runs.append([(out / name).read_bytes() for name in ("trials.csv", "aggregates.csv")]
+                    + [json.loads((out / "manifest.json").read_text())["scenario_sha256"]])
+    assert runs[0] == runs[1]

@@ -10,12 +10,11 @@ from nearris.codebook import (
     check_levels,
     children,
     focusing_phases,
-    grcs,
     unit_cell_factor,
     wide_illumination_phases,
 )
 from nearris.geometry import RisGeometry, distance, ris_from_aperture, wavelength
-from oracle import build_hierarchy, mapping
+from oracle import build_hierarchy, grcs, mapping
 
 LAM = wavelength(28e9)
 P_I = np.array([40.0, 0.0, 10.0])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -16,6 +17,7 @@ from conftest import (
     los_only_scenario,
     on_fixed_cascade,
     point_source_losses,
+    run_python,
     small_scenario,
 )
 from nearris import benchmarks as bm
@@ -24,7 +26,7 @@ from nearris.beam_mgmt import basis_products, basis_snr
 from nearris.channel import LinkPaths, assemble_channel, free_space_amplitude
 from nearris.cli import main as cli_main
 from nearris.cli import save_scenario
-from nearris.codebook import focusing_phases, grcs, unit_cell_factor
+from nearris.codebook import focusing_phases, unit_cell_factor
 from nearris.harness import (
     _FIELD_CHUNK,
     Aggregate,
@@ -46,7 +48,7 @@ from nearris.harness import (
     sweep_beta,
     trial_draw,
 )
-from oracle import phase_codebook
+from oracle import cascade, grcs, phase_codebook
 
 SCHEMES = (bm.PROPOSED, bm.B1_FULL_CODEBOOK, bm.B2_FULL_FOCUSING, bm.B3_FULL_CSI)
 
@@ -210,7 +212,7 @@ def test_link_cascade_matches_full_matrix_oracle(overrides, beta_db, trial):
     for b in Scenario().beta_list_db:
         d, a = draw_cascade(trial_draw(s, trial), b)
         ch, p_mu = build_trial_channels(s, b, trial)
-        d0, a0 = s.cascade(ch)
+        d0, a0 = cascade(s, ch)
         assert d.shape == d0.shape == (s.n_mu,)
         assert a.shape == a0.shape == (s.n_mu, s.ris_geometry().q)
         assert np.linalg.norm(d - d0) <= 1e-12 * np.linalg.norm(d0)
@@ -489,11 +491,42 @@ def test_only_campaigns_import_numpy_random():
               "harness._before_trials(harness.Scenario(ris_size_y_m=0.05, ris_size_z_m=0.05, "
               "codebook_levels=((1, 1), (1, 2)))); "
               "print(before, 'numpy.random' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(nr.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert proc.stdout.split() == ["False", "True"]
+    assert run_python(script).split() == ["False", "True"]
+
+
+_POOL_SCRIPT = """
+import concurrent.futures, json, sys
+from nearris import harness
+
+class Pool:  # records what the parent had imported when it built the pool, and forks nothing
+    seen = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.seen.append([m in sys.modules for m in ("numpy.random", "_hashlib")])
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+concurrent.futures.ProcessPoolExecutor = Pool
+before = "numpy.random" in sys.modules
+harness.run_campaign(harness.Scenario(ris_size_y_m=0.05, ris_size_z_m=0.05, trials=2, workers=2,
+                                      codebook_levels=((1, 1), (1, 2)), beta_list_db=(10.0,)))
+print(json.dumps([before, Pool.seen]))
+"""
+
+
+def test_pool_is_built_after_its_parent_imports_numpy_random():
+    # numpy.random imports secrets and hmac, and with them OpenSSL's
+    # libcrypto; imported in the parent before the fork, the workers
+    # inherit them rather than each mapping its own
+    assert json.loads(run_python(_POOL_SCRIPT)) == [False, [[True, True]]]
 
 
 @pytest.mark.parametrize("case", _CODEWORD_CASES)
@@ -539,8 +572,8 @@ def test_campaign_forks_no_more_workers_than_trial_indices(monkeypatch):
     # 1-worker campaign's. BLAS is pinned, so the cores are not what caps it
     _blas_threads_set(monkeypatch, OPENBLAS_NUM_THREADS="1")
     pools = []
-    monkeypatch.setattr(harness, "ProcessPoolExecutor",
-                        lambda max_workers, f=harness.ProcessPoolExecutor, **kw:
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers, f=concurrent.futures.ProcessPoolExecutor, **kw:
                         pools.append(max_workers) or f(max_workers, **kw))
     s = small_scenario(trials=2, workers=4, codebook_levels=((2, 2), (4, 4)))
     results = run_campaign(s)
@@ -572,7 +605,7 @@ def test_campaign_pool_is_capped_at_the_core_count(monkeypatch, tmp_path):
     # per core this process may run on, not per host core, and gives the
     # 1-worker campaign's results; the manifest records the workers asked for
     _blas_threads_set(monkeypatch, OPENBLAS_NUM_THREADS="1")
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -593,7 +626,7 @@ def test_campaign_pool_takes_the_cores_blas_leaves(monkeypatch, env, size):
     # each pool process runs its products on every BLAS thread: unpinned
     # BLAS takes all 4 cores, which leaves room for one process, and 2 BLAS
     # threads for two; the stand-in starts no process
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(harness, "usable_cores", lambda: 4)
     _blas_threads_set(monkeypatch, **env)
@@ -713,7 +746,7 @@ def test_full_scale_focusing_matches_closed_form():
     g = unit_cell_factor(geom, lam)
     for trial in range(2):
         ch, p_mu = build_trial_channels(s, 10.0, trial)
-        res = on_fixed_cascade(bm.benchmark2_full_focusing, *s.cascade(ch),
+        res = on_fixed_cascade(bm.benchmark2_full_focusing, *cascade(s, ch),
                                nr.cis(focusing_phases(s.bs_center, p_mu, geom, lam))[None])
         pl1 = free_space_amplitude(float(np.linalg.norm(np.asarray(s.bs_center) -
                                                         np.asarray(s.ris_center))), lam)
@@ -818,7 +851,7 @@ def test_field_kernel_takes_the_cores_blas_leaves_and_at_most_one_per_block(
     # stand-in starts no thread and gives the threaded kernel's results
     s = small_scenario(illum_grid=9)
     expected = heatmap(s, 0).per_cell, focusing_cut(s, "x", 2.0, 5 * _FIELD_CHUNK)[1]
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", _InlineThreads)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlineThreads)
     monkeypatch.setattr(_InlineThreads, "sizes", [])
     monkeypatch.setattr(harness, "usable_cores", lambda: cores)
     _blas_threads_set(monkeypatch, **env)

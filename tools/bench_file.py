@@ -50,7 +50,21 @@ and adds a `paired` section:
                "baseline_trace1": {<name>: <full record>}}
 
 The baseline's traced records hold its per-layer metrics from the same
-host and hour as the change's `trace1` records.
+host and hour as the change's `trace1` records. Then it runs the
+reference campaign (as above, BLAS pinned to one thread) in 5 pairs at
+each worker count, 1 and 2, alternating between the sides as the
+benchmark pairs do, and adds to the `paired` section:
+
+    "reference_sweep": {"command": ..., "pairs": 5, "first": [...],
+                        "workers": {"1": {"trials_per_s": <comparison>,
+                                          "peak_rss_mb": <comparison>},
+                                    "2": {...}}}
+
+where each comparison has the keys of an end-to-end metric's above.
+`trials_per_s` is read from each run's manifest and `peak_rss_mb` is the
+run's `ru_maxrss` from `os.wait4`, in MB of 10^6 bytes as perfbench
+reports it: the largest high-water RSS of the CLI process and the pool
+workers it reaped, each alone, not their sum.
 
 The quartiles are `statistics.quantiles(runs, n=4, method="inclusive")`.
 Two BENCH files from different days do not make a before and after on a
@@ -77,6 +91,7 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 SWEEP = ["sweep-beta", "--seed", str(SEED)]  # the bundled reference scenario: 7 x 100 trials
 SWEEP_WORKERS = (1, 2)
 SWEEP_REPEATS = 5
+SWEEP_PAIRS = 5
 SWEEP_METRICS = ("trials_per_s", "campaign_wall_s")  # read from each run's manifest
 PINNED_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -135,9 +150,60 @@ def run_reference_sweep(root):
                         for w, rs in runs.items()}}
 
 
+def sweep_run(root, workers):
+    """(trials_per_s, peak_rss_mb) of one reference sweep from `root`'s source: the
+    manifest's rate and the process's `ru_maxrss` (KiB on Linux) in MB of 10^6 bytes."""
+    env = {**source_env(root), **{k: "1" for k in PINNED_THREADS}}
+    with tempfile.TemporaryDirectory() as tmp:
+        cmd = [sys.executable, "-m", "nearris.cli", *SWEEP, "--workers", str(workers),
+               "--out-dir", tmp]
+        proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, cmd)
+        manifest = json.loads((Path(tmp) / "manifest.json").read_text())
+    return manifest["trials_per_s"], usage.ru_maxrss * 1024 / 1e6
+
+
 def side_summary(runs):
     q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"runs": runs, "median": statistics.median(runs), "q1": q1, "q3": q3}
+
+
+def compare(baseline, change, better):
+    """Both sides' runs of one metric summarized, each pair's ratio change / baseline,
+    and the pairs in which the change is better."""
+    ratios = [c / b for b, c in zip(baseline, change)]
+    higher = better == "higher"
+    return {"better": better,
+            "baseline": side_summary(baseline), "change": side_summary(change),
+            "ratios": ratios, "ratio_median": statistics.median(ratios),
+            "ratio_min": min(ratios), "ratio_max": max(ratios),
+            "wins": sum((c > b) if higher else (c < b) for b, c in zip(baseline, change))}
+
+
+def pair_order(i):
+    """The sides of pair i in the order they run: the baseline first in even pairs."""
+    return ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
+
+
+def run_paired_sweep(baseline, change, pairs):
+    """The paired section's `reference_sweep`: per worker count, `pairs` alternating pairs
+    of reference sweeps, each pair's order flipped from the last."""
+    workers = {}
+    for w in SWEEP_WORKERS:
+        runs = {"baseline": [], "change": []}
+        for i in range(pairs):
+            for side in pair_order(i):
+                runs[side].append(sweep_run(baseline if side == "baseline" else change, w))
+        workers[str(w)] = {
+            metric: compare(*([run[j] for run in runs[side]] for side in runs), better)
+            for j, (metric, better) in enumerate((("trials_per_s", "higher"),
+                                                  ("peak_rss_mb", "lower")))}
+    return {"command": f"nearris {' '.join(SWEEP)} --workers W, BLAS threads pinned to 1",
+            "pairs": pairs, "first": [pair_order(i)[0] for i in range(pairs)],
+            "workers": workers}
 
 
 def run_paired(baseline, change, pairs):
@@ -148,9 +214,8 @@ def run_paired(baseline, change, pairs):
     runs = {"baseline": [], "change": []}
     first = []
     for i in range(pairs):
-        order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
-        first.append(order[0])
-        for side in order:
+        first.append(pair_order(i)[0])
+        for side in pair_order(i):
             root = baseline if side == "baseline" else change
             clear_bytecode(baseline)
             clear_bytecode(change)
@@ -159,23 +224,11 @@ def run_paired(baseline, change, pairs):
     baseline_trace1 = run_benchmark(baseline, 1)
     workloads = {}
     for wl in declared["workloads"]:
-        per_metric = {}
-        for m in declared["end_to_end"]:
-            values = {side: [r[wl["name"]]["result"]["metrics"][m["name"]]["value"]
-                             for r in rs] for side, rs in runs.items()}
-            ratios = [c / b for b, c in zip(values["baseline"], values["change"])]
-            higher = m["better"] == "higher"
-            per_metric[m["name"]] = {
-                "better": m["better"],
-                **{side: side_summary(v) for side, v in values.items()},
-                "ratios": ratios,
-                "ratio_median": statistics.median(ratios),
-                "ratio_min": min(ratios),
-                "ratio_max": max(ratios),
-                "wins": sum((c > b) if higher else (c < b)
-                            for b, c in zip(values["baseline"], values["change"])),
-            }
-        workloads[wl["name"]] = per_metric
+        workloads[wl["name"]] = {
+            m["name"]: compare(*([r[wl["name"]]["result"]["metrics"][m["name"]]["value"]
+                                  for r in runs[side]] for side in ("baseline", "change")),
+                               m["better"])
+            for m in declared["end_to_end"]}
     return {"baseline": str(baseline), "change": str(change),
             "command": f"perfbench/run.py --workload all --seed {SEED} --seconds {SECONDS} "
                        f"--trace 0",
@@ -209,6 +262,8 @@ def main(argv=None):
     }
     if args.baseline is not None:
         doc["paired"] = run_paired(args.baseline.resolve(), root, args.pairs)
+        doc["paired"]["reference_sweep"] = run_paired_sweep(args.baseline.resolve(), root,
+                                                            SWEEP_PAIRS)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"bench file: {args.out} ({doc['tier1']['summary']})")
     return 0
