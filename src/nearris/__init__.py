@@ -43,7 +43,6 @@ from .beam_mgmt import (
     hierarchical_search,
     mu_combiners,
     received_snr,
-    reduce_cascade,
 )
 from .benchmarks import (
     benchmark1_full_search,

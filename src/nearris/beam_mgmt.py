@@ -51,35 +51,26 @@ def mu_combiners(n_mu):
     return np.ascontiguousarray(f.T)
 
 
-def reduce_cascade(hv, h1v, h2, g, uh, sigma):
-    """Reduce one realization under precoder v to (d, A) in noise-amplitude units.
+def cascade_basis(hv, h1v, h2, g, uh, sigma):
+    """(d, A) of channels that a beta scales by one scalar s, as polynomials in s.
 
     hv = H v (N_mu,) and h1v = H1 v (Q,) are the direct and BS-RIS channels
-    times v, h2 the (N_mu, Q) RIS-MU matrix, uh = conj(U) the conjugated
-    combiner rows and sigma the noise amplitude: d = uh H v / sigma and
-    A = uh (g * H2 (.) (H1 v)) / sigma, so row i of d + A exp(j*omega) is
-    u_i^H (H + H2 diag(g*exp(j*omega)) H1) v / sigma.
+    times the precoder v and h2 the (N_mu, Q) RIS-MU matrix, each a (LOS,
+    scattered) pair, the channel at s being LOS + s * scattered; uh = conj(U)
+    holds the combiner rows and sigma is the noise amplitude. Row i of
+    d + A exp(j*omega) is u_i^H (H + H2 diag(g*exp(j*omega)) H1) v / sigma.
+    Returns (D, C), of shapes (3, N_mu) and (3, N_mu, Q): d = D_0 + s D_1
+    (D_2 = 0) and A = C_0 + s C_1 + s^2 C_2 (`at_scale`), where D_k and C_k
+    are uh / sigma times the s^k coefficients of H v and g * H2 (.) (H1 v).
     """
     if np.size(uh) == 0:
         raise ValueError("combiner set is empty")
     if not sigma > 0:  # also rejects NaN
         raise ValueError("sigma must be positive")
-    return uh @ hv / sigma, uh @ (g * h2 * h1v) / sigma
-
-
-def cascade_basis(hv, h1v, h2, g, uh, sigma):
-    """`reduce_cascade` of channels that a beta scales by one scalar s, as polynomials in s.
-
-    hv, h1v and h2 are each a (LOS, scattered) pair, the channel at s being
-    LOS + s * scattered. Returns (D, C), of shapes (3, N_mu) and (3, N_mu, Q):
-    d = D_0 + s D_1 (D_2 = 0) and A = C_0 + s C_1 + s^2 C_2 (`at_scale`),
-    where C_k reduces the s^k coefficient of H2 (.) (H1 v).
-    """
     (l_h, n_h), (l_1, n_1), (l_2, n_2) = hv, h1v, h2
-    terms = [reduce_cascade(h, 1.0, x, g, uh, sigma)
-             for h, x in ((l_h, l_2 * l_1), (n_h, l_2 * n_1 + n_2 * l_1),
-                          (np.zeros_like(l_h), n_2 * n_1))]
-    return tuple(np.stack(t) for t in zip(*terms))
+    terms = ((l_h, l_2 * l_1), (n_h, l_2 * n_1 + n_2 * l_1), (np.zeros_like(l_h), n_2 * n_1))
+    return (np.stack([uh @ h / sigma for h, _ in terms]),
+            np.stack([uh @ (g * x) / sigma for _, x in terms]))
 
 
 def at_scale(basis, s):

@@ -1,9 +1,11 @@
 """Command-line front end: scenario files, result serialization, subcommands.
 
 Scenario files are YAML with nested sections and explicit units (GHz,
-meters, dBm, dB). Every run writes a JSON manifest next to its outputs
-with the scenario hash, seed, tool version, and command line; numeric
-output files (CSV) are byte-identical when re-run with the same inputs.
+meters, dBm, dB). `main` loads the scenario of every command, with its
+overrides, and writes the one JSON manifest next to its outputs: the
+scenario hash, seed, tool and numpy versions, command line and subcommand,
+and the record of the run that the command returns. Numeric output files
+(CSV) are byte-identical when re-run with the same inputs.
 
 A command loads only what it runs: PyYAML is imported by the scenario
 file readers and writers alone, so a run without --config, which takes
@@ -143,10 +145,6 @@ def scenario_hash(scenario):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def default_scenario_path():
-    return FsPath(__file__).parent / "scenarios" / "reference.scn"
-
-
 def _fmt(x):
     return f"{x:.6g}"
 
@@ -263,9 +261,12 @@ def write_farfield_csv(path, rows):
 
 
 def _load(args):
-    """The --config file, else `Scenario()`, with the command-line overrides applied;
-    Scenario checks them."""
-    scenario = load_scenario(args.config, strict=not args.lax) if args.config else Scenario()
+    """The --config file, else `Scenario()` (at the --freq-ghz carrier for farfield), with
+    the command-line overrides applied; Scenario checks them."""
+    if args.config:
+        scenario = load_scenario(args.config, strict=not args.lax)
+    else:
+        scenario = Scenario(carrier_hz=args.freq_ghz * 1e9) if "freq_ghz" in args else Scenario()
     overrides = {
         "master_seed": args.seed,
         "trials": getattr(args, "trials", None),
@@ -301,55 +302,48 @@ def _out_dir(args):
     return d
 
 
-def _campaign(args):
-    """Load the scenario, run `harness.sweep_beta` and write trials.csv and aggregates.csv;
-    return the scenario, the output directory, the aggregate rows and the manifest's run record."""
-    scenario = _load(args)
+def _campaign(args, scenario):
+    """Run `harness.sweep_beta` and write trials.csv and aggregates.csv; return the output
+    directory, the aggregate rows and the manifest's run record."""
     out = _out_dir(args)
     start = time.perf_counter()
     results, rows = harness.sweep_beta(scenario)
     wall_s = time.perf_counter() - start
     write_trials_csv(out / "trials.csv", results)
     write_aggregates_csv(out / "aggregates.csv", rows)
-    run = {"numpy_version": np.__version__, "workers": scenario.workers,
-           "trials": len(results), "campaign_wall_s": wall_s,
+    run = {"workers": scenario.workers, "trials": len(results), "campaign_wall_s": wall_s,
            "trials_per_s": len(results) / wall_s}
-    return scenario, out, rows, run
+    return out, rows, run
 
 
-def cmd_simulate(args, argv):
-    scenario, out, rows, run = _campaign(args)
+def cmd_simulate(args, scenario):
+    out, rows, run = _campaign(args, scenario)
     (beta,) = scenario.beta_list_db
     if args.dump_channels:
         channels, _ = harness.build_trial_channels(scenario, beta, 0)
         write_channel_set(out / "channels_trial0.npz", channels)
-    write_manifest(out, scenario, argv,
-                   extra={"subcommand": "simulate", "beta_db": beta, **run})
     print(f"simulate: {run['trials']} trials at beta={beta:g} dB -> {out}")
     for a in rows:
         print(f"  {a.scheme:>16s}: mean {a.mean_snr_db:7.2f} dB  (std {a.std_snr_db:.2f})")
-    return 0
+    return {"beta_db": beta, **run}
 
 
-def cmd_sweep_beta(args, argv):
-    scenario, out, _, run = _campaign(args)
-    write_manifest(out, scenario, argv, extra={"subcommand": "sweep-beta", **run})
+def cmd_sweep_beta(args, scenario):
+    out, _, run = _campaign(args, scenario)
     print(f"sweep-beta: {run['trials']} trials over beta={list(scenario.beta_list_db)} -> {out}")
-    return 0
+    return run
 
 
 def _raster_run(start, points, evals):
-    """The manifest's record of a raster run started at perf_counter() `start`: numpy's
-    version, the field kernel's threads over `points` points a call, and `evals`
-    field evaluations with their rate. The caller adds `write_s`, the seconds its
-    CSV writes take."""
+    """The manifest's record of a raster run started at perf_counter() `start`: the field
+    kernel's threads over `points` points a call, and `evals` field evaluations with
+    their rate. The caller adds `write_s`, the seconds its CSV writes take."""
     wall_s = time.perf_counter() - start
-    return {"numpy_version": np.__version__, "threads": harness.field_threads(points),
-            "field_evals": evals, "kernel_wall_s": wall_s, "field_evals_per_s": evals / wall_s}
+    return {"threads": harness.field_threads(points), "field_evals": evals,
+            "kernel_wall_s": wall_s, "field_evals_per_s": evals / wall_s}
 
 
-def cmd_heatmap(args, argv):
-    scenario = _load(args)
+def cmd_heatmap(args, scenario):
     level = _level_index(scenario, args.level)
     shape = scenario.codebook_levels[level]
     if args.cells in ("all", "composite"):
@@ -366,14 +360,11 @@ def cmd_heatmap(args, argv):
         write_raster_csv(out / f"heatmap_level{args.level}_cell_{wx}_{wy}.csv",
                          hm.xs, hm.ys, hm.per_cell[wx, wy])
     run["write_s"] = time.perf_counter() - start
-    write_manifest(out, scenario, argv,
-                   extra={"subcommand": "heatmap", "level": args.level, **run})
     print(f"heatmap: level {args.level} peak {hm.composite.max():.2f} dB -> {out}")
-    return 0
+    return {"level": args.level, **run}
 
 
-def cmd_focus_cut(args, argv):
-    scenario = _load(args)
+def cmd_focus_cut(args, scenario):
     out = _out_dir(args)
     axes = ["x", "y"] if args.axis == "both" else [args.axis]
     start = time.perf_counter()
@@ -386,32 +377,27 @@ def cmd_focus_cut(args, argv):
     for ax, (deltas, snr) in cuts.items():
         print(f"focus-cut {ax}: peak {snr.max():.2f} dB at "
               f"{deltas[int(np.argmax(snr))]:+.3f} m -> {out}")
-    write_manifest(out, scenario, argv, extra={"subcommand": "focus-cut", **run})
-    return 0
+    return run
 
 
-def cmd_codebook_dump(args, argv):
-    scenario = _load(args)
+def cmd_codebook_dump(args, scenario):
     sel = (range(len(scenario.codebook_levels)) if args.level is None
            else [_level_index(scenario, args.level)])
     out = _out_dir(args)
     write_codebook_json(out / "codebook.json", scenario, sel)
-    write_manifest(out, scenario, argv, extra={"subcommand": "codebook dump"})
     total = sum(wx * wy for wx, wy in (scenario.codebook_levels[i] for i in sel))
     print(f"codebook dump: {total} codewords -> {out / 'codebook.json'}")
-    return 0
+    return {}
 
 
-def cmd_farfield(args, argv):
-    scenario = _load(args) if args.config else Scenario(carrier_hz=args.freq_ghz * 1e9)
+def cmd_farfield(args, scenario):
     rows = farfield_table(scenario.carrier_hz, [float(s) for s in args.sizes.split(",")])
     out = _out_dir(args)
     write_farfield_csv(out / "farfield.csv", rows)
-    write_manifest(out, scenario, argv, extra={"subcommand": "farfield"})
     print(f"{'L (m)':>8s} {'D (m)':>8s} {'d_F (m)':>10s}")
     for size, d_ap, d_f in rows:
         print(f"{size:8.3f} {d_ap:8.4f} {d_f:10.2f}")
-    return 0
+    return {}
 
 
 def build_parser():
@@ -479,10 +465,16 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "codebook_command", None))))
     try:
-        return args.func(args, ["nearris"] + argv)
+        # one load and one manifest for every command: the command checks its own
+        # options, writes its outputs and returns the record of its run
+        scenario = _load(args)
+        run = args.func(args, scenario)
+        write_manifest(args.out_dir, scenario, ["nearris"] + argv,
+                       extra={"subcommand": command, "numpy_version": np.__version__, **run})
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -490,7 +482,6 @@ def main(argv=None):
         # (codebook dump) writes under a temporary name that a failure removes, so one
         # raised while computing leaves no file; one raised while writing several files
         # (a campaign's CSVs, a heatmap's rasters) may leave some
-        command = " ".join(filter(None, (args.command, getattr(args, "codebook_command", None))))
         print(f"error: {command}: out of memory; a smaller RIS, raster grid or codebook "
               f"needs less", file=sys.stderr)
         return 2

@@ -49,6 +49,11 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def default_scenario_path():
+    """The bundled reference scenario file, which spells out `Scenario()`."""
+    return Path(nr.__file__).parent / "scenarios" / "reference.scn"
+
+
 def small_scenario(**overrides):
     """Reduced-aperture scenario (Q = 784) for fast module tests."""
     base = dict(
@@ -68,7 +73,7 @@ def los_only_scenario(**overrides):
 
 
 def projected(channels, v):
-    """(H v, H1 v, H2) of full matrices: the channel arguments of `reduce_cascade`."""
+    """(H v, H1 v, H2) of full matrices: the channel arguments of `oracle.reduce_cascade`."""
     return channels.h @ v, channels.h1 @ v, channels.h2
 
 

@@ -9,8 +9,9 @@ arrays. `mapping` gives the image points of elements as (..., 3) arrays.
 
 `grcs` sums the reflection coefficient over element positions with
 `np.exp`, the oracle of the field kernel's `cis` and grid distances.
-`cascade` reduces full channel matrices to (d, A), the oracle of
-`trial_draw`'s basis.
+`reduce_cascade` reduces one realization to (d, A) by the formula, and
+`cascade` applies it to full channel matrices: the oracle of `trial_draw`'s
+basis, which `beam_mgmt.cascade_basis` reduces term by term.
 
 `slow_trial` builds the full channel matrices with `build_trial_channels`
 at no blockage and attenuates the direct matrix itself, reduces them with
@@ -25,7 +26,7 @@ import dataclasses
 import numpy as np
 
 from nearris import benchmarks as bm
-from nearris.beam_mgmt import bs_precoder_focus_ris, mu_combiners, reduce_cascade
+from nearris.beam_mgmt import bs_precoder_focus_ris, mu_combiners
 from nearris.codebook import (
     _image_planes,
     check_levels,
@@ -52,6 +53,13 @@ def grcs(p_i, p_r, omega, geom, lambda_m):
     d += distance(p_r, pn)
     g = unit_cell_factor(geom, lambda_m)
     return g * np.sum(np.exp(1j * (k * d + omega)))
+
+
+def reduce_cascade(hv, h1v, h2, g, uh, sigma):
+    """(d, A) in noise-amplitude units of hv = H v, h1v = H1 v and h2 = H2 under the
+    conjugated combiner rows uh: row i of d + A exp(j*omega) is
+    u_i^H (H + H2 diag(g*exp(j*omega)) H1) v / sigma."""
+    return uh @ hv / sigma, uh @ (g * h2 * h1v) / sigma
 
 
 def cascade(scenario, channels):

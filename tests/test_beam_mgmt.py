@@ -8,17 +8,17 @@ from nearris.beam_mgmt import (
     _BASIS_BLOCK_BYTES,
     basis_products,
     bs_precoder_focus_ris,
+    cascade_basis,
     hierarchical_search,
     mu_combiners,
     received_snr,
-    reduce_cascade,
 )
 from nearris.benchmarks import benchmark1_full_search, benchmark3_full_csi
 from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
 from nearris.codebook import unit_cell_factor
 from nearris.geometry import cis
 from nearris.harness import build_trial_channels
-from oracle import cascade, mapping, phase_codebook
+from oracle import cascade, mapping, phase_codebook, reduce_cascade
 
 G_PI = np.pi
 
@@ -177,13 +177,13 @@ def test_received_snr_invariant_to_combiner_phase():
     assert s2 == pytest.approx(s1, rel=1e-12)
 
 
-def test_reduce_cascade_validation():
-    unit = projected(scalar_channels(), np.array([1.0]))
+def test_cascade_basis_validation():
+    unit = [(x, x) for x in projected(scalar_channels(), np.array([1.0]))]
     with pytest.raises(ValueError):
-        reduce_cascade(*unit, G_PI, np.empty((0, 1)).conj(), np.sqrt(1.0))
+        cascade_basis(*unit, G_PI, np.empty((0, 1)).conj(), np.sqrt(1.0))
     for sigma2 in (0.0, np.nan):
         with pytest.raises(ValueError):
-            reduce_cascade(*unit, G_PI, np.ones((1, 1)).conj(), np.sqrt(sigma2))
+            cascade_basis(*unit, G_PI, np.ones((1, 1)).conj(), np.sqrt(sigma2))
 
 
 # --- selection ---------------------------------------------------------------

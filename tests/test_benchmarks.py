@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import on_fixed_cascade, projected
-from nearris.beam_mgmt import mu_combiners, received_snr, reduce_cascade
+from nearris.beam_mgmt import mu_combiners, received_snr
 from nearris.benchmarks import (
     benchmark1_full_search,
     benchmark2_full_focusing,
@@ -16,7 +16,7 @@ from nearris.codebook import (
     unit_cell_factor,
 )
 from nearris.geometry import RisGeometry, cis, wavelength
-from oracle import build_hierarchy
+from oracle import build_hierarchy, reduce_cascade
 
 LAM = wavelength(28e9)
 P_I = np.array([40.0, 0.0, 10.0])

@@ -8,12 +8,11 @@ import pytest
 import yaml
 
 import nearris as nr
-from conftest import run_python
+from conftest import default_scenario_path, run_python
 from nearris import cli, harness
 from nearris.channel import ChannelSet
 from nearris.cli import (
     _SCHEMA,
-    default_scenario_path,
     load_scenario,
     main,
     save_scenario,
@@ -521,6 +520,26 @@ def test_farfield_command(tmp_path):
     row = dict(zip(["L", "D", "dF"], lines[3].split(",")))
     assert float(row["L"]) == 0.5
     assert float(row["dF"]) == pytest.approx(93.4, abs=0.1)
+
+
+@pytest.mark.parametrize("command, config, options", [
+    ("simulate", True, []),
+    ("sweep-beta", True, []),
+    ("heatmap", True, ["--level", "1", "--grid", "3"]),
+    ("focus-cut", True, ["--steps", "5"]),
+    ("codebook dump", True, ["--level", "1"]),
+    ("farfield", False, []),
+])
+def test_every_manifest_records_subcommand_numpy_and_seed(tmp_path, command, config, options):
+    # main writes the manifest of every command; farfield without --config takes
+    # its --freq-ghz carrier and the --seed override too
+    cfg = ["--config", str(tiny_file(tmp_path)[0])] if config else []
+    out = tmp_path / "o"
+    assert main([*command.split(), *cfg, "--seed", "7", "--out-dir", str(out), *options]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["master_seed"] == 7
+    assert man["subcommand"] == command
+    assert man["numpy_version"] == np.__version__
 
 
 @pytest.mark.parametrize(

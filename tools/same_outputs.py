@@ -15,9 +15,12 @@ thread and each run in its own output directory:
 - `heatmap --level 4 --grid 64 --cells all`;
 - `focus-cut --axis both`;
 - `codebook dump` of every level, every codeword's phases wrapped and
-  rounded to 9 digits (about 50 MB per side).
+  rounded to 9 digits (about 50 MB per side);
+- `simulate --seed 1 --trials 20 --dump-channels` of the reference at
+  beta = 10 dB, with trial 0's channel matrices;
+- `farfield` at its default carrier and sizes.
 
-Then it compares every CSV and every JSON file but `manifest.json` (which
+Then it compares every CSV, JSON and npz file but `manifest.json` (which
 records timings and paths) of every run byte for byte and prints one line
 per file: `same`, `DIFFERS`, or which side lacks it. It exits 1 if any file
 differs or is missing on one side, and 0 otherwise. A change that must keep
@@ -47,6 +50,8 @@ RUNS = [
     ("heatmap-level4", ["heatmap", "--level", "4", "--grid", "64", "--cells", "all"]),
     ("focus-cut", ["focus-cut", "--axis", "both"]),
     ("codebook-dump", ["codebook", "dump"]),
+    ("simulate-seed1", ["simulate", "--seed", "1", "--trials", "20", "--dump-channels"]),
+    ("farfield", ["farfield"]),
 ]
 
 
@@ -61,11 +66,11 @@ def run_all(checkout, out_root):
 
 
 def compare(here, baseline):
-    """One (status, run/file) pair per CSV or JSON file but the manifest written on either
-    side, in run order."""
+    """One (status, run/file) pair per CSV, JSON or npz file but the manifest written on
+    either side, in run order."""
     rows = []
     for name, _ in RUNS:
-        files = sorted({p.name for side in (here, baseline) for pattern in ("*.csv", "*.json")
+        files = sorted({p.name for side in (here, baseline) for pattern in ("*.csv", "*.json", "*.npz")
                         for p in (side / name).glob(pattern)} - {"manifest.json"})
         for f in files:
             a, b = here / name / f, baseline / name / f
