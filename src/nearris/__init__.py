@@ -28,7 +28,7 @@ from .channel import (
     noise_power,
 )
 from .codebook import (
-    BlockageArea,
+    Codebook,
     children,
     focusing_phases,
     unit_cell_factor,

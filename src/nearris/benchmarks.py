@@ -1,6 +1,6 @@
 """Reference schemes the hierarchical search is compared against.
 
-B1 exhaustively sounds the finest codebook level, the rows of its
+B1 exhaustively sounds the finest `Codebook` level, the rows of its
 `cell_phasors` table `Scenario.statics().finest`; B2 focuses on the exact
 MU position. Neither reads the table or the codeword at a beta: a trial
 index's `harness.trial_draw` takes their `beam_mgmt.basis_products` with the

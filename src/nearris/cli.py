@@ -218,10 +218,9 @@ def write_codebook_json(path, scenario, level_indices):
     unselected level is computed. The text goes to a temporary file next to
     `path`, renamed onto it after the last level; any failure removes it.
     """
-    levels, alpha, area, geom, p_i, lambda_m = scenario.codebook_args()
-    head = {"format_version": FORMAT_VERSION, "alpha": alpha,
-            "area": {"center": list(scenario.blockage_center),
-                     "extent_m": [scenario.blockage_r_x, scenario.blockage_r_y]},
+    cb = scenario.codebook()
+    head = {"format_version": FORMAT_VERSION, "alpha": cb.alpha,
+            "area": {"center": list(cb.p_b), "extent_m": [cb.r_x, cb.r_y]},
             "element_order": "row-major in (q_y, q_z)", "phase_unit": "radians in [0, 2*pi)",
             "levels": []}
     part = FsPath(f"{path}.part")
@@ -229,12 +228,11 @@ def write_codebook_json(path, scenario, level_indices):
         with open(part, "w") as fh:
             fh.write(json.dumps(head)[:-2])  # up to the open levels list
             for n, li in enumerate(level_indices):
-                shape = levels[li]
+                shape = cb.levels[li]
                 level = {"level": li + 1, "shape": list(shape), "codewords": {}}
                 fh.write(", " * (n > 0) + json.dumps(level)[:-2])  # up to the open codewords
                 for wx in range(shape[0]):
-                    row = wide_illumination_phases(p_i, area, geom, lambda_m, wx,
-                                                   np.arange(shape[1]), *shape, alpha)
+                    row = wide_illumination_phases(cb, li, wx, np.arange(shape[1]))
                     for wy, phases in enumerate(np.mod(row, 2 * np.pi)):
                         fh.write(f'{", " * (wx + wy > 0)}"{wx},{wy}": '
                                  + json.dumps([round(p, 9) for p in phases.tolist()]))

@@ -7,12 +7,12 @@ point; focusing codewords make every summand real-positive at the target,
 wide-illumination codewords spread the reflected energy over one cell of
 a rectangular blockage area.
 
-A hierarchy is a tuple of level shapes (big_w_x, big_w_y), coarsest
-first, with one width alpha, which `check_levels` checks. Every reader
-computes a level a row of cells at a time with `wide_illumination_phases`:
-trials and the heatmap read phasors from `cell_phasors` (the finest
-level's table, the few coarser codewords that a search sounds, on demand,
-and the one level a heatmap draws), and `codebook dump` writes phases.
+A hierarchy is one `Codebook` record, whose levels and alpha `check_levels`
+checks. Every reader asks it for codewords by (level depth, cells), a row
+of cells at a time with `wide_illumination_phases`: trials and the heatmap
+read phasors from `cell_phasors` (the finest level's table, the few coarser
+codewords that a search sounds, on demand, and the one level a heatmap
+draws), and `codebook dump` writes phases.
 """
 
 import warnings
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import cis, hypot3
+from .geometry import RisGeometry, cis, hypot3
 
 _TWO_PI = 2.0 * np.pi
 
@@ -30,18 +30,24 @@ def unit_cell_factor(geom, lambda_m):
     return 4.0 * np.pi * geom.d_y * geom.d_z / lambda_m**2
 
 
-@dataclass(frozen=True)
-class BlockageArea:
-    """Rectangle centered at p_b, extents r_x by r_y, at the fixed height p_b[2]."""
+@dataclass(frozen=True, eq=False)
+class Codebook:
+    """What every codeword is computed from: level shapes (big_w_x, big_w_y), coarsest
+    first, width alpha, the rectangle centered at the point p_b with extents r_x by r_y
+    at the fixed height p_b[2], the RIS geometry, the source point p_i and the wavelength."""
 
-    center: np.ndarray
+    levels: tuple
+    alpha: float
+    p_b: tuple
     r_x: float
     r_y: float
+    geom: RisGeometry
+    p_i: tuple
+    lambda_m: float
 
     def __post_init__(self):
         if self.r_x <= 0 or self.r_y <= 0:
             raise ValueError("blockage extents must be positive")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
 
 def focusing_phases(p_i, p_target, geom, lambda_m):
@@ -56,38 +62,39 @@ def focusing_phases(p_i, p_target, geom, lambda_m):
     return -k * d
 
 
-def _image_planes(y, z, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
-    """x and y of the image points, in the blockage plane at height area.center[2], of
-    elements at y and z: S + z.shape and S + y.shape for cell indices broadcasting to S.
+def _image_planes(y, z, codebook, depth, w_x, w_y):
+    """x and y of the image points, in the blockage plane, of elements at y and z for
+    cells of level depth: S + z.shape and S + y.shape for cell indices broadcasting to S.
 
-    Cell (w_x, w_y) of a big_w_x by big_w_y partition is anchored at its
-    center, offset t_w = (w + 1/2)*R/W - R/2 from the area center; the
+    Cell (w_x, w_y) of the level's big_w_x by big_w_y partition is anchored at
+    its center, offset t_w = (w + 1/2)*R/W - R/2 from the area center; the
     element's (y, z), taken relative to the RIS center, are scaled by
     Delta_t = alpha*R_t/W_t over the aperture so one cell is painted by the
     whole surface: x varies with the cell and z alone, y with the cell and y
     alone. alpha = 0 collapses the image to the cell center.
     """
+    big_w_x, big_w_y = codebook.levels[depth]
     w_x, w_y = np.broadcast_arrays(w_x, w_y)
     if not (np.all((0 <= w_x) & (w_x < big_w_x)) and np.all((0 <= w_y) & (w_y < big_w_y))):
         raise ValueError(f"cell index ({w_x}, {w_y}) out of range for ({big_w_x}, {big_w_y})")
-    if alpha < 0:
+    if codebook.alpha < 0:
         raise ValueError("alpha must be >= 0")
-    l_y, l_z = geom.aperture
-    t_x = (w_x[..., None] + 0.5) * area.r_x / big_w_x - area.r_x / 2.0
-    t_y = (w_y[..., None] + 0.5) * area.r_y / big_w_y - area.r_y / 2.0
-    delta_x = alpha * area.r_x / big_w_x
-    delta_y = alpha * area.r_y / big_w_y
-    rel_y = y - geom.center[1]
-    rel_z = z - geom.center[2]
+    l_y, l_z = codebook.geom.aperture
+    t_x = (w_x[..., None] + 0.5) * codebook.r_x / big_w_x - codebook.r_x / 2.0
+    t_y = (w_y[..., None] + 0.5) * codebook.r_y / big_w_y - codebook.r_y / 2.0
+    delta_x = codebook.alpha * codebook.r_x / big_w_x
+    delta_y = codebook.alpha * codebook.r_y / big_w_y
+    rel_y = y - codebook.geom.center[1]
+    rel_z = z - codebook.geom.center[2]
     x = delta_x / l_z * rel_z + t_x
-    x += area.center[0]
+    x += codebook.p_b[0]
     y = delta_y / l_y * rel_y + t_y
-    y += area.center[1]
+    y += codebook.p_b[1]
     return x, y
 
 
-def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w_y, alpha):
-    """Codeword spreading the reflection over cell (w_x, w_y) of the area.
+def wide_illumination_phases(codebook, depth, w_x, w_y):
+    """Codeword spreading the reflection over cell (w_x, w_y) of level depth.
 
     omega_n = -k*(|M(p_n) - p_n| - |M(p_n) - p_ris| + |p_i - p_n|), with M the
     per-element image point of `_image_planes`. Each element focuses on its own
@@ -98,18 +105,23 @@ def wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w
     square their x terms on S + (1, q_z) and their y terms on S + (q_y, 1)
     grids and sum them in `distance`'s order: the bits of the formula over
     S + (Q, 3) image points, with no such array and no per-element positions.
+    Non-finite phases raise a ValueError, with no overflow warning first.
     """
+    geom = codebook.geom
     x, ys, zs = geom.axes()
-    m_x, m_y = _image_planes(ys, zs, area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
+    m_x, m_y = _image_planes(ys, zs, codebook, depth, w_x, w_y)
     m_x, m_y = m_x[..., None, :], m_y[..., :, None]
-    m_z = area.center[2]
+    m_z = codebook.p_b[2]
     c = geom.center
-    k = _TWO_PI / lambda_m
-    d = hypot3(m_x - x, m_y - ys[:, None], m_z - zs)
-    d -= hypot3(m_x - c[0], m_y - c[1], m_z - c[2])
-    d = d.reshape(*d.shape[:-2], geom.q)
-    d += geom.distances([p_i])[0]
-    d *= -k
+    k = _TWO_PI / codebook.lambda_m
+    with np.errstate(all="ignore"):  # an overflow gives inf or nan phases, rejected below
+        d = hypot3(m_x - x, m_y - ys[:, None], m_z - zs)
+        d -= hypot3(m_x - c[0], m_y - c[1], m_z - c[2])
+        d = d.reshape(*d.shape[:-2], geom.q)
+        d += geom.distances([codebook.p_i])[0]
+        d *= -k
+    if not np.isfinite(d).all():
+        raise ValueError(f"codebook: level {depth + 1} has non-finite phases, past float range")
     return d
 
 
@@ -153,21 +165,20 @@ def check_levels(level_shapes, alpha):
         warnings.warn(f"alpha={alpha} > 1 overlaps neighboring cells beyond their edges")
 
 
-def cell_phasors(shape, alpha, area, geom, p_i, lambda_m, cells):
-    """Read-only exp(j*omega) of the cells ((w_x, w_y), ...) of a (W_x, W_y) level, one
-    row each.
+def cell_phasors(codebook, depth, cells=None):
+    """Read-only exp(j*omega) of the cells ((w_x, w_y), ...) of level depth, one row each;
+    cells=None is the whole level in row-major order, row w_x * W_y + w_y.
 
-    Fills the rows W_y cells at a time, so a whole level in row-major order
-    (the finest level's table or a heatmap's level, row w_x * W_y + w_y) is
-    built without holding its phases whole.
+    Fills the rows W_y cells at a time, so a whole level (the finest level's
+    table or a heatmap's level) is built without holding its phases whole.
     """
-    w_x, w_y = np.array(cells).T
-    table = np.empty((len(cells), geom.q), dtype=complex)
-    for s in range(0, len(cells), shape[1]):
+    shape = codebook.levels[depth]
+    w_x, w_y = np.indices(shape).reshape(2, -1) if cells is None else np.array(cells).T
+    table = np.empty((len(w_x), codebook.geom.q), dtype=complex)
+    for s in range(0, len(w_x), shape[1]):
         cut = slice(s, s + shape[1])
         # a block stays bound while the next is computed, so the heap does not shrink
-        phases = wide_illumination_phases(p_i, area, geom, lambda_m, w_x[cut], w_y[cut],
-                                          *shape, alpha)
+        phases = wide_illumination_phases(codebook, depth, w_x[cut], w_y[cut])
         table[cut] = cis(phases)
     table.flags.writeable = False
     return table

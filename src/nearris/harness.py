@@ -10,7 +10,7 @@ Two SNR pipelines coexist and are kept separate on purpose:
   (`RisGeometry.distances`) and scores its 64-point blocks on one thread
   per usable core that BLAS leaves (`blas_slots`), with the same bits
   for any thread count, and the heatmap reads its level's phasors from
-  `cell_phasors`;
+  the scenario's `Codebook` (`Scenario.codebook`) with `cell_phasors`;
 * link-level trials draw each link as arrays of path amplitudes, fadings
   and bounce points. A beta scales every link's scattered term at 0 dB by
   one scalar s = 10^(-beta/20), so a trial's direct term d and effective
@@ -51,6 +51,7 @@ its betas follow.
 
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from numbers import Real
@@ -79,7 +80,7 @@ from .channel import (
     sum_paths,
 )
 from .codebook import (
-    BlockageArea,
+    Codebook,
     cell_phasors,
     check_levels,
     focusing_phases,
@@ -278,29 +279,24 @@ class Scenario:
     @lru_cache(maxsize=1)  # on the class, so a pickled scenario carries no tables
     def statics(self):
         """The record of what trials read of this scenario alone, kept for the last scenario."""
-        lam, ris = self.lambda_m, self.ris_geometry()
-        bs_pos = self.bs_geometry().element_positions()
+        lam, cb = self.lambda_m, self.codebook()
+        ris, bs_pos = cb.geom, self.bs_geometry().element_positions()
         v = bs_precoder_focus_ris(bs_pos, self.ris_center, lam, self.p_bs_watts)
-        (*coarser, finest), *args = self.codebook_args()
+        finest = len(cb.levels) - 1
         return CampaignStatics(
             bs_pos=bs_pos, ris=ris, v=v, g=unit_cell_factor(ris, lam),
             uh=mu_combiners(self.n_mu).conj(), sigma=np.sqrt(self.sigma2),
             los=v @ _ris_legs(ris, bs_pos, lam),
-            finest=cell_phasors(finest, *args, list(np.ndindex(*finest))),
-            blocks=tuple(lru_cache(maxsize=1)(partial(cell_phasors, shape, *args))
-                         for shape in coarser))
+            finest=cell_phasors(cb, finest),
+            blocks=tuple(lru_cache(maxsize=1)(partial(cell_phasors, cb, depth))
+                         for depth in range(finest)))
 
-    def blockage_area(self):
-        return BlockageArea(
-            center=np.asarray(self.blockage_center, dtype=float),
-            r_x=self.blockage_r_x, r_y=self.blockage_r_y,
-        )
-
-    def codebook_args(self):
-        """(level shapes, alpha, blockage area, RIS geometry, p_i, lambda_m): what every
-        codeword of this scenario is computed from."""
-        return (self.codebook_levels, self.codebook_alpha, self.blockage_area(),
-                self.ris_geometry(), np.asarray(self.bs_center, dtype=float), self.lambda_m)
+    def codebook(self):
+        """The `Codebook` every codeword of this scenario is computed from."""
+        return Codebook(levels=self.codebook_levels, alpha=self.codebook_alpha,
+                        p_b=self.blockage_center, r_x=self.blockage_r_x,
+                        r_y=self.blockage_r_y, geom=self.ris_geometry(), p_i=self.bs_center,
+                        lambda_m=self.lambda_m)
 
     def codewords(self, depth, cells):
         """Phasors of cells [(w_x, w_y), ...] of level depth (0-based), one row each.
@@ -329,9 +325,9 @@ class Scenario:
 @dataclass(frozen=True, eq=False)
 class CampaignStatics:
     """`Scenario.statics()`: the BS positions, the RIS geometry, v, g, conj(U), sigma, the
-    LOS projection E v, and the read-only phasors of `codebook.cell_phasors`: the finest
-    level's (W_x * W_y, Q) table, and per coarser level a one-slot cache of its blocks of
-    the cells asked."""
+    LOS projection E v, and the read-only phasors that `codebook.cell_phasors` reads from
+    the scenario's `Codebook`: the finest level's (W_x * W_y, Q) table, and per coarser
+    level a one-slot cache of its blocks of the cells asked."""
 
     bs_pos: np.ndarray
     ris: RisGeometry
@@ -603,8 +599,11 @@ def usable_cores():
 
 def _before_trials(scenario):
     """A campaign process's set-up: the statics, then numpy.random, which numpy imports
-    on first use (about 8 ms) and the rasters never use."""
-    scenario.statics()
+    on first use (about 8 ms) and the rasters never use. A ValueError of the statics is
+    left to the first trial, which raises it again: a pool passes on a job's error but
+    breaks on its initializer's."""
+    with suppress(ValueError):
+        scenario.statics()
     import numpy.random  # noqa: F401
 
 
@@ -691,7 +690,8 @@ def _field_snr_db(scenario, points, phasors):
     each under the caller's numpy error state and writing only its own rows,
     and the threads end before the call returns; numpy's cos, sin and the
     GEMM release the interpreter lock, and the result has the same bits for
-    any thread count. The thread pool is imported here, by its one user.
+    any thread count. The thread pool is imported here, by its one user. A
+    non-finite point or SNR raises a ValueError.
     """
     geom = scenario.ris_geometry()
     lam = scenario.lambda_m
@@ -716,9 +716,13 @@ def _field_snr_db(scenario, points, phasors):
                 cis(d, out=paths[t:t + _FIELD_SUB])
             mags = np.abs(paths @ phasors.T) * g
             pl2 = free_space_amplitude(distance(p_r, p_ris), lam)
-            out[s:s + _FIELD_CHUNK] = 10.0 * np.log10(
+            snr = 10.0 * np.log10(
                 scenario.illum_reference_power_w * (pl1 * pl2[:, None] * mags) ** 2
                 / scenario.sigma2)
+        if not np.isfinite(snr).all():  # a block at a time: a whole-output mask adds 1 MB of peak
+            raise ValueError(f"field kernel: non-finite points or SNRs at reference power "
+                             f"{scenario.illum_reference_power_w!r} W, past float range")
+        out[s:s + _FIELD_CHUNK] = snr
 
     with ThreadPoolExecutor(max_workers=field_threads(len(points))) as ex:
         list(ex.map(block, range(0, len(points), _FIELD_CHUNK)))  # re-raises a block's error
@@ -729,8 +733,8 @@ def focusing_cut(scenario, axis, half_range_m=8.0, steps=801):
     """SNR vs displacement from the blockage center under full focusing.
 
     The RIS focuses on p_b; the observation point moves along the chosen
-    axis over steps >= 2 points. Returns (displacements, snr_db), and a
-    ValueError if a range too large for floats makes any of them not finite.
+    axis over steps >= 2 points. Returns (displacements, snr_db); a non-finite
+    point or SNR, from a range too large for floats, raises a ValueError.
     """
     if axis not in ("x", "y"):
         raise ValueError("axis must be 'x' or 'y'")
@@ -740,11 +744,9 @@ def focusing_cut(scenario, axis, half_range_m=8.0, steps=801):
     p_b = np.asarray(scenario.blockage_center, dtype=float)
     omega = focusing_phases(scenario.bs_center, p_b, scenario.ris_geometry(), scenario.lambda_m)
     unit = np.array([1.0, 0, 0]) if axis == "x" else np.array([0, 1.0, 0])
-    with np.errstate(all="ignore"):  # overflows are rejected below
+    with np.errstate(all="ignore"):  # overflows give non-finite SNRs, which the kernel rejects
         deltas = np.linspace(-half_range_m, half_range_m, steps)
         snr = _field_snr_db(scenario, p_b + deltas[:, None] * unit, cis(omega)[None, :])[:, 0]
-    if not (np.isfinite(deltas).all() and np.isfinite(snr).all()):
-        raise ValueError(f"focus cut: half range {half_range_m} m gives non-finite points or SNRs")
     return deltas, snr
 
 
@@ -764,13 +766,12 @@ def heatmap(scenario, level_index):
     names the valid range; the raster has scenario.illum_grid points per
     axis. Builds that level's phasors alone (`cell_phasors`, row
     w_x * W_y + w_y) and returns the grid of every codeword of the level
-    and their pointwise-max composite.
+    and their pointwise-max composite; a non-finite value raises a ValueError.
     """
-    levels, *args = scenario.codebook_args()
+    levels = scenario.codebook_levels
     if not 0 <= level_index < len(levels):
         raise ValueError(f"level_index {level_index} out of range 0..{len(levels) - 1}")
-    shape = levels[level_index]  # args is (alpha, area, RIS geometry, p_i, lambda_m)
-    level = cell_phasors(shape, *args, list(np.ndindex(*shape)))
+    level = cell_phasors(scenario.codebook(), level_index)
     n = scenario.illum_grid
 
     p_b = np.asarray(scenario.blockage_center, dtype=float)
@@ -778,8 +779,9 @@ def heatmap(scenario, level_index):
     ys = p_b[1] + np.linspace(-scenario.blockage_r_y / 2, scenario.blockage_r_y / 2, n)
     grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([grid_x.ravel(), grid_y.ravel(), np.full(n * n, p_b[2])])
-    flat = _field_snr_db(scenario, points, level)
-    per_cell = flat.T.reshape(*shape, n, n)
+    with np.errstate(all="ignore"):  # overflows give non-finite SNRs, which the kernel rejects
+        flat = _field_snr_db(scenario, points, level)
+    per_cell = flat.T.reshape(*levels[level_index], n, n)
     return HeatmapResult(level=level_index + 1, xs=xs, ys=ys,
                          per_cell=per_cell, composite=per_cell.max(axis=(0, 1)))
 

@@ -71,8 +71,9 @@ def cascade(scenario, channels):
                           mu_combiners(scenario.n_mu).conj(), np.sqrt(scenario.sigma2))
 
 
-def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
-    """Image point(s) in the blockage plane of RIS element position(s) for cell (w_x, w_y).
+def mapping(p_n, codebook, depth, w_x, w_y):
+    """Image point(s) in the blockage plane of RIS element position(s) for cell (w_x, w_y)
+    of level depth.
 
     Accepts a single (3,) position or an (n, 3) batch, and integer-array
     cell indices broadcasting to a shape S: the result is S + (3,) or S + (n, 3).
@@ -80,26 +81,25 @@ def mapping(p_n, area, geom, w_x, w_y, big_w_x, big_w_y, alpha):
     p = np.asarray(p_n, dtype=float)
     single = p.ndim == 1
     p = np.atleast_2d(p)
-    x, y = _image_planes(p[:, 1], p[:, 2], area, geom, w_x, w_y, big_w_x, big_w_y, alpha)
+    x, y = _image_planes(p[:, 1], p[:, 2], codebook, depth, w_x, w_y)
     out = np.empty(x.shape + (3,))
     out[..., 0] = x
     out[..., 1] = y
-    out[..., 2] = area.center[2]
+    out[..., 2] = codebook.p_b[2]
     return out[..., 0, :] if single else out
 
 
-def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
-    """All codewords for (big_w_x, big_w_y) level shapes that pass `check_levels`: one
+def build_hierarchy(codebook):
+    """All codewords of a `Codebook` whose levels and alpha pass `check_levels`: one
     (big_w_x, big_w_y, Q) array per level, coarsest first, filled a row of cells at a time."""
-    check_levels(level_shapes, alpha)
+    check_levels(codebook.levels, codebook.alpha)
     levels = []
-    for shape in level_shapes:
-        words = np.empty((*shape, geom.q))
+    for depth, shape in enumerate(codebook.levels):
+        words = np.empty((*shape, codebook.geom.q))
         for wx in range(shape[0]):
             # the last row stays bound while the next is computed: freeing it first lets
             # the heap shrink and fault back in at every row, a first build ~15% slower
-            row = wide_illumination_phases(p_i, area, geom, lambda_m, wx, np.arange(shape[1]),
-                                           *shape, alpha)
+            row = wide_illumination_phases(codebook, depth, wx, np.arange(shape[1]))
             words[wx] = row
         levels.append(words)
     return tuple(levels)
@@ -107,7 +107,7 @@ def build_hierarchy(level_shapes, alpha, area, geom, p_i, lambda_m):
 
 def phase_codebook(scenario):
     """The scenario's hierarchy as `build_hierarchy` phase arrays, coarsest first."""
-    return build_hierarchy(*scenario.codebook_args())
+    return build_hierarchy(scenario.codebook())
 
 
 @dataclasses.dataclass

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,8 +259,7 @@ def test_search_finds_cell_center_users_exactly():
     s = los_only_scenario()
     lam = s.lambda_m
     geom = s.ris_geometry()
-    area = s.blockage_area()
-    finest = s.codebook_levels[-1]
+    centers = dataclasses.replace(s.codebook(), alpha=0.0)  # every image on its cell center
     bs_pos = s.bs_geometry().element_positions()
     ris_pos = geom.element_positions()
 
@@ -267,7 +268,7 @@ def test_search_finds_cell_center_users_exactly():
         return LinkPaths(amplitude=[free_space_amplitude(d, lam)], fading=[1.0], scatterers=())
 
     for cell in [(0, 0), (1, 2), (2, 5), (3, 7)]:
-        p_mu = mapping(np.asarray(s.ris_center), area, geom, *cell, *finest, 0.0)
+        p_mu = mapping(np.asarray(s.ris_center), centers, len(s.codebook_levels) - 1, *cell)
         mu_pos = p_mu[None, :]
         ch = ChannelSet(
             h=assemble_channel(los(s.bs_center, p_mu), bs_pos, mu_pos, lam, -1) * 0.1,

@@ -10,7 +10,7 @@ from nearris.benchmarks import (
 )
 from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
 from nearris.codebook import (
-    BlockageArea,
+    Codebook,
     cell_phasors,
     focusing_phases,
     unit_cell_factor,
@@ -21,12 +21,13 @@ from oracle import build_hierarchy, reduce_cascade
 LAM = wavelength(28e9)
 P_I = np.array([40.0, 0.0, 10.0])
 P_B = np.array([20.0, 40.0, 1.0])
-AREA = BlockageArea(center=P_B, r_x=16.0, r_y=16.0)
 
 
 def test_benchmark1_equals_measurement_on_single_codeword():
     geom = RisGeometry(center=(0.0, 40.0, 5.0), q_y=3, q_z=3, d_y=LAM / 2, d_z=LAM / 2)
-    cb = build_hierarchy([(1, 1)], 0.8, AREA, geom, P_I, LAM)
+    book = Codebook(levels=((1, 1),), alpha=0.8, p_b=P_B, r_x=16.0, r_y=16.0, geom=geom,
+                    p_i=P_I, lambda_m=LAM)
+    cb = build_hierarchy(book)
     rng = np.random.default_rng(4)
     ch = ChannelSet(
         h=np.zeros((1, 2), dtype=complex),
@@ -35,7 +36,7 @@ def test_benchmark1_equals_measurement_on_single_codeword():
     )
     d, a = reduce_cascade(*projected(ch, np.array([0.2, 0.1j])), unit_cell_factor(geom, LAM),
                           mu_combiners(1).conj(), np.sqrt(1e-6))
-    table = cell_phasors((1, 1), 0.8, AREA, geom, P_I, LAM, [(0, 0)])
+    table = cell_phasors(book, 0)
     res = on_fixed_cascade(benchmark1_full_search, d, a, table)
     direct = received_snr(d, a, cis(cb[0][0, 0]))
     assert res == pytest.approx(direct, rel=1e-12)

@@ -488,10 +488,9 @@ def test_codebook_dump_of_one_level_computes_its_rows_alone(tmp_path, monkeypatc
     cfg, _ = tiny_file(tmp_path, codebook_levels=shapes)
     rows = []
 
-    def counted(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w_y, alpha):
-        rows.append((big_w_x, big_w_y, w_x))
-        return wide_illumination_phases(p_i, area, geom, lambda_m, w_x, w_y, big_w_x, big_w_y,
-                                        alpha)
+    def counted(codebook, depth, w_x, w_y):
+        rows.append((*codebook.levels[depth], w_x))
+        return wide_illumination_phases(codebook, depth, w_x, w_y)
 
     monkeypatch.setattr(cli, "wide_illumination_phases", counted)
     assert main(["codebook", "dump", "--config", str(cfg), "--out-dir", str(tmp_path / "cb"),
@@ -666,6 +665,44 @@ def test_beta_too_far_for_float_snrs_exits_2_before_any_output(tmp_path, capsys)
     assert not (out / "trials.csv").exists()
 
 
+_TINY_POWER = dict(illum_reference_power_w=1e-320)
+_FAR_AREA = dict(blockage_center=(1e200, 40.0, 1.0), ris_size_y_m=0.02, ris_size_z_m=0.02,
+                 codebook_levels=((1, 1),))
+
+
+@pytest.mark.parametrize("overrides, command, message", [
+    # a positive reference power whose SNRs underflow to -inf dB
+    pytest.param(_TINY_POWER, ["heatmap", "--level", "1", "--grid", "4"],
+                 "reference power 1e-320 W", id="heatmap-tiny-power"),
+    pytest.param(_TINY_POWER, ["focus-cut", "--steps", "3"], "reference power 1e-320 W",
+                 id="focus-cut-tiny-power"),
+    # a blockage area whose codeword distances overflow
+    pytest.param(_FAR_AREA, ["heatmap", "--level", "1", "--grid", "4"],
+                 "level 1 has non-finite phases", id="heatmap-far-area"),
+    pytest.param(_FAR_AREA, ["codebook", "dump"], "level 1 has non-finite phases",
+                 id="dump-far-area"),
+])
+def test_non_finite_raster_or_codebook_exits_2_with_no_output(tmp_path, capsys, overrides,
+                                                               command, message):
+    cfg, _ = tiny_file(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_pool_campaign_with_non_finite_codewords_exits_2_with_no_output(tmp_path, capsys,
+                                                                       monkeypatch):
+    # a pool passes a job's error on but breaks on its initializer's, so the
+    # statics' ValueError reaches `main` from the first trial
+    monkeypatch.setattr(harness, "blas_slots", lambda: 2)
+    cfg, _ = tiny_file(tmp_path, **_FAR_AREA)
+    out = tmp_path / "o"
+    assert main(["sweep-beta", "--config", str(cfg), "--out-dir", str(out), "--workers", "2"]) == 2
+    assert "level 1 has non-finite phases" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("command, owner, target", [
     ("heatmap --level 1 --grid 2", nr.harness, "heatmap"),
     ("sweep-beta", nr.harness, "sweep_beta"),
@@ -691,11 +728,11 @@ def test_out_of_memory_mid_dump_leaves_no_file(tmp_path, capsys, monkeypatch):
     out = tmp_path / "o"
     files_seen = []
 
-    def no_memory_after_one_row(*args):
+    def no_memory_after_one_row(codebook, depth, w_x, w_y):
         files_seen.append(sorted(p.name for p in out.iterdir()))
         if len(files_seen) > 1:
             raise MemoryError
-        return wide_illumination_phases(*args)
+        return wide_illumination_phases(codebook, depth, w_x, w_y)
 
     monkeypatch.setattr(cli, "wide_illumination_phases", no_memory_after_one_row)
     cfg, _ = tiny_file(tmp_path)

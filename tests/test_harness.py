@@ -132,7 +132,7 @@ def test_beta_semantics_conversion():
 # --- random draws ---------------------------------------------------------------
 
 
-def test_draw_mu_position_stays_in_blockage_area():
+def test_draw_mu_position_stays_in_the_blockage_rectangle():
     s = small_scenario()
     for trial in range(50):
         p = draw_mu_position(s, trial)
@@ -308,7 +308,7 @@ def block_calls(monkeypatch):
 
     def counted(*args, f=harness.cell_phasors):
         if isinstance(args[-1], tuple):
-            calls.append((args[0], args[-1]))
+            calls.append((args[0].levels[args[1]], args[-1]))
         return f(*args)
     monkeypatch.setattr(harness, "cell_phasors", counted)
     Scenario.statics.cache_clear()  # later statics records wrap the counting function
@@ -866,7 +866,8 @@ def test_field_kernel_takes_the_cores_blas_leaves_and_at_most_one_per_block(
 def test_field_kernel_blocks_run_under_the_callers_error_state(monkeypatch):
     # every point of three blocks is far enough that its squared distances
     # overflow; a worker thread starts from numpy's default error state,
-    # which warns, so each block must take the caller's
+    # which warns, so each block must take the caller's, and the kernel then
+    # rejects the non-finite SNRs
     monkeypatch.setattr(harness, "usable_cores", lambda: 3)
     _blas_threads_set(monkeypatch, OPENBLAS_NUM_THREADS="1")
     s = small_scenario()
@@ -877,8 +878,8 @@ def test_field_kernel_blocks_run_under_the_callers_error_state(monkeypatch):
         _field_snr_db(s, points, phasors)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        snr = _field_snr_db(s, points, phasors)
-    assert not np.isfinite(snr).any()
+        with pytest.raises(ValueError, match="non-finite points or SNRs"):
+            _field_snr_db(s, points, phasors)
 
 
 def test_heatmap_cells_match_grcs_oracle():

@@ -12,7 +12,8 @@ thread and each run in its own output directory:
   and 2, with 1 and with 2 workers;
 - `sweep-beta` of `perfbench/scenarios/small_pool.scn` (this checkout's
   file on both sides) with 2 workers, at seeds 1 and 2;
-- `heatmap --level 4 --grid 64 --cells all`;
+- `heatmap --level 4 --grid 64 --cells all`, and `heatmap --level 2
+  --grid 32 --cells all`, a coarser level than the trials' finest table;
 - `focus-cut --axis both`;
 - `codebook dump` of every level, every codeword's phases wrapped and
   rounded to 9 digits (about 50 MB per side);
@@ -48,6 +49,7 @@ RUNS = [
        ["sweep-beta", "--config", str(SMALL_POOL), "--seed", str(seed), "--workers", "2"])
       for seed in (1, 2)),
     ("heatmap-level4", ["heatmap", "--level", "4", "--grid", "64", "--cells", "all"]),
+    ("heatmap-level2", ["heatmap", "--level", "2", "--grid", "32", "--cells", "all"]),
     ("focus-cut", ["focus-cut", "--axis", "both"]),
     ("codebook-dump", ["codebook", "dump"]),
     ("simulate-seed1", ["simulate", "--seed", "1", "--trials", "20", "--dump-channels"]),
