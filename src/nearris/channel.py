@@ -97,8 +97,12 @@ def generate_scatterers(box_min, box_max, count, rng):
 
 
 def leg_phasors(a, b, lambda_m, sign):
-    """exp(sign*j*k*|a_m - b_n|) for (m, n), shape (len(a), len(b))."""
-    return cis(sign * (2.0 * np.pi / lambda_m) * distance(a[:, None, :], b[None, :, :]))
+    """exp(sign*j*k*|a_m - b_n|) for (m, n), shape (len(a), len(b)).
+
+    The distances are scaled by sign*k in place, then turned into phasors."""
+    d = distance(a[:, None, :], b[None, :, :])
+    d *= sign * (2.0 * np.pi / lambda_m)
+    return cis(d)
 
 
 def assemble_channel(link, tx_positions, rx_positions, lambda_m, sign):
@@ -125,9 +129,12 @@ def assemble_channel(link, tx_positions, rx_positions, lambda_m, sign):
 def sum_paths(link, los, rx_legs, tx_legs):
     """A link's (LOS, scattered) terms w_0 los and (rx_legs * w[1:]) tx_legs^T, w = PL * gamma.
 
-    Given E v and the 1-D E_tx^T v for its LOS and tx phasors, they sum to H v."""
+    Given E v and the 1-D E_tx^T v for its LOS and tx phasors, they sum to H v.
+    The path weights are applied to rx_legs in place, so it is consumed:
+    every caller passes an array made for this call."""
     w = link.amplitude * link.fading
-    return w[0] * los, (rx_legs * w[1:]) @ tx_legs.T
+    rx_legs *= w[1:]
+    return w[0] * los, rx_legs @ tx_legs.T
 
 
 def apply_beta(link, beta_db):

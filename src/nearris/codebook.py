@@ -170,15 +170,14 @@ def cell_phasors(codebook, depth, cells=None):
     cells=None is the whole level in row-major order, row w_x * W_y + w_y.
 
     Fills the rows W_y cells at a time, so a whole level (the finest level's
-    table or a heatmap's level) is built without holding its phases whole.
+    table or a heatmap's level) is built without holding its phases whole:
+    `cis` writes each chunk's phasors straight into its rows of the table.
     """
     shape = codebook.levels[depth]
     w_x, w_y = np.indices(shape).reshape(2, -1) if cells is None else np.array(cells).T
     table = np.empty((len(w_x), codebook.geom.q), dtype=complex)
     for s in range(0, len(w_x), shape[1]):
         cut = slice(s, s + shape[1])
-        # a block stays bound while the next is computed, so the heap does not shrink
-        phases = wide_illumination_phases(codebook, depth, w_x[cut], w_y[cut])
-        table[cut] = cis(phases)
+        cis(wide_illumination_phases(codebook, depth, w_x[cut], w_y[cut]), out=table[cut])
     table.flags.writeable = False
     return table

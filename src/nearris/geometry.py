@@ -50,16 +50,18 @@ def hypot3(x0, x1, x2):
 
 
 def cis(x, out=None):
-    """exp(j*x) for real x: cos and sin written into one complex array.
+    """exp(j*x) for real x: sin and cos written into one complex array.
 
     out, if given, is a complex array of x's shape that receives the result,
-    so a caller can fill a larger buffer slice by slice.
+    so a caller can fill a larger buffer slice by slice. x may be out.real:
+    sin is taken first, into out.imag, and cos last, so a caller can put the
+    angles in the real part of the array that keeps their phasors.
     """
     x = np.asarray(x, dtype=float)
     if out is None:
         out = np.empty(x.shape, dtype=complex)
-    np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
+    np.cos(x, out=out.real)
     return out
 
 
@@ -140,22 +142,28 @@ class RisGeometry:
         out[:, 2] = zz.ravel()
         return out
 
-    def distances(self, points):
+    def distances(self, points, out=None):
         """Distance from each of the (P, 3) points to each element, shape (P, Q).
 
         Equals distance(points[:, None], element_positions()[None]) bit for
         bit: the squared x and y differences are summed on a (P, q_y) grid,
         then the squared z differences of a (P, q_z) grid are added, in
         `hypot3`'s order, so only that sum and the root are taken per pair.
+        out, if given, is a (P, Q) float array, such as a complex array's
+        .real, that receives the distances and is returned; else one is made.
         """
         p = np.asarray(points, dtype=float)
+        if out is None:
+            out = np.empty((len(p), self.q))
         x, ys, zs = self.axes()
         dx = p[:, 0, None] - x
         dy = p[:, 1, None] - ys
         dz = p[:, 2, None] - zs
         s = dx * dx + dy * dy
-        s = s[:, :, None] + (dz * dz)[:, None, :]
-        return np.sqrt(s, out=s).reshape(len(p), self.q)
+        grid = out.reshape(len(p), self.q_y, self.q_z)  # splits one axis: a view, never a copy
+        np.add(s[:, :, None], (dz * dz)[:, None, :], out=grid)
+        np.sqrt(grid, out=grid)
+        return out
 
 
 def ris_from_aperture(center, size_y_m, size_z_m, d_y, d_z):

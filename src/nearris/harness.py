@@ -440,8 +440,15 @@ def at_beta(scenario, links, beta_db):
 
 def _ris_legs(ris, points, lambda_m):
     """exp(+j*k*|p - p_n|) from each of the (P, 3) points to each RIS element, shape (P, Q):
-    `leg_phasors` of the RIS links from the grid's distances (`RisGeometry.distances`)."""
-    return cis((2.0 * np.pi / lambda_m) * ris.distances(points))
+    `leg_phasors` of the RIS links from the grid's distances (`RisGeometry.distances`).
+
+    The one (P, Q) complex array is the only one made: the distances go into
+    its real part, are scaled by k there, and `cis` turns them into phasors
+    in place, with the bits of `leg_phasors`."""
+    legs = np.empty((len(points), ris.q), dtype=complex)
+    d = ris.distances(points, out=legs.real)
+    d *= 2.0 * np.pi / lambda_m
+    return cis(d, out=legs)
 
 
 @dataclass(frozen=True, eq=False)

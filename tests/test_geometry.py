@@ -53,6 +53,17 @@ def test_cis_matches_complex_exponential():
     assert cis(x.reshape(5, -1)).shape == (5, len(x) // 5)
 
 
+def test_cis_in_place_on_its_real_part_keeps_the_bits():
+    # sin reads x before cos overwrites it, so the angles may sit in out.real
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-4e4, 4e4, (4, 257))
+    expect = cis(x.copy())
+    buf = np.empty(x.shape, dtype=complex)
+    buf.real = x
+    assert cis(buf.real, out=buf) is buf
+    np.testing.assert_array_equal(buf, expect)
+
+
 def test_far_field_distance_values():
     # diagonal of a 0.5 m square aperture at 28 GHz
     d = np.sqrt(2.0) * 0.5
@@ -132,6 +143,21 @@ def test_grid_distances_equal_distance_bit_for_bit(center, q_y, q_z, d_y, d_z, p
     got = geom.distances(p)
     assert got.shape == (len(p), geom.q)
     np.testing.assert_array_equal(got, distance(p[:, None], geom.element_positions()[None]))
+
+
+def test_grid_distances_into_a_callers_buffer_keep_the_bits():
+    # a float array, or a complex array's real part, receives distances()'s bits
+    geom = RisGeometry(center=(0.0, 40.0, 5.0), q_y=7, q_z=5, d_y=0.006, d_z=0.004)
+    p = np.random.default_rng(14).uniform(-60.0, 60.0, (6, 3))
+    expect = geom.distances(p)
+    flat = np.empty((len(p), geom.q))
+    assert geom.distances(p, out=flat) is flat
+    np.testing.assert_array_equal(flat, expect)
+    legs = np.zeros((len(p), geom.q), dtype=complex)
+    real = legs.real
+    assert geom.distances(p, out=real) is real
+    np.testing.assert_array_equal(legs.real, expect)
+    assert not legs.imag.any()
 
 
 def test_element_positions_are_the_axes_grid():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from conftest import (
 from nearris import benchmarks as bm
 from nearris import harness
 from nearris.beam_mgmt import basis_products, basis_snr
-from nearris.channel import LinkPaths, assemble_channel, free_space_amplitude
+from nearris.channel import LinkPaths, assemble_channel, free_space_amplitude, leg_phasors
 from nearris.cli import main as cli_main
 from nearris.cli import save_scenario
 from nearris.codebook import focusing_phases, unit_cell_factor
@@ -34,6 +35,7 @@ from nearris.harness import (
     TrialResult,
     _beta_total_db,
     _field_snr_db,
+    _ris_legs,
     aggregate,
     at_beta,
     build_trial_channels,
@@ -339,6 +341,35 @@ def test_level_one_block_is_computed_once_per_campaign(block_calls):
     run_campaign(s)
     assert block_calls.count(((2, 2), tuple(np.ndindex(2, 2)))) == 1
     assert len(block_calls) <= 67
+
+
+def test_ris_legs_equal_leg_phasors_bit_for_bit(reference_scenario):
+    # the grid's distances, scaled and turned into phasors in one complex
+    # array, give the bits of the per-pair formula of the other links
+    ris, lam = reference_scenario.ris_geometry(), reference_scenario.lambda_m
+    pts = np.random.default_rng(15).uniform(0.0, 60.0, (5, 3))
+    got = _ris_legs(ris, pts, lam)
+    assert got.shape == (5, ris.q) and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, leg_phasors(pts, ris.element_positions(), lam, +1))
+
+
+def test_trial_draw_holds_about_one_ris_leg_array(reference_scenario):
+    # each RIS leg array is made once, in the array that keeps it: a trial
+    # index peaks near one (paths - 1, Q) complex leg array, not two
+    s = reference_scenario
+    s.statics()
+    trial_draw.cache_clear()
+    trial_draw(s, 1)  # a first draw imports numpy's random module
+    trial_draw.cache_clear()
+    leg_bytes = (s.paths_bs_ris - 1) * s.ris_geometry().q * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        trial_draw(s, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        trial_draw.cache_clear()
+    assert peak <= 1.5 * leg_bytes
 
 
 def test_trial_makes_no_element_positions_call(monkeypatch):

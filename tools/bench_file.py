@@ -5,11 +5,15 @@ Usage (from the repository root):
     python3 tools/bench_file.py BENCH_<short-commit>.json [--root DIR]
         [--baseline DIR [--pairs 10]]
 
-It runs `perfbench/run.py --workload all --seed 1 --seconds 40` with
+It runs `perfbench/run.py --workload <name> --seed 1 --seconds 40` for
+each workload BENCHMARK.json declares, one process per workload, with
 `--trace 0` and then `--trace 1` in the checkout at --root (default: this
 repository), each after deleting the `__pycache__` directories under its
 `src/` and `perfbench/`, so that every run starts from the same bytecode
 state whatever was imported there before (`setup_s` includes compiling).
+One runner per workload keeps each workload's `peak_rss_mb` that of its
+own CLI processes: a runner that has loaded an earlier workload's records
+passes its own high-water RSS on to the CLI processes it starts later.
 Then it runs the Tier-1 suite there, timed, then the reference campaign
 `nearris sweep-beta` (7 betas x 100 trials, seed 1, BLAS pinned to one
 thread) 5 times at each worker count, 1 and 2 alternating. It writes one
@@ -32,7 +36,7 @@ its iterations. The sweep's numbers are the `trials_per_s` and
 `campaign_wall_s` of each run's manifest.
 
 With --baseline DIR (another checkout, typically the parent commit) it
-then runs `perfbench/run.py --workload all --seed 1 --seconds 40 --trace 0`
+then runs those untraced benchmark runs (every workload, one process each)
 --pairs times (at least 10) on each side, alternating between DIR and
 --root and which of the two goes first in a pair, with `__pycache__`
 cleared on both sides before every run, then one `--trace 1` run of DIR,
@@ -101,15 +105,22 @@ def clear_bytecode(root):
         shutil.rmtree(cache)
 
 
+def benchmark_command(name, trace):
+    return ["perfbench/run.py", "--workload", name, "--seed", str(SEED),
+            "--seconds", str(SECONDS), "--trace", str(trace)]
+
+
 def run_benchmark(root, trace):
-    clear_bytecode(root)
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
-           "--seconds", str(SECONDS), "--trace", str(trace)]
-    subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.DEVNULL)
+    """Every declared workload's full record, each from its own runner process."""
     names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     results = root / ".perfbench" / "results"
-    return {name: json.loads((results / f"{name}-seed{SEED}-trace{trace}.json").read_text())
-            for name in names}
+    records = {}
+    for name in names:
+        clear_bytecode(root)
+        subprocess.run([sys.executable, *benchmark_command(name, trace)], cwd=root, check=True,
+                       stdout=subprocess.DEVNULL)
+        records[name] = json.loads((results / f"{name}-seed{SEED}-trace{trace}.json").read_text())
+    return records
 
 
 def source_env(root):
@@ -230,8 +241,7 @@ def run_paired(baseline, change, pairs):
                                m["better"])
             for m in declared["end_to_end"]}
     return {"baseline": str(baseline), "change": str(change),
-            "command": f"perfbench/run.py --workload all --seed {SEED} --seconds {SECONDS} "
-                       f"--trace 0",
+            "command": " ".join(benchmark_command("<name>", 0)) + ", one process per workload",
             "pairs": pairs, "seconds": SECONDS, "first": first, "workloads": workloads,
             "baseline_trace1": baseline_trace1}
 
