@@ -78,6 +78,15 @@ def at_scale(basis, s):
     return basis[0] + s * (basis[1] + s * basis[2])
 
 
+def row_blocks(n, rows):
+    """The (lo, hi) bounds of n rows in blocks of `rows`, a tail of one row joined to
+    the block before it: numpy multiplies a lone row with its vector dot, whose last
+    bits may differ from a matrix product's, so no block of more than one row has
+    one. n = 1 is one block of one row, and n = 0 one empty block."""
+    cuts = range(rows, n - 1, rows)
+    return list(zip([0, *cuts], [*cuts, n]))
+
+
 # Bytes of profiles per row block of `basis_products` and BLAS thread: every
 # product runs on a block while it sits in the cores' L2 caches (2 MB per core
 # on the host of the README's numbers), so a call reads its (K, Q) profiles
@@ -92,16 +101,14 @@ def basis_products(e, d, c, threads=1):
     at_scale of the result is E A^T + d at s, the received amplitudes of
     `received_snr`. Each product is one matrix-vector product per combiner
     row and block of threads x _BASIS_BLOCK_BYTES of rows of E, for `threads`
-    BLAS threads. No block of a many-row E has one row: numpy scores a lone
-    row with its vector dot, whose last bits may differ, so a tail of one
-    joins the block before it. Every entry is then the matrix-vector dot
-    product of one profile with that row, so its bits depend neither on the
-    blocks nor on the BLAS thread count.
+    BLAS threads, cut by `row_blocks`, so no block of a many-row E has one
+    row. Every entry is then the matrix-vector dot product of one profile
+    with that row, so its bits depend neither on the blocks nor on the BLAS
+    thread count.
     """
     y = np.empty((3, *c.shape[1:-1], len(e)), dtype=complex)
     rows = max(2, threads * _BASIS_BLOCK_BYTES // (e.itemsize * e.shape[-1]))
-    cuts = range(rows, len(e) - 1, rows)  # a tail of one row joins the block before it
-    for lo, hi in zip([0, *cuts], [*cuts, len(e)]):
+    for lo, hi in row_blocks(len(e), rows):
         block, out = e[lo:hi], y[..., lo:hi]
         for k in range(3):
             for u, row in enumerate(c[k]):

@@ -7,7 +7,7 @@ Two SNR pipelines coexist and are kept separate on purpose:
   on the LOS geometry only, with a configurable reference power; both
   reduce to one field kernel, (points, phasor profiles) -> SNR dB, which
   takes its point-to-element distances on the RIS grid's axes
-  (`RisGeometry.distances`) and scores its 64-point blocks on one thread
+  (`RisGeometry.distances`) and scores its 32-point blocks on one thread
   per usable core that BLAS leaves (`blas_slots`), with the same bits
   for any thread count, and the heatmap reads its level's phasors from
   the scenario's `Codebook` (`Scenario.codebook`) with `cell_phasors`;
@@ -66,6 +66,7 @@ from .beam_mgmt import (
     cascade_basis,
     hierarchical_search,
     mu_combiners,
+    row_blocks,
 )
 from .channel import (
     ChannelSet,
@@ -644,13 +645,15 @@ def sweep_beta(scenario):
 # A block is one (points, Q) complex buffer of path phasors and one GEMM
 # with the profiles; its distances and phases are computed _FIELD_SUB
 # points at a time into the buffer, so the peak grows with threads x block:
-# one 8.9 MB buffer per thread on the reference RIS. A block's GEMM
-# operands do not depend on the thread count, so neither do the output's
-# bits. On the reference RIS (2-core host, BLAS on 1 thread), a process
-# that draws a level-4 heatmap peaks at 93 MB on one kernel thread and
-# 103 MB on two with 4-point sub-blocks; 8, 16 and 64 points take two
-# threads to 104, 106 and 111 MB.
-_FIELD_CHUNK = 64
+# one 4.4 MB buffer per thread on the reference RIS. A point's GEMM row has
+# the same bits in a block of any size but one (`row_blocks`), so neither
+# the thread count nor the block size moves the output's bits. On the
+# reference RIS (2-core host, BLAS on 1 thread), a process that draws a
+# level-4 heatmap peaks at 82 MB on one kernel thread and 88 MB on two,
+# against 87 and 97 MB with 64-point blocks. There, OpenBLAS's zgemm with
+# the level's 256 profiles takes 1.05-1.14x the time per row at 32 rows
+# that it takes at 64, and 1.40-1.47x at 16.
+_FIELD_CHUNK = 32
 _FIELD_SUB = 4
 
 
@@ -679,8 +682,8 @@ def blas_slots():
 
 def field_threads(n_points):
     """Threads of the field kernel over n_points points: `blas_slots()`, and at most
-    one per _FIELD_CHUNK-point block."""
-    return min(blas_slots(), -(-n_points // _FIELD_CHUNK))
+    one per block of `row_blocks(n_points, _FIELD_CHUNK)`."""
+    return min(blas_slots(), len(row_blocks(n_points, _FIELD_CHUNK)))
 
 
 def _field_snr_db(scenario, points, phasors):
@@ -690,8 +693,9 @@ def _field_snr_db(scenario, points, phasors):
     `codebook.cell_phasors` builds them. The BS is a point source at p_i, and
     each entry is 10*log10(P_ref * (PL1 * PL2 * |GRCS(p_i, p, omega)|)^2 / sigma2),
     with PL1 and PL2 the Friis amplitudes over the BS-RIS and RIS-point center
-    distances. Points are evaluated _FIELD_CHUNK at a time, their distances to
-    the elements taken on the RIS grid (`RisGeometry.distances`); each block's path
+    distances. Points are evaluated _FIELD_CHUNK at a time, a tail of one point
+    joining the block before it (`row_blocks`), their distances to the
+    elements taken on the RIS grid (`RisGeometry.distances`); each block's path
     phasors exp(j*k*(|p_i - p_n| + |p - p_n|)) carry both legs, so the
     profiles are read as given. The blocks run on `field_threads(P)` threads,
     each under the caller's numpy error state and writing only its own rows,
@@ -712,9 +716,10 @@ def _field_snr_db(scenario, points, phasors):
     err = dict(np.geterr(), call=np.geterrcall())  # a new thread starts from numpy's defaults
     from concurrent.futures import ThreadPoolExecutor
 
-    def block(s):
+    def block(span):
+        lo, hi = span
         with np.errstate(**err):
-            p_r = points[s:s + _FIELD_CHUNK]
+            p_r = points[lo:hi]
             paths = np.empty((len(p_r), geom.q), dtype=complex)
             for t in range(0, len(p_r), _FIELD_SUB):
                 d = geom.distances(p_r[t:t + _FIELD_SUB])
@@ -729,10 +734,10 @@ def _field_snr_db(scenario, points, phasors):
         if not np.isfinite(snr).all():  # a block at a time: a whole-output mask adds 1 MB of peak
             raise ValueError(f"field kernel: non-finite points or SNRs at reference power "
                              f"{scenario.illum_reference_power_w!r} W, past float range")
-        out[s:s + _FIELD_CHUNK] = snr
+        out[lo:hi] = snr
 
     with ThreadPoolExecutor(max_workers=field_threads(len(points))) as ex:
-        list(ex.map(block, range(0, len(points), _FIELD_CHUNK)))  # re-raises a block's error
+        list(ex.map(block, row_blocks(len(points), _FIELD_CHUNK)))  # re-raises a block's error
     return out
 
 

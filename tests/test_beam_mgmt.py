@@ -14,6 +14,7 @@ from nearris.beam_mgmt import (
     hierarchical_search,
     mu_combiners,
     received_snr,
+    row_blocks,
 )
 from nearris.benchmarks import benchmark1_full_search, benchmark3_full_csi
 from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
@@ -101,6 +102,20 @@ def test_basis_products_in_row_blocks_equal_one_product_per_combiner_row(n_mu):
         e = cis(rng.uniform(0, 2 * np.pi, (count, q)))
         expected = np.stack([[e @ row + du for row, du in zip(c[k], d[k])] for k in range(3)])
         assert basis_products(e, d, c, threads).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, rows, blocks", [
+    (1, 32, [(0, 1)]),
+    (32, 32, [(0, 32)]),
+    (33, 32, [(0, 33)]),
+    (65, 32, [(0, 32), (32, 65)]),
+    # the reference's 256-row finest table, 7 rows a block on one BLAS thread
+    # and 15 on two (see the test above): a tail of 4, and one of 1 that joins
+    (256, 7, [(lo, lo + 7) for lo in range(0, 252, 7)] + [(252, 256)]),
+    (256, 15, [(lo, lo + 15) for lo in range(0, 240, 15)] + [(240, 256)]),
+])
+def test_row_blocks_join_a_one_row_tail_to_the_block_before_it(n, rows, blocks):
+    assert row_blocks(n, rows) == blocks
 
 
 @pytest.mark.parametrize("n_mu", [1, 4])

@@ -827,8 +827,8 @@ def test_field_kernel_matches_grcs_oracle():
 
 
 def test_rasters_have_the_same_bits_for_any_thread_count(monkeypatch):
-    # 81 raster points make a full block and a partial one, a 101-step cut
-    # two blocks and the random points four, so three threads share them;
+    # 81 raster points make two full blocks and a partial one, a 101-step cut
+    # four blocks and the random points four, so three threads share them;
     # each block gets the same GEMM on any thread, and no thread outlives
     # the call
     _blas_threads_set(monkeypatch, OPENBLAS_NUM_THREADS="1")
@@ -878,9 +878,9 @@ class _InlineThreads:
 ])
 def test_field_kernel_takes_the_cores_blas_leaves_and_at_most_one_per_block(
         monkeypatch, cores, env, sizes):
-    # a 9 x 9 raster is 2 blocks and a cut of 5 blocks' points is 5; the
+    # a 7 x 7 raster is 2 blocks and a cut of 5 blocks' points is 5; the
     # stand-in starts no thread and gives the threaded kernel's results
-    s = small_scenario(illum_grid=9)
+    s = small_scenario(illum_grid=7)
     expected = heatmap(s, 0).per_cell, focusing_cut(s, "x", 2.0, 5 * _FIELD_CHUNK)[1]
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlineThreads)
     monkeypatch.setattr(_InlineThreads, "sizes", [])
@@ -892,6 +892,53 @@ def test_field_kernel_takes_the_cores_blas_leaves_and_at_most_one_per_block(
     assert threading.active_count() == threads
     for a, b in zip(expected, got):
         assert a.tobytes() == b.tobytes()
+
+
+def test_field_threads_count_the_kernels_blocks(monkeypatch):
+    # 33 points are one block, its tail of one joined to it, so one thread
+    # scores them; four cores cap 200 points' seven blocks
+    monkeypatch.setattr(harness, "usable_cores", lambda: 4)
+    _blas_threads_set(monkeypatch, OPENBLAS_NUM_THREADS="1")
+    assert _FIELD_CHUNK == 32
+    assert [harness.field_threads(n) for n in (1, 32, 33, 64, 65, 97, 200)] == [1, 1, 1, 2, 2, 3, 4]
+
+
+def test_field_kernel_bits_do_not_depend_on_its_block_size(monkeypatch):
+    # 65 random points are one block at 128 points, 64 + 1 at 64 and 32 + 32
+    # + 1 at 32, and an 801-step cut is 25 blocks of 32 and one point; numpy
+    # scores a lone point with its vector product, so a tail of one joins the
+    # block before it and every point gets the same GEMM row in any block
+    s = small_scenario()
+    rng = np.random.default_rng(3)
+    points = np.asarray(s.blockage_center) + rng.uniform(-4.0, 4.0, (65, 3))
+    profiles = nr.cis(rng.uniform(0, 2 * np.pi, (3, s.ris_geometry().q)))
+    runs = []
+    for chunk in (128, 64, 32):
+        monkeypatch.setattr(harness, "_FIELD_CHUNK", chunk)
+        runs.append((_field_snr_db(s, points, profiles).tobytes(),
+                     focusing_cut(s, "x", 8.0, 801)[1].tobytes()))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+def test_field_kernel_thread_holds_one_32_point_block(monkeypatch, reference_scenario):
+    # on one kernel thread, 200 points of 8 profiles on the reference RIS
+    # allocate one (32, Q) block of path phasors and its 4-point sub-blocks'
+    # distances beyond the output; 64-point blocks would take twice that
+    monkeypatch.setattr(harness, "usable_cores", lambda: 1)
+    s = reference_scenario
+    rng = np.random.default_rng(8)
+    points = np.asarray(s.blockage_center) + rng.uniform(-4.0, 4.0, (200, 3))
+    profiles = nr.cis(rng.uniform(0, 2 * np.pi, (8, s.ris_geometry().q)))
+    _field_snr_db(s, points[:2], profiles)  # imports the thread pool
+    block_bytes = 32 * s.ris_geometry().q * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        out = _field_snr_db(s, points, profiles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 1.5 * block_bytes
 
 
 def test_field_kernel_blocks_run_under_the_callers_error_state(monkeypatch):
