@@ -13,7 +13,7 @@ import numpy as np
 
 import nearris as nr
 from nearris import benchmarks as bm
-from nearris.beam_mgmt import at_scale
+from nearris.harness import search_snr
 
 
 def main():
@@ -23,15 +23,15 @@ def main():
 
     print("building the campaign statics (the finest level's phasor table)...")
     table = s.statics().finest
-    # (d, A) as polynomials in s = 10^(-beta/20)
+    # (d, A) as polynomials in s = 10^(-beta/20), and B1's products with the table
     draw = nr.trial_draw(s, trial)
     p_mu, scale = draw.p_mu, 10.0 ** (-beta_db / 20.0)
     print(f"user drawn at ({p_mu[0]:.2f}, {p_mu[1]:.2f}, {p_mu[2]:.2f}) m, "
           f"beta = {beta_db:g} dB\n")
 
-    d, a = at_scale(draw.d, scale), at_scale(draw.c, scale)
-
-    trace = s.search(d, a)
+    # the campaign's scorer: each sounded block's products with the basis, read at s
+    trace = nr.hierarchical_search(
+        s.codebook_levels, lambda depth, cells: search_snr(s, draw, scale, depth, cells))
     for depth, rec in enumerate(trace.levels):
         w_x, w_y = s.codebook_levels[depth]
         print(f"level {depth + 1} ({w_x}x{w_y} cells): sounded {len(rec.candidates)} pilots")
@@ -47,7 +47,7 @@ def main():
         ("hierarchical search", bm.PROPOSED, f"{trace.pilot_count} pilots"),
         (bm.B1_FULL_CODEBOOK, bm.B1_FULL_CODEBOOK, f"{len(table)} pilots"),
         (bm.B2_FULL_FOCUSING, bm.B2_FULL_FOCUSING, "exact MU position"),
-        (bm.B3_FULL_CSI, bm.B3_FULL_CSI, f"{2 * a.shape[1]} channel coefficients"),
+        (bm.B3_FULL_CSI, bm.B3_FULL_CSI, f"{2 * draw.c.shape[-1]} channel coefficients"),
     ]
     print(f"\n{'scheme':>28s} {'SNR (dB)':>9s}   cost")
     for name, scheme, cost in rows:

@@ -62,6 +62,7 @@ from .harness import (
     heatmap,
     run_campaign,
     run_trial,
+    search_snr,
     sweep_beta,
     trial_draw,
 )

@@ -8,17 +8,18 @@ RIS phases omega is max_i |d_i + A_i exp(j*omega)|^2. Scoring reads the
 phasors exp(j*omega), not the phases, so a campaign can exponentiate its
 static codewords once. When a beta scales the channels' scattered terms
 by one scalar s, (d, A) is a basis of three terms in s
-(`cascade_basis`, read at one s by `at_scale`), and a fixed block of
-profiles, such as the finest level's table, is scored at every s from its
-products with that basis (`basis_products`, `basis_snr`), taken once, one
-matrix-vector product per term and combiner row. One "pilot" is one SNR
-measurement under one RIS codeword. Every scheme that sounds codewords
-scores a block of them, one profile per row, in one call, and takes the
-first maximum in row-major cell order, so ties go to the lowest cell
+(`cascade_basis`, read at one s by `at_scale`), and every block of
+profiles, such as the finest level's table or a block of a search, is
+scored at every s from its products with that basis (`basis_products`),
+taken once, one matrix-vector product per term and combiner row:
+`received_snr` reads them at s, the package's one SNR measurement. One
+"pilot" is one SNR measurement under one RIS codeword. Every scheme that
+sounds codewords scores a block of them, one profile per row, and takes
+the first maximum in row-major cell order, so ties go to the lowest cell
 index. The hierarchical search sounds the full first codebook level, then
-only the children of each level's winner, asking its caller for just
-those codewords. It only reads them, so the caller may hand back a block
-that it keeps for later searches.
+only the children of each level's winner, asking its caller's scorer for
+just those cells' SNRs, so the caller chooses where their products come
+from and how long it keeps them.
 """
 
 from dataclasses import dataclass, field
@@ -98,8 +99,8 @@ _BASIS_BLOCK_BYTES = 1 << 20
 def basis_products(e, d, c, threads=1):
     """The (3, N_mu, K) products E C_k^T + D_k of (K, Q) phasor profiles with a basis.
 
-    at_scale of the result is E A^T + d at s, the received amplitudes of
-    `received_snr`. Each product is one matrix-vector product per combiner
+    at_scale of the result is E A^T + d at s, the received amplitudes that
+    `received_snr` reads. Each product is one matrix-vector product per combiner
     row and block of threads x _BASIS_BLOCK_BYTES of rows of E, for `threads`
     BLAS threads, cut by `row_blocks`, so no block of a many-row E has one
     row. Every entry is then the matrix-vector dot product of one profile
@@ -117,19 +118,10 @@ def basis_products(e, d, c, threads=1):
     return y
 
 
-def basis_snr(y, s):
-    """Linear SNR max |at_scale(y, s)|^2 over every profile and combiner of basis products y."""
-    return np.max(np.abs(at_scale(y, s)) ** 2)
-
-
-def received_snr(d, a, e):
-    """Linear SNR max_i |d_i + A_i e|^2 of a (d, A) pair in noise units.
-
-    e holds the RIS phasors exp(j*omega), one profile per row, shape
-    (..., Q), and the result has shape (...): a 1-D profile gives a scalar.
-    """
-    y = e @ a.T + d
-    return np.max(np.abs(y) ** 2, axis=-1)
+def received_snr(y, s):
+    """Linear SNR of each profile of (3, N_mu, K) basis products y at s, shape (K,): the
+    max over combiners of |at_scale(y, s)|^2."""
+    return np.max(np.abs(at_scale(y, s)) ** 2, axis=0)
 
 
 @dataclass
@@ -151,16 +143,15 @@ class SearchTrace:
         return [len(rec.candidates) for rec in self.levels]
 
 
-def hierarchical_search(d, a, level_shapes, codewords):
+def hierarchical_search(level_shapes, score):
     """Coarse-to-fine codeword selection over a hierarchy of (W_x, W_y) level shapes.
 
-    codewords(depth, cells) returns the phasors of the listed cells of
-    level `depth` (0-based), one (Q,) row per cell. The search sounds every
-    cell of level 1, then per level only the children of the previous
-    winner, all candidates of a level in one `received_snr` call; the
-    winner is the first maximum in row-major order. Returns the trace,
-    whose last level holds the final winner. Total pilots = |level 1| +
-    sum of refinement-ratio products.
+    score(depth, cells) returns the linear SNR of each listed cell of level
+    `depth` (0-based), in order. The search sounds every cell of level 1,
+    then per level only the children of the previous winner, all candidates
+    of a level in one call; the winner is the first maximum in row-major
+    order. Returns the trace, whose last level holds the final winner.
+    Total pilots = |level 1| + sum of refinement-ratio products.
     """
     trace = SearchTrace()
     for depth, shape in enumerate(level_shapes):
@@ -168,7 +159,7 @@ def hierarchical_search(d, a, level_shapes, codewords):
             cands = list(np.ndindex(*shape))
         else:
             cands = children(level_shapes[depth - 1], shape, winner)
-        snrs = received_snr(d, a, codewords(depth, cands))
+        snrs = score(depth, cands)
         winner = cands[int(np.argmax(snrs))]
         trace.levels.append(LevelRecord(cands, snrs, winner))
     return trace

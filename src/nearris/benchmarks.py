@@ -4,15 +4,17 @@ B1 exhaustively sounds the finest `Codebook` level, the rows of its
 `cell_phasors` table `Scenario.statics().finest`; B2 focuses on the exact
 MU position. Neither reads the table or the codeword at a beta: a trial
 index's `harness.trial_draw` takes their `beam_mgmt.basis_products` with the
-basis of its (d, A) once, and a beta then costs O(W_x * W_y * N_mu) for B1
-and O(N_mu) for B2. B3 phase-conjugates the cascaded per-element channel
-from full CSI, from the trial's (d, A). All three return the same linear
-SNR as the proposed scheme, direct link included.
+basis of its (d, A) once, and a beta then reads them with
+`beam_mgmt.received_snr`, as the hierarchical search reads its blocks',
+O(W_x * W_y * N_mu) for B1 and O(N_mu) for B2. B3 phase-conjugates the
+cascaded per-element channel from full CSI, from the trial's (d, A). All
+three return the same linear SNR as the proposed scheme, direct link
+included.
 """
 
 import numpy as np
 
-from .beam_mgmt import basis_snr
+from .beam_mgmt import received_snr
 
 B1_FULL_CODEBOOK = "B1_full_codebook"
 B2_FULL_FOCUSING = "B2_full_focusing"
@@ -27,13 +29,13 @@ def benchmark1_full_search(y, s):
     (`codebook.cell_phasors`), and the result max |table A^T + d|^2 over
     every cell and combiner; costs W_x * W_y pilots.
     """
-    return basis_snr(y, s)
+    return received_snr(y, s).max()
 
 
 def benchmark2_full_focusing(y, s):
     """Genie-aided focusing on the exact MU position: y is the (3, N_mu, 1)
     `basis_products` of its phasors, read at s as B1's."""
-    return basis_snr(y, s)
+    return received_snr(y, s).max()
 
 
 def benchmark3_full_csi(d, a):

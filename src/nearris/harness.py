@@ -19,12 +19,12 @@ Two SNR pipelines coexist and are kept separate on purpose:
   trial index reduces H v, H1 v and H2 once, matrix-free and with every
   RIS leg's distances taken on the grid, to that basis (`trial_draw`).
   Every scheme scores max_u |d_u + A_u exp(j*omega)|^2 (combiner and
-  direct link included) from the phasors exp(j*omega). The search and B3
-  form (d, A) at each beta, O(N_mu Q), and the search sounds the codewords
-  of a coarser level as one cached block (`Scenario.codewords`) and the
-  finest level's from its table. B1 and B2 read the table and their
-  codeword once per trial index, as the products E C_k^T + D_k
-  (`basis_products`), so a beta costs them O(W_x W_y N_mu). No level of
+  direct link included) from the phasors exp(j*omega). Every scheme but
+  B3 reads its blocks of phasors once per trial index, as the products
+  E C_k^T + D_k (`basis_products`) that `received_snr` reads at a beta in
+  O(K N_mu) for K profiles: B1 the finest level's table, B2 its codeword,
+  the search (`search_snr`) B1's columns and its coarser blocks. B3 forms
+  (d, A) at each beta, O(N_mu Q). No level of
   phases is held whole: whole-level phase arrays are the tests' oracle of
   the trials and the rasters. `build_trial_channels` forms the full
   matrices with `assemble_channel`; the tests reduce them to (d, A) as the
@@ -42,17 +42,17 @@ draw comes from a seed sequence labeled (master seed, trial, component),
 so all betas of a trial index share its links up to the NLOS amplitudes
 (`at_beta`). Two one-slot caches hold what a trial reads beyond its beta:
 `Scenario.statics()`, of the scenario alone, which keeps the last searched
-block of each coarser level, and `trial_draw(scenario, trial)`. A
+block of phasors of each coarser level, and `trial_draw(scenario, trial)`,
+which also keeps the products of every block its betas' searches sound. A
 campaign runs index by index, so it builds the statics and level 1's
 block once per process, each index's basis and B1 and B2 products once
-for all its betas, and each block of children once per winner path that
-its betas follow.
+for all its betas, and each searched block's products once per index.
 """
 
 import os
 import sys
 from contextlib import suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from numbers import Real
 
@@ -66,6 +66,7 @@ from .beam_mgmt import (
     cascade_basis,
     hierarchical_search,
     mu_combiners,
+    received_snr,
     row_blocks,
 )
 from .channel import (
@@ -299,22 +300,6 @@ class Scenario:
                         r_y=self.blockage_r_y, geom=self.ris_geometry(), p_i=self.bs_center,
                         lambda_m=self.lambda_m)
 
-    def codewords(self, depth, cells):
-        """Phasors of cells [(w_x, w_y), ...] of level depth (0-based), one row each.
-
-        The finest level's rows come from its table in the statics; a coarser
-        level's are one read-only block, kept until that level is asked other cells.
-        """
-        st = self.statics()
-        if depth < len(st.blocks):
-            return st.blocks[depth](tuple(cells))
-        w_x, w_y = np.array(cells).T
-        return st.finest[w_x * self.codebook_levels[depth][1] + w_y]
-
-    def search(self, d, a):
-        """`hierarchical_search` of (d, A) over this scenario's hierarchy."""
-        return hierarchical_search(d, a, self.codebook_levels, self.codewords)
-
     def to_dict(self):
         """Field name -> value, every tuple (nested ones too) as a list."""
 
@@ -459,7 +444,7 @@ class TrialDraw:
     Each (3, ...) array is a basis in s = 10^(-beta_db/20) that `at_scale`
     reads at one beta: d and c give the trial's (d, A) (`cascade_basis`),
     b1 and b2 their `basis_products` with B1's finest-level table and B2's
-    focusing phasors.
+    focusing phasors; products keeps those of the search's blocks (`search_snr`).
     """
 
     p_mu: np.ndarray  # (3,) MU position
@@ -467,6 +452,7 @@ class TrialDraw:
     c: np.ndarray     # (3, N_mu, Q)
     b1: np.ndarray    # (3, N_mu, W_x * W_y)
     b2: np.ndarray    # (3, N_mu, 1)
+    products: dict = field(default_factory=dict)  # (depth, cells) -> (3, N_mu, len(cells))
 
 
 @lru_cache(maxsize=1)
@@ -524,27 +510,44 @@ def build_trial_channels(scenario, beta_db, trial):
                       h2=assemble_channel(ris_mu, ris_pos, mu_pos, lam, +1)), p_mu
 
 
+def search_snr(scenario, draw, s, depth, cells):
+    """`received_snr` at s of the cells [(w_x, w_y), ...] of level depth: the search's
+    scorer. The finest level's products are B1's columns (draw.b1), so a search that ends
+    on B1's best cell scores its bits; a coarser level's block comes from the statics'
+    one-slot cache of its level, its `basis_products` taken once per trial index and
+    kept in draw.products for the index's other betas."""
+    st = scenario.statics()
+    if depth == len(st.blocks):
+        w_x, w_y = np.array(cells).T
+        return received_snr(draw.b1[..., w_x * scenario.codebook_levels[depth][1] + w_y], s)
+    cells = tuple(cells)
+    if (depth, cells) not in draw.products:
+        draw.products[depth, cells] = basis_products(st.blocks[depth](cells), draw.d, draw.c)
+    return received_snr(draw.products[depth, cells], s)
+
+
 def run_trial(scenario, beta_db, trial):
     """All schemes on one realization; deterministic in (scenario, beta, trial).
 
     Reads the cached `scenario.statics()` and `trial_draw(scenario, trial)`,
     which the other betas of the trial index share, at s = 10^(-beta_db/20):
-    the search and B3 form (d, A) from the draw's basis, O(N_mu Q), and B1
-    and B2 read their basis products, O(W_x W_y N_mu). A non-finite SNR
-    raises a ValueError, with no overflow warning first.
+    the search (`search_snr`), B1 and B2 read basis products, O(K N_mu) for K
+    profiles, and B3 forms (d, A) from the draw's basis, O(N_mu Q). A
+    non-finite SNR raises a ValueError, with no overflow warning first.
     """
     draw = trial_draw(scenario, trial)
     s = 10.0 ** (-beta_db / 20.0)
     with np.errstate(over="ignore"):  # an overflow gives an infinite SNR, rejected below
-        d, a = at_scale(draw.d, s), at_scale(draw.c, s)
-        trace = scenario.search(d, a)
+        trace = hierarchical_search(scenario.codebook_levels,
+                                    partial(search_snr, scenario, draw, s))
         snr = {
             bm.PROPOSED: trace.levels[-1].snrs.max(),
             bm.B1_FULL_CODEBOOK: bm.benchmark1_full_search(draw.b1, s),
             bm.B2_FULL_FOCUSING: bm.benchmark2_full_focusing(draw.b2, s),
         }
         if scenario.n_mu == 1:
-            snr[bm.B3_FULL_CSI] = bm.benchmark3_full_csi(d, a)
+            snr[bm.B3_FULL_CSI] = bm.benchmark3_full_csi(at_scale(draw.d, s),
+                                                         at_scale(draw.c, s))
     snr_db = {scheme: 10.0 * np.log10(x) for scheme, x in snr.items()}
     if not all(map(is_finite_real, snr_db.values())):
         raise ValueError(f"trial {trial} at beta {beta_db:g} dB gives a non-finite SNR")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import nearris as nr
-from nearris.beam_mgmt import at_scale, basis_products
+from nearris.beam_mgmt import at_scale, basis_products, hierarchical_search, received_snr
 from nearris.codebook import children
 from oracle import phase_codebook
 
@@ -78,7 +78,8 @@ def projected(channels, v):
 
 
 def on_fixed_cascade(scheme, d, a, phasors):
-    """B1's or B2's SNR of a (d, A) that no beta scales, over (K, Q) phasors.
+    """B1's or B2's SNR, or `received_snr`'s of each profile, of a (d, A) that no beta
+    scales, over (K, Q) phasors.
 
     Its basis is (d, 0, 0) and (A, 0, 0), so at s = 0 the scheme reads the
     products phasors A^T + d alone.
@@ -87,14 +88,38 @@ def on_fixed_cascade(scheme, d, a, phasors):
     return scheme(basis_products(phasors, *basis), 0.0)
 
 
+def fixed_search(d, a, level_shapes, codewords):
+    """`hierarchical_search` of a (d, A) that no beta scales: codewords(depth, cells)
+    gives the phasors of the cells asked, one row each, which `on_fixed_cascade`
+    scores with `received_snr`."""
+    return hierarchical_search(level_shapes, lambda depth, cells: on_fixed_cascade(
+        received_snr, d, a, codewords(depth, cells)))
+
+
+def codewords(scenario, depth, cells):
+    """Phasors of cells [(w_x, w_y), ...] of level depth (0-based) as a campaign holds
+    them, one row each: rows of the statics' finest table, or a coarser level's block
+    from that level's one-slot cache."""
+    st = scenario.statics()
+    if depth < len(st.blocks):
+        return st.blocks[depth](tuple(cells))
+    w_x, w_y = np.array(cells).T
+    return st.finest[w_x * scenario.codebook_levels[depth][1] + w_y]
+
+
+def campaign_levels(scenario):
+    """`fixed_search`'s level shapes and codewords over a scenario's campaign phasors."""
+    return scenario.codebook_levels, lambda depth, cells: codewords(scenario, depth, cells)
+
+
 def draw_cascade(draw, beta_db):
-    """(d, A) at beta_db of a `trial_draw`, as `run_trial` forms them."""
+    """(d, A) at beta_db of a `trial_draw`, as `run_trial` forms them for B3."""
     s = 10.0 ** (-beta_db / 20.0)
     return at_scale(draw.d, s), at_scale(draw.c, s)
 
 
 def phase_levels(codebook):
-    """`hierarchical_search`'s level shapes and codewords over phase arrays.
+    """`fixed_search`'s level shapes and codewords over phase arrays.
 
     The codewords callable exponentiates each asked cell of its level array.
     """

@@ -11,7 +11,9 @@ arrays. `mapping` gives the image points of elements as (..., 3) arrays.
 `np.exp`, the oracle of the field kernel's `cis` and grid distances.
 `reduce_cascade` reduces one realization to (d, A) by the formula, and
 `cascade` applies it to full channel matrices: the oracle of `trial_draw`'s
-basis, which `beam_mgmt.cascade_basis` reduces term by term.
+basis, which `beam_mgmt.cascade_basis` reduces term by term. `formula_snr`
+scores phasors under one (d, A) with one direct product, the oracle of
+`beam_mgmt.received_snr`, which reads products with a basis in s.
 
 `slow_trial` builds the full channel matrices with `build_trial_channels`
 at no blockage and attenuates the direct matrix itself, reduces them with
@@ -60,6 +62,12 @@ def reduce_cascade(hv, h1v, h2, g, uh, sigma):
     conjugated combiner rows uh: row i of d + A exp(j*omega) is
     u_i^H (H + H2 diag(g*exp(j*omega)) H1) v / sigma."""
     return uh @ hv / sigma, uh @ (g * h2 * h1v) / sigma
+
+
+def formula_snr(d, a, e):
+    """Linear SNR max_i |d_i + A_i e|^2 of a (d, A) pair in noise units, for RIS phasors
+    e = exp(j*omega) of shape (..., Q), one profile per row: shape (...)."""
+    return np.max(np.abs(e @ a.T + d) ** 2, axis=-1)
 
 
 def cascade(scenario, channels):

@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import los_only_scenario, on_fixed_cascade, phase_levels, projected, small_scenario
+from conftest import (
+    campaign_levels,
+    fixed_search,
+    los_only_scenario,
+    on_fixed_cascade,
+    phase_levels,
+    projected,
+    small_scenario,
+)
 from nearris.beam_mgmt import (
     _BASIS_BLOCK_BYTES,
     basis_products,
     bs_precoder_focus_ris,
     cascade_basis,
-    hierarchical_search,
     mu_combiners,
     received_snr,
     row_blocks,
@@ -20,10 +27,15 @@ from nearris.benchmarks import benchmark1_full_search, benchmark3_full_csi
 from nearris.channel import ChannelSet, LinkPaths, assemble_channel, free_space_amplitude
 from nearris.codebook import unit_cell_factor
 from nearris.geometry import cis
-from nearris.harness import build_trial_channels
-from oracle import cascade, mapping, phase_codebook, reduce_cascade
+from nearris.harness import build_trial_channels, trial_draw
+from oracle import cascade, formula_snr, mapping, phase_codebook, reduce_cascade
 
 G_PI = np.pi
+
+
+def fixed_snr(d, a, e):
+    """`received_snr` of (K, Q) phasors e under a (d, A) that no beta scales, shape (K,)."""
+    return on_fixed_cascade(received_snr, d, a, e)
 
 
 def scalar_channels(h=0.0, h1=1.0, h2=1.0):
@@ -76,8 +88,9 @@ def test_received_snr_scalar_oracle():
     # y = g*sqrt(P) through unit cascade: SNR = g^2 * P / sigma2
     d, a = reduce_cascade(*projected(scalar_channels(), np.array([np.sqrt(2.0)])), G_PI,
                           np.array([[1.0 + 0j]]).conj(), np.sqrt(0.5))
-    snr = received_snr(d, a, cis(np.zeros(1)))
-    assert snr == pytest.approx(4 * np.pi**2, rel=1e-12)
+    snr = fixed_snr(d, a, cis(np.zeros((1, 1))))
+    assert snr.shape == (1,)
+    assert snr[0] == pytest.approx(4 * np.pi**2, rel=1e-12)
 
 
 def matrix_oracle_snr(ch, omega, v, combiners, sigma2, g):
@@ -121,7 +134,8 @@ def test_row_blocks_join_a_one_row_tail_to_the_block_before_it(n, rows, blocks):
 @pytest.mark.parametrize("n_mu", [1, 4])
 def test_received_snr_matches_full_matrix_oracle(n_mu):
     # multipath channels from assemble_channel, direct link on, random and
-    # codebook profiles: the (d, A) reduction must not change the SNR
+    # codebook profiles: the (d, A) reduction must not change the SNR, and
+    # neither must the products with the trial's basis in s, read at beta
     s = small_scenario(n_mu=n_mu, codebook_levels=((2, 2),))
     cb = phase_codebook(s)
     lam = s.lambda_m
@@ -142,13 +156,18 @@ def test_received_snr_matches_full_matrix_oracle(n_mu):
         singles = []
         for omega in profiles:
             expect = matrix_oracle_snr(ch, omega, v, combiners, s.sigma2, g)
-            singles.append(received_snr(d, a, cis(omega)))
-            assert np.ndim(singles[-1]) == 0
+            single = fixed_snr(d, a, cis(omega)[None])
+            assert single.shape == (1,)
+            singles.append(single[0])
             assert singles[-1] == pytest.approx(expect, rel=1e-9)
         # one stacked (K, Q) call scores every profile as the single calls do
-        stacked = received_snr(d, a, cis(profiles))
+        stacked = fixed_snr(d, a, cis(profiles))
         assert stacked.shape == (len(profiles),)
         np.testing.assert_allclose(stacked, singles, rtol=1e-12)
+        np.testing.assert_allclose(stacked, formula_snr(d, a, cis(profiles)), rtol=1e-12)
+        draw = trial_draw(s, trial)
+        at_beta = received_snr(basis_products(cis(profiles), draw.d, draw.c), 10.0 ** -0.5)
+        np.testing.assert_allclose(at_beta, singles, rtol=1e-9)
         if n_mu == 1:
             # B3's profile -angle(A), put through the full matrices, gives its SNR
             expect = matrix_oracle_snr(ch, -np.angle(a[0]), v, combiners, s.sigma2, g)
@@ -169,8 +188,8 @@ def test_received_snr_invariant_to_global_codeword_phase(c):
     d, a = reduce_cascade(*projected(ch, np.array([0.3, 0.4 - 0.2j])), G_PI,
                           np.array([[1.0 + 0j]]).conj(), np.sqrt(1e-3))
     omega = rng.uniform(0, 2 * np.pi, q)
-    s1 = received_snr(d, a, cis(omega))
-    s2 = received_snr(d, a, cis(omega + c))
+    s1 = fixed_snr(d, a, cis(omega)[None])
+    s2 = fixed_snr(d, a, cis(omega + c)[None])
     assert s2 == pytest.approx(s1, rel=1e-9)
 
 
@@ -186,11 +205,11 @@ def test_received_snr_invariant_to_combiner_phase():
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
     u /= np.linalg.norm(u)
     v = np.array([0.1, 0.2j])
-    s1 = received_snr(*reduce_cascade(*projected(ch, v), G_PI, u[None, :].conj(), np.sqrt(1e-3)),
-                      cis(omega))
+    s1 = fixed_snr(*reduce_cascade(*projected(ch, v), G_PI, u[None, :].conj(), np.sqrt(1e-3)),
+                   cis(omega)[None])
     turned = u[None, :] * np.exp(1j * 0.7)
-    s2 = received_snr(*reduce_cascade(*projected(ch, v), G_PI, turned.conj(), np.sqrt(1e-3)),
-                      cis(omega))
+    s2 = fixed_snr(*reduce_cascade(*projected(ch, v), G_PI, turned.conj(), np.sqrt(1e-3)),
+                   cis(omega)[None])
     assert s2 == pytest.approx(s1, rel=1e-12)
 
 
@@ -218,7 +237,7 @@ def duplicate_row_level(best_cells, q=6):
 
 def sounded(level, d, a):
     """The one-level search's record on level, and its SNRs keyed by cell."""
-    rec = hierarchical_search(d, a, *phase_levels((level,))).levels[0]
+    rec = fixed_search(d, a, *phase_levels((level,))).levels[0]
     return rec, dict(zip(rec.candidates, rec.snrs))
 
 
@@ -245,7 +264,7 @@ def test_block_winner_ties_go_to_lowest_index():
 def test_search_pilot_budget_small_hierarchy():
     s = los_only_scenario()
     ch, _ = build_trial_channels(s, 10.0, 0)
-    trace = s.search(*cascade(s, ch))
+    trace = fixed_search(*cascade(s, ch), *campaign_levels(s))
     assert trace.pilots_per_level() == [4, 4, 2]
     assert trace.pilot_count == 10
 
@@ -253,7 +272,7 @@ def test_search_pilot_budget_small_hierarchy():
 def test_search_single_level_equals_exhaustive():
     s = small_scenario(codebook_levels=((4, 8),))
     d, a = cascade(s, build_trial_channels(s, 10.0, 3)[0])
-    trace = s.search(d, a)
+    trace = fixed_search(d, a, *campaign_levels(s))
     r1 = on_fixed_cascade(benchmark1_full_search, d, a, s.statics().finest)
     assert trace.levels[-1].snrs.max() == pytest.approx(r1, rel=1e-12)
 
@@ -262,7 +281,7 @@ def test_search_never_beats_exhaustive():
     s = small_scenario()
     for trial in range(6):
         d, a = cascade(s, build_trial_channels(s, 10.0, trial)[0])
-        trace = s.search(d, a)
+        trace = fixed_search(d, a, *campaign_levels(s))
         prop = trace.levels[-1].snrs.max()
         r1 = on_fixed_cascade(benchmark1_full_search, d, a, s.statics().finest)
         assert prop <= r1 * (1 + 1e-12)
@@ -290,7 +309,7 @@ def test_search_finds_cell_center_users_exactly():
             h1=assemble_channel(los(s.bs_center, s.ris_center), bs_pos, ris_pos, lam, +1),
             h2=assemble_channel(los(s.ris_center, p_mu), ris_pos, mu_pos, lam, +1),
         )
-        trace = s.search(*cascade(s, ch))
+        trace = fixed_search(*cascade(s, ch), *campaign_levels(s))
         assert trace.levels[-1].winner == cell
 
 
@@ -303,7 +322,7 @@ def test_search_descent_rarely_degrades():
     trials = 40
     for trial in range(trials):
         ch, _ = build_trial_channels(s, 10.0, trial)
-        trace = s.search(*cascade(s, ch))
+        trace = fixed_search(*cascade(s, ch), *campaign_levels(s))
         ws = [rec.snrs.max() for rec in trace.levels]
         if all(b >= a * (1 - 1e-12) for a, b in zip(ws, ws[1:])):
             monotone += 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import on_fixed_cascade, projected
-from nearris.beam_mgmt import mu_combiners, received_snr
+from nearris.beam_mgmt import mu_combiners
 from nearris.benchmarks import (
     benchmark1_full_search,
     benchmark2_full_focusing,
@@ -16,7 +16,7 @@ from nearris.codebook import (
     unit_cell_factor,
 )
 from nearris.geometry import RisGeometry, cis, wavelength
-from oracle import build_hierarchy, reduce_cascade
+from oracle import build_hierarchy, formula_snr, reduce_cascade
 
 LAM = wavelength(28e9)
 P_I = np.array([40.0, 0.0, 10.0])
@@ -38,7 +38,7 @@ def test_benchmark1_equals_measurement_on_single_codeword():
                           mu_combiners(1).conj(), np.sqrt(1e-6))
     table = cell_phasors(book, 0)
     res = on_fixed_cascade(benchmark1_full_search, d, a, table)
-    direct = received_snr(d, a, cis(cb[0][0, 0]))
+    direct = formula_snr(d, a, cis(cb[0][0, 0]))
     assert res == pytest.approx(direct, rel=1e-12)
 
 

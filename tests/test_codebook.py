@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import phase_levels
-from nearris.beam_mgmt import hierarchical_search
+from conftest import fixed_search, phase_levels
 from nearris.codebook import (
     Codebook,
     check_levels,
@@ -320,7 +319,7 @@ def test_build_hierarchy_level_indices_row_major():
     geom = small_geom(q=2)
     cb = build_hierarchy(book(geom, [(2, 3)], 0.8))
     d, a = np.zeros(1), np.ones((1, geom.q), dtype=complex)
-    trace = hierarchical_search(d, a, *phase_levels(cb))
+    trace = fixed_search(d, a, *phase_levels(cb))
     assert trace.levels[0].candidates == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import nearris as nr
 from conftest import (
+    codewords,
     draw_cascade,
     los_only_scenario,
     on_fixed_cascade,
@@ -23,7 +24,7 @@ from conftest import (
 )
 from nearris import benchmarks as bm
 from nearris import harness
-from nearris.beam_mgmt import basis_products, basis_snr
+from nearris.beam_mgmt import basis_products, hierarchical_search, received_snr
 from nearris.channel import LinkPaths, assemble_channel, free_space_amplitude, leg_phasors
 from nearris.cli import main as cli_main
 from nearris.cli import save_scenario
@@ -47,10 +48,11 @@ from nearris.harness import (
     mu_antenna_positions,
     run_campaign,
     run_trial,
+    search_snr,
     sweep_beta,
     trial_draw,
 )
-from oracle import cascade, grcs, phase_codebook
+from oracle import cascade, formula_snr, grcs, phase_codebook
 
 SCHEMES = (bm.PROPOSED, bm.B1_FULL_CODEBOOK, bm.B2_FULL_FOCUSING, bm.B3_FULL_CSI)
 
@@ -420,10 +422,6 @@ def _codeword_case(case, request):
     return s, phase_codebook(s), [(0.0, 1), (10.0, 2), (20.0, 3)]
 
 
-def _trial_cascades(s, draws):
-    return [draw_cascade(trial_draw(s, trial), beta_db) for beta_db, trial in draws]
-
-
 def _phase_array_search(d, a, codebook):
     """The coarse-to-fine search over phase arrays, one product per level:
     [(candidates, SNRs, winner)] per level."""
@@ -435,8 +433,7 @@ def _phase_array_search(d, a, codebook):
             (px, py), parent = winner, codebook[depth - 1].shape
             r_x, r_y = level.shape[0] // parent[0], level.shape[1] // parent[1]
             cands = [(px * r_x + i, py * r_y + j) for i in range(r_x) for j in range(r_y)]
-        words = level[tuple(zip(*cands))]
-        snrs = np.max(np.abs(nr.cis(words) @ a.T + d) ** 2, axis=-1)
+        snrs = formula_snr(d, a, nr.cis(level[tuple(zip(*cands))]))
         winner = cands[int(np.argmax(snrs))]
         records.append((cands, snrs, winner))
     return records
@@ -453,7 +450,7 @@ def test_b1_from_table_equals_row_by_row_phase_scoring(case, request):
                                     s.ris_geometry().q)
     for beta_db, trial in draws:
         draw, scale = trial_draw(s, trial), 10.0 ** (-beta_db / 20.0)
-        rows = [basis_snr(basis_products(nr.cis(row), draw.d, draw.c), scale)
+        rows = [received_snr(basis_products(nr.cis(row), draw.d, draw.c), scale)
                 for row in codebook[-1]]
         assert bm.benchmark1_full_search(draw.b1, scale) == np.max(rows)
 
@@ -468,11 +465,11 @@ def test_trial_codewords_equal_codebook_cells(case, request):
     assert len(statics.blocks) == len(codebook) - 1
     np.testing.assert_array_equal(statics.finest, nr.cis(codebook[-1].reshape(-1, q)))
     for depth, level in enumerate(codebook):
-        whole = s.codewords(depth, list(np.ndindex(*level.shape[:2])))
+        whole = codewords(s, depth, list(np.ndindex(*level.shape[:2])))
         np.testing.assert_array_equal(whole, nr.cis(level.reshape(-1, q)))
         for wx in range(level.shape[0]):
             cells = [(wx, wy) for wy in range(level.shape[1])]
-            words = s.codewords(depth, cells)
+            words = codewords(s, depth, cells)
             assert words.shape == (len(cells), q)
             for cell, word in zip(cells, words):
                 np.testing.assert_array_equal(word, nr.cis(level[cell]))
@@ -494,12 +491,12 @@ def test_codeword_blocks_equal_codebook_cells_on_a_warm_cache():
             cells = [(wx, wy) for wy in range(level.shape[1])]
             expect = nr.cis(level[wx])
             for other in others:
-                other.codewords(depth, cells)
-            np.testing.assert_array_equal(s.codewords(depth, cells), expect)
-            s.codewords(depth, [((wx + 1) % level.shape[0], 0)])
+                codewords(other, depth, cells)
+            np.testing.assert_array_equal(codewords(s, depth, cells), expect)
+            codewords(s, depth, [((wx + 1) % level.shape[0], 0)])
             for warm, (n_x, n_y) in enumerate(levels[:-1]):
-                s.codewords(warm, [(x % n_x, y % n_y) for x, y in cells])
-            block = s.codewords(depth, cells)
+                codewords(s, warm, [(x % n_x, y % n_y) for x, y in cells])
+            block = codewords(s, depth, cells)
             np.testing.assert_array_equal(block, expect)
             np.testing.assert_array_equal(
                 block, s.statics().blocks[depth].__wrapped__(tuple(cells)))
@@ -507,8 +504,8 @@ def test_codeword_blocks_equal_codebook_cells_on_a_warm_cache():
 
 def test_codeword_blocks_are_read_only():
     s = small_scenario()
-    block = s.codewords(1, [(0, 0), (0, 1)])
-    assert block is s.codewords(1, [(0, 0), (0, 1)])
+    block = codewords(s, 1, [(0, 0), (0, 1)])
+    assert block is codewords(s, 1, [(0, 0), (0, 1)])
     for phasors in (block, s.statics().finest):
         with pytest.raises(ValueError, match="read-only"):
             phasors[0, 0] = 0.0
@@ -560,19 +557,70 @@ def test_pool_is_built_after_its_parent_imports_numpy_random():
     assert json.loads(run_python(_POOL_SCRIPT)) == [False, [[True, True]]]
 
 
+def _trial_search(s, beta_db, trial):
+    """The trace of `run_trial`'s search of (beta_db, trial)."""
+    draw, scale = trial_draw(s, trial), 10.0 ** (-beta_db / 20.0)
+    return hierarchical_search(s.codebook_levels,
+                               lambda depth, cells: search_snr(s, draw, scale, depth, cells))
+
+
 @pytest.mark.parametrize("case", _CODEWORD_CASES)
 def test_search_equals_search_over_phase_arrays(case, request):
-    # the search reads level 1 and the finest level from the statics'
-    # tables and computes the levels between from its recorded positions
+    # the search reads a coarser level's blocks and the finest level's cells
+    # through their products with the draw's basis; (d, A) at beta times the
+    # phase arrays' cells sounds the same cells and picks the same winners,
+    # and the products move the SNRs in their last bits only
     s, codebook, draws = _codeword_case(case, request)
-    for d, a in _trial_cascades(s, draws):
-        trace = s.search(d, a)
-        expect = _phase_array_search(d, a, codebook)
+    for beta_db, trial in draws:
+        trace = _trial_search(s, beta_db, trial)
+        expect = _phase_array_search(*draw_cascade(trial_draw(s, trial), beta_db), codebook)
         assert len(trace.levels) == len(expect)
         for rec, (cands, snrs, winner) in zip(trace.levels, expect):
             assert rec.candidates == cands
-            np.testing.assert_array_equal(rec.snrs, snrs)
+            np.testing.assert_allclose(rec.snrs, snrs, rtol=1e-12)
             assert rec.winner == winner
+
+
+@pytest.mark.parametrize("n_mu", [1, 4])
+def test_search_ending_on_b1s_best_cell_scores_b1s_bits(n_mu):
+    # the finest level's candidates are columns of B1's products, so a search
+    # that ends on B1's best cell reports B1's SNR bit for bit
+    s = small_scenario(n_mu=n_mu, beta_list_db=Scenario().beta_list_db)
+    hits = 0
+    for trial in range(10):
+        for beta_db in s.beta_list_db:
+            r = run_trial(s, beta_db, trial)
+            b1 = received_snr(trial_draw(s, trial).b1, 10.0 ** (-beta_db / 20.0))
+            if r.winners[-1] == divmod(int(np.argmax(b1)), s.codebook_levels[-1][1]):
+                hits += 1
+                assert r.snr_db[bm.PROPOSED] == r.snr_db[bm.B1_FULL_CODEBOOK]
+    assert hits >= 20
+
+
+def test_search_products_are_taken_once_per_trial_index(monkeypatch):
+    # every beta of a trial index reads the products of the coarser blocks
+    # its searches sound from the draw, which takes each block's once; the
+    # next index's draw starts with none
+    s = small_scenario(codebook_levels=((2, 2), (4, 4), (4, 8), (8, 8)),
+                       beta_list_db=Scenario().beta_list_db)
+    calls = []
+    monkeypatch.setattr(harness, "basis_products",
+                        lambda *args, f=harness.basis_products: calls.append(args) or f(*args))
+    trial_draw.cache_clear()
+    blocks = 0
+    for trial in range(4):
+        calls.clear()
+        draw = trial_draw(s, trial)
+        assert draw.products == {} and len(calls) == 2  # B1's and B2's
+        calls.clear()
+        for beta_db in s.beta_list_db:
+            run_trial(s, beta_db, trial)
+        sounded = {(depth, tuple(rec.candidates))
+                   for beta_db in s.beta_list_db
+                   for depth, rec in enumerate(_trial_search(s, beta_db, trial).levels[:-1])}
+        assert set(draw.products) == sounded and len(calls) == len(sounded)
+        blocks += len(sounded)
+    assert blocks > 4 * (len(s.codebook_levels) - 1)  # some betas of an index part ways
 
 
 @pytest.mark.parametrize("workers", [1, 2])
